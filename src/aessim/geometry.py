@@ -1,8 +1,18 @@
 """Collision geometry: driveable-space containment and the staged
-circumscribed-circle / inscribed-circle / separating-axis collision check."""
+circumscribed-circle / inscribed-circle / separating-axis collision check.
+
+The per-pair kernels (`sat_check` and the contact-time bisection) run on
+plain Python floats. They repeat numpy's float operations in numpy's order,
+so for finite poses they return the same bits as the array formulas they
+replaced: `_interp` is `np.interp` on a strictly increasing grid, and a
+corner is `(cx + l*c) - w*s`, projected as `x*ax + y*ay`. Any change to an
+expression here changes the run artefacts; `tests/test_golden.py` guards
+them.
+"""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +58,39 @@ class Footprint:
 
     def corners(self, pose: Pose) -> np.ndarray:
         """Corner coordinates, shape (4, 2), counter-clockwise."""
-        cx, cy = self.center(pose)
-        hl, hw = 0.5 * self.length, 0.5 * self.width
-        c, s = math.cos(pose.psi), math.sin(pose.psi)
-        local = np.array([(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)])
-        out = np.empty_like(local)
-        out[:, 0] = cx + local[:, 0] * c - local[:, 1] * s
-        out[:, 1] = cy + local[:, 0] * s + local[:, 1] * c
-        return out
+        return np.array(_corners(pose, self, math.cos(pose.psi),
+                                 math.sin(pose.psi)))
+
+
+def _corners(pose: Pose, fp: Footprint, c: float,
+             s: float) -> list[tuple[float, float]]:
+    """Footprint corners counter-clockwise; c, s are cos/sin of pose.psi."""
+    cx = pose.X + fp.ref_offset * c
+    cy = pose.Y + fp.ref_offset * s
+    hl, hw = 0.5 * fp.length, 0.5 * fp.width
+    return [((cx + lx * c) - ly * s, (cy + lx * s) + ly * c)
+            for lx, ly in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+
+
+def _interp(x: float, xp: list[float], fp: list[float]) -> float:
+    """np.interp(x, xp, fp) for scalar x and strictly increasing xp, bit for bit.
+
+    Outside the grid the end values are held; a grid hit returns the sample.
+    """
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if y != y:  # numpy retries from the right sample, then a flat segment
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
 
 
 class DriveableSpace:
@@ -238,23 +273,22 @@ def inscribed_check(pose_a: Pose, fp_a: Footprint,
                                            + fp_b.inscribed_radius)
 
 
-def _project(corners: np.ndarray, ax: float, ay: float) -> tuple[float, float]:
-    dots = corners[:, 0] * ax + corners[:, 1] * ay
-    return float(dots.min()), float(dots.max())
-
-
 def sat_check(pose_a: Pose, fp_a: Footprint,
               pose_b: Pose, fp_b: Footprint) -> bool:
-    """Exact rectangle intersection test; touching counts as collision."""
-    ca = fp_a.corners(pose_a)
-    cb = fp_b.corners(pose_b)
-    for psi in (pose_a.psi, pose_b.psi):
-        c, s = math.cos(psi), math.sin(psi)
-        for ax, ay in ((c, s), (-s, c)):
-            amin, amax = _project(ca, ax, ay)
-            bmin, bmax = _project(cb, ax, ay)
-            if amax < bmin or bmax < amin:
-                return False
+    """Exact rectangle intersection test; touching counts as collision.
+
+    Separating-axis test on the four edge normals (Ericson, Real-Time
+    Collision Detection, 4.4).
+    """
+    c_a, s_a = math.cos(pose_a.psi), math.sin(pose_a.psi)
+    c_b, s_b = math.cos(pose_b.psi), math.sin(pose_b.psi)
+    ca = _corners(pose_a, fp_a, c_a, s_a)
+    cb = _corners(pose_b, fp_b, c_b, s_b)
+    for ax, ay in ((c_a, s_a), (-s_a, c_a), (c_b, s_b), (-s_b, c_b)):
+        da = [x * ax + y * ay for x, y in ca]
+        db = [x * ax + y * ay for x, y in cb]
+        if max(da) < min(db) or max(db) < min(da):
+            return False
     return True
 
 
@@ -292,10 +326,18 @@ def driveable_area_check(path, space: DriveableSpace, fp: Footprint) -> bool:
 def _refine_collision_time(path, target: TargetTrack, fp: Footprint,
                            t_clear: float, t_hit: float) -> float:
     """Bisect the first contact instant between a clear and a hit sample."""
+    pt, px, py, ppsi = (np.asarray(a, dtype=float).tolist()
+                        for a in (path.t, path.x, path.y, path.psi))
+    tt, tx, ty, tpsi = (np.asarray(a, dtype=float).tolist()
+                        for a in (target.times, target.xs, target.ys,
+                                  target.psis))
     for _ in range(40):
         mid = 0.5 * (t_clear + t_hit)
-        if _pair_collides(path.pose_at(mid), fp,
-                          target.pose_at(mid), target.footprint):
+        ego = Pose(_interp(mid, pt, px), _interp(mid, pt, py),
+                   _interp(mid, pt, ppsi))
+        tgt = Pose(_interp(mid, tt, tx), _interp(mid, tt, ty),
+                   _interp(mid, tt, tpsi))
+        if _pair_collides(ego, fp, tgt, target.footprint):
             t_hit = mid
         else:
             t_clear = mid
@@ -354,9 +396,13 @@ def collision_check(path, targets, fp: Footprint,
                 hit = True
             else:
                 report.sat_evaluations += 1
-                hit = sat_check(path.pose_at(float(check_t[k])), fp,
-                                target.pose_at(float(check_t[k])),
-                                target.footprint)
+                # check instants are path samples, and tx/ty/tpsi are the
+                # target's pose_at(check_t[k]): no re-interpolation needed
+                i = idx[k]
+                hit = sat_check(Pose(float(path.x[i]), float(path.y[i]),
+                                     float(path.psi[i])), fp,
+                                Pose(float(tx[k]), float(ty[k]),
+                                     float(tpsi[k])), target.footprint)
             if hit:
                 hit_time = float(check_t[k])
                 if k > 0:

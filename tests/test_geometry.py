@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
-                             circumscribed_check, collision_check,
+                             _interp, circumscribed_check, collision_check,
                              driveable_area_check, inscribed_check, sat_check)
 from aessim.pathgen import SampledPath
 
@@ -39,6 +39,31 @@ def oracle_rect_overlap(pose_a, fp_a, pose_b, fp_b, spacing=0.005):
 
     return bool(inside(edge_points(pose_a, fp_a), pose_b, fp_b)
                 or inside(edge_points(pose_b, fp_b), pose_a, fp_a))
+
+
+def numpy_corners(pose, fp):
+    """The array corner formula the scalar kernel replaced (reference)."""
+    cx, cy = fp.center(pose)
+    hl, hw = 0.5 * fp.length, 0.5 * fp.width
+    c, s = math.cos(pose.psi), math.sin(pose.psi)
+    local = np.array([(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)])
+    out = np.empty_like(local)
+    out[:, 0] = cx + local[:, 0] * c - local[:, 1] * s
+    out[:, 1] = cy + local[:, 0] * s + local[:, 1] * c
+    return out
+
+
+def numpy_sat(pose_a, fp_a, pose_b, fp_b):
+    """The array SAT formula the scalar kernel replaced (reference)."""
+    ca, cb = numpy_corners(pose_a, fp_a), numpy_corners(pose_b, fp_b)
+    for psi in (pose_a.psi, pose_b.psi):
+        c, s = math.cos(psi), math.sin(psi)
+        for ax, ay in ((c, s), (-s, c)):
+            da = ca[:, 0] * ax + ca[:, 1] * ay
+            db = cb[:, 0] * ax + cb[:, 1] * ay
+            if float(da.max()) < float(db.min()) or float(db.max()) < float(da.min()):
+                return False
+    return True
 
 
 class TestFootprint:
@@ -172,6 +197,101 @@ class TestSat:
                 assert not hit
             if inscribed_check(pa, fa, pb, fb):
                 assert hit
+
+
+class TestScalarKernelsBitExact:
+    """The scalar kernels must return numpy's bits, not just close values."""
+
+    @staticmethod
+    def _grid(rng, n):
+        xp = float(rng.uniform(-5, 5)) + np.cumsum(rng.uniform(1e-3, 1.0, n))
+        return xp, rng.normal(0.0, 10.0, n)
+
+    def test_interp_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        for n in [2, 3, 4, 5, 7, 51] + list(rng.integers(2, 200, 40)):
+            xp, fp = self._grid(rng, int(n))
+            span = xp[-1] - xp[0]
+            xs = np.concatenate([
+                rng.uniform(xp[0], xp[-1], 200),                  # interior
+                xp,                                               # grid hits
+                [xp[0], xp[-1], np.nextafter(xp[0], np.inf),
+                 np.nextafter(xp[-1], -np.inf)],                  # ends
+                xp[0] - rng.uniform(0, span, 5),                  # below
+                xp[-1] + rng.uniform(0, span, 5),                 # above
+            ])
+            xl, fl = xp.tolist(), fp.tolist()
+            for x in xs.tolist():
+                assert _interp(x, xl, fl).hex() == float(np.interp(x, xp, fp)).hex()
+
+    def test_interp_on_simulator_grids(self):
+        # linspace clocks with linear and constant samples, as the loop builds
+        t = np.linspace(0.0, 5.0, 51)
+        rng = np.random.default_rng(5)
+        for fp in (3.7 + 19.3 * t, np.full(51, 0.3), np.cumsum(rng.normal(size=51))):
+            tl, fl = t.tolist(), fp.tolist()
+            for x in rng.uniform(-0.1, 5.1, 2000).tolist():
+                assert _interp(x, tl, fl).hex() == float(np.interp(x, t, fp)).hex()
+
+    def test_interp_nan_query(self):
+        assert math.isnan(_interp(math.nan, [0.0, 1.0], [2.0, 3.0]))
+
+    def test_corners_match_numpy_formula(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            fp = Footprint(float(rng.uniform(0, 5)), float(rng.uniform(0, 3)),
+                           float(rng.uniform(-2, 2)))
+            pose = Pose(*rng.uniform(-50, 50, 2).tolist(), float(rng.uniform(-7, 7)))
+            assert np.array_equal(fp.corners(pose), numpy_corners(pose, fp))
+
+    def test_sat_matches_numpy_formula_random(self):
+        rng = np.random.default_rng(23)
+        n, hits = 20000, 0
+        for _ in range(n):
+            fa = Footprint(float(rng.uniform(0, 5)), float(rng.uniform(0, 3)),
+                           float(rng.uniform(-1.5, 1.5)))
+            fb = Footprint(float(rng.uniform(0, 5)), float(rng.uniform(0, 3)),
+                           float(rng.uniform(-1.5, 1.5)))
+            pa = Pose(*rng.uniform(-3, 3, 2).tolist(), float(rng.uniform(-4, 4)))
+            pb = Pose(*rng.uniform(-3, 3, 2).tolist(), float(rng.uniform(-4, 4)))
+            hit = sat_check(pa, fa, pb, fb)
+            assert hit == numpy_sat(pa, fa, pb, fb)
+            hits += hit
+        assert 0.2 * n < hits < 0.8 * n   # both verdicts well exercised
+
+    def test_sat_exact_touching(self):
+        # dyadic sizes and offsets: contact is exact, one ulp apart is a gap
+        a, b, pa = Footprint(4.0, 2.0), Footprint(2.0, 1.0), Pose(0.0, 0.0, 0.0)
+        # edge-to-edge along x and y, partly overlapping edges, corner-to-corner
+        for x, y in ((3.0, 0.0), (-3.0, 0.25), (0.5, 1.5), (3.0, 1.5)):
+            assert sat_check(pa, a, Pose(x, y, 0.0), b)
+            assert numpy_sat(pa, a, Pose(x, y, 0.0), b)
+            gap = Pose(math.nextafter(x, 2 * x), math.nextafter(y, 2 * y), 0.0)
+            assert not sat_check(pa, a, gap, b)
+            assert not numpy_sat(pa, a, gap, b)
+
+    def test_sat_near_touching_rotated(self):
+        # corner-on-edge: a square turned 45 deg with a corner on a's front or
+        # left edge, the pair turned rigidly, and the square stepped ulp by
+        # ulp through zero gap along the edge normal
+        a, b = Footprint(4.0, 2.0, 0.5), Footprint(1.0, 1.0)
+        h = math.sqrt(0.5)
+        verdicts = set()
+        for rot in np.linspace(0.0, 2 * math.pi, 37).tolist():
+            c, s = math.cos(rot), math.sin(rot)
+            for x, y, normal in ((2.5 + h, 0.3, 0), (0.5, 1.0 + h, 1)):
+                for ulps in range(-4, 5):
+                    p = [x, y]
+                    for _ in range(abs(ulps)):
+                        p[normal] = math.nextafter(
+                            p[normal], math.copysign(math.inf, ulps))
+                    pa = Pose(0.0, 0.0, rot)
+                    pb = Pose(p[0] * c - p[1] * s, p[0] * s + p[1] * c,
+                              rot + math.pi / 4)
+                    hit = sat_check(pa, a, pb, b)
+                    assert hit == numpy_sat(pa, a, pb, b)
+                    verdicts.add(hit)
+        assert verdicts == {True, False}
 
 
 class TestCollisionCheck:

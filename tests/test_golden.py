@@ -1,0 +1,55 @@
+"""Golden artefact digests of the five shipped scenarios.
+
+Speed work must not change what a run writes: `trace.csv`, `paths.csv` and
+`summary.json` of every shipped scenario must stay byte-identical. The
+sha256 digests below were recorded before the collision kernels were moved
+from numpy arrays to scalar floats, on x86-64 Linux with Python 3.11 and
+numpy 2.4; another libm or numpy build may round differently and then fails
+here without any change to the code.
+
+A change that alters behaviour on purpose must update these digests and say
+in CHANGES.md why the artefacts moved.
+"""
+import hashlib
+
+import pytest
+
+from aessim.scenario import load_scenario
+from aessim.simloop import run_scenario
+
+GOLDEN = {
+    "blocked_lane": {
+        "trace": "1860d324d3ee59eb6715617530dc09bb9c32091b7021dd9000c563595e8fa41f",
+        "paths": "c1d4039c8770e3f24b05d309faf646a49d234d6f3ba129e63fc9eec2c5ecea00",
+        "summary": "ce5be353ad5887c4b3b121e593d31c08dc092b53b554aa3e54d9a365799e344f",
+    },
+    "crossing_vru": {
+        "trace": "71f44038d03b509e0624617e6e463fb903974786e492260b84a99c299fd29e7f",
+        "paths": "064687295ac429b3c9f3358c782b70b69ddc1a1a3e8a456c726be1746dc11e85",
+        "summary": "af2c3aacdaa42b75b6f2477c84e027470d0ae8097dd491263ff2a45e30225c09",
+    },
+    "empty_road": {
+        "trace": "473d98ce7a3ae0cc7ea399ae8bbb2ffb12f1e4cb07620ca9eb5e2d5e756ec80f",
+        "paths": "da4481a25bcc50493e254c10585abc4d096b10b499f74b13bc16435450459bfc",
+        "summary": "618201d5c73d7b6ff96e67442e86af7a2e0597f9f5cb5568481fc09746413f19",
+    },
+    "replanning": {
+        "trace": "c68b2ca9183645d3aad47710b5ab88728ceed9b2498ca563cbc09e9518ab85f4",
+        "paths": "22485e0afb5fbbe96c2db7254df979d5e798263433ba9c65b2f12c340d9929ff",
+        "summary": "cbd6de899fb13de6f111182f048aebcd9c50077acae7a807c4ab4062b480dac8",
+    },
+    "stalled_car": {
+        "trace": "501943cd16b5bd508d002998cd685c7b96691545b599ca8db58718830acb883a",
+        "paths": "58ec316a4a82a8482d24d900826c5201c2997fc0dfc51d1388a8bfef85344d86",
+        "summary": "7379b6d0b56380920b64c04e75181eb5c2b3e5b0547618f474cd46aa18ab6785",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artefacts_match_golden_digests(scenario_dir, tmp_path, name):
+    files = run_scenario(load_scenario(scenario_dir / f"{name}.yaml")) \
+        .trace.write(tmp_path)
+    got = {key: hashlib.sha256(files[key].read_bytes()).hexdigest()
+           for key in GOLDEN[name]}
+    assert got == GOLDEN[name]
