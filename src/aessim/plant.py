@@ -1,6 +1,16 @@
 """Simulation plant: linear single-track lateral dynamics with an external
-yaw-moment input, longitudinal speed update during pre-braking, kinematic
-global pose integration and target motion interpolation."""
+yaw-moment input, longitudinal speed update during pre-braking and kinematic
+global pose integration.
+
+The RK4 step and the lateral acceleration run on plain Python floats and
+build no numpy arrays. They repeat the float operations of the numpy-matrix
+step they replaced, in the same order, so they return the same bits and
+`trace.csv`, `paths.csv` and `summary.json` stay byte-identical. An
+algebraically equal reordering of the arithmetic breaks this; the tests keep
+the numpy-matrix step as the reference and compare by `float.hex`.
+`_lateral_coeffs` holds the only copy of the lateral-dynamics formulas;
+`lateral_matrices` builds its arrays from it for the pole analysis.
+"""
 from __future__ import annotations
 
 import math
@@ -11,11 +21,11 @@ import numpy as np
 from .capability import VehicleParams
 from .control import ControlCommand
 from .errors import NumericalDivergence
-from .geometry import Pose, TargetTrack
 
 V_LAT_LIMIT = 30.0    # sanity bound on lateral velocity [m/s]
 YAW_RATE_LIMIT = 5.0  # sanity bound on yaw rate [rad/s]
 U_FLOOR = 1.0         # plant never drops below this speed [m/s]
+DT_MAX = 0.01         # largest integration step the plant accepts [s]
 
 
 @dataclass
@@ -30,24 +40,27 @@ class PlantState:
     ay_saturated: bool = False  # lateral-force guard active in the last step
 
 
-def lateral_matrices(params: VehicleParams,
-                     u: float) -> tuple[np.ndarray, np.ndarray]:
-    """State and input matrices of the lateral dynamics at speed u.
+def _lateral_coeffs(params: VehicleParams, u: float) -> tuple[float, ...]:
+    """Entries (a11, a12, a21, a22, b11, b21, b22) of the lateral dynamics
+    at speed u; b12 is zero.
 
     States are (v_v, r), inputs (delta_g, M_z_ext). Written in the
     negative-stiffness slip convention, so the stored magnitudes are negated.
     """
     c_f, c_r = -params.C_f, -params.C_r
     m, izz, a, b = params.m, params.I_zz, params.a, params.b
-    A = np.array([
-        [(c_f + c_r) / (m * u), (a * c_f - b * c_r) / (m * u) - u],
-        [(a * c_f - b * c_r) / (izz * u), (a**2 * c_f + b**2 * c_r) / (izz * u)],
-    ])
-    B = np.array([
-        [-c_f / m, 0.0],
-        [-a * c_f / izz, 1.0 / izz],
-    ])
-    return A, B
+    return ((c_f + c_r) / (m * u), (a * c_f - b * c_r) / (m * u) - u,
+            (a * c_f - b * c_r) / (izz * u),
+            (a**2 * c_f + b**2 * c_r) / (izz * u),
+            -c_f / m, -a * c_f / izz, 1.0 / izz)
+
+
+def lateral_matrices(params: VehicleParams,
+                     u: float) -> tuple[np.ndarray, np.ndarray]:
+    """State and input matrices of the lateral dynamics at speed u."""
+    a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
+    return (np.array([[a11, a12], [a21, a22]]),
+            np.array([[b11, 0.0], [b21, b22]]))
 
 
 def vehicle_poles(params: VehicleParams, u: float) -> np.ndarray:
@@ -72,14 +85,10 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
     guard engages. The longitudinal speed follows a_x_cmd and never drops
     below the floor.
     """
-    if not (0.0 < dt <= 0.01):
-        raise ValueError("dt must lie in (0, 0.01]")
+    if not (0.0 < dt <= DT_MAX):
+        raise ValueError(f"dt must lie in (0, {DT_MAX}]")
     u = s.u_v
-    A, B = lateral_matrices(params, u)
-    a11, a12 = A[0]
-    a21, a22 = A[1]
-    b11 = B[0, 0]
-    b21, b22 = B[1]
+    a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
     ay_max = params.mu_min * params.g
     delta, m_ext = cmd.delta_g, cmd.M_z_ext
     saturated = False
@@ -97,27 +106,28 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
             v_dot = scale * a_y - u * r
             r_dot_tire *= scale
         r_dot = r_dot_tire + b22 * m_ext
-        x_dot = u * math.cos(psi) - v * math.sin(psi)
-        y_dot = u * math.sin(psi) + v * math.cos(psi)
-        return v_dot, r_dot, x_dot, y_dot, r
+        c, sn = math.cos(psi), math.sin(psi)
+        return v_dot, r_dot, u * c - v * sn, u * sn + v * c
 
-    k1 = deriv(s.v_v, s.r, s.psi)
-    k2 = deriv(s.v_v + 0.5 * dt * k1[0], s.r + 0.5 * dt * k1[1],
-               s.psi + 0.5 * dt * k1[4])
-    k3 = deriv(s.v_v + 0.5 * dt * k2[0], s.r + 0.5 * dt * k2[1],
-               s.psi + 0.5 * dt * k2[4])
-    k4 = deriv(s.v_v + dt * k3[0], s.r + dt * k3[1], s.psi + dt * k3[4])
+    # RK4 stages; the heading derivative of a stage is its yaw-rate input
+    v, r, psi = s.v_v, s.r, s.psi
+    h = 0.5 * dt
+    v1, r1, x1, y1 = deriv(v, r, psi)
+    r_2 = r + h * r1
+    v2, r2, x2, y2 = deriv(v + h * v1, r_2, psi + h * r)
+    r_3 = r + h * r2
+    v3, r3, x3, y3 = deriv(v + h * v2, r_3, psi + h * r_2)
+    r_4 = r + dt * r3
+    v4, r4, x4, y4 = deriv(v + dt * v3, r_4, psi + dt * r_3)
 
-    def rk(i):
-        return dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-
+    w = dt / 6.0
     new = PlantState(
         u_v=max(U_FLOOR, s.u_v + a_x_cmd * dt),
-        v_v=float(s.v_v + rk(0)),
-        r=float(s.r + rk(1)),
-        X=float(s.X + rk(2)),
-        Y=float(s.Y + rk(3)),
-        psi=float(s.psi + rk(4)),
+        v_v=float(v + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4)),
+        r=float(r + w * (r1 + 2.0 * r2 + 2.0 * r3 + r4)),
+        X=float(s.X + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)),
+        Y=float(s.Y + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)),
+        psi=float(psi + w * (r + 2.0 * r_2 + 2.0 * r_3 + r_4)),
         t=s.t + dt,
         ay_saturated=saturated,
     )
@@ -131,11 +141,6 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
 def lateral_acceleration(s: PlantState, cmd: ControlCommand,
                          params: VehicleParams) -> float:
     """Instantaneous lateral acceleration v_dot + u * r (unguarded)."""
-    A, B = lateral_matrices(params, s.u_v)
-    v_dot = A[0, 0] * s.v_v + A[0, 1] * s.r + B[0, 0] * cmd.delta_g
+    a11, a12, _, _, b11, _, _ = _lateral_coeffs(params, s.u_v)
+    v_dot = a11 * s.v_v + a12 * s.r + b11 * cmd.delta_g
     return float(v_dot + s.u_v * s.r)
-
-
-def target_step(track: TargetTrack, t_now: float) -> Pose:
-    """Predicted target pose at t_now; raises PredictionGap outside the grid."""
-    return track.pose_at(t_now, clamp=False)

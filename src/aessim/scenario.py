@@ -1,7 +1,12 @@
 """Scenario configuration: schema definition, loading and validation.
 
 A scenario is a single YAML file with an explicit schema_version. All
-physical quantities are SI (metres, seconds, radians, newtons).
+physical quantities are SI (metres, seconds, radians, newtons). Every
+number must be finite, except `capability.a_y_threshold` and
+`control.brake_force_max`, where inf means no limit. A scenario that would
+fail or run wrongly because of its settings (non-finite numbers, a zero
+check step, a vehicle model unstable at the initial speed) is rejected here
+with ConfigError rather than mid-run.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from .decision import TriggerConfig
 from .errors import ConfigError
 from .geometry import DriveableSpace, Footprint, Pose
 from .pathgen import PathTuning
+from .plant import DT_MAX, assert_stable_vehicle
 from .ranking import CostWeights
 
 SCHEMA_VERSION = 1
@@ -120,6 +126,23 @@ def _take(section: dict, name: str, key: str, default=None, required=False):
     return default
 
 
+def _num(section: dict, name: str, key: str, default=None, required=False,
+         allow_inf: bool = False) -> float:
+    """A finite number from the section; with allow_inf, +inf (also written
+    as an empty entry) means no limit."""
+    value = _take(section, name, key, default, required)
+    if allow_inf and value is None:
+        return math.inf
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"'{name}.{key}' must be a number, found {value!r}") from exc
+    if not (math.isfinite(number) or (allow_inf and number == math.inf)):
+        raise ConfigError(f"'{name}.{key}' must be finite, found {value!r}")
+    return number
+
+
 def _no_leftovers(section: dict, name: str) -> None:
     if section:
         raise ConfigError(f"unknown keys in '{name}': {sorted(section)}")
@@ -128,10 +151,10 @@ def _no_leftovers(section: dict, name: str) -> None:
 def _footprint(section: dict, name: str) -> Footprint:
     try:
         return Footprint(
-            length=float(_take(section, name, "length", required=True)),
-            width=float(_take(section, name, "width", required=True)),
-            ref_offset=float(_take(section, name, "ref_offset", 0.0)))
-    except (TypeError, ValueError) as exc:
+            length=_num(section, name, "length", required=True),
+            width=_num(section, name, "width", required=True),
+            ref_offset=_num(section, name, "ref_offset", 0.0))
+    except ValueError as exc:
         raise ConfigError(f"bad footprint in '{name}': {exc}") from exc
 
 
@@ -162,19 +185,19 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     veh.pop("footprint", None)
     try:
         vehicle = VehicleParams(
-            m=float(_take(veh, "vehicle", "m", required=True)),
-            a=float(_take(veh, "vehicle", "a", required=True)),
-            b=float(_take(veh, "vehicle", "b", required=True)),
-            h_cog=float(_take(veh, "vehicle", "h_cog", required=True)),
-            w=float(_take(veh, "vehicle", "w", required=True)),
-            C_f=float(_take(veh, "vehicle", "C_f", required=True)),
-            C_r=float(_take(veh, "vehicle", "C_r", required=True)),
-            I_zz=float(_take(veh, "vehicle", "I_zz", required=True)),
-            mu_f=float(_take(veh, "vehicle", "mu_f", 1.0)),
-            mu_r=float(_take(veh, "vehicle", "mu_r", 1.0)),
-            S_f=float(_take(veh, "vehicle", "S_f", 1.0)),
-            S_r=float(_take(veh, "vehicle", "S_r", 1.0)),
-            delta_max=float(_take(veh, "vehicle", "delta_max", 0.1)),
+            m=_num(veh, "vehicle", "m", required=True),
+            a=_num(veh, "vehicle", "a", required=True),
+            b=_num(veh, "vehicle", "b", required=True),
+            h_cog=_num(veh, "vehicle", "h_cog", required=True),
+            w=_num(veh, "vehicle", "w", required=True),
+            C_f=_num(veh, "vehicle", "C_f", required=True),
+            C_r=_num(veh, "vehicle", "C_r", required=True),
+            I_zz=_num(veh, "vehicle", "I_zz", required=True),
+            mu_f=_num(veh, "vehicle", "mu_f", 1.0),
+            mu_r=_num(veh, "vehicle", "mu_r", 1.0),
+            S_f=_num(veh, "vehicle", "S_f", 1.0),
+            S_r=_num(veh, "vehicle", "S_r", 1.0),
+            delta_max=_num(veh, "vehicle", "delta_max", 0.1),
         )
     except ValueError as exc:
         raise ConfigError(f"bad vehicle parameters: {exc}") from exc
@@ -182,16 +205,16 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
 
     cap = _section(raw, "capability")
     try:
-        cap_scenario = CapabilityScenario(int(_take(cap, "capability",
-                                                    "scenario_id", 6)))
+        cap_scenario = CapabilityScenario(int(_num(cap, "capability",
+                                                   "scenario_id", 6)))
     except ValueError as exc:
         raise ConfigError(f"capability.scenario_id must be 1..6: {exc}") from exc
-    ayt = _take(cap, "capability", "a_y_threshold", math.inf)
     cap_tuning = CapabilityTuning(
-        t_pb=float(_take(cap, "capability", "t_pb", 0.0)),
-        a_y_threshold=math.inf if ayt in ("inf", None) else float(ayt),
-        rho_dot_max=float(_take(cap, "capability", "rho_dot_max", 0.2)),
-        v_min=float(_take(cap, "capability", "v_min", 1.0)),
+        t_pb=_num(cap, "capability", "t_pb", 0.0),
+        a_y_threshold=_num(cap, "capability", "a_y_threshold", math.inf,
+                           allow_inf=True),
+        rho_dot_max=_num(cap, "capability", "rho_dot_max", 0.2),
+        v_min=_num(cap, "capability", "v_min", 1.0),
     )
     _no_leftovers(cap, "capability")
 
@@ -203,33 +226,33 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     try:
         path_tuning = PathTuning(
             t_pb=cap_tuning.t_pb,
-            psi_max=float(_take(pl, "planner", "psi_max", 0.2)),
-            i_sb=float(_take(pl, "planner", "i_sb", 0.8)),
-            rho_road=float(_take(pl, "planner", "rho_road", 0.0)),
-            y_offset=float(_take(pl, "planner", "y_offset", 0.0)),
-            t_stabilize=float(_take(pl, "planner", "t_stabilize", 0.5)),
-            n_tot=int(_take(pl, "planner", "n_paths", 6)),
-            dt_presample=float(_take(pl, "planner", "dt_presample", 0.01)),
-            min_lateral_clearance=float(
-                _take(pl, "planner", "min_lateral_clearance", 1.0)),
+            psi_max=_num(pl, "planner", "psi_max", 0.2),
+            i_sb=_num(pl, "planner", "i_sb", 0.8),
+            rho_road=_num(pl, "planner", "rho_road", 0.0),
+            y_offset=_num(pl, "planner", "y_offset", 0.0),
+            t_stabilize=_num(pl, "planner", "t_stabilize", 0.5),
+            n_tot=int(_num(pl, "planner", "n_paths", 6)),
+            dt_presample=_num(pl, "planner", "dt_presample", 0.01),
+            min_lateral_clearance=_num(pl, "planner",
+                                       "min_lateral_clearance", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"bad planner tuning: {exc}") from exc
     _no_leftovers(pl, "planner")
 
     co = _section(raw, "costs")
-    weights = CostWeights(K_ay=float(_take(co, "costs", "K_ay", 1.0)),
-                          K_ax=float(_take(co, "costs", "K_ax", 1.0)),
-                          K_prox=float(_take(co, "costs", "K_prox", 0.0)))
+    weights = CostWeights(K_ay=_num(co, "costs", "K_ay", 1.0),
+                          K_ax=_num(co, "costs", "K_ax", 1.0),
+                          K_prox=_num(co, "costs", "K_prox", 0.0))
     _no_leftovers(co, "costs")
 
     tr = _section(raw, "trigger")
     try:
         trigger = TriggerConfig(
-            t_margin=float(_take(tr, "trigger", "t_margin", 0.15)),
-            t_warning=float(_take(tr, "trigger", "t_warning", 0.3)),
-            tte_reduction=float(_take(tr, "trigger", "tte_reduction", 0.0)),
-            ttc_horizon=float(_take(tr, "trigger", "ttc_horizon", 5.0)),
+            t_margin=_num(tr, "trigger", "t_margin", 0.15),
+            t_warning=_num(tr, "trigger", "t_warning", 0.3),
+            tte_reduction=_num(tr, "trigger", "tte_reduction", 0.0),
+            ttc_horizon=_num(tr, "trigger", "ttc_horizon", 5.0),
         )
     except ValueError as exc:
         raise ConfigError(f"bad trigger config: {exc}") from exc
@@ -239,16 +262,16 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     mode_name = str(_take(ct, "control", "mode", "combined"))
     if mode_name not in _MODES:
         raise ConfigError(f"control.mode must be one of {sorted(_MODES)}")
-    bfm = _take(ct, "control", "brake_force_max", math.inf)
     try:
         controller = ControllerConfig(
-            sigma_1=float(_take(ct, "control", "sigma_1", -3.0)),
-            sigma_2=float(_take(ct, "control", "sigma_2", -3.0)),
+            sigma_1=_num(ct, "control", "sigma_1", -3.0),
+            sigma_2=_num(ct, "control", "sigma_2", -3.0),
             mode=_MODES[mode_name],
-            i_f=float(_take(ct, "control", "i_f", 0.7)),
-            i_r=float(_take(ct, "control", "i_r", 0.3)),
-            dt_control=float(_take(ct, "control", "dt_control", 0.01)),
-            brake_force_max=math.inf if bfm in ("inf", None) else float(bfm),
+            i_f=_num(ct, "control", "i_f", 0.7),
+            i_r=_num(ct, "control", "i_r", 0.3),
+            dt_control=_num(ct, "control", "dt_control", 0.01),
+            brake_force_max=_num(ct, "control", "brake_force_max", math.inf,
+                                 allow_inf=True),
         )
     except ValueError as exc:
         raise ConfigError(f"bad control config: {exc}") from exc
@@ -256,25 +279,29 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
 
     rd = _section(raw, "road", required=True)
     road = RoadDef(
-        x_start=float(_take(rd, "road", "x_start", required=True)),
-        x_end=float(_take(rd, "road", "x_end", required=True)),
-        y_left=float(_take(rd, "road", "y_left", required=True)),
-        y_right=float(_take(rd, "road", "y_right", required=True)),
-        station_spacing=float(_take(rd, "road", "station_spacing", 1.0)),
-        lateral_granularity=float(_take(rd, "road", "lateral_granularity", 0.5)),
+        x_start=_num(rd, "road", "x_start", required=True),
+        x_end=_num(rd, "road", "x_end", required=True),
+        y_left=_num(rd, "road", "y_left", required=True),
+        y_right=_num(rd, "road", "y_right", required=True),
+        station_spacing=_num(rd, "road", "station_spacing", 1.0),
+        lateral_granularity=_num(rd, "road", "lateral_granularity", 0.5),
     )
     if road.y_left <= road.y_right or road.x_end <= road.x_start:
         raise ConfigError("road bounds are inverted")
     _no_leftovers(rd, "road")
 
     eg = _section(raw, "ego", required=True)
-    ego = EgoState(X=float(_take(eg, "ego", "X", 0.0)),
-                   Y=float(_take(eg, "ego", "Y", 0.0)),
-                   psi=float(_take(eg, "ego", "psi", 0.0)),
-                   v_x=float(_take(eg, "ego", "v_x", required=True)))
+    ego = EgoState(X=_num(eg, "ego", "X", 0.0),
+                   Y=_num(eg, "ego", "Y", 0.0),
+                   psi=_num(eg, "ego", "psi", 0.0),
+                   v_x=_num(eg, "ego", "v_x", required=True))
     if ego.v_x <= 0:
         raise ConfigError("ego.v_x must be positive")
     _no_leftovers(eg, "ego")
+    try:
+        assert_stable_vehicle(vehicle, ego.v_x)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     targets_raw = raw.pop("targets", []) or []
     if not isinstance(targets_raw, list):
@@ -296,19 +323,19 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         entry.pop("maneuver", None)
         m_time = m_speed = None
         if man:
-            m_time = float(_take(man, f"targets[{i}].maneuver", "time",
-                                 required=True))
-            m_speed = float(_take(man, f"targets[{i}].maneuver", "speed",
-                                  required=True))
+            m_time = _num(man, f"targets[{i}].maneuver", "time",
+                          required=True)
+            m_speed = _num(man, f"targets[{i}].maneuver", "speed",
+                           required=True)
             _no_leftovers(man, f"targets[{i}].maneuver")
         targets.append(TargetDef(
             track_id=tid,
             footprint=tfp,
-            pose=Pose(float(_take(entry, f"targets[{i}]", "X", required=True)),
-                      float(_take(entry, f"targets[{i}]", "Y", required=True)),
-                      float(_take(entry, f"targets[{i}]", "psi", 0.0))),
-            speed=float(_take(entry, f"targets[{i}]", "speed", 0.0)),
-            appear_time=float(_take(entry, f"targets[{i}]", "appear_time", 0.0)),
+            pose=Pose(_num(entry, f"targets[{i}]", "X", required=True),
+                      _num(entry, f"targets[{i}]", "Y", required=True),
+                      _num(entry, f"targets[{i}]", "psi", 0.0)),
+            speed=_num(entry, f"targets[{i}]", "speed", 0.0),
+            appear_time=_num(entry, f"targets[{i}]", "appear_time", 0.0),
             type_tag=str(_take(entry, f"targets[{i}]", "type", "vehicle")),
             maneuver_time=m_time,
             maneuver_speed=m_speed,
@@ -317,14 +344,16 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
 
     sm = _section(raw, "sim")
     sim = SimSettings(
-        duration=float(_take(sm, "sim", "duration", 10.0)),
-        dt_plant=float(_take(sm, "sim", "dt_plant", 0.001)),
-        dt_control=float(_take(sm, "sim", "dt_control", 0.01)),
-        planner_period=float(_take(sm, "sim", "planner_period", 0.1)),
-        dt_check=float(_take(sm, "sim", "dt_check", 0.1)),
+        duration=_num(sm, "sim", "duration", 10.0),
+        dt_plant=_num(sm, "sim", "dt_plant", 0.001),
+        dt_control=_num(sm, "sim", "dt_control", 0.01),
+        planner_period=_num(sm, "sim", "planner_period", 0.1),
+        dt_check=_num(sm, "sim", "dt_check", 0.1),
     )
-    if sim.duration <= 0 or sim.dt_plant <= 0:
-        raise ConfigError("sim.duration and sim.dt_plant must be positive")
+    if sim.duration <= 0 or sim.dt_check <= 0:
+        raise ConfigError("sim.duration and sim.dt_check must be positive")
+    if not 0.0 < sim.dt_plant <= DT_MAX:
+        raise ConfigError(f"sim.dt_plant must lie in (0, {DT_MAX}]")
     for coarse, fine, label in ((sim.dt_control, sim.dt_plant, "dt_control/dt_plant"),
                                 (sim.planner_period, sim.dt_control,
                                  "planner_period/dt_control")):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aessim.errors import PredictionGap
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
                              _interp, circumscribed_check, collision_check,
                              driveable_area_check, inscribed_check, sat_check)
@@ -292,6 +293,41 @@ class TestScalarKernelsBitExact:
                     assert hit == numpy_sat(pa, a, pb, b)
                     verdicts.add(hit)
         assert verdicts == {True, False}
+
+
+class TestTargetStep:
+    """Unclamped target-track lookup, as the plant's former target_step did."""
+
+    def test_static_target(self):
+        tr = TargetTrack.constant_velocity("s", Footprint(1, 1),
+                                           Pose(5.0, 2.0, 0.3), 0.0, 4.0)
+        for t in (0.0, 1.3, 4.0):
+            pose = tr.pose_at(t, clamp=False)
+            assert pose.X == pytest.approx(5.0)
+            assert pose.Y == pytest.approx(2.0)
+
+    def test_crossing_vru_advance(self):
+        tr = TargetTrack.constant_velocity(
+            "v", Footprint(0.5, 0.5), Pose(0.0, 0.0, math.pi / 2), 1.0, 4.0)
+        pose = tr.pose_at(2.0, clamp=False)
+        assert pose.Y == pytest.approx(2.0, abs=1e-12)
+        assert pose.X == pytest.approx(0.0, abs=1e-12)
+
+    def test_midpoint_interpolation_exact(self):
+        tr = TargetTrack.constant_velocity(
+            "v", Footprint(0.5, 0.5), Pose(1.0, -2.0, 0.25), 3.0, 4.0, dt=0.5)
+        for t in (0.25, 1.75, 3.9):
+            pose = tr.pose_at(t, clamp=False)
+            assert pose.X == pytest.approx(1.0 + 3.0 * math.cos(0.25) * t,
+                                           abs=1e-12)
+            assert pose.Y == pytest.approx(-2.0 + 3.0 * math.sin(0.25) * t,
+                                           abs=1e-12)
+
+    def test_prediction_gap(self):
+        tr = TargetTrack.constant_velocity("v", Footprint(0.5, 0.5),
+                                           Pose(0, 0, 0), 1.0, 4.0)
+        with pytest.raises(PredictionGap):
+            tr.pose_at(4.5, clamp=False)
 
 
 class TestCollisionCheck:

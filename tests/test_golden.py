@@ -9,12 +9,19 @@ here without any change to the code.
 
 A change that alters behaviour on purpose must update these digests and say
 in CHANGES.md why the artefacts moved.
+
+The shipped runs last at most a few seconds. `LONG_RUN` adds shipped
+`empty_road` at a non-default speed for 30 s (30 000 RK4 substeps), long
+enough for a one-ulp drift in the plant's integration to reach `X`. Its
+digests were recorded before the plant moved from numpy matrices to scalar
+floats.
 """
 import hashlib
 
 import pytest
+import yaml
 
-from aessim.scenario import load_scenario
+from aessim.scenario import load_scenario, parse_scenario
 from aessim.simloop import run_scenario
 
 GOLDEN = {
@@ -45,11 +52,33 @@ GOLDEN = {
     },
 }
 
+LONG_RUN = {
+    "overrides": {"sim": {"duration": 30.0}, "ego": {"v_x": 27.5}},
+    "digests": {
+        "trace": "86e3d2ad514a357929fc0fa74437d24d6fe98beba1ab46208cb37aeb3bf494b4",
+        "paths": "da4481a25bcc50493e254c10585abc4d096b10b499f74b13bc16435450459bfc",
+        "summary": "c23ddfd4701dde6d2321db7832c6632baea887653d002c12005d0792cbcabe76",
+    },
+}
+
+
+def _digests(result, out_dir, keys):
+    files = result.trace.write(out_dir)
+    return {key: hashlib.sha256(files[key].read_bytes()).hexdigest()
+            for key in keys}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artefacts_match_golden_digests(scenario_dir, tmp_path, name):
-    files = run_scenario(load_scenario(scenario_dir / f"{name}.yaml")) \
-        .trace.write(tmp_path)
-    got = {key: hashlib.sha256(files[key].read_bytes()).hexdigest()
-           for key in GOLDEN[name]}
-    assert got == GOLDEN[name]
+    result = run_scenario(load_scenario(scenario_dir / f"{name}.yaml"))
+    assert _digests(result, tmp_path, GOLDEN[name]) == GOLDEN[name]
+
+
+def test_long_empty_road_matches_golden_digests(scenario_dir, tmp_path):
+    raw = yaml.safe_load((scenario_dir / "empty_road.yaml").read_text())
+    for section, values in LONG_RUN["overrides"].items():
+        raw[section].update(values)
+    result = run_scenario(parse_scenario(raw, default_name="empty_road"))
+    assert result.summary["t_end"] == pytest.approx(30.0)
+    want = LONG_RUN["digests"]
+    assert _digests(result, tmp_path, want) == want

@@ -5,10 +5,10 @@ import pytest
 
 from aessim.capability import VehicleParams
 from aessim.control import ControlCommand, WheelForces
-from aessim.errors import NumericalDivergence, PredictionGap
-from aessim.geometry import Footprint, Pose, TargetTrack
-from aessim.plant import (PlantState, assert_stable_vehicle,
-                          lateral_matrices, plant_step, target_step,
+from aessim.errors import NumericalDivergence
+from aessim.plant import (U_FLOOR, V_LAT_LIMIT, YAW_RATE_LIMIT, PlantState,
+                          _lateral_coeffs, assert_stable_vehicle,
+                          lateral_acceleration, lateral_matrices, plant_step,
                           vehicle_poles)
 
 
@@ -104,34 +104,163 @@ class TestPoles:
             assert_stable_vehicle(p, 40.0)
 
 
-class TestTargetStep:
-    def test_static_target(self):
-        tr = TargetTrack.constant_velocity("s", Footprint(1, 1),
-                                           Pose(5.0, 2.0, 0.3), 0.0, 4.0)
-        for t in (0.0, 1.3, 4.0):
-            pose = target_step(tr, t)
-            assert pose.X == pytest.approx(5.0)
-            assert pose.Y == pytest.approx(2.0)
+def numpy_lateral_matrices(params, u):
+    """The lateral matrices as the plant built them before it went scalar."""
+    c_f, c_r = -params.C_f, -params.C_r
+    m, izz, a, b = params.m, params.I_zz, params.a, params.b
+    A = np.array([
+        [(c_f + c_r) / (m * u), (a * c_f - b * c_r) / (m * u) - u],
+        [(a * c_f - b * c_r) / (izz * u), (a**2 * c_f + b**2 * c_r) / (izz * u)],
+    ])
+    B = np.array([
+        [-c_f / m, 0.0],
+        [-a * c_f / izz, 1.0 / izz],
+    ])
+    return A, B
 
-    def test_crossing_vru_advance(self):
-        tr = TargetTrack.constant_velocity(
-            "v", Footprint(0.5, 0.5), Pose(0.0, 0.0, math.pi / 2), 1.0, 4.0)
-        pose = target_step(tr, 2.0)
-        assert pose.Y == pytest.approx(2.0, abs=1e-12)
-        assert pose.X == pytest.approx(0.0, abs=1e-12)
 
-    def test_midpoint_interpolation_exact(self):
-        tr = TargetTrack.constant_velocity(
-            "v", Footprint(0.5, 0.5), Pose(1.0, -2.0, 0.25), 3.0, 4.0, dt=0.5)
-        for t in (0.25, 1.75, 3.9):
-            pose = target_step(tr, t)
-            assert pose.X == pytest.approx(1.0 + 3.0 * math.cos(0.25) * t,
-                                           abs=1e-12)
-            assert pose.Y == pytest.approx(-2.0 + 3.0 * math.sin(0.25) * t,
-                                           abs=1e-12)
+def numpy_plant_step(s, cmd, params, a_x_cmd, dt):
+    """Reference: the RK4 step on numpy matrix entries it replaced."""
+    u = s.u_v
+    A, B = numpy_lateral_matrices(params, u)
+    a11, a12 = A[0]
+    a21, a22 = A[1]
+    b11 = B[0, 0]
+    b21, b22 = B[1]
+    ay_max = params.mu_min * params.g
+    delta, m_ext = cmd.delta_g, cmd.M_z_ext
+    saturated = False
 
-    def test_prediction_gap(self):
-        tr = TargetTrack.constant_velocity("v", Footprint(0.5, 0.5),
-                                           Pose(0, 0, 0), 1.0, 4.0)
-        with pytest.raises(PredictionGap):
-            target_step(tr, 4.5)
+    def deriv(v, r, psi):
+        nonlocal saturated
+        v_dot = a11 * v + a12 * r + b11 * delta
+        r_dot_tire = a21 * v + a22 * r + b21 * delta
+        a_y = v_dot + u * r
+        if abs(a_y) > ay_max:
+            saturated = True
+            scale = ay_max / abs(a_y)
+            v_dot = scale * a_y - u * r
+            r_dot_tire *= scale
+        r_dot = r_dot_tire + b22 * m_ext
+        x_dot = u * math.cos(psi) - v * math.sin(psi)
+        y_dot = u * math.sin(psi) + v * math.cos(psi)
+        return v_dot, r_dot, x_dot, y_dot, r
+
+    k1 = deriv(s.v_v, s.r, s.psi)
+    k2 = deriv(s.v_v + 0.5 * dt * k1[0], s.r + 0.5 * dt * k1[1],
+               s.psi + 0.5 * dt * k1[4])
+    k3 = deriv(s.v_v + 0.5 * dt * k2[0], s.r + 0.5 * dt * k2[1],
+               s.psi + 0.5 * dt * k2[4])
+    k4 = deriv(s.v_v + dt * k3[0], s.r + dt * k3[1], s.psi + dt * k3[4])
+
+    def rk(i):
+        return dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+
+    new = PlantState(
+        u_v=max(U_FLOOR, s.u_v + a_x_cmd * dt),
+        v_v=float(s.v_v + rk(0)), r=float(s.r + rk(1)),
+        X=float(s.X + rk(2)), Y=float(s.Y + rk(3)), psi=float(s.psi + rk(4)),
+        t=s.t + dt, ay_saturated=saturated)
+    if abs(new.v_v) > V_LAT_LIMIT or abs(new.r) > YAW_RATE_LIMIT:
+        raise NumericalDivergence("out of bounds")
+    return new
+
+
+def numpy_lateral_acceleration(s, cmd, params):
+    A, B = numpy_lateral_matrices(params, s.u_v)
+    v_dot = A[0, 0] * s.v_v + A[0, 1] * s.r + B[0, 0] * cmd.delta_g
+    return float(v_dot + s.u_v * s.r)
+
+
+def state_hex(s):
+    return ([float(getattr(s, f)).hex()
+             for f in ("u_v", "v_v", "r", "X", "Y", "psi", "t")]
+            + [s.ay_saturated])
+
+
+class TestScalarPlantBitExact:
+    """The scalar plant must return the numpy-matrix code's bits."""
+
+    @staticmethod
+    def _draw(rng):
+        low_grip = rng.random() < 0.4
+        mu = float(rng.uniform(0.05, 0.3) if low_grip else rng.uniform(0.3, 1.2))
+        params = make_params(
+            m=float(rng.uniform(800, 3500)), a=float(rng.uniform(0.8, 2.0)),
+            b=float(rng.uniform(0.8, 2.0)), C_f=float(rng.uniform(3e4, 2e5)),
+            C_r=float(rng.uniform(3e4, 2e5)), I_zz=float(rng.uniform(800, 6000)),
+            mu_f=mu, mu_r=float(rng.uniform(mu, 1.2)))
+        slow = rng.random() < 0.2
+        state = PlantState(
+            u_v=float(rng.uniform(U_FLOOR, U_FLOOR + 0.05) if slow
+                      else rng.uniform(U_FLOOR, 40.0)),
+            v_v=float(rng.normal(0.0, 1.0)), r=float(rng.normal(0.0, 0.3)),
+            X=float(rng.uniform(-50, 800)), Y=float(rng.uniform(-10, 10)),
+            psi=float(rng.uniform(-math.pi, math.pi)),
+            t=float(rng.uniform(0, 40)))
+        delta = rng.uniform(-0.3, 0.3) if low_grip else rng.normal(0.0, 0.03)
+        m_ext = rng.normal(0.0, 3000.0) if rng.random() < 0.7 else 0.0
+        if rng.random() < 0.5:
+            # the controller hands over numpy scalars
+            cmd = ControlCommand(delta_g=np.float64(delta), M_z_ext=np.float64(m_ext))
+        else:
+            cmd = ControlCommand(delta_g=float(delta), M_z_ext=float(m_ext))
+        a_x = float(rng.uniform(-12.0, 0.0)) if rng.random() < 0.5 else 0.0
+        dt = float(rng.choice([0.001, 0.01, 0.0005])) if rng.random() < 0.5 \
+            else float(rng.uniform(1e-5, 0.01))
+        return state, cmd, params, a_x, dt
+
+    def test_plant_step_matches_numpy_reference(self):
+        rng = np.random.default_rng(11)
+        n = 20000
+        saturated = floored = with_moment = diverged = 0
+        for _ in range(n):
+            state, cmd, params, a_x, dt = self._draw(rng)
+            try:
+                ref = numpy_plant_step(state, cmd, params, a_x, dt)
+            except NumericalDivergence:
+                diverged += 1
+                with pytest.raises(NumericalDivergence):
+                    plant_step(state, cmd, params, a_x, dt)
+                continue
+            got = plant_step(state, cmd, params, a_x, dt)
+            assert state_hex(got) == state_hex(ref)
+            assert lateral_acceleration(state, cmd, params).hex() == \
+                numpy_lateral_acceleration(state, cmd, params).hex()
+            saturated += ref.ay_saturated
+            floored += state.u_v + a_x * dt < U_FLOOR
+            with_moment += cmd.M_z_ext != 0.0
+        # every branch well exercised
+        assert saturated > 0.2 * n
+        assert n - diverged - saturated > 0.2 * n
+        assert floored > 0.02 * n
+        assert with_moment > 0.5 * n
+
+    def test_closed_loop_trajectory_matches(self):
+        # 3 s of 1 ms steps: a one-ulp difference would compound in X
+        p = make_params(mu_f=0.4, mu_r=0.4)
+        a = b = PlantState(u_v=25.0, psi=0.1)
+        for i in range(3000):
+            cmd = ControlCommand(delta_g=0.1 * math.sin(i * 0.004),
+                                 M_z_ext=np.float64(800.0 * math.cos(i * 0.003)))
+            a_x = -4.0 if i < 800 else 0.0
+            a = plant_step(a, cmd, p, a_x, 0.001)
+            b = numpy_plant_step(b, cmd, p, a_x, 0.001)
+            assert state_hex(a) == state_hex(b)
+
+    def test_lateral_matrices_match_coeffs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            p = make_params(m=float(rng.uniform(800, 3500)),
+                            a=float(rng.uniform(0.8, 2.0)),
+                            b=float(rng.uniform(0.8, 2.0)),
+                            C_f=float(rng.uniform(3e4, 2e5)),
+                            C_r=float(rng.uniform(3e4, 2e5)),
+                            I_zz=float(rng.uniform(800, 6000)))
+            u = float(rng.uniform(U_FLOOR, 40.0))
+            a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(p, u)
+            A, B = lateral_matrices(p, u)
+            assert A.tolist() == [[a11, a12], [a21, a22]]
+            assert B.tolist() == [[b11, 0.0], [b21, b22]]
+            A_ref, B_ref = numpy_lateral_matrices(p, u)
+            assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)

@@ -1,7 +1,10 @@
 import json
 
+import math
+
 import numpy as np
 import pytest
+import yaml
 
 from aessim.cli import main
 from aessim.errors import AesError, ConfigError
@@ -93,6 +96,60 @@ class TestConfig:
         p_before = td.position_at(td.maneuver_time)
         p_after = td.position_at(td.maneuver_time + 1.0)
         assert p_after.Y - p_before.Y == pytest.approx(0.1, abs=1e-12)
+
+
+# Settings that used to pass parse_scenario and then fail mid-run or run to a
+# wrong result; each must now fail at load. Applied to crossing_vru.
+REJECTED_AT_LOAD = {
+    "ego_v_x_nan": {"ego": {"v_x": math.nan}},              # LinAlgError
+    "vehicle_m_nan": {"vehicle": {"m": math.nan}},          # LinAlgError
+    "vehicle_I_zz_inf": {"vehicle": {"I_zz": math.inf}},    # "unstable"
+    "sim_dt_check_zero": {"sim": {"dt_check": 0.0}},        # ZeroDivisionError
+    "sim_duration_nan": {"sim": {"duration": math.nan}},    # ValueError
+    "trigger_t_margin_nan": {"trigger": {"t_margin": math.nan}},  # collided
+    # a step beyond the plant's bound: plant_step raised ValueError
+    "sim_dt_plant_large": {"sim": {"dt_plant": 0.02, "dt_control": 0.02}},
+    # oversteered and beyond its critical speed at the initial speed
+    "vehicle_unstable": {"vehicle": {"a": 2.6, "b": 0.4, "C_f": 1.4e5,
+                                     "C_r": 6e4}},
+}
+
+
+class TestRejectedAtLoad:
+    @staticmethod
+    def _raw(scenario_dir, case):
+        raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+        for section, values in REJECTED_AT_LOAD[case].items():
+            raw[section].update(values)
+        return raw
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_AT_LOAD))
+    def test_parse_raises_config_error(self, scenario_dir, case):
+        with pytest.raises(ConfigError):
+            parse_scenario(self._raw(scenario_dir, case))
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_AT_LOAD))
+    def test_validate_exits_3(self, scenario_dir, tmp_path, capsys, case):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(self._raw(scenario_dir, case)))
+        assert main(["validate", str(path)]) == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_documented_inf_still_accepted(self):
+        raw = minimal(capability={"a_y_threshold": "inf"},
+                      control={"brake_force_max": math.inf})
+        cfg = parse_scenario(raw)
+        assert cfg.cap_tuning.a_y_threshold == math.inf
+        assert cfg.controller.brake_force_max == math.inf
+        raw = minimal(capability={"a_y_threshold": -math.inf})
+        with pytest.raises(ConfigError, match="finite"):
+            parse_scenario(raw)
+
+    def test_non_number_rejected(self):
+        raw = minimal()
+        raw["vehicle"]["m"] = [2000.0]
+        with pytest.raises(ConfigError, match="vehicle.m"):
+            parse_scenario(raw)
 
 
 @pytest.fixture(scope="module")
