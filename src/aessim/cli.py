@@ -7,11 +7,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .scenario import load_scenario
+from .scenario import load_scenario, parse_scenario, read_raw
 from .simloop import run_scenario
 from .trace import emit_plot_data
 
@@ -30,8 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", type=Path)
     run_p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: out/<scenario name>)")
-    run_p.add_argument("--seed", type=int, default=0,
-                       help="reserved for randomized variants; recorded only")
     run_p.add_argument("--plot", action="store_true",
                        help="also write plot-data files")
 
@@ -41,33 +38,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a one-parameter sweep")
     sweep_p.add_argument("scenario", type=Path)
     sweep_p.add_argument("--param", required=True,
-                         help="dotted parameter path, e.g. trigger.tte_reduction")
+                         help="scenario key as section.key, "
+                         "e.g. trigger.tte_reduction")
     sweep_p.add_argument("--values", required=True, nargs="+", type=float)
     sweep_p.add_argument("--out", type=Path, default=None)
     return parser
-
-
-def _apply_param(cfg, dotted: str, value: float):
-    head, _, leaf = dotted.rpartition(".")
-    section_map = {
-        "trigger": "trigger", "control": "controller", "costs": "weights",
-        "planner": "path_tuning", "capability": "cap_tuning",
-        "vehicle": "vehicle", "sim": "sim", "ego": "ego",
-    }
-    if head not in section_map:
-        raise ConfigError(f"cannot sweep '{dotted}': unknown section")
-    target = getattr(cfg, section_map[head])
-    if not hasattr(target, leaf):
-        raise ConfigError(f"cannot sweep '{dotted}': no such field")
-    return replace(cfg, **{section_map[head]: replace(target, **{leaf: value})})
 
 
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     result = run_scenario(cfg)
     out_dir = args.out or Path("out") / cfg.name
-    result.summary["seed"] = args.seed
-    result.trace.summary = result.summary
     files = result.trace.write(out_dir)
     if args.plot:
         files.update(emit_plot_data(result.trace, out_dir))
@@ -92,13 +73,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = load_scenario(args.scenario)
+    raw = read_raw(args.scenario)
+    base = parse_scenario(raw, default_name=args.scenario.stem)
+    section, _, key = args.param.partition(".")
+    values = raw.get(section) or {}
+    if not key or not isinstance(values, dict):
+        raise ConfigError(f"cannot sweep '{args.param}': not a section.key")
+    # every swept scenario is validated like a file before any of them runs
+    cfgs = [parse_scenario({**raw, section: {**values, key: value},
+                            "name": f"{base.name}_{args.param}_{value:g}"})
+            for value in args.values]
     out_root = args.out or Path("out") / f"sweep_{args.param.replace('.', '_')}"
     worst = 0
     print(f"sweep {args.param}: {len(args.values)} values")
-    for value in args.values:
-        cfg = _apply_param(base, args.param, value)
-        cfg = replace(cfg, name=f"{base.name}_{args.param}_{value:g}")
+    for value, cfg in zip(args.values, cfgs):
         result = run_scenario(cfg)
         result.trace.write(out_root / f"{value:g}")
         engage = result.summary.get("engage_ttc")

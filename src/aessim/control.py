@@ -35,7 +35,6 @@ class ControllerConfig:
     mode: ControlMode = ControlMode.COMBINED
     i_f: float = 0.7               # front share of the brake force
     i_r: float = 0.3               # rear share, i_f + i_r = 1
-    dt_control: float = 0.01
     brake_force_max: float = math.inf  # per-wheel cap [N]
     u_min: float = 1.0             # gains diverge below this speed [m/s]
 
@@ -155,27 +154,6 @@ def steady_state_slip(kappa: float, u: float, delta: float,
     return -((q / u - u) * u * kappa - (c_f / m) * delta) / (p / u)
 
 
-def feedforward(kappa: float, u_v: float, delta_g_actual: float,
-                params: VehicleParams,
-                mode: ControlMode) -> tuple[float, float]:
-    """Feedforward steering angle and yaw moment for the current curvature.
-
-    In combined mode delta_g_actual is the commanded (possibly saturated)
-    steering angle, so the moment term only compensates deviations from the
-    steady-state steering.
-    """
-    c_f, c_r = _signed_stiffness(params)
-    d_ff = steering_feedforward_gain(kappa, u_v, params.m, params.l,
-                                     params.a, params.b, c_f, c_r)
-    if mode is ControlMode.STEERING_ONLY:
-        return d_ff, 0.0
-    m_ff = brake_feedforward_gain(delta_g_actual, kappa, u_v, params.m,
-                                  params.l, params.a, params.b, c_f, c_r)
-    if mode is ControlMode.DIFF_BRAKE_ONLY:
-        return 0.0, m_ff
-    return d_ff, m_ff
-
-
 def feedback_gains(params: VehicleParams, u_v: float,
                    cfg: ControllerConfig) -> np.ndarray:
     """Gain matrix (2 x 4): steering row, then moment row, zeroed per mode."""
@@ -276,6 +254,8 @@ def control_step(err: TrackingErrors, plant, params: VehicleParams,
     if cfg.mode is ControlMode.STEERING_ONLY:
         return ControlCommand(delta_g=delta_cmd, M_z_ext=0.0)
 
+    # the moment feedforward compensates only the deviation of the actual
+    # (saturated) steering angle from the steady-state steering
     m_ff = brake_feedforward_gain(delta_actual, err.kappa, plant.u_v,
                                   params.m, params.l, params.a, params.b,
                                   c_f, c_r)

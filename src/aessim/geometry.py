@@ -97,11 +97,10 @@ class DriveableSpace:
     """Lateral corridor sampled at longitudinal stations.
 
     Each station carries one or more lateral intervals (y_left > y_right,
-    left positive). On construction every interval is subdivided into bars of
-    at most `granularity` metres, mirroring how the corridor is modelled.
+    left positive).
     """
 
-    def __init__(self, stations, intervals, granularity: float = 0.5):
+    def __init__(self, stations, intervals):
         self.stations = np.asarray(stations, dtype=float)
         if self.stations.ndim != 1 or len(self.stations) < 2:
             raise ValueError("need at least two stations")
@@ -110,21 +109,13 @@ class DriveableSpace:
         if len(intervals) != len(self.stations):
             raise ValueError("one interval list per station required")
         self.intervals: list[list[tuple[float, float]]] = []
-        self.bars: list[list[tuple[float, float]]] = []
-        self.granularity = float(granularity)
         for per_station in intervals:
             cleaned = []
-            bars = []
             for y_left, y_right in per_station:
                 if y_left <= y_right:
                     raise ValueError("interval must satisfy y_left > y_right")
                 cleaned.append((float(y_left), float(y_right)))
-                n = max(1, math.ceil((y_left - y_right) / self.granularity))
-                edges = np.linspace(y_right, y_left, n + 1)
-                bars.extend((float(hi), float(lo))
-                            for lo, hi in zip(edges[:-1], edges[1:]))
             self.intervals.append(cleaned)
-            self.bars.append(bars)
         self._uniform = all(len(iv) == 1 for iv in self.intervals)
         if self._uniform:
             self._y_left = np.array([iv[0][0] for iv in self.intervals])
@@ -132,12 +123,12 @@ class DriveableSpace:
 
     @classmethod
     def corridor(cls, x_start: float, x_end: float, y_left: float,
-                 y_right: float, station_spacing: float = 1.0,
-                 granularity: float = 0.5) -> "DriveableSpace":
+                 y_right: float,
+                 station_spacing: float = 1.0) -> "DriveableSpace":
         """Uniform corridor between two lateral bounds."""
         n = max(2, math.ceil((x_end - x_start) / station_spacing) + 1)
         xs = np.linspace(x_start, x_end, n)
-        return cls(xs, [[(y_left, y_right)] for _ in xs], granularity)
+        return cls(xs, [[(y_left, y_right)] for _ in xs])
 
     def covers(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -92,9 +92,6 @@ class CurvatureProfile:
             psi += 0.5 * (self.rhos[i] * self.vels[i] + r_hi * v_hi) * (hi - t0)
         return psi
 
-    def max_abs_rho(self) -> float:
-        return float(np.max(np.abs(self.rhos)))
-
 
 @dataclass
 class SampledPath:
@@ -159,9 +156,6 @@ class PathSet:
 
     paths: list[SampledPath]
     side: str
-    generation_time: float = 0.0
-    scale: float = 1.0
-    y_desired: float = 0.0
 
 
 def _mirror_init(init: EgoState) -> EgoState:
@@ -307,8 +301,9 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
 
     The maximum-severity profile is built and pre-sampled; when its terminal
     offset exceeds the available lateral room the whole family is scaled by
-    y_desired / y_max, and path n additionally by sqrt(n / n_tot) on both the
-    curvature and heading caps.
+    y_room / y_max, and path n additionally by sqrt(n / n_tot) on both the
+    curvature and heading caps. Replanning calls it with the mid-manoeuvre
+    state, whose curvature and heading the new paths start from.
     """
     try:
         severe = build_max_severity_profile(init, cap, tuning, side)
@@ -322,13 +317,13 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
         raise NoFeasiblePath(f"no lateral authority on the {side} side")
 
     x_reach = init.X + float(np.max(sampled.x))
-    y_desired = space.lateral_extent(side, init.Y, init.X, x_reach)
-    if y_desired < tuning.min_lateral_clearance:
+    y_room = space.lateral_extent(side, init.Y, init.X, x_reach)
+    if y_room < tuning.min_lateral_clearance:
         raise NoFeasiblePath(
-            f"{side} corridor of {y_desired:.2f} m is below the "
+            f"{side} corridor of {y_room:.2f} m is below the "
             f"{tuning.min_lateral_clearance:.2f} m clearance")
 
-    scale = min(1.0, y_desired / y_max)
+    scale = min(1.0, y_room / y_max)
     origin = Pose(init.X, init.Y, 0.0)
     paths: list[SampledPath] = []
     for n in range(1, tuning.n_tot + 1):
@@ -348,15 +343,4 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
         paths.append(path)
     if not paths:
         raise NoFeasiblePath(f"all {side} profiles infeasible")
-    return PathSet(paths=paths, side=side, scale=scale, y_desired=y_desired)
-
-
-def replan(current: EgoState, space: DriveableSpace, cap: CapabilityRecord,
-           tuning: PathTuning, side: str = "left") -> PathSet:
-    """Regenerate the path family from a mid-manoeuvre state.
-
-    Identical pipeline to generate_path_set; the initial curvature and
-    heading come from the current vehicle state, so the replanned paths join
-    the current motion continuously.
-    """
-    return generate_path_set(current, cap, space, tuning, side)
+    return PathSet(paths=paths, side=side)

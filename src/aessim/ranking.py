@@ -28,10 +28,6 @@ class CostWeights:
     K_ax: float = 1.0
     K_prox: float = 0.0
 
-    def scaled(self, factor: float) -> "CostWeights":
-        return CostWeights(self.K_ay * factor, self.K_ax * factor,
-                           self.K_prox * factor)
-
 
 @dataclass
 class RankedPath:

@@ -1,7 +1,8 @@
 """Scenario configuration: schema definition, loading and validation.
 
 A scenario is a single YAML file with an explicit schema_version. All
-physical quantities are SI (metres, seconds, radians, newtons). Every
+physical quantities are SI (metres, seconds, radians, newtons). An absent
+optional key takes the default of its config dataclass. Every
 number must be finite, except `capability.a_y_threshold` and
 `control.brake_force_max`, where inf means no limit. A scenario that would
 fail or run wrongly because of its settings (non-finite numbers, a zero
@@ -80,7 +81,6 @@ class RoadDef:
     y_left: float
     y_right: float
     station_spacing: float = 1.0
-    lateral_granularity: float = 0.5
 
 
 @dataclass
@@ -103,8 +103,7 @@ class ScenarioConfig:
     def build_space(self) -> DriveableSpace:
         return DriveableSpace.corridor(
             self.road.x_start, self.road.x_end, self.road.y_left,
-            self.road.y_right, self.road.station_spacing,
-            self.road.lateral_granularity)
+            self.road.y_right, self.road.station_spacing)
 
 
 def _section(raw: dict, key: str, required: bool = False) -> dict:
@@ -118,19 +117,12 @@ def _section(raw: dict, key: str, required: bool = False) -> dict:
     return dict(value)
 
 
-def _take(section: dict, name: str, key: str, default=None, required=False):
-    if key in section:
-        return section.pop(key)
-    if required:
-        raise ConfigError(f"missing '{name}.{key}'")
-    return default
-
-
-def _num(section: dict, name: str, key: str, default=None, required=False,
-         allow_inf: bool = False) -> float:
-    """A finite number from the section; with allow_inf, +inf (also written
-    as an empty entry) means no limit."""
-    value = _take(section, name, key, default, required)
+def _num(section: dict, name: str, key: str, allow_inf: bool = False,
+         integer: bool = False) -> float | int:
+    """Pop a finite number from the section; with allow_inf, +inf (also
+    written as an empty entry) means no limit; with integer, the value must
+    be integral and is returned as an int."""
+    value = section.pop(key)
     if allow_inf and value is None:
         return math.inf
     try:
@@ -140,7 +132,27 @@ def _num(section: dict, name: str, key: str, default=None, required=False,
             f"'{name}.{key}' must be a number, found {value!r}") from exc
     if not (math.isfinite(number) or (allow_inf and number == math.inf)):
         raise ConfigError(f"'{name}.{key}' must be finite, found {value!r}")
+    if integer:
+        if number != int(number):
+            raise ConfigError(
+                f"'{name}.{key}' must be an integer, found {value!r}")
+        return int(number)
     return number
+
+
+def _numbers(section: dict, name: str, keys: tuple[str, ...],
+             required: tuple[str, ...] = (), allow_inf: tuple[str, ...] = (),
+             integers: tuple[str, ...] = ()) -> dict:
+    """The numeric keys present in a section, as keyword arguments; an absent
+    key keeps the default of the config dataclass. Any key left in the
+    section afterwards is unknown."""
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"missing '{name}.{key}'")
+    kwargs = {key: _num(section, name, key, key in allow_inf, key in integers)
+              for key in keys if key in section}
+    _no_leftovers(section, name)
+    return kwargs
 
 
 def _no_leftovers(section: dict, name: str) -> None:
@@ -150,10 +162,9 @@ def _no_leftovers(section: dict, name: str) -> None:
 
 def _footprint(section: dict, name: str) -> Footprint:
     try:
-        return Footprint(
-            length=_num(section, name, "length", required=True),
-            width=_num(section, name, "width", required=True),
-            ref_offset=_num(section, name, "ref_offset", 0.0))
+        return Footprint(**_numbers(section, name,
+                                    ("length", "width", "ref_offset"),
+                                    required=("length", "width")))
     except ValueError as exc:
         raise ConfigError(f"bad footprint in '{name}': {exc}") from exc
 
@@ -161,13 +172,18 @@ def _footprint(section: dict, name: str) -> Footprint:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate one scenario file."""
     path = Path(path)
+    return parse_scenario(read_raw(path), default_name=path.stem)
+
+
+def read_raw(path: Path) -> dict:
+    """The unvalidated mapping of one scenario file."""
     try:
         raw = yaml.safe_load(path.read_text())
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a mapping")
-    return parse_scenario(raw, default_name=path.stem)
+    return raw
 
 
 def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
@@ -179,125 +195,80 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     name = str(raw.pop("name", default_name))
 
     veh = _section(raw, "vehicle", required=True)
-    fp = _footprint(_section(veh, "footprint", required=False)
+    fp = _footprint(_section(veh, "footprint")
                     or {"length": 4.5, "width": 1.8, "ref_offset": 1.35},
                     "vehicle.footprint")
-    veh.pop("footprint", None)
     try:
-        vehicle = VehicleParams(
-            m=_num(veh, "vehicle", "m", required=True),
-            a=_num(veh, "vehicle", "a", required=True),
-            b=_num(veh, "vehicle", "b", required=True),
-            h_cog=_num(veh, "vehicle", "h_cog", required=True),
-            w=_num(veh, "vehicle", "w", required=True),
-            C_f=_num(veh, "vehicle", "C_f", required=True),
-            C_r=_num(veh, "vehicle", "C_r", required=True),
-            I_zz=_num(veh, "vehicle", "I_zz", required=True),
-            mu_f=_num(veh, "vehicle", "mu_f", 1.0),
-            mu_r=_num(veh, "vehicle", "mu_r", 1.0),
-            S_f=_num(veh, "vehicle", "S_f", 1.0),
-            S_r=_num(veh, "vehicle", "S_r", 1.0),
-            delta_max=_num(veh, "vehicle", "delta_max", 0.1),
-        )
+        vehicle = VehicleParams(**_numbers(
+            veh, "vehicle", ("m", "a", "b", "h_cog", "w", "C_f", "C_r",
+                             "I_zz", "mu_f", "mu_r", "S_f", "S_r",
+                             "delta_max"),
+            required=("m", "a", "b", "h_cog", "w", "C_f", "C_r", "I_zz")))
     except ValueError as exc:
         raise ConfigError(f"bad vehicle parameters: {exc}") from exc
-    _no_leftovers(veh, "vehicle")
 
-    cap = _section(raw, "capability")
+    cap = _numbers(_section(raw, "capability"), "capability",
+                   ("scenario_id", "t_pb", "a_y_threshold", "rho_dot_max",
+                    "v_min"),
+                   allow_inf=("a_y_threshold",), integers=("scenario_id",))
     try:
-        cap_scenario = CapabilityScenario(int(_num(cap, "capability",
-                                                   "scenario_id", 6)))
+        cap_scenario = CapabilityScenario(cap.pop("scenario_id", 6))
     except ValueError as exc:
         raise ConfigError(f"capability.scenario_id must be 1..6: {exc}") from exc
-    cap_tuning = CapabilityTuning(
-        t_pb=_num(cap, "capability", "t_pb", 0.0),
-        a_y_threshold=_num(cap, "capability", "a_y_threshold", math.inf,
-                           allow_inf=True),
-        rho_dot_max=_num(cap, "capability", "rho_dot_max", 0.2),
-        v_min=_num(cap, "capability", "v_min", 1.0),
-    )
-    _no_leftovers(cap, "capability")
+    cap_tuning = CapabilityTuning(**cap)
 
     pl = _section(raw, "planner")
-    sides = _take(pl, "planner", "sides", ["left", "right"])
+    sides = pl.pop("sides", ["left", "right"])
     if (not isinstance(sides, list) or not sides
             or any(s not in ("left", "right") for s in sides)):
         raise ConfigError("planner.sides must be a non-empty list of left/right")
+    pl = _numbers(pl, "planner",
+                  ("psi_max", "i_sb", "rho_road", "y_offset", "t_stabilize",
+                   "n_paths", "dt_presample", "min_lateral_clearance"),
+                  integers=("n_paths",))
+    if "n_paths" in pl:
+        pl["n_tot"] = pl.pop("n_paths")
     try:
-        path_tuning = PathTuning(
-            t_pb=cap_tuning.t_pb,
-            psi_max=_num(pl, "planner", "psi_max", 0.2),
-            i_sb=_num(pl, "planner", "i_sb", 0.8),
-            rho_road=_num(pl, "planner", "rho_road", 0.0),
-            y_offset=_num(pl, "planner", "y_offset", 0.0),
-            t_stabilize=_num(pl, "planner", "t_stabilize", 0.5),
-            n_tot=int(_num(pl, "planner", "n_paths", 6)),
-            dt_presample=_num(pl, "planner", "dt_presample", 0.01),
-            min_lateral_clearance=_num(pl, "planner",
-                                       "min_lateral_clearance", 1.0),
-        )
+        path_tuning = PathTuning(t_pb=cap_tuning.t_pb, **pl)
     except ValueError as exc:
         raise ConfigError(f"bad planner tuning: {exc}") from exc
-    _no_leftovers(pl, "planner")
 
-    co = _section(raw, "costs")
-    weights = CostWeights(K_ay=_num(co, "costs", "K_ay", 1.0),
-                          K_ax=_num(co, "costs", "K_ax", 1.0),
-                          K_prox=_num(co, "costs", "K_prox", 0.0))
-    _no_leftovers(co, "costs")
+    weights = CostWeights(**_numbers(_section(raw, "costs"), "costs",
+                                     ("K_ay", "K_ax", "K_prox")))
 
-    tr = _section(raw, "trigger")
     try:
-        trigger = TriggerConfig(
-            t_margin=_num(tr, "trigger", "t_margin", 0.15),
-            t_warning=_num(tr, "trigger", "t_warning", 0.3),
-            tte_reduction=_num(tr, "trigger", "tte_reduction", 0.0),
-            ttc_horizon=_num(tr, "trigger", "ttc_horizon", 5.0),
-        )
+        trigger = TriggerConfig(**_numbers(
+            _section(raw, "trigger"), "trigger",
+            ("t_margin", "t_warning", "tte_reduction", "ttc_horizon")))
     except ValueError as exc:
         raise ConfigError(f"bad trigger config: {exc}") from exc
-    _no_leftovers(tr, "trigger")
 
     ct = _section(raw, "control")
-    mode_name = str(_take(ct, "control", "mode", "combined"))
-    if mode_name not in _MODES:
-        raise ConfigError(f"control.mode must be one of {sorted(_MODES)}")
+    mode = {}
+    if "mode" in ct:
+        mode_name = str(ct.pop("mode"))
+        if mode_name not in _MODES:
+            raise ConfigError(f"control.mode must be one of {sorted(_MODES)}")
+        mode["mode"] = _MODES[mode_name]
     try:
-        controller = ControllerConfig(
-            sigma_1=_num(ct, "control", "sigma_1", -3.0),
-            sigma_2=_num(ct, "control", "sigma_2", -3.0),
-            mode=_MODES[mode_name],
-            i_f=_num(ct, "control", "i_f", 0.7),
-            i_r=_num(ct, "control", "i_r", 0.3),
-            dt_control=_num(ct, "control", "dt_control", 0.01),
-            brake_force_max=_num(ct, "control", "brake_force_max", math.inf,
-                                 allow_inf=True),
-        )
+        controller = ControllerConfig(**mode, **_numbers(
+            ct, "control", ("sigma_1", "sigma_2", "i_f", "i_r",
+                            "brake_force_max"),
+            allow_inf=("brake_force_max",)))
     except ValueError as exc:
         raise ConfigError(f"bad control config: {exc}") from exc
-    _no_leftovers(ct, "control")
 
-    rd = _section(raw, "road", required=True)
-    road = RoadDef(
-        x_start=_num(rd, "road", "x_start", required=True),
-        x_end=_num(rd, "road", "x_end", required=True),
-        y_left=_num(rd, "road", "y_left", required=True),
-        y_right=_num(rd, "road", "y_right", required=True),
-        station_spacing=_num(rd, "road", "station_spacing", 1.0),
-        lateral_granularity=_num(rd, "road", "lateral_granularity", 0.5),
-    )
+    road = RoadDef(**_numbers(
+        _section(raw, "road", required=True), "road",
+        ("x_start", "x_end", "y_left", "y_right", "station_spacing"),
+        required=("x_start", "x_end", "y_left", "y_right")))
     if road.y_left <= road.y_right or road.x_end <= road.x_start:
         raise ConfigError("road bounds are inverted")
-    _no_leftovers(rd, "road")
 
-    eg = _section(raw, "ego", required=True)
-    ego = EgoState(X=_num(eg, "ego", "X", 0.0),
-                   Y=_num(eg, "ego", "Y", 0.0),
-                   psi=_num(eg, "ego", "psi", 0.0),
-                   v_x=_num(eg, "ego", "v_x", required=True))
+    ego = EgoState(**_numbers(_section(raw, "ego", required=True), "ego",
+                              ("X", "Y", "psi", "v_x"), required=("v_x",)))
     if ego.v_x <= 0:
         raise ConfigError("ego.v_x must be positive")
-    _no_leftovers(eg, "ego")
     try:
         assert_stable_vehicle(vehicle, ego.v_x)
     except ValueError as exc:
@@ -309,47 +280,33 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     targets: list[TargetDef] = []
     seen: set[str] = set()
     for i, entry in enumerate(targets_raw):
+        label = f"targets[{i}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"targets[{i}] must be a mapping")
+            raise ConfigError(f"{label} must be a mapping")
         entry = dict(entry)
-        tid = str(_take(entry, f"targets[{i}]", "id", f"target{i}"))
+        tid = str(entry.pop("id", f"target{i}"))
         if tid in seen:
             raise ConfigError(f"duplicate target id '{tid}'")
         seen.add(tid)
         tfp = _footprint(_section(entry, "footprint", required=True),
-                         f"targets[{i}].footprint")
-        entry.pop("footprint", None)
+                         f"{label}.footprint")
+        kw = {}
+        if "type" in entry:
+            kw["type_tag"] = str(entry.pop("type"))
         man = _section(entry, "maneuver")
-        entry.pop("maneuver", None)
-        m_time = m_speed = None
         if man:
-            m_time = _num(man, f"targets[{i}].maneuver", "time",
-                          required=True)
-            m_speed = _num(man, f"targets[{i}].maneuver", "speed",
-                           required=True)
-            _no_leftovers(man, f"targets[{i}].maneuver")
-        targets.append(TargetDef(
-            track_id=tid,
-            footprint=tfp,
-            pose=Pose(_num(entry, f"targets[{i}]", "X", required=True),
-                      _num(entry, f"targets[{i}]", "Y", required=True),
-                      _num(entry, f"targets[{i}]", "psi", 0.0)),
-            speed=_num(entry, f"targets[{i}]", "speed", 0.0),
-            appear_time=_num(entry, f"targets[{i}]", "appear_time", 0.0),
-            type_tag=str(_take(entry, f"targets[{i}]", "type", "vehicle")),
-            maneuver_time=m_time,
-            maneuver_speed=m_speed,
-        ))
-        _no_leftovers(entry, f"targets[{i}]")
+            man = _numbers(man, f"{label}.maneuver", ("time", "speed"),
+                           required=("time", "speed"))
+            kw.update(maneuver_time=man["time"], maneuver_speed=man["speed"])
+        kw.update(_numbers(entry, label,
+                           ("X", "Y", "psi", "speed", "appear_time"),
+                           required=("X", "Y")))
+        pose = Pose(**{k: kw.pop(k) for k in ("X", "Y", "psi") if k in kw})
+        targets.append(TargetDef(track_id=tid, footprint=tfp, pose=pose, **kw))
 
-    sm = _section(raw, "sim")
-    sim = SimSettings(
-        duration=_num(sm, "sim", "duration", 10.0),
-        dt_plant=_num(sm, "sim", "dt_plant", 0.001),
-        dt_control=_num(sm, "sim", "dt_control", 0.01),
-        planner_period=_num(sm, "sim", "planner_period", 0.1),
-        dt_check=_num(sm, "sim", "dt_check", 0.1),
-    )
+    sim = SimSettings(**_numbers(
+        _section(raw, "sim"), "sim",
+        ("duration", "dt_plant", "dt_control", "planner_period", "dt_check")))
     if sim.duration <= 0 or sim.dt_check <= 0:
         raise ConfigError("sim.duration and sim.dt_check must be positive")
     if not 0.0 < sim.dt_plant <= DT_MAX:
@@ -360,7 +317,6 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         ratio = coarse / fine
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ConfigError(f"{label} must be an integer multiple")
-    _no_leftovers(sm, "sim")
     _no_leftovers(raw, "scenario")
 
     return ScenarioConfig(

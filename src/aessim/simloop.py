@@ -22,11 +22,10 @@ from .decision import (AesState, SupervisorEvents, SupervisorState, Trigger,
 from .errors import (DegenerateSpeed, NoFeasiblePath, NumericalDivergence,
                      PathExhausted)
 from .geometry import Pose, TargetTrack, sat_check
-from .pathgen import SampledPath, generate_path_set, replan
+from .pathgen import SampledPath, generate_path_set
 from .plant import (PlantState, assert_stable_vehicle, lateral_acceleration,
                     plant_step)
-from .ranking import RankedPath, rank_paths, select_path
-from .ranking import monitor_selected as _monitor_selected
+from .ranking import RankedPath, monitor_selected, rank_paths, select_path
 from .scenario import ScenarioConfig
 from .trace import TraceLog
 
@@ -119,22 +118,22 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     max_abs_ye = 0.0
     min_dist = {td.track_id: math.inf for td in cfg.targets}
 
-    def plan_cycle(t: float, preds,
-                   kind: str = "plan") -> tuple[SampledPath | None,
-                                                list[RankedPath]]:
+    def plan(t: float, preds, kind: str, scenario: CapabilityScenario,
+             sides: list[str]) -> tuple[SampledPath | None, list[RankedPath]]:
+        """Capability, path sets on the given sides, ranking and selection;
+        every ranked path is logged as a path event of this kind."""
         try:
-            cap = lateral_capability(cfg.cap_scenario, params,
-                                     _ego_state(plant), cfg.cap_tuning)
+            cap = lateral_capability(scenario, params, _ego_state(plant),
+                                     cfg.cap_tuning)
         except DegenerateSpeed:
             return None, []
         ranked_all: list[RankedPath] = []
-        for side in cfg.sides:
+        for side in sides:
             try:
                 ps = generate_path_set(_ego_state(plant), cap, space,
                                        cfg.path_tuning, side)
             except NoFeasiblePath:
                 continue
-            ps.generation_time = t
             ranked_all.extend(rank_paths(ps, preds, space, fp, cfg.weights,
                                          cfg.sim.dt_check))
         for r in ranked_all:
@@ -148,28 +147,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 terminal_y=r.path.terminal_offset)
         return select_path(ranked_all, dt_ctrl), ranked_all
 
-    def try_replan(t: float, preds) -> SampledPath | None:
-        scenario = _NO_PREBRAKE.get(cfg.cap_scenario, cfg.cap_scenario)
-        try:
-            cap = lateral_capability(scenario, params, _ego_state(plant),
-                                     cfg.cap_tuning)
-            ps = replan(_ego_state(plant), space, cap, cfg.path_tuning,
-                        side=reg.path.side)
-        except (DegenerateSpeed, NoFeasiblePath):
-            return None
-        ps.generation_time = t
-        ranked = rank_paths(ps, preds, space, fp, cfg.weights,
-                            cfg.sim.dt_check)
-        for r in ranked:
-            trace.add_path_event(
-                t=t, kind="replan", side=r.path.side, index=r.path.index,
-                path_id=r.path.path_id, status=r.rejected or "survivor",
-                severity=r.severity if r.rejected is None else None,
-                proximity=r.proximity if r.rejected is None else None,
-                total=r.total if r.rejected is None else None,
-                terminal_y=r.path.terminal_offset)
-        return select_path(ranked, dt_ctrl)
-
     for k in range(n_ticks + 1):
         t = k * dt_ctrl
         preds = _predictions(cfg, t, pred_horizon, cfg.sim.dt_check)
@@ -182,31 +159,30 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         trigger_evaluated = False
 
         if sup.state in (AesState.MONITORING, AesState.WARNING):
-            fresh_candidate = False
             ttc_evaluated = targets_present
             if not targets_present:
                 candidate, tte = None, None
-            elif planner_tick:
-                candidate, last_ranked = plan_cycle(t, preds)
-                tte = (compute_tte(candidate.profile, cfg.trigger)
-                       if candidate is not None and candidate.profile else None)
-                fresh_candidate = True
+            kind = "plan" if targets_present and planner_tick else None
             ttc = compute_ttc(_ego_state(plant), preds, fp,
                               cfg.trigger.ttc_horizon, cfg.sim.dt_check)
-            if tte is not None and candidate is not None:
+            while True:
+                if kind is not None:
+                    candidate, last_ranked = plan(t, preds, kind,
+                                                  cfg.cap_scenario, cfg.sides)
+                    tte = (compute_tte(candidate.profile, cfg.trigger)
+                           if candidate is not None and candidate.profile
+                           else None)
+                if tte is None or candidate is None:
+                    events.trigger = Trigger.NONE
+                    break
                 events.trigger = evaluate_triggers(ttc, tte, cfg.trigger)
                 trigger_evaluated = True
-            if (events.trigger is Trigger.ENGAGE
-                    and sup.state is AesState.WARNING and not fresh_candidate):
+                if (kind is not None or events.trigger is not Trigger.ENGAGE
+                        or sup.state is not AesState.WARNING):
+                    break
                 # regenerate at the engage tick so the executed path starts
                 # exactly at the current vehicle state
-                candidate, last_ranked = plan_cycle(t, preds,
-                                                    kind="engage_plan")
-                tte = (compute_tte(candidate.profile, cfg.trigger)
-                       if candidate is not None and candidate.profile else None)
-                events.trigger = (evaluate_triggers(ttc, tte, cfg.trigger)
-                                  if tte is not None and candidate is not None
-                                  else Trigger.NONE)
+                kind = "engage_plan"
             events.candidate_path = candidate
 
         if sup.state is AesState.IN_REGULATION and reg is not None:
@@ -214,11 +190,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             complete = force_complete or tau >= reg.path.profile.duration - 1e-9
             events.manoeuvre_complete = complete
             if not complete and planner_tick:
-                verdict = _monitor_selected(reg.path.suffix_from(tau), preds,
-                                            space, fp, cfg.sim.dt_check)
+                verdict = monitor_selected(reg.path.suffix_from(tau), preds,
+                                           space, fp, cfg.sim.dt_check)
                 if not verdict.valid:
                     events.path_valid = False
-                    replanned = try_replan(t, preds)
+                    replanned, _ = plan(
+                        t, preds, "replan",
+                        _NO_PREBRAKE.get(cfg.cap_scenario, cfg.cap_scenario),
+                        [reg.path.side])
                     events.replanned_path = replanned
                     if replanned is not None:
                         trace.add_replan_event(
@@ -298,6 +277,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     + td.footprint.circumscribed_radius
                     and sat_check(ego_pose, fp, tp, td.footprint)):
                 collided_with = td.track_id
+        if engage_info.get("engage_time") == t:
+            engage_info["engage_distances"] = {
+                td.track_id: row[f"dist_{td.track_id}"] for td in cfg.targets}
         trace.add_row(**row)
 
         if collided_with is not None:
@@ -341,12 +323,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         "tte_reduction": cfg.trigger.tte_reduction,
     }
     summary.update(engage_info)
-    if engage_info:
-        erow = trace.row_at_time(engage_info["engage_time"])
-        if erow is not None:
-            summary["engage_distances"] = {
-                td.track_id: erow[trace.column_index(f"dist_{td.track_id}")]
-                for td in cfg.targets}
     trace.summary = summary
     return RunResult(outcome=outcome, reason=reason, summary=summary,
                      trace=trace)

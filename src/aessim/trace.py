@@ -75,13 +75,6 @@ class TraceLog:
     def column_index(self, name: str) -> int:
         return self.columns.index(name)
 
-    def row_at_time(self, t: float) -> list | None:
-        it = self.column_index("t")
-        for row in self.rows:
-            if abs(row[it] - t) < 1e-9:
-                return row
-        return None
-
     # --- serialisation -----------------------------------------------------
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
@@ -112,11 +105,7 @@ class TraceLog:
         return files
 
 
-PLOT_KINDS = ("planar", "timeseries", "actuation")
-
-
-def emit_plot_data(trace: TraceLog, out_dir: str | Path,
-                   kind: str = "all") -> dict[str, Path]:
+def emit_plot_data(trace: TraceLog, out_dir: str | Path) -> dict[str, Path]:
     """Write columnar plot files derived from the trace.
 
     planar: ego/target trajectories plus the engagement path candidates;
@@ -125,48 +114,38 @@ def emit_plot_data(trace: TraceLog, out_dir: str | Path,
     """
     if not trace.rows:
         raise AesError("cannot emit plot data from an empty trace")
-    kinds = PLOT_KINDS if kind == "all" else (kind,)
-    if any(k not in PLOT_KINDS for k in kinds):
-        raise AesError(f"unknown plot kind {kind!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ix = trace.column_index
     files: dict[str, Path] = {}
 
-    if "planar" in kinds:
-        path = out / "planar.csv"
-        with path.open("w", newline="\n") as fh:
-            fh.write("series,label,seq,x,y\n")
+    path = out / "planar.csv"
+    with path.open("w", newline="\n") as fh:
+        fh.write("series,label,seq,x,y\n")
+        for i, row in enumerate(trace.rows):
+            fh.write(f"ego,ego,{i},{_fmt(row[ix('X')])},"
+                     f"{_fmt(row[ix('Y')])}\n")
+        for tid in trace.target_ids:
             for i, row in enumerate(trace.rows):
-                fh.write(f"ego,ego,{i},{_fmt(row[ix('X')])},"
-                         f"{_fmt(row[ix('Y')])}\n")
-            for tid in trace.target_ids:
-                for i, row in enumerate(trace.rows):
-                    fh.write(f"target,{tid},{i},{_fmt(row[ix('X_' + tid)])},"
-                             f"{_fmt(row[ix('Y_' + tid)])}\n")
-            for cand in trace.engage_candidates:
-                series = ("path_selected" if cand["status"] == "selected"
-                          else "path_" + cand["status"])
-                for i, (x, y) in enumerate(zip(cand["x"], cand["y"])):
-                    fh.write(f"{series},{cand['path_id']},{i},{_fmt(x)},"
-                             f"{_fmt(y)}\n")
-        files["planar"] = path
+                fh.write(f"target,{tid},{i},{_fmt(row[ix('X_' + tid)])},"
+                         f"{_fmt(row[ix('Y_' + tid)])}\n")
+        for cand in trace.engage_candidates:
+            series = ("path_selected" if cand["status"] == "selected"
+                      else "path_" + cand["status"])
+            for i, (x, y) in enumerate(zip(cand["x"], cand["y"])):
+                fh.write(f"{series},{cand['path_id']},{i},{_fmt(x)},"
+                         f"{_fmt(y)}\n")
+    files["planar"] = path
 
-    if "timeseries" in kinds:
-        path = out / "timeseries.csv"
-        cols = ["t", "state", "ttc", "tte", "trigger", "y_e", "psi_e"]
+    for name, cols in (
+            ("timeseries", ["t", "state", "ttc", "tte", "trigger", "y_e",
+                            "psi_e"]),
+            ("actuation", ["t", "r", "delta_g", "M_z", "F_fl", "F_fr",
+                           "F_rl", "F_rr"])):
+        path = out / f"{name}.csv"
         with path.open("w", newline="\n") as fh:
             fh.write(",".join(cols) + "\n")
             for row in trace.rows:
                 fh.write(",".join(_fmt(row[ix(c)]) for c in cols) + "\n")
-        files["timeseries"] = path
-
-    if "actuation" in kinds:
-        path = out / "actuation.csv"
-        cols = ["t", "r", "delta_g", "M_z", "F_fl", "F_fr", "F_rl", "F_rr"]
-        with path.open("w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in trace.rows:
-                fh.write(",".join(_fmt(row[ix(c)]) for c in cols) + "\n")
-        files["actuation"] = path
+        files[name] = path
     return files

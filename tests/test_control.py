@@ -5,11 +5,11 @@ import pytest
 
 from aessim.capability import VehicleParams
 from aessim.control import (ControllerConfig, ControlMode, TrackingErrors,
-                            allocate_brakes, braking_gains, control_step,
-                            feedback_gains, feedforward, path_to_vehicle_frame,
-                            steady_state_slip, steering_feedforward_gain,
-                            steering_gains, tracking_errors,
-                            understeer_gradient)
+                            allocate_brakes, brake_feedforward_gain,
+                            braking_gains, control_step, feedback_gains,
+                            path_to_vehicle_frame, steady_state_slip,
+                            steering_feedforward_gain, steering_gains,
+                            tracking_errors, understeer_gradient)
 from aessim.errors import PathExhausted, SpeedOutOfRange
 from aessim.geometry import Pose
 from aessim.pathgen import SampledPath
@@ -124,8 +124,9 @@ class TestTrackingErrors:
 class TestFeedforward:
     def test_zero_curvature(self):
         p = make_params()
-        d, m = feedforward(0.0, 20.0, 0.0, p, ControlMode.COMBINED)
-        assert d == 0.0 and m == 0.0
+        args = (p.m, p.l, p.a, p.b, -p.C_f, -p.C_r)
+        assert steering_feedforward_gain(0.0, 20.0, *args) == 0.0
+        assert brake_feedforward_gain(0.0, 0.0, 20.0, *args) == 0.0
 
     def test_understeer_gradient_printed_form(self):
         # formula-level check with the stiffness values as given
@@ -143,15 +144,20 @@ class TestFeedforward:
         c_f, c_r = -p.C_f, -p.C_r
         dff = steering_feedforward_gain(0.01, 20.0, p.m, p.l, p.a, p.b,
                                         c_f, c_r)
-        _, m = feedforward(0.01, 20.0, dff, p, ControlMode.DIFF_BRAKE_ONLY)
+        m = brake_feedforward_gain(dff, 0.01, 20.0, p.m, p.l, p.a, p.b,
+                                   c_f, c_r)
         assert m == pytest.approx(0.0, abs=1e-9)
 
     def test_mode_shapes(self):
+        # with zero errors on a curve the command is the feedforward alone
         p = make_params()
-        d, m = feedforward(0.01, 20.0, 0.0, p, ControlMode.STEERING_ONLY)
-        assert m == 0.0 and d != 0.0
-        d, m = feedforward(0.01, 20.0, 0.0, p, ControlMode.DIFF_BRAKE_ONLY)
-        assert d == 0.0 and m != 0.0
+        err = TrackingErrors(0, 0, 0, 0, kappa=0.01, kappa_dot=0.0)
+        cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig(
+            mode=ControlMode.STEERING_ONLY))
+        assert cmd.M_z_ext == 0.0 and cmd.delta_g != 0.0
+        cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig(
+            mode=ControlMode.DIFF_BRAKE_ONLY))
+        assert cmd.delta_g == 0.0 and cmd.M_z_ext != 0.0
 
 
 class TestGains:

@@ -86,13 +86,6 @@ class TestFootprint:
 
 
 class TestDriveableSpace:
-    def test_corridor_bars_granularity(self):
-        space = DriveableSpace.corridor(0, 10, 1.625, -1.625)
-        assert all(len(b) >= 7 for b in space.bars)
-        for bars in space.bars:
-            widths = [hi - lo for hi, lo in bars]
-            assert max(widths) <= 0.5 + 1e-12
-
     def test_straight_path_in_lane(self):
         space = DriveableSpace.corridor(-10, 120, 1.625, -1.625)
         fp = Footprint(4.5, 1.8, ref_offset=1.35)

@@ -15,6 +15,12 @@ The shipped runs last at most a few seconds. `LONG_RUN` adds shipped
 enough for a one-ulp drift in the plant's integration to reach `X`. Its
 digests were recorded before the plant moved from numpy matrices to scalar
 floats.
+
+`REPLAN_RUNS` move the stop of shipped `replanning`'s pedestrian, so that
+the loop reaches two branches no shipped scenario does: at 3.81 s the
+replan selects no path and the run aborts; at 3.55 s the run replans once
+and still ends in contact. Their digests were recorded before the two
+planner closures of `run_scenario` were merged into one.
 """
 import hashlib
 
@@ -62,6 +68,26 @@ LONG_RUN = {
 }
 
 
+REPLAN_RUNS = {
+    3.81: {
+        "outcome": ("aborted", "replanning failed", 0),
+        "digests": {
+            "trace": "747dfa246312e1c98e11e8371e99ec74449a0866b42ece461c2830fbbb793b5c",
+            "paths": "7abb2fc595cc18cd859d139bcd9824c5d5e7da461df6aea0d8dd325c5fd9a028",
+            "summary": "85a457af38a584a00bc3b466c52b5070f773178ef74a22d80bd2064fb8d5cf7d",
+        },
+    },
+    3.55: {
+        "outcome": ("collided", "contact with vru", 1),
+        "digests": {
+            "trace": "0c9bee0c4bb91f4daf8f4bf3a58c1285da07a87593bee3ffad6c452ee52b9000",
+            "paths": "9bd0195db7d8ce54b2ebfe1496aff49406b181763e3eda2fa53f8fffd0596e4a",
+            "summary": "864a56d0ec1f461dece7c10fb75e7cf6df4cb9c9373d30211247d58f3d048689",
+        },
+    },
+}
+
+
 def _digests(result, out_dir, keys):
     files = result.trace.write(out_dir)
     return {key: hashlib.sha256(files[key].read_bytes()).hexdigest()
@@ -82,3 +108,15 @@ def test_long_empty_road_matches_golden_digests(scenario_dir, tmp_path):
     assert result.summary["t_end"] == pytest.approx(30.0)
     want = LONG_RUN["digests"]
     assert _digests(result, tmp_path, want) == want
+
+
+@pytest.mark.parametrize("stop_time", sorted(REPLAN_RUNS))
+def test_replanning_branches_match_golden_digests(scenario_dir, tmp_path,
+                                                  stop_time):
+    raw = yaml.safe_load((scenario_dir / "replanning.yaml").read_text())
+    raw["targets"][0]["maneuver"]["time"] = stop_time
+    result = run_scenario(parse_scenario(raw, default_name="replanning"))
+    want = REPLAN_RUNS[stop_time]
+    assert (result.outcome, result.reason,
+            len(result.trace.replan_events)) == want["outcome"]
+    assert _digests(result, tmp_path, want["digests"]) == want["digests"]

@@ -8,7 +8,7 @@ from aessim.errors import InfeasibleProfile, NoFeasiblePath
 from aessim.geometry import DriveableSpace
 from aessim.pathgen import (CurvatureProfile, PathTuning,
                             build_max_severity_profile, generate_path_set,
-                            presample_profile, replan)
+                            presample_profile)
 from aessim.geometry import Pose
 
 
@@ -16,6 +16,12 @@ def make_cap(rho_max=0.1, rho_dot=0.2, v=20.0, a_x=0.0,
              scenario=CapabilityScenario.STEER):
     return CapabilityRecord(scenario=scenario, a_x_min=a_x, rho_max=rho_max,
                             rho_dot_max=rho_dot, v_x_evasion=v)
+
+
+def family_scale(ps, cap):
+    """Corridor scale of a path set; the outermost path (n = n_tot) carries
+    it alone."""
+    return ps.paths[-1].profile.capability.rho_max / cap.rho_max
 
 
 def rest_init(v=20.0):
@@ -161,9 +167,10 @@ class TestPathSet:
         tun = PathTuning(psi_max=0.2, n_tot=4)
         ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left")
         assert len(ps.paths) == 4
+        scale = family_scale(ps, cap)
         for path in ps.paths:
             n = path.index
-            f = ps.scale * math.sqrt(n / 4)
+            f = scale * math.sqrt(n / 4)
             assert path.profile.capability.rho_max == f * cap.rho_max
             assert path.profile.tuning.psi_max == f * tun.psi_max
 
@@ -184,8 +191,8 @@ class TestPathSet:
             tun.dt_presample).terminal_offset)
         narrow_space = self.corridor(0.5 * y_severe, -0.5 * y_severe)
         narrow = generate_path_set(rest_init(), cap, narrow_space, tun, "left")
-        assert narrow.scale == pytest.approx(0.5 * y_severe / y_severe)
-        assert wide.scale == pytest.approx(1.0)
+        assert family_scale(narrow, cap) == pytest.approx(0.5)
+        assert family_scale(wide, cap) == pytest.approx(1.0)
 
     def test_monotone_family(self):
         cap = make_cap(rho_max=0.0245)
@@ -233,7 +240,7 @@ class TestReplan:
         cap = make_cap(rho_max=0.0245)
         tun = PathTuning(psi_max=0.2)
         a = build_max_severity_profile(rest_init(), cap, tun, "left")
-        ps = replan(rest_init(), self.corridor(), cap, tun, side="left")
+        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left")
         b = ps.paths[-1].profile  # outermost path carries the full budget
         assert np.max(np.abs(a.times - b.times)) < 1e-12
         assert np.max(np.abs(a.rhos - b.rhos)) < 1e-12
@@ -243,15 +250,15 @@ class TestReplan:
         tun = PathTuning(psi_max=0.2)
         mid = EgoState(v_x=20.0, psi=0.2)
         with pytest.raises(NoFeasiblePath):
-            replan(mid, self.corridor(), cap, tun, side="left")
-        ps = replan(mid, self.corridor(), cap, tun, side="right")
+            generate_path_set(mid, cap, self.corridor(), tun, "left")
+        ps = generate_path_set(mid, cap, self.corridor(), tun, "right")
         assert len(ps.paths) >= 1
 
     def test_initial_curvature_continuity(self):
         cap = make_cap(rho_max=0.0245)
         tun = PathTuning(psi_max=0.25)
         mid = EgoState(v_x=20.0, psi=0.05, yaw_rate=0.3, Y=0.4)
-        ps = replan(mid, self.corridor(), cap, tun, side="left")
+        ps = generate_path_set(mid, cap, self.corridor(), tun, "left")
         for path in ps.paths:
             assert path.profile.rhos[0] == pytest.approx(0.3 / 20.0, abs=1e-15)
             assert path.rho[0] == pytest.approx(0.3 / 20.0, abs=1e-12)

@@ -124,7 +124,8 @@ class TestRanking:
             "vru", Footprint(0.5, 0.5), Pose(70.0, -2.0, math.pi / 2), 1.0, 8.0)
         w = CostWeights(K_ay=0.3, K_ax=0.2, K_prox=-0.5)
         r1 = rank_paths(ps, [target], space, FP, w)
-        r2 = rank_paths(ps, [target], space, FP, w.scaled(3.5))
+        r2 = rank_paths(ps, [target], space, FP,
+                        CostWeights(3.5 * w.K_ay, 3.5 * w.K_ax, 3.5 * w.K_prox))
         for a, b in zip(r1, r2):
             if a.rejected is None:
                 assert b.total == pytest.approx(3.5 * a.total, rel=1e-12)

@@ -1,6 +1,7 @@
+import importlib.util
 import json
-
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +113,9 @@ REJECTED_AT_LOAD = {
     # oversteered and beyond its critical speed at the initial speed
     "vehicle_unstable": {"vehicle": {"a": 2.6, "b": 0.4, "C_f": 1.4e5,
                                      "C_r": 6e4}},
+    # integer keys: 6.7 planned 6 paths, 4.9 selected STEER (4)
+    "planner_n_paths_fraction": {"planner": {"n_paths": 6.7}},
+    "capability_scenario_id_fraction": {"capability": {"scenario_id": 4.9}},
 }
 
 
@@ -240,22 +244,21 @@ class TestTraceAndPlots:
         with pytest.raises(AesError):
             emit_plot_data(TraceLog([]), tmp_path)
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        trace = TraceLog([])
-        trace.add_row(t=0.0, state="standby")
-        with pytest.raises(AesError):
-            emit_plot_data(trace, tmp_path, kind="histogram")
-
     def test_planar_contains_candidate_categories(self, crossing_run,
                                                   tmp_path):
         res = crossing_run
-        files = emit_plot_data(res.trace, tmp_path, kind="planar")
+        files = emit_plot_data(res.trace, tmp_path)
         series = {line.split(",")[0]
                   for line in files["planar"].read_text().splitlines()[1:]}
         assert "ego" in series and "target" in series
         assert "path_selected" in series
         assert any(s.startswith("path_") and s != "path_selected"
                    for s in series)
+
+
+def _paths_csv(cfg, out_dir):
+    files = run_scenario(cfg).trace.write(out_dir)
+    return files["paths"].read_text()
 
 
 class TestCli:
@@ -295,3 +298,68 @@ class TestCli:
         rc = main(["sweep", str(scenario_dir / "empty_road.yaml"),
                    "--param", "trigger.nonsense", "--values", "1.0"])
         assert rc == 3
+
+    def test_sweep_validates_values(self, scenario_dir, tmp_path, capsys):
+        # used to end in a ZeroDivisionError traceback mid-run
+        rc = main(["sweep", str(scenario_dir / "crossing_vru.yaml"),
+                   "--param", "sim.dt_check", "--values", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_takes_yaml_key_names(self, scenario_dir, tmp_path,
+                                        capsys):
+        # the YAML key n_paths used to be refused, the field name n_tot
+        # accepted and then failed with a TypeError
+        rc = main(["sweep", str(scenario_dir / "crossing_vru.yaml"),
+                   "--param", "planner.n_paths", "--values", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        paths = (tmp_path / "3" / "paths.csv").read_text().splitlines()
+        assert {line.split(",")[3] for line in paths[1:]} == {"1", "2", "3"}
+        assert main(["sweep", str(scenario_dir / "crossing_vru.yaml"),
+                     "--param", "planner.n_tot", "--values", "3"]) == 3
+
+    def test_sweep_prebraking_time_reaches_planner(self, scenario_dir,
+                                                   tmp_path, capsys):
+        # sweeping capability.t_pb used to leave the planner's t_pb at 0
+        raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+        raw["capability"]["scenario_id"] = 3   # brake and steer
+        path = tmp_path / "prebrake.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        rc = main(["sweep", str(path), "--param", "capability.t_pb",
+                   "--values", "0.3", "--out", str(tmp_path / "out")])
+        assert rc in (0, 1, 2)
+        want = parse_scenario({**raw, "capability": {**raw["capability"],
+                                                     "t_pb": 0.3}})
+        assert want.path_tuning.t_pb == want.cap_tuning.t_pb == 0.3
+        swept = (tmp_path / "out" / "0.3" / "paths.csv").read_text()
+        assert swept == _paths_csv(want, tmp_path / "want")
+
+
+@pytest.fixture(scope="module")
+def bench_workloads(scenario_dir):
+    """The benchmark's case generator, perfbench/workloads.py, imported by
+    path (perfbench is a directory of scripts, not a package)."""
+    path = scenario_dir.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkInputs:
+    """Every case the benchmark generates must stay a valid scenario: the
+    encounter and traffic cases start from the shipped YAML files, so a key
+    removed from the schema but left in a shipped file fails every run."""
+
+    @pytest.mark.parametrize("seed", [1, 1009])
+    @pytest.mark.parametrize("workload", ["encounter", "traffic", "cruise"])
+    def test_generated_cases_parse(self, scenario_dir, bench_workloads,
+                                   workload, seed):
+        cases = bench_workloads.generate(workload, seed, scenario_dir)
+        assert cases
+        for case in cases:
+            assert parse_scenario(case.raw).name == case.name
