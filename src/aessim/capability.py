@@ -193,14 +193,3 @@ def lateral_capability(scenario: CapabilityScenario, params: VehicleParams,
     return CapabilityRecord(scenario=scenario, a_x_min=a_x_min, rho_max=rho_max,
                             rho_dot_max=tuning.rho_dot_max, v_x_evasion=v_evade)
 
-
-def capability_table(params: VehicleParams, state: EgoState,
-                     tuning: CapabilityTuning) -> list[CapabilityRecord | None]:
-    """All six scenario records; rows that fail on speed are None."""
-    rows: list[CapabilityRecord | None] = []
-    for scenario in CapabilityScenario:
-        try:
-            rows.append(lateral_capability(scenario, params, state, tuning))
-        except DegenerateSpeed:
-            rows.append(None)
-    return rows

@@ -36,7 +36,6 @@ class Trigger(Enum):
 
 
 class AesState(Enum):
-    OFF = "off"
     STANDBY = "standby"
     MONITORING = "monitoring"
     WARNING = "warning"
@@ -48,7 +47,6 @@ class AesState(Enum):
 class SupervisorState:
     state: AesState = AesState.STANDBY
     selected_path: SampledPath | None = None
-    engage_time: float | None = None
     abort_reason: str | None = None
 
 
@@ -57,16 +55,11 @@ class SupervisorEvents:
     """Per-tick inputs to the state machine, computed by the pipeline."""
 
     targets_present: bool = False
-    perception_ok: bool = True
     trigger: Trigger = Trigger.NONE
     path_valid: bool = True
     candidate_path: SampledPath | None = None
     replanned_path: SampledPath | None = None
     manoeuvre_complete: bool = False
-    system_error: bool = False
-    reinitialize: bool = False
-    shutdown: bool = False
-    now: float = 0.0
 
 
 def compute_tte(profile: CurvatureProfile, cfg: TriggerConfig) -> float:
@@ -104,7 +97,7 @@ def evaluate_triggers(ttc: float, tte: float, cfg: TriggerConfig) -> Trigger:
     return Trigger.NONE
 
 
-_TRIGGERLESS_STATES = (AesState.OFF, AesState.STANDBY, AesState.ABORTED)
+_TRIGGERLESS_STATES = (AesState.STANDBY, AesState.ABORTED)
 
 
 def _illegal(s: SupervisorState, ev: SupervisorEvents) -> str | None:
@@ -122,35 +115,23 @@ def step_state_machine(s: SupervisorState,
     """One supervisor transition; deterministic and side-effect free.
 
     Event combinations unreachable by construction are rejected: the state is
-    returned unchanged and the combination is logged.
+    returned unchanged and the combination is logged. ABORTED is absorbing.
     """
     reason = _illegal(s, ev)
     if reason is not None:
         logger.warning("illegal event rejected (%s)", reason)
         return replace(s)
 
-    if s.state is AesState.OFF:
-        if ev.reinitialize:
-            return SupervisorState(AesState.STANDBY)
-        return replace(s)
-
     if s.state is AesState.ABORTED:
-        if ev.shutdown:
-            return SupervisorState(AesState.OFF)
-        if ev.reinitialize:
-            return SupervisorState(AesState.STANDBY)
         return replace(s)
-
-    if ev.system_error:
-        return SupervisorState(AesState.ABORTED, abort_reason="system error")
 
     if s.state is AesState.STANDBY:
-        if ev.targets_present and ev.perception_ok:
+        if ev.targets_present:
             return SupervisorState(AesState.MONITORING)
         return replace(s)
 
     if s.state is AesState.MONITORING:
-        if not ev.targets_present or not ev.perception_ok:
+        if not ev.targets_present:
             return SupervisorState(AesState.STANDBY)
         if ev.trigger is not Trigger.NONE and ev.candidate_path is not None:
             # an engage-grade trigger still passes through the warning state
@@ -166,8 +147,7 @@ def step_state_machine(s: SupervisorState,
                 return SupervisorState(AesState.ABORTED,
                                        abort_reason="no feasible path at engage")
             return SupervisorState(AesState.IN_REGULATION,
-                                   selected_path=ev.candidate_path,
-                                   engage_time=ev.now)
+                                   selected_path=ev.candidate_path)
         return replace(s, selected_path=ev.candidate_path or s.selected_path)
 
     if s.state is AesState.IN_REGULATION:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,103 +93,31 @@ def _interp(x: float, xp: list[float], fp: list[float]) -> float:
     return y
 
 
+@dataclass(frozen=True)
 class DriveableSpace:
-    """Lateral corridor sampled at longitudinal stations.
+    """Straight corridor x_start <= x <= x_end, y_right <= y <= y_left
+    (left positive); points on the boundary are inside."""
 
-    Each station carries one or more lateral intervals (y_left > y_right,
-    left positive).
-    """
+    x_start: float
+    x_end: float
+    y_left: float
+    y_right: float
 
-    def __init__(self, stations, intervals):
-        self.stations = np.asarray(stations, dtype=float)
-        if self.stations.ndim != 1 or len(self.stations) < 2:
-            raise ValueError("need at least two stations")
-        if np.any(np.diff(self.stations) <= 0):
-            raise ValueError("stations must be strictly increasing")
-        if len(intervals) != len(self.stations):
-            raise ValueError("one interval list per station required")
-        self.intervals: list[list[tuple[float, float]]] = []
-        for per_station in intervals:
-            cleaned = []
-            for y_left, y_right in per_station:
-                if y_left <= y_right:
-                    raise ValueError("interval must satisfy y_left > y_right")
-                cleaned.append((float(y_left), float(y_right)))
-            self.intervals.append(cleaned)
-        self._uniform = all(len(iv) == 1 for iv in self.intervals)
-        if self._uniform:
-            self._y_left = np.array([iv[0][0] for iv in self.intervals])
-            self._y_right = np.array([iv[0][1] for iv in self.intervals])
-
-    @classmethod
-    def corridor(cls, x_start: float, x_end: float, y_left: float,
-                 y_right: float,
-                 station_spacing: float = 1.0) -> "DriveableSpace":
-        """Uniform corridor between two lateral bounds."""
-        n = max(2, math.ceil((x_end - x_start) / station_spacing) + 1)
-        xs = np.linspace(x_start, x_end, n)
-        return cls(xs, [[(y_left, y_right)] for _ in xs])
-
-    def covers(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x >= self.stations[0]) & (x <= self.stations[-1])
-
-    def bounds_at(self, x: float) -> list[tuple[float, float]]:
-        """Interpolated lateral intervals at station position x."""
-        if not self.covers(x):
-            return []
-        idx = int(np.searchsorted(self.stations, x, side="right")) - 1
-        idx = min(idx, len(self.stations) - 2)
-        x0, x1 = self.stations[idx], self.stations[idx + 1]
-        w = (x - x0) / (x1 - x0)
-        a, b = self.intervals[idx], self.intervals[idx + 1]
-        if len(a) == len(b):
-            return [((1 - w) * la + w * lb, (1 - w) * ra + w * rb)
-                    for (la, ra), (lb, rb) in zip(a, b)]
-        # interval counts differ across the bracket: require membership in both
-        return [iv for iv in a + b]
-
-    def contains_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorised membership for point arrays (single-interval fast path)."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        inside = self.covers(xs)
-        if self._uniform:
-            yl = np.interp(xs, self.stations, self._y_left)
-            yr = np.interp(xs, self.stations, self._y_right)
-            return inside & (ys <= yl) & (ys >= yr)
-        out = np.zeros_like(inside)
-        for i in np.nonzero(inside)[0]:
-            idx = int(np.searchsorted(self.stations, xs[i], side="right")) - 1
-            idx = min(idx, len(self.stations) - 2)
-            a, b = self.intervals[idx], self.intervals[idx + 1]
-            if len(a) == len(b):
-                bounds = self.bounds_at(float(xs[i]))
-                out[i] = any(yr <= ys[i] <= yl for yl, yr in bounds)
-            else:
-                out[i] = (any(yr <= ys[i] <= yl for yl, yr in a)
-                          and any(yr <= ys[i] <= yl for yl, yr in b))
-        return out
+    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Vectorised point membership."""
+        return ((xs >= self.x_start) & (xs <= self.x_end)
+                & (ys <= self.y_left) & (ys >= self.y_right))
 
     def lateral_extent(self, side: str, y_ref: float, x_from: float,
                        x_to: float) -> float:
-        """Usable lateral room on one side of y_ref over a station range.
+        """Usable lateral room on one side of y_ref over [x_from, x_to].
 
-        Uses, per station, the interval containing y_ref; returns the minimum
-        over the range. Zero when y_ref falls outside the corridor anywhere.
+        Zero when the range misses the corridor or y_ref lies outside it.
         """
-        sel = (self.stations >= x_from - 1e-9) & (self.stations <= x_to + 1e-9)
-        if not np.any(sel):
+        if (x_to + 1e-9 < self.x_start or x_from - 1e-9 > self.x_end
+                or not self.y_right <= y_ref <= self.y_left):
             return 0.0
-        extent = math.inf
-        for i in np.nonzero(sel)[0]:
-            room = 0.0
-            for y_left, y_right in self.intervals[i]:
-                if y_right <= y_ref <= y_left:
-                    room = (y_left - y_ref) if side == "left" else (y_ref - y_right)
-                    break
-            extent = min(extent, room)
-        return extent
+        return (self.y_left - y_ref) if side == "left" else (y_ref - self.y_right)
 
 
 @dataclass
@@ -238,11 +166,9 @@ class CollisionReport:
 
     collides: bool
     first_collision_time: float | None
-    min_distance: dict[str, float] = field(default_factory=dict)
     resolved_circumscribed: int = 0
     resolved_inscribed: int = 0
     sat_evaluations: int = 0
-    prediction_gap: bool = False
     first_collision_target: str | None = None
 
 
@@ -295,9 +221,8 @@ def _pair_collides(pose_a: Pose, fp_a: Footprint,
 def driveable_area_check(path, space: DriveableSpace, fp: Footprint) -> bool:
     """True when the swept footprint stays inside the corridor.
 
-    All four footprint corners must lie inside the (interpolated) lateral
-    intervals at every path sample. A path reaching past the last station is
-    treated as not driveable.
+    All four footprint corners must lie inside the corridor at every path
+    sample, so a path reaching past x_end is not driveable.
     """
     xs, ys, psis = path.x, path.y, path.psi
     c, s = np.cos(psis), np.sin(psis)
@@ -307,9 +232,7 @@ def driveable_area_check(path, space: DriveableSpace, fp: Footprint) -> bool:
     for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
         corner_x = cx + dx * c - dy * s
         corner_y = cy + dx * s + dy * c
-        if not np.all(space.covers(corner_x)):
-            return False
-        if not np.all(space.contains_points(corner_x, corner_y)):
+        if not np.all(space.contains(corner_x, corner_y)):
             return False
     return True
 
@@ -344,7 +267,7 @@ def collision_check(path, targets, fp: Footprint,
     Check instants are the path samples subsampled to roughly dt_check. Per
     instant the circumscribed filter runs first, then the inscribed filter,
     then the separating-axis test. Targets whose prediction ends early are
-    held at their last predicted pose and flagged.
+    held at their last predicted pose.
     """
     report = CollisionReport(collides=False, first_collision_time=None)
     times = path.t
@@ -364,8 +287,6 @@ def collision_check(path, targets, fp: Footprint,
     first_hit = math.inf
     first_target = None
     for target in targets:
-        if target.horizon < check_t[-1] - 1e-9:
-            report.prediction_gap = True
         tgt_t = np.clip(check_t, target.times[0], target.times[-1])
         tx = np.interp(tgt_t, target.times, target.xs)
         ty = np.interp(tgt_t, target.times, target.ys)
@@ -374,7 +295,6 @@ def collision_check(path, targets, fp: Footprint,
         tcx = tx + off * np.cos(tpsi)
         tcy = ty + off * np.sin(tpsi)
         dist = np.hypot(tcx - ego_cx, tcy - ego_cy)
-        report.min_distance[target.track_id] = float(dist.min())
 
         rc = fp.circumscribed_radius + target.footprint.circumscribed_radius
         ri = fp.inscribed_radius + target.footprint.inscribed_radius

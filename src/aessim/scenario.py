@@ -75,15 +75,6 @@ class SimSettings:
 
 
 @dataclass
-class RoadDef:
-    x_start: float
-    x_end: float
-    y_left: float
-    y_right: float
-    station_spacing: float = 1.0
-
-
-@dataclass
 class ScenarioConfig:
     name: str
     vehicle: VehicleParams
@@ -95,15 +86,10 @@ class ScenarioConfig:
     weights: CostWeights
     trigger: TriggerConfig
     controller: ControllerConfig
-    road: RoadDef
+    road: DriveableSpace
     ego: EgoState
     targets: list[TargetDef] = field(default_factory=list)
     sim: SimSettings = field(default_factory=SimSettings)
-
-    def build_space(self) -> DriveableSpace:
-        return DriveableSpace.corridor(
-            self.road.x_start, self.road.x_end, self.road.y_left,
-            self.road.y_right, self.road.station_spacing)
 
 
 def _section(raw: dict, key: str, required: bool = False) -> dict:
@@ -125,6 +111,8 @@ def _num(section: dict, name: str, key: str, allow_inf: bool = False,
     value = section.pop(key)
     if allow_inf and value is None:
         return math.inf
+    if isinstance(value, bool):  # float(True) would read as 1.0
+        raise ConfigError(f"'{name}.{key}' must be a number, found {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -258,9 +246,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"bad control config: {exc}") from exc
 
-    road = RoadDef(**_numbers(
+    road = DriveableSpace(**_numbers(
         _section(raw, "road", required=True), "road",
-        ("x_start", "x_end", "y_left", "y_right", "station_spacing"),
+        ("x_start", "x_end", "y_left", "y_right"),
         required=("x_start", "x_end", "y_left", "y_right")))
     if road.y_left <= road.y_right or road.x_end <= road.x_start:
         raise ConfigError("road bounds are inverted")

@@ -92,7 +92,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Run one scenario to completion and return the outcome and trace."""
     params, fp = cfg.vehicle, cfg.footprint
     assert_stable_vehicle(params, cfg.ego.v_x)
-    space = cfg.build_space()
+    space = cfg.road
     trace = TraceLog([td.track_id for td in cfg.targets])
 
     plant = PlantState(u_v=cfg.ego.v_x, X=cfg.ego.X, Y=cfg.ego.Y,
@@ -153,7 +153,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         targets_present = bool(preds)
         planner_tick = (k % planner_every == 0)
 
-        events = SupervisorEvents(targets_present=targets_present, now=t)
+        events = SupervisorEvents(targets_present=targets_present)
         ttc = math.inf
         ttc_evaluated = False
         trigger_evaluated = False

@@ -220,7 +220,7 @@ class TestCriterion5GeometryOracle:
 class TestCriterion6PathProperties:
     def test_randomized_profile_suite(self):
         rng = np.random.default_rng(2025)
-        wide = DriveableSpace.corridor(-20, 900, 60.0, -60.0)
+        wide = DriveableSpace(-20, 900, 60.0, -60.0)
         families = 0
         for trial in range(1000):
             rho_max = float(rng.uniform(0.005, 0.2))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from aessim.capability import (CapabilityScenario, CapabilityTuning, EgoState,
-                               VehicleParams, capability_table,
-                               diff_braking_curvature, friction_curvature_limit,
-                               lateral_capability, longitudinal_capability,
+                               VehicleParams, diff_braking_curvature,
+                               friction_curvature_limit, lateral_capability,
+                               longitudinal_capability,
                                prebraking_speed, steering_curvature,
                                threshold_curvature_limit)
 from aessim.errors import DegenerateSpeed
@@ -112,10 +112,9 @@ class TestLateral:
 class TestTable:
     def test_zero_friction_zeroes_everything(self):
         p = make_params(mu_f=0.0, mu_r=0.0)
-        rows = capability_table(p, EgoState(v_x=20.0), CapabilityTuning(t_pb=0.3))
-        assert len(rows) == 6
-        for rec in rows:
-            assert rec is not None
+        for scenario in CapabilityScenario:
+            rec = lateral_capability(scenario, p, EgoState(v_x=20.0),
+                                     CapabilityTuning(t_pb=0.3))
             assert rec.a_x_min == 0.0
             assert rec.rho_max == 0.0
 
@@ -134,17 +133,23 @@ class TestTable:
 
     def test_table_row_marked_unavailable(self):
         p = make_params()
-        rows = capability_table(p, EgoState(v_x=2.0), CapabilityTuning(t_pb=1.0))
-        assert rows[0] is None and rows[1] is None and rows[2] is None
-        assert all(r is not None for r in rows[3:])
+        for scenario in CapabilityScenario:
+            args = (scenario, p, EgoState(v_x=2.0), CapabilityTuning(t_pb=1.0))
+            if scenario.value <= 3:
+                with pytest.raises(DegenerateSpeed):
+                    lateral_capability(*args)
+            else:
+                assert lateral_capability(*args).v_x_evasion == 2.0
 
     def test_prebraking_velocity_used_for_rows_1_to_3(self):
         p = make_params()
-        rows = capability_table(p, EgoState(v_x=20.0), CapabilityTuning(t_pb=0.3))
-        for rec in rows[:3]:
-            assert rec.v_x_evasion == pytest.approx(17.057, abs=1e-9)
-        for rec in rows[3:]:
-            assert rec.v_x_evasion == 20.0
+        for scenario in CapabilityScenario:
+            rec = lateral_capability(scenario, p, EgoState(v_x=20.0),
+                                     CapabilityTuning(t_pb=0.3))
+            if scenario.value <= 3:
+                assert rec.v_x_evasion == pytest.approx(17.057, abs=1e-9)
+            else:
+                assert rec.v_x_evasion == 20.0
 
 
 class TestProperties:

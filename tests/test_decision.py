@@ -103,9 +103,6 @@ class TestStateMachine:
         s = SupervisorState(AesState.MONITORING)
         out = step_state_machine(s, SupervisorEvents(targets_present=False))
         assert out.state is AesState.STANDBY
-        out = step_state_machine(s, SupervisorEvents(targets_present=True,
-                                                     perception_ok=False))
-        assert out.state is AesState.STANDBY
 
     def test_monitoring_to_warning_requires_candidate(self):
         s = SupervisorState(AesState.MONITORING)
@@ -127,10 +124,9 @@ class TestStateMachine:
         path = dummy_path()
         s = SupervisorState(AesState.WARNING, selected_path=path)
         ev = SupervisorEvents(targets_present=True, trigger=Trigger.ENGAGE,
-                              candidate_path=path, now=2.5)
+                              candidate_path=path)
         out = step_state_machine(s, ev)
         assert out.state is AesState.IN_REGULATION
-        assert out.engage_time == 2.5
         assert out.selected_path is path
 
     def test_warning_relaxes_to_monitoring(self):
@@ -147,8 +143,7 @@ class TestStateMachine:
         assert out.state is AesState.ABORTED
 
     def test_regulation_completion(self):
-        s = SupervisorState(AesState.IN_REGULATION, selected_path=dummy_path(),
-                            engage_time=1.0)
+        s = SupervisorState(AesState.IN_REGULATION, selected_path=dummy_path())
         out = step_state_machine(s, SupervisorEvents(targets_present=True,
                                                      manoeuvre_complete=True))
         assert out.state is AesState.MONITORING
@@ -156,53 +151,25 @@ class TestStateMachine:
     def test_regulation_replanned_substitution(self):
         old = dummy_path()
         new = dummy_path()
-        s = SupervisorState(AesState.IN_REGULATION, selected_path=old,
-                            engage_time=1.0)
+        s = SupervisorState(AesState.IN_REGULATION, selected_path=old)
         ev = SupervisorEvents(targets_present=True, path_valid=False,
                               replanned_path=new)
         out = step_state_machine(s, ev)
         assert out.state is AesState.IN_REGULATION
         assert out.selected_path is new
-        assert out.engage_time == 1.0
 
     def test_regulation_replanning_failure_aborts(self):
-        s = SupervisorState(AesState.IN_REGULATION, selected_path=dummy_path(),
-                            engage_time=1.0)
+        s = SupervisorState(AesState.IN_REGULATION, selected_path=dummy_path())
         ev = SupervisorEvents(targets_present=True, path_valid=False)
         out = step_state_machine(s, ev)
         assert out.state is AesState.ABORTED
         assert out.abort_reason == "replanning failed"
 
-    def test_system_error_aborts(self):
-        for state in (AesState.MONITORING, AesState.WARNING,
-                      AesState.IN_REGULATION):
-            s = SupervisorState(state, selected_path=dummy_path()
-                                if state is not AesState.MONITORING else None,
-                                engage_time=0.0
-                                if state is AesState.IN_REGULATION else None)
-            out = step_state_machine(s, SupervisorEvents(targets_present=True,
-                                                         system_error=True))
-            assert out.state is AesState.ABORTED
-
-    def test_aborted_reinitialize_and_shutdown(self):
-        s = SupervisorState(AesState.ABORTED, abort_reason="x")
-        assert step_state_machine(
-            s, SupervisorEvents(reinitialize=True)).state is AesState.STANDBY
-        assert step_state_machine(
-            s, SupervisorEvents(shutdown=True)).state is AesState.OFF
-        assert step_state_machine(s, SupervisorEvents()).state is AesState.ABORTED
-
-    def test_off_reinitialize(self):
-        s = SupervisorState(AesState.OFF)
-        assert step_state_machine(
-            s, SupervisorEvents(reinitialize=True)).state is AesState.STANDBY
-
-    def test_illegal_engage_while_off(self):
-        s = SupervisorState(AesState.OFF)
-        ev = SupervisorEvents(targets_present=True, trigger=Trigger.ENGAGE,
-                              reinitialize=True)
+    def test_illegal_engage_while_standby(self):
+        s = SupervisorState(AesState.STANDBY)
+        ev = SupervisorEvents(targets_present=True, trigger=Trigger.ENGAGE)
         out = step_state_machine(s, ev)
-        assert out.state is AesState.OFF  # event rejected wholesale
+        assert out.state is AesState.STANDBY  # event rejected wholesale
 
     def test_illegal_regulation_event_while_monitoring(self):
         s = SupervisorState(AesState.MONITORING)
@@ -219,19 +186,15 @@ class TestStateMachine:
                 state,
                 selected_path=path if state in (AesState.WARNING,
                                                 AesState.IN_REGULATION) else None,
-                engage_time=1.0 if state is AesState.IN_REGULATION else None)
-            for combo in itertools.product(bools, bools, list(Trigger), bools,
-                                           bools, bools, bools, bools, bools,
-                                           bools):
-                (tp, pok, trig, pv, cand, repl, done, err, reinit,
-                 down) = combo
+                abort_reason="x" if state is AesState.ABORTED else None)
+            for combo in itertools.product(bools, list(Trigger), bools, bools,
+                                           bools, bools):
+                tp, trig, pv, cand, repl, done = combo
                 ev = SupervisorEvents(
-                    targets_present=tp, perception_ok=pok, trigger=trig,
-                    path_valid=pv,
+                    targets_present=tp, trigger=trig, path_valid=pv,
                     candidate_path=path if cand else None,
                     replanned_path=path if repl else None,
-                    manoeuvre_complete=done, system_error=err,
-                    reinitialize=reinit, shutdown=down, now=3.0)
+                    manoeuvre_complete=done)
                 out1 = step_state_machine(base, ev)
                 out2 = step_state_machine(base, ev)
                 assert out1.state in states
@@ -239,7 +202,7 @@ class TestStateMachine:
                 assert (out1.selected_path is None) == \
                     (out1.state not in (AesState.WARNING,
                                         AesState.IN_REGULATION))
-                assert (out1.engage_time is None) == \
-                    (out1.state is not AesState.IN_REGULATION)
+                if state is AesState.ABORTED:
+                    assert out1 == base  # absorbing
                 count += 1
-        assert count == len(states) * 2**9 * len(Trigger)
+        assert count == len(states) * 2**5 * len(Trigger)

@@ -87,27 +87,25 @@ class TestFootprint:
 
 class TestDriveableSpace:
     def test_straight_path_in_lane(self):
-        space = DriveableSpace.corridor(-10, 120, 1.625, -1.625)
+        space = DriveableSpace(-10, 120, 1.625, -1.625)
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
         assert driveable_area_check(straight_path(), space, fp)
 
     def test_offset_path_leaves_lane(self):
-        space = DriveableSpace.corridor(-10, 120, 1.625, -1.625)
+        space = DriveableSpace(-10, 120, 1.625, -1.625)
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
         assert not driveable_area_check(straight_path(y=2.0), space, fp)
 
     def test_path_past_last_station_not_driveable(self):
-        space = DriveableSpace.corridor(-10, 50, 1.625, -1.625)
+        space = DriveableSpace(-10, 50, 1.625, -1.625)
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
         assert not driveable_area_check(straight_path(), space, fp)
 
     def test_taper_matches_dense_oracle(self):
-        # merging lane: left bound tapers from 4 m down to 1 m
-        xs = np.arange(0.0, 121.0, 1.0)
-        intervals = [[(4.0 - 3.0 * min(1.0, x / 100.0), -1.625)] for x in xs]
-        space = DriveableSpace(xs, intervals)
+        space = DriveableSpace(-10, 120, 2.0, -1.625)
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
-        for y_off in (0.0, 0.8, 1.6, 2.4):
+        # at y_off = 1.1 the left corners lie exactly on y_left: inside
+        for y_off in (0.0, 0.8, 1.6, 2.4, 1.1):
             path = straight_path(y=y_off, psi=0.0, n=101, dt=0.05)
             got = driveable_area_check(path, space, fp)
             # dense oracle: corner containment on a 1 ms grid
@@ -118,30 +116,24 @@ class TestDriveableSpace:
                 py = y_off
                 for dx, dy in ((3.6, 0.9), (3.6, -0.9), (-0.9, 0.9), (-0.9, -0.9)):
                     cx, cy = px + dx, py + dy
-                    y_left = 4.0 - 3.0 * min(1.0, max(0.0, cx / 100.0))
-                    if not (cx >= 0 and cx <= 120 and -1.625 <= cy <= y_left):
+                    if not (-10 <= cx <= 120 and -1.625 <= cy <= 2.0):
                         ok = False
                         break
                 if not ok:
                     break
             assert got == ok
+            assert got == (y_off <= 1.1)
 
     def test_lateral_extent(self):
-        space = DriveableSpace.corridor(0, 100, 1.625, -4.875)
+        space = DriveableSpace(0, 100, 1.625, -4.875)
         assert space.lateral_extent("left", 0.0, 0, 100) == pytest.approx(1.625)
         assert space.lateral_extent("right", 0.0, 0, 100) == pytest.approx(4.875)
         assert space.lateral_extent("left", 99.0, 0, 100) == 0.0  # outside
-
-    def test_disjoint_intervals_per_station(self):
-        # two lanes separated by a median: membership in either interval
-        xs = np.arange(0.0, 21.0, 1.0)
-        intervals = [[(4.0, 1.0), (-1.0, -4.0)] for _ in xs]
-        space = DriveableSpace(xs, intervals)
-        assert space.contains_points(np.array([5.0]), np.array([2.0]))[0]
-        assert space.contains_points(np.array([5.0]), np.array([-2.0]))[0]
-        assert not space.contains_points(np.array([5.0]), np.array([0.0]))[0]
-        assert space.lateral_extent("left", 2.0, 0, 20) == pytest.approx(2.0)
-        assert space.lateral_extent("left", 0.0, 0, 20) == 0.0  # in the gap
+        # a reach that starts before x_start still sees the corridor
+        assert space.lateral_extent("left", 0.5, -30, 20) == pytest.approx(1.125)
+        # an ego past x_end has no room
+        assert space.lateral_extent("left", 0.0, 101, 180) == 0.0
+        assert space.lateral_extent("right", 0.0, 101, 180) == 0.0
 
 
 class TestCircleFilters:
@@ -327,7 +319,8 @@ class TestCollisionCheck:
     def test_no_targets(self):
         report = collision_check(straight_path(), [], Footprint(4.5, 1.8, 1.35))
         assert not report.collides
-        assert report.min_distance == {}
+        assert report.first_collision_time is None
+        assert report.first_collision_target is None
 
     def test_static_target_contact_time(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
@@ -353,15 +346,19 @@ class TestCollisionCheck:
             "side", Footprint(0.5, 0.5), Pose(40.0, 5.0, 0.0), 0.0, 6.0)
         report = collision_check(straight_path(), [target], fp)
         assert not report.collides
-        assert report.min_distance["side"] == pytest.approx(5.0, abs=0.1)
+        # 5 m apart at the closest instant: the circle filter clears each one
+        assert report.sat_evaluations == report.resolved_inscribed == 0
+        assert report.resolved_circumscribed > 0
 
     def test_prediction_gap_flagged(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
         target = TargetTrack.constant_velocity(
             "gap", Footprint(0.5, 0.5), Pose(60.0, 0.0, 0.0), 0.0, 1.0)
         report = collision_check(straight_path(), [target], fp)
-        assert report.prediction_gap
-        assert report.collides  # held at the last pose, still on the path
+        # the prediction ends at 1 s, the path runs 5 s: the target is held
+        # at its last pose, still on the path
+        assert report.collides
+        assert report.first_collision_target == "gap"
 
     def test_rigid_transform_invariance(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
@@ -382,8 +379,10 @@ class TestCollisionCheck:
             target.psis + ang)
         moved = collision_check(moved_path, [moved_target], fp)
         assert moved.collides == base.collides
-        assert moved.min_distance["vru"] == pytest.approx(
-            base.min_distance["vru"], abs=1e-9)
+        assert (moved.resolved_circumscribed, moved.resolved_inscribed,
+                moved.sat_evaluations) == (base.resolved_circumscribed,
+                                           base.resolved_inscribed,
+                                           base.sat_evaluations)
         if base.collides:
             assert moved.first_collision_time == pytest.approx(
                 base.first_collision_time, abs=1e-6)

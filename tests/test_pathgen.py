@@ -160,7 +160,7 @@ class TestPresample:
 
 class TestPathSet:
     def corridor(self, y_left=3.25, y_right=-3.25):
-        return DriveableSpace.corridor(-10, 300, y_left, y_right)
+        return DriveableSpace(-10, 300, y_left, y_right)
 
     def test_scale_factors(self):
         cap = make_cap(rho_max=0.0245)
@@ -224,7 +224,7 @@ class TestPathSet:
         tun = PathTuning(psi_max=0.2)
         init = EgoState(X=15.0, Y=-2.0, v_x=20.0)
         ps = generate_path_set(init, cap,
-                               DriveableSpace.corridor(0, 300, 3.0, -6.0),
+                               DriveableSpace(0, 300, 3.0, -6.0),
                                tun, "left")
         for path in ps.paths:
             assert path.x[0] == pytest.approx(15.0)
@@ -234,7 +234,7 @@ class TestPathSet:
 
 class TestReplan:
     def corridor(self):
-        return DriveableSpace.corridor(-10, 300, 3.25, -3.25)
+        return DriveableSpace(-10, 300, 3.25, -3.25)
 
     def test_idempotent_at_initial_state(self):
         cap = make_cap(rho_max=0.0245)

@@ -24,7 +24,7 @@ def flat_path(n=51, v=20.0, dt=0.1, rho=0.0, y=0.0):
 def family(space=None, n_tot=6, targets=False):
     cap = CapabilityRecord(CapabilityScenario.STEER, 0.0, 0.0245, 0.25, 20.0)
     tun = PathTuning(psi_max=0.2, n_tot=n_tot)
-    space = space or DriveableSpace.corridor(-10, 300, 4.0, -4.0)
+    space = space or DriveableSpace(-10, 300, 4.0, -4.0)
     return generate_path_set(EgoState(v_x=20.0), cap, space, tun, "left"), space
 
 
@@ -107,7 +107,7 @@ class TestRanking:
     def test_rejection_precedence(self):
         # the path both leaves the corridor and collides: driveable wins
         ps, _ = family()
-        narrow = DriveableSpace.corridor(-10, 300, 0.5, -0.5)
+        narrow = DriveableSpace(-10, 300, 0.5, -0.5)
         blocker = TargetTrack.constant_velocity(
             "blk", Footprint(4.5, 1.8), Pose(40.0, 0.0, 0.0), 0.0, 8.0)
         ranked = rank_paths(ps, [blocker], narrow, FP, CostWeights())
@@ -179,7 +179,7 @@ class TestMonitor:
 
     def test_narrowed_space_invalidates(self):
         ps, _ = family()
-        narrow = DriveableSpace.corridor(-10, 300, 0.95, -0.95)
+        narrow = DriveableSpace(-10, 300, 0.95, -0.95)
         verdict = monitor_selected(ps.paths[-1], [], narrow, FP)
         assert not verdict.valid
         assert verdict.reason == REJECT_NOT_DRIVEABLE

@@ -116,6 +116,12 @@ REJECTED_AT_LOAD = {
     # integer keys: 6.7 planned 6 paths, 4.9 selected STEER (4)
     "planner_n_paths_fraction": {"planner": {"n_paths": 6.7}},
     "capability_scenario_id_fraction": {"capability": {"scenario_id": 4.9}},
+    # YAML booleans: float(True) is 1.0, so true planned 1 path and false
+    # gave a 0 s engage margin
+    "planner_n_paths_bool": {"planner": {"n_paths": True}},
+    "trigger_t_margin_bool": {"trigger": {"t_margin": False}},
+    # the corridor has no stations; the key is unknown
+    "road_station_spacing": {"road": {"station_spacing": 1.0}},
 }
 
 
@@ -338,16 +344,21 @@ class TestCli:
         assert swept == _paths_csv(want, tmp_path / "want")
 
 
-@pytest.fixture(scope="module")
-def bench_workloads(scenario_dir):
-    """The benchmark's case generator, perfbench/workloads.py, imported by
-    path (perfbench is a directory of scripts, not a package)."""
-    path = scenario_dir.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(scenario_dir, name):
+    """A script of perfbench/ imported by path (perfbench is a directory of
+    scripts, not a package)."""
+    path = scenario_dir.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module   # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def bench_workloads(scenario_dir):
+    """The benchmark's case generator, perfbench/workloads.py."""
+    return _perfbench_module(scenario_dir, "workloads")
 
 
 class TestBenchmarkInputs:
@@ -363,3 +374,18 @@ class TestBenchmarkInputs:
         assert cases
         for case in cases:
             assert parse_scenario(case.raw).name == case.name
+
+    def test_tracer_hooks_reach_the_layers(self, scenario_dir, tmp_path):
+        """perfbench/tracer.py wraps layer functions by module and name; a
+        renamed or bypassed function would leave its per-layer metrics at
+        zero, so every span must be entered by a shipped run."""
+        from aessim import scenario, simloop
+        tracer = _perfbench_module(scenario_dir, "tracer")
+        rec = tracer.Recorder(tracer.binding_sites())
+        with rec.installed():
+            cfg = scenario.load_scenario(scenario_dir / "crossing_vru.yaml")
+            simloop.run_scenario(cfg).trace.write(tmp_path)
+        for mod, name in tracer.TIMED:
+            assert rec.stats[f"{mod}.{name}"].calls > 0, f"{mod}.{name}"
+        assert rec.stats["trace.write"].calls == 1
+        assert rec.counts["refine_steps"] > 0
