@@ -99,6 +99,10 @@ class CapabilityTuning:
     rho_dot_max: float = 0.2           # max curvature rate [1/(m s)]
     v_min: float = 1.0                 # minimum usable planning speed [m/s]
 
+    def __post_init__(self) -> None:
+        if self.rho_dot_max <= 0:
+            raise ValueError("rho_dot_max must be positive")
+
 
 @dataclass
 class CapabilityRecord:

@@ -8,10 +8,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .capability import EgoState
-from .geometry import Footprint, Pose, collision_check
+from .geometry import Footprint, Pose, first_contact_time
 from .pathgen import CurvatureProfile, SampledPath
 
 logger = logging.getLogger(__name__)
@@ -27,6 +25,8 @@ class TriggerConfig:
     def __post_init__(self) -> None:
         if min(self.t_margin, self.t_warning, self.tte_reduction) < 0:
             raise ValueError("trigger times must be non-negative")
+        if self.ttc_horizon <= 0:
+            raise ValueError("ttc_horizon must be positive")
 
 
 class Trigger(Enum):
@@ -68,24 +68,18 @@ def compute_tte(profile: CurvatureProfile, cfg: TriggerConfig) -> float:
 
 
 def compute_ttc(ego: EgoState, targets, fp: Footprint,
-                horizon: float = 5.0, dt_check: float = 0.1) -> float:
-    """Earliest predicted collision time of the no-action path, inf if clear.
+                horizon: float = 5.0) -> float:
+    """Earliest predicted contact time of the no-action path within the
+    horizon, inf if clear.
 
-    The no-action path holds the current speed and heading. Targets whose
-    prediction ends early are held at their last pose by the collision check.
+    The no-action path holds the current speed and heading; the targets move
+    at their predicted constant velocity.
     """
-    if not targets:
-        return math.inf
-    n = max(2, int(round(horizon / dt_check)) + 1)
-    t = np.linspace(0.0, horizon, n)
-    x = ego.X + ego.v_x * math.cos(ego.psi) * t
-    y = ego.Y + ego.v_x * math.sin(ego.psi) * t
-    path = SampledPath(t=t, x=x, y=y, psi=np.full(n, ego.psi),
-                       rho=np.zeros(n), v=np.full(n, ego.v_x), frame=Pose())
-    report = collision_check(path, targets, fp, dt_check)
-    if report.collides:
-        return float(report.first_collision_time)
-    return math.inf
+    pose = Pose(ego.X, ego.Y, ego.psi)
+    vel = (ego.v_x * math.cos(ego.psi), ego.v_x * math.sin(ego.psi))
+    return min((first_contact_time(pose, fp, vel, tr.pose, tr.footprint,
+                                   tr.velocity, horizon) for tr in targets),
+               default=math.inf)
 
 
 def evaluate_triggers(ttc: float, tte: float, cfg: TriggerConfig) -> Trigger:

@@ -21,10 +21,6 @@ class NoFeasiblePath(AesError):
     """Path-set generation could not produce any usable path."""
 
 
-class PredictionGap(AesError):
-    """A target prediction does not cover the requested time."""
-
-
 class DegenerateGrid(AesError):
     """Path sample grid contains repeated timestamps."""
 

@@ -1,18 +1,17 @@
-"""Collision geometry: driveable-space containment and the staged
-circumscribed-circle / inscribed-circle / separating-axis collision check.
+"""Collision geometry: driveable-space containment, the staged
+circumscribed-circle / inscribed-circle / separating-axis collision check
+of a sampled path, and the closed-form first contact time of two
+constant-velocity rectangles.
 
-The per-pair kernels (`sat_check` and the contact-time bisection) run on
-plain Python floats. They repeat numpy's float operations in numpy's order,
-so for finite poses they return the same bits as the array formulas they
-replaced: `_interp` is `np.interp` on a strictly increasing grid, and a
-corner is `(cx + l*c) - w*s`, projected as `x*ax + y*ay`. Any change to an
-expression here changes the run artefacts; `tests/test_golden.py` guards
-them.
+`sat_check` runs on plain Python floats. It repeats numpy's float
+operations in numpy's order, so for finite poses it returns the same bits as
+the array formula it replaced: a corner is `(cx + l*c) - w*s`, projected as
+`x*ax + y*ay`. Any change to an expression here changes the run artefacts;
+`tests/test_golden.py` guards them.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,27 +71,6 @@ def _corners(pose: Pose, fp: Footprint, c: float,
             for lx, ly in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
 
 
-def _interp(x: float, xp: list[float], fp: list[float]) -> float:
-    """np.interp(x, xp, fp) for scalar x and strictly increasing xp, bit for bit.
-
-    Outside the grid the end values are held; a grid hit returns the sample.
-    """
-    if x != x:
-        return x
-    j = bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    y = slope * (x - xp[j]) + fp[j]
-    if y != y:  # numpy retries from the right sample, then a flat segment
-        y = slope * (x - xp[j + 1]) + fp[j + 1]
-        if y != y and fp[j] == fp[j + 1]:
-            y = fp[j]
-    return y
-
-
 @dataclass(frozen=True)
 class DriveableSpace:
     """Straight corridor x_start <= x <= x_end, y_right <= y <= y_left
@@ -120,56 +98,38 @@ class DriveableSpace:
         return (self.y_left - y_ref) if side == "left" else (y_ref - self.y_right)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetTrack:
-    """A tracked object: footprint plus predicted pose trajectory.
+    """A tracked object predicted at constant speed and heading.
 
-    Prediction times are relative to the planning instant (t=0 = now).
+    pose is the pose at the planning instant (t=0 = now); prediction times
+    are relative to it.
     """
 
     track_id: str
     footprint: Footprint
-    times: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    psis: np.ndarray
-    type_tag: str = "vehicle"   # vru | vehicle | static
-
-    @classmethod
-    def constant_velocity(cls, track_id: str, footprint: Footprint, pose: Pose,
-                          speed: float, horizon: float, dt: float = 0.1,
-                          type_tag: str = "vehicle") -> "TargetTrack":
-        n = max(2, int(round(horizon / dt)) + 1)
-        times = np.linspace(0.0, horizon, n)
-        xs = pose.X + speed * math.cos(pose.psi) * times
-        ys = pose.Y + speed * math.sin(pose.psi) * times
-        psis = np.full(n, pose.psi)
-        return cls(track_id, footprint, times, xs, ys, psis, type_tag)
+    pose: Pose
+    speed: float = 0.0
 
     @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
+    def velocity(self) -> tuple[float, float]:
+        return (self.speed * math.cos(self.pose.psi),
+                self.speed * math.sin(self.pose.psi))
 
-    def pose_at(self, t: float, clamp: bool = True) -> Pose:
-        if not clamp and (t < self.times[0] or t > self.times[-1]):
-            from .errors import PredictionGap
-            raise PredictionGap(f"{self.track_id}: no prediction at t={t:.3f}")
-        t = min(max(t, self.times[0]), self.times[-1])
-        return Pose(float(np.interp(t, self.times, self.xs)),
-                    float(np.interp(t, self.times, self.ys)),
-                    float(np.interp(t, self.times, self.psis)))
+    def pose_at(self, t: float) -> Pose:
+        vx, vy = self.velocity
+        return Pose(self.pose.X + vx * t, self.pose.Y + vy * t, self.pose.psi)
 
 
 @dataclass
 class CollisionReport:
-    """Outcome of the staged collision check along one path."""
+    """Outcome of the staged collision check along one path, with the number
+    of check instants each stage resolved up to the first hit."""
 
-    collides: bool
-    first_collision_time: float | None
+    collides: bool = False
     resolved_circumscribed: int = 0
     resolved_inscribed: int = 0
     sat_evaluations: int = 0
-    first_collision_target: str | None = None
 
 
 def circumscribed_check(pose_a: Pose, fp_a: Footprint,
@@ -209,15 +169,6 @@ def sat_check(pose_a: Pose, fp_a: Footprint,
     return True
 
 
-def _pair_collides(pose_a: Pose, fp_a: Footprint,
-                   pose_b: Pose, fp_b: Footprint) -> bool:
-    if circumscribed_check(pose_a, fp_a, pose_b, fp_b):
-        return False
-    if inscribed_check(pose_a, fp_a, pose_b, fp_b):
-        return True
-    return sat_check(pose_a, fp_a, pose_b, fp_b)
-
-
 def driveable_area_check(path, space: DriveableSpace, fp: Footprint) -> bool:
     """True when the swept footprint stays inside the corridor.
 
@@ -237,39 +188,15 @@ def driveable_area_check(path, space: DriveableSpace, fp: Footprint) -> bool:
     return True
 
 
-def _refine_collision_time(path, target: TargetTrack, fp: Footprint,
-                           t_clear: float, t_hit: float) -> float:
-    """Bisect the first contact instant between a clear and a hit sample."""
-    pt, px, py, ppsi = (np.asarray(a, dtype=float).tolist()
-                        for a in (path.t, path.x, path.y, path.psi))
-    tt, tx, ty, tpsi = (np.asarray(a, dtype=float).tolist()
-                        for a in (target.times, target.xs, target.ys,
-                                  target.psis))
-    for _ in range(40):
-        mid = 0.5 * (t_clear + t_hit)
-        ego = Pose(_interp(mid, pt, px), _interp(mid, pt, py),
-                   _interp(mid, pt, ppsi))
-        tgt = Pose(_interp(mid, tt, tx), _interp(mid, tt, ty),
-                   _interp(mid, tt, tpsi))
-        if _pair_collides(ego, fp, tgt, target.footprint):
-            t_hit = mid
-        else:
-            t_clear = mid
-        if t_hit - t_clear < 1e-9:
-            break
-    return t_hit
-
-
 def collision_check(path, targets, fp: Footprint,
                     dt_check: float = 0.1) -> CollisionReport:
     """Staged collision check of a sampled path against predicted targets.
 
     Check instants are the path samples subsampled to roughly dt_check. Per
     instant the circumscribed filter runs first, then the inscribed filter,
-    then the separating-axis test. Targets whose prediction ends early are
-    held at their last predicted pose.
+    then the separating-axis test. The check returns at the first hit.
     """
-    report = CollisionReport(collides=False, first_collision_time=None)
+    report = CollisionReport()
     times = path.t
     if len(times) == 0:
         return report
@@ -284,48 +211,74 @@ def collision_check(path, targets, fp: Footprint,
     ego_cx = path.x[idx] + fp.ref_offset * c
     ego_cy = path.y[idx] + fp.ref_offset * s
 
-    first_hit = math.inf
-    first_target = None
     for target in targets:
-        tgt_t = np.clip(check_t, target.times[0], target.times[-1])
-        tx = np.interp(tgt_t, target.times, target.xs)
-        ty = np.interp(tgt_t, target.times, target.ys)
-        tpsi = np.interp(tgt_t, target.times, target.psis)
-        off = target.footprint.ref_offset
-        tcx = tx + off * np.cos(tpsi)
-        tcy = ty + off * np.sin(tpsi)
+        vx, vy = target.velocity
+        tx = target.pose.X + vx * check_t
+        ty = target.pose.Y + vy * check_t
+        psi, off = target.pose.psi, target.footprint.ref_offset
+        tcx = tx + off * math.cos(psi)
+        tcy = ty + off * math.sin(psi)
         dist = np.hypot(tcx - ego_cx, tcy - ego_cy)
 
         rc = fp.circumscribed_radius + target.footprint.circumscribed_radius
         ri = fp.inscribed_radius + target.footprint.inscribed_radius
         clear = dist > rc
         report.resolved_circumscribed += int(clear.sum())
-        hit_time = None
         for k in np.nonzero(~clear)[0]:
             if dist[k] < ri:
                 report.resolved_inscribed += 1
-                hit = True
-            else:
-                report.sat_evaluations += 1
-                # check instants are path samples, and tx/ty/tpsi are the
-                # target's pose_at(check_t[k]): no re-interpolation needed
-                i = idx[k]
-                hit = sat_check(Pose(float(path.x[i]), float(path.y[i]),
-                                     float(path.psi[i])), fp,
-                                Pose(float(tx[k]), float(ty[k]),
-                                     float(tpsi[k])), target.footprint)
-            if hit:
-                hit_time = float(check_t[k])
-                if k > 0:
-                    hit_time = _refine_collision_time(
-                        path, target, fp, float(check_t[k - 1]), hit_time)
-                break
-        if hit_time is not None and hit_time < first_hit:
-            first_hit = hit_time
-            first_target = target.track_id
-
-    if first_target is not None:
-        report.collides = True
-        report.first_collision_time = first_hit
-        report.first_collision_target = first_target
+                report.collides = True
+                return report
+            report.sat_evaluations += 1
+            i = idx[k]
+            if sat_check(Pose(float(path.x[i]), float(path.y[i]),
+                              float(path.psi[i])), fp,
+                         Pose(float(tx[k]), float(ty[k]), psi),
+                         target.footprint):
+                report.collides = True
+                return report
     return report
+
+
+# Widening of each axis gap [m] in first_contact_time, so that rounding in
+# the interval arithmetic cannot lose a touch that sat_check sees.
+CONTACT_SLACK = 1e-9
+
+
+def first_contact_time(pose_a: Pose, fp_a: Footprint,
+                       vel_a: tuple[float, float], pose_b: Pose,
+                       fp_b: Footprint, vel_b: tuple[float, float],
+                       horizon: float) -> float:
+    """First instant in [0, horizon] at which two rectangles moving at
+    constant velocity and fixed heading touch; inf when they do not.
+
+    The relative motion is a translation, so on each of the four
+    separating axes the projections overlap over an interval linear in t;
+    contact starts where all four intervals first hold (Ericson, Real-Time
+    Collision Detection, 5.5; Eberly, Dynamic Collision Detection using
+    Oriented Bounding Boxes).
+    """
+    c_a, s_a = math.cos(pose_a.psi), math.sin(pose_a.psi)
+    c_b, s_b = math.cos(pose_b.psi), math.sin(pose_b.psi)
+    ca = _corners(pose_a, fp_a, c_a, s_a)
+    cb = _corners(pose_b, fp_b, c_b, s_b)
+    rvx, rvy = vel_b[0] - vel_a[0], vel_b[1] - vel_a[1]
+    t_first, t_last = 0.0, horizon
+    for ax, ay in ((c_a, s_a), (-s_a, c_a), (c_b, s_b), (-s_b, c_b)):
+        da = [x * ax + y * ay for x, y in ca]
+        db = [x * ax + y * ay for x, y in cb]
+        # b's projection moves by rate * t: overlap while lo <= rate*t <= hi
+        lo = min(da) - max(db) - CONTACT_SLACK
+        hi = max(da) - min(db) + CONTACT_SLACK
+        rate = rvx * ax + rvy * ay
+        if rate == 0.0:
+            if lo > 0.0 or hi < 0.0:
+                return math.inf
+            continue
+        t0, t1 = lo / rate, hi / rate
+        if rate < 0.0:
+            t0, t1 = t1, t0
+        t_first, t_last = max(t_first, t0), min(t_last, t1)
+        if t_first > t_last:
+            return math.inf
+    return t_first

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGrid
-from .geometry import (CollisionReport, DriveableSpace, Footprint,
-                       collision_check, driveable_area_check)
+from .geometry import (DriveableSpace, Footprint, collision_check,
+                       driveable_area_check)
 from .pathgen import PathSet, SampledPath, anchor_path, presample_profile
 
 REJECT_NOT_DRIVEABLE = "not_driveable"
@@ -36,14 +36,12 @@ class RankedPath:
     severity: float = 0.0
     proximity: float = 0.0
     total: float = 0.0
-    report: CollisionReport | None = None
 
 
 @dataclass
 class PathValidity:
     valid: bool
     reason: str | None = None
-    report: CollisionReport | None = None
 
 
 def severity_cost(path: SampledPath, w: CostWeights) -> float:
@@ -65,10 +63,9 @@ def proximity_cost(path: SampledPath, targets, w: CostWeights) -> float:
         return 0.0
     dmin = np.full(len(path), math.inf)
     for target in targets:
-        tt = np.clip(path.t, target.times[0], target.times[-1])
-        tx = np.interp(tt, target.times, target.xs)
-        ty = np.interp(tt, target.times, target.ys)
-        d = np.hypot(tx - path.x, ty - path.y)
+        vx, vy = target.velocity
+        d = np.hypot((target.pose.X + vx * path.t) - path.x,
+                     (target.pose.Y + vy * path.t) - path.y)
         np.minimum(dmin, d, out=dmin)
     return w.K_prox * float(np.mean(dmin))
 
@@ -87,15 +84,13 @@ def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
         if not driveable_area_check(path, space, fp):
             ranked.append(RankedPath(path=path, rejected=REJECT_NOT_DRIVEABLE))
             continue
-        report = collision_check(path, targets, fp, dt_check)
-        if report.collides:
-            ranked.append(RankedPath(path=path, rejected=REJECT_COLLISION,
-                                     report=report))
+        if collision_check(path, targets, fp, dt_check).collides:
+            ranked.append(RankedPath(path=path, rejected=REJECT_COLLISION))
             continue
         sev = severity_cost(path, w)
         prox = proximity_cost(path, targets, w)
         ranked.append(RankedPath(path=path, severity=sev, proximity=prox,
-                                 total=sev + prox, report=report))
+                                 total=sev + prox))
     return ranked
 
 
@@ -125,7 +120,6 @@ def monitor_selected(path: SampledPath, targets, space: DriveableSpace,
     """Re-check the remaining part of the active path against fresh data."""
     if not driveable_area_check(path, space, fp):
         return PathValidity(valid=False, reason=REJECT_NOT_DRIVEABLE)
-    report = collision_check(path, targets, fp, dt_check)
-    if report.collides:
-        return PathValidity(valid=False, reason=REJECT_COLLISION, report=report)
-    return PathValidity(valid=True, report=report)
+    if collision_check(path, targets, fp, dt_check).collides:
+        return PathValidity(valid=False, reason=REJECT_COLLISION)
+    return PathValidity(valid=True)

@@ -203,7 +203,10 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         cap_scenario = CapabilityScenario(cap.pop("scenario_id", 6))
     except ValueError as exc:
         raise ConfigError(f"capability.scenario_id must be 1..6: {exc}") from exc
-    cap_tuning = CapabilityTuning(**cap)
+    try:
+        cap_tuning = CapabilityTuning(**cap)
+    except ValueError as exc:
+        raise ConfigError(f"bad capability tuning: {exc}") from exc
 
     pl = _section(raw, "planner")
     sides = pl.pop("sides", ["left", "right"])

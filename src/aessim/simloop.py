@@ -70,17 +70,11 @@ class _Regulation:
     prebrake_until: float
 
 
-def _predictions(cfg: ScenarioConfig, t: float, horizon: float,
-                 dt: float) -> list[TargetTrack]:
+def _predictions(cfg: ScenarioConfig, t: float) -> list[TargetTrack]:
     """Constant-velocity predictions from the current true target states."""
-    tracks = []
-    for td in cfg.targets:
-        if t < td.appear_time:
-            continue
-        tracks.append(TargetTrack.constant_velocity(
-            td.track_id, td.footprint, td.position_at(t), td.speed_at(t),
-            horizon, dt, td.type_tag))
-    return tracks
+    return [TargetTrack(td.track_id, td.footprint, td.position_at(t),
+                        td.speed_at(t))
+            for td in cfg.targets if t >= td.appear_time]
 
 
 def _ego_state(plant: PlantState, a_x: float = 0.0) -> EgoState:
@@ -103,7 +97,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     substeps = round(dt_ctrl / cfg.sim.dt_plant)
     planner_every = round(cfg.sim.planner_period / dt_ctrl)
     n_ticks = round(cfg.sim.duration / dt_ctrl)
-    pred_horizon = max(cfg.trigger.ttc_horizon, 6.0)
 
     candidate: SampledPath | None = None
     last_ranked: list[RankedPath] = []
@@ -149,7 +142,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     for k in range(n_ticks + 1):
         t = k * dt_ctrl
-        preds = _predictions(cfg, t, pred_horizon, cfg.sim.dt_check)
+        preds = _predictions(cfg, t)
         targets_present = bool(preds)
         planner_tick = (k % planner_every == 0)
 
@@ -164,7 +157,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 candidate, tte = None, None
             kind = "plan" if targets_present and planner_tick else None
             ttc = compute_ttc(_ego_state(plant), preds, fp,
-                              cfg.trigger.ttc_horizon, cfg.sim.dt_check)
+                              cfg.trigger.ttc_horizon)
             while True:
                 if kind is not None:
                     candidate, last_ranked = plan(t, preds, kind,

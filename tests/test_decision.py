@@ -8,7 +8,7 @@ from aessim.capability import EgoState
 from aessim.decision import (AesState, SupervisorEvents, SupervisorState,
                              Trigger, TriggerConfig, compute_ttc, compute_tte,
                              evaluate_triggers, step_state_machine)
-from aessim.geometry import Footprint, Pose, TargetTrack
+from aessim.geometry import Footprint, Pose, TargetTrack, sat_check
 from aessim.pathgen import CurvatureProfile, SampledPath
 
 FP = Footprint(4.5, 1.8, ref_offset=1.35)
@@ -45,15 +45,13 @@ class TestTte:
 class TestTtc:
     def test_point_target_head_on(self):
         ego = EgoState(v_x=20.0)
-        target = TargetTrack.constant_velocity(
-            "pt", Footprint(0.0, 0.0), Pose(20.0, 0.0, 0.0), 0.0, 6.0)
+        target = TargetTrack("pt", Footprint(0.0, 0.0), Pose(20.0, 0.0, 0.0))
         got = compute_ttc(ego, [target], Footprint(0.0, 0.0), horizon=5.0)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_laterally_clear(self):
         ego = EgoState(v_x=20.0)
-        target = TargetTrack.constant_velocity(
-            "side", Footprint(0.5, 0.5), Pose(40.0, 6.0, 0.0), 0.0, 6.0)
+        target = TargetTrack("side", Footprint(0.5, 0.5), Pose(40.0, 6.0, 0.0))
         assert compute_ttc(ego, [target], FP) == math.inf
 
     def test_no_targets(self):
@@ -64,11 +62,37 @@ class TestTtc:
         target_pose = Pose(80.0, 0.0, 0.0)
         prev = math.inf
         for x_ego in np.arange(0.0, 60.0, 5.0):
-            target = TargetTrack.constant_velocity(
-                "blk", Footprint(0.5, 0.5), target_pose, 0.0, 6.0)
+            target = TargetTrack("blk", Footprint(0.5, 0.5), target_pose)
             ttc = compute_ttc(EgoState(X=float(x_ego), v_x=20.0), [target], FP)
             assert ttc < prev
             prev = ttc
+
+    def test_crossing_car_sweep_against_dense_oracle(self):
+        """A car crossing the no-action path at 15 m/s, offset along it from
+        -12 to 12 m in 0.1 m steps. Wherever a 1 ms SAT oracle over 5 s sees
+        contact, the TTC is finite and at most one oracle step early, plus
+        the 1e-9 m contact slack (4e-11 s at this closing speed). A TTC
+        sampled at 0.1 s missed 4 of these 148 contacts."""
+        car_fp = Footprint(4.5, 1.8)
+        ego = EgoState(v_x=20.0)
+        t = 1e-3 * np.arange(5001)
+        rc = FP.circumscribed_radius + car_fp.circumscribed_radius
+        contacts = 0
+        for off in [round(0.1 * k, 1) for k in range(-120, 121)]:
+            car = TargetTrack("car", car_fp,
+                              Pose(40.0 + off, -30.0, math.pi / 2), 15.0)
+            ttc = compute_ttc(ego, [car], FP)
+            # the oracle runs SAT only where the bounding circles meet
+            vx, vy = car.velocity
+            near = np.hypot(car.pose.X + vx * t - (20.0 * t + FP.ref_offset),
+                            car.pose.Y + vy * t) <= rc + 1e-6
+            first = next((tk for tk in t[near].tolist()
+                          if sat_check(Pose(20.0 * tk, 0.0, 0.0), FP,
+                                       car.pose_at(tk), car_fp)), None)
+            if first is not None:
+                contacts += 1
+                assert first - 1e-3 - 1e-9 <= ttc <= first, off
+        assert contacts == 148
 
 
 class TestTriggers:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from aessim.errors import PredictionGap
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
-                             _interp, circumscribed_check, collision_check,
-                             driveable_area_check, inscribed_check, sat_check)
+                             circumscribed_check, collision_check,
+                             driveable_area_check, first_contact_time,
+                             inscribed_check, sat_check)
 from aessim.pathgen import SampledPath
 
 
@@ -188,40 +188,6 @@ class TestSat:
 class TestScalarKernelsBitExact:
     """The scalar kernels must return numpy's bits, not just close values."""
 
-    @staticmethod
-    def _grid(rng, n):
-        xp = float(rng.uniform(-5, 5)) + np.cumsum(rng.uniform(1e-3, 1.0, n))
-        return xp, rng.normal(0.0, 10.0, n)
-
-    def test_interp_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        for n in [2, 3, 4, 5, 7, 51] + list(rng.integers(2, 200, 40)):
-            xp, fp = self._grid(rng, int(n))
-            span = xp[-1] - xp[0]
-            xs = np.concatenate([
-                rng.uniform(xp[0], xp[-1], 200),                  # interior
-                xp,                                               # grid hits
-                [xp[0], xp[-1], np.nextafter(xp[0], np.inf),
-                 np.nextafter(xp[-1], -np.inf)],                  # ends
-                xp[0] - rng.uniform(0, span, 5),                  # below
-                xp[-1] + rng.uniform(0, span, 5),                 # above
-            ])
-            xl, fl = xp.tolist(), fp.tolist()
-            for x in xs.tolist():
-                assert _interp(x, xl, fl).hex() == float(np.interp(x, xp, fp)).hex()
-
-    def test_interp_on_simulator_grids(self):
-        # linspace clocks with linear and constant samples, as the loop builds
-        t = np.linspace(0.0, 5.0, 51)
-        rng = np.random.default_rng(5)
-        for fp in (3.7 + 19.3 * t, np.full(51, 0.3), np.cumsum(rng.normal(size=51))):
-            tl, fl = t.tolist(), fp.tolist()
-            for x in rng.uniform(-0.1, 5.1, 2000).tolist():
-                assert _interp(x, tl, fl).hex() == float(np.interp(x, t, fp)).hex()
-
-    def test_interp_nan_query(self):
-        assert math.isnan(_interp(math.nan, [0.0, 1.0], [2.0, 3.0]))
-
     def test_corners_match_numpy_formula(self):
         rng = np.random.default_rng(17)
         for _ in range(2000):
@@ -281,89 +247,81 @@ class TestScalarKernelsBitExact:
 
 
 class TestTargetStep:
-    """Unclamped target-track lookup, as the plant's former target_step did."""
+    """Constant-velocity target prediction, evaluated analytically."""
 
     def test_static_target(self):
-        tr = TargetTrack.constant_velocity("s", Footprint(1, 1),
-                                           Pose(5.0, 2.0, 0.3), 0.0, 4.0)
-        for t in (0.0, 1.3, 4.0):
-            pose = tr.pose_at(t, clamp=False)
-            assert pose.X == pytest.approx(5.0)
-            assert pose.Y == pytest.approx(2.0)
+        tr = TargetTrack("s", Footprint(1, 1), Pose(5.0, 2.0, 0.3), 0.0)
+        for t in (0.0, 1.3, 4.0, 60.0):
+            assert tr.pose_at(t) == Pose(5.0, 2.0, 0.3)
 
     def test_crossing_vru_advance(self):
-        tr = TargetTrack.constant_velocity(
-            "v", Footprint(0.5, 0.5), Pose(0.0, 0.0, math.pi / 2), 1.0, 4.0)
-        pose = tr.pose_at(2.0, clamp=False)
+        tr = TargetTrack("v", Footprint(0.5, 0.5),
+                         Pose(0.0, 0.0, math.pi / 2), 1.0)
+        pose = tr.pose_at(2.0)
         assert pose.Y == pytest.approx(2.0, abs=1e-12)
         assert pose.X == pytest.approx(0.0, abs=1e-12)
 
     def test_midpoint_interpolation_exact(self):
-        tr = TargetTrack.constant_velocity(
-            "v", Footprint(0.5, 0.5), Pose(1.0, -2.0, 0.25), 3.0, 4.0, dt=0.5)
-        for t in (0.25, 1.75, 3.9):
-            pose = tr.pose_at(t, clamp=False)
-            assert pose.X == pytest.approx(1.0 + 3.0 * math.cos(0.25) * t,
-                                           abs=1e-12)
-            assert pose.Y == pytest.approx(-2.0 + 3.0 * math.sin(0.25) * t,
-                                           abs=1e-12)
-
-    def test_prediction_gap(self):
-        tr = TargetTrack.constant_velocity("v", Footprint(0.5, 0.5),
-                                           Pose(0, 0, 0), 1.0, 4.0)
-        with pytest.raises(PredictionGap):
-            tr.pose_at(4.5, clamp=False)
+        tr = TargetTrack("v", Footprint(0.5, 0.5), Pose(1.0, -2.0, 0.25), 3.0)
+        assert tr.velocity == (3.0 * math.cos(0.25), 3.0 * math.sin(0.25))
+        for t in (0.25, 1.75, 3.9, 7.5):
+            pose = tr.pose_at(t)
+            assert pose.X == 1.0 + 3.0 * math.cos(0.25) * t
+            assert pose.Y == -2.0 + 3.0 * math.sin(0.25) * t
+            assert pose.psi == 0.25
 
 
 class TestCollisionCheck:
     def test_no_targets(self):
         report = collision_check(straight_path(), [], Footprint(4.5, 1.8, 1.35))
         assert not report.collides
-        assert report.first_collision_time is None
-        assert report.first_collision_target is None
 
     def test_static_target_contact_time(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
-        target = TargetTrack.constant_velocity(
-            "blk", Footprint(0.5, 0.5), Pose(20.0, 0.0, 0.0), 0.0, 6.0)
+        target = TargetTrack("blk", Footprint(0.5, 0.5), Pose(20.0, 0.0, 0.0))
         report = collision_check(straight_path(), [target], fp, dt_check=0.1)
+        assert report.collides
         # front face starts at 1.35 + 2.25 = 3.6 m; target near face at 19.75
         expected = (19.75 - 3.6) / 20.0
-        assert report.collides
-        assert report.first_collision_time == pytest.approx(expected, abs=1e-3)
+        got = first_contact_time(Pose(), fp, (20.0, 0.0), target.pose,
+                                 target.footprint, target.velocity, 5.0)
+        assert expected - 1e-9 <= got <= expected
 
     def test_zero_size_point_contact(self):
         fp = Footprint(0.0, 0.0)
-        target = TargetTrack.constant_velocity(
-            "pt", Footprint(0.0, 0.0), Pose(20.0, 0.0, 0.0), 0.0, 6.0)
+        target = TargetTrack("pt", Footprint(0.0, 0.0), Pose(20.0, 0.0, 0.0))
         report = collision_check(straight_path(), [target], fp, dt_check=0.1)
         assert report.collides
-        assert report.first_collision_time == pytest.approx(1.0, abs=1e-9)
+        got = first_contact_time(Pose(), fp, (20.0, 0.0), target.pose,
+                                 target.footprint, target.velocity, 5.0)
+        assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_laterally_clear_target(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
-        target = TargetTrack.constant_velocity(
-            "side", Footprint(0.5, 0.5), Pose(40.0, 5.0, 0.0), 0.0, 6.0)
+        target = TargetTrack("side", Footprint(0.5, 0.5), Pose(40.0, 5.0, 0.0))
         report = collision_check(straight_path(), [target], fp)
         assert not report.collides
         # 5 m apart at the closest instant: the circle filter clears each one
         assert report.sat_evaluations == report.resolved_inscribed == 0
         assert report.resolved_circumscribed > 0
 
-    def test_prediction_gap_flagged(self):
+    def test_returns_at_first_hit(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
-        target = TargetTrack.constant_velocity(
-            "gap", Footprint(0.5, 0.5), Pose(60.0, 0.0, 0.0), 0.0, 1.0)
-        report = collision_check(straight_path(), [target], fp)
-        # the prediction ends at 1 s, the path runs 5 s: the target is held
-        # at its last pose, still on the path
-        assert report.collides
-        assert report.first_collision_target == "gap"
+        near = TargetTrack("near", Footprint(0.5, 0.5), Pose(20.0, 0.0, 0.0))
+        far = TargetTrack("far", Footprint(0.5, 0.5), Pose(60.0, 0.0, 0.0))
+        alone = collision_check(straight_path(), [near], fp)
+        both = collision_check(straight_path(), [near, far], fp)
+        assert alone.collides and both.collides
+        # nothing after the first hit is checked
+        assert (both.resolved_circumscribed, both.resolved_inscribed,
+                both.sat_evaluations) == (alone.resolved_circumscribed,
+                                          alone.resolved_inscribed,
+                                          alone.sat_evaluations)
 
     def test_rigid_transform_invariance(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
-        target = TargetTrack.constant_velocity(
-            "vru", Footprint(0.5, 0.5), Pose(50.0, -2.0, math.pi / 2), 1.0, 6.0)
+        target = TargetTrack("vru", Footprint(0.5, 0.5),
+                             Pose(50.0, -2.0, math.pi / 2), 1.0)
         base = collision_check(straight_path(), [target], fp)
 
         ang, tx, ty = 0.7, 13.0, -4.0
@@ -372,25 +330,91 @@ class TestCollisionCheck:
         moved_path = SampledPath(
             t=p.t, x=tx + p.x * c - p.y * s, y=ty + p.x * s + p.y * c,
             psi=p.psi + ang, rho=p.rho, v=p.v)
+        p0 = target.pose
         moved_target = TargetTrack(
-            "vru", target.footprint, target.times,
-            tx + target.xs * c - target.ys * s,
-            ty + target.xs * s + target.ys * c,
-            target.psis + ang)
+            "vru", target.footprint,
+            Pose(tx + p0.X * c - p0.Y * s, ty + p0.X * s + p0.Y * c,
+                 p0.psi + ang), target.speed)
         moved = collision_check(moved_path, [moved_target], fp)
         assert moved.collides == base.collides
         assert (moved.resolved_circumscribed, moved.resolved_inscribed,
                 moved.sat_evaluations) == (base.resolved_circumscribed,
                                            base.resolved_inscribed,
                                            base.sat_evaluations)
-        if base.collides:
-            assert moved.first_collision_time == pytest.approx(
-                base.first_collision_time, abs=1e-6)
+        ttc = [first_contact_time(Pose(x0, y0, psi0), fp,
+                                  (20.0 * math.cos(psi0), 20.0 * math.sin(psi0)),
+                                  tr.pose, tr.footprint, tr.velocity, 5.0)
+               for (x0, y0, psi0), tr in (((0.0, 0.0, 0.0), target),
+                                          ((tx, ty, ang), moved_target))]
+        assert math.isfinite(ttc[0]) == base.collides
+        assert ttc[1] == pytest.approx(ttc[0], abs=1e-6)
 
     def test_filter_statistics_populated(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
-        target = TargetTrack.constant_velocity(
-            "blk", Footprint(0.5, 0.5), Pose(20.0, 0.0, 0.0), 0.0, 6.0)
+        target = TargetTrack("blk", Footprint(0.5, 0.5), Pose(20.0, 0.0, 0.0))
         report = collision_check(straight_path(), [target], fp)
         assert report.resolved_circumscribed > 0
         assert report.sat_evaluations + report.resolved_inscribed >= 1
+
+
+class TestFirstContactTime:
+    """The closed-form contact time against a dense SAT oracle."""
+
+    @staticmethod
+    def _axis_gap(pa, fa, pb, fb):
+        """Largest separation over the four SAT axes; <= 0 when touching."""
+        ca, cb = fa.corners(pa), fb.corners(pb)
+        gap = -math.inf
+        for psi in (pa.psi, pb.psi):
+            for ax in ((math.cos(psi), math.sin(psi)),
+                       (-math.sin(psi), math.cos(psi))):
+                da, db = ca @ ax, cb @ ax
+                gap = max(gap, db.min() - da.max(), da.min() - db.max())
+        return gap
+
+    def test_random_pairs_against_dense_oracle(self):
+        rng = np.random.default_rng(11)
+        horizon = 3.0
+        t = 1e-3 * np.arange(3001)
+        contacts = finite = 0
+        for _ in range(400):
+            fps = [Footprint(0.0, 0.0) if rng.random() < 0.15 else
+                   Footprint(float(rng.uniform(0.3, 5.0)),
+                             float(rng.uniform(0.3, 2.5)),
+                             float(rng.uniform(-1.5, 1.5)))
+                   for _ in range(2)]
+            speeds = rng.uniform(0.0, 25.0, 2)
+            if rng.random() < 0.2:
+                speeds[1] = 0.0
+            psis = rng.uniform(-math.pi, math.pi, 2).tolist()
+            (vax, vay), (vbx, vby) = [(v * math.cos(p), v * math.sin(p))
+                                      for v, p in zip(speeds.tolist(), psis)]
+            # b passes a's reference point at t_meet, missed by up to 3 m
+            t_meet = float(rng.uniform(0.0, horizon))
+            mx, my = rng.uniform(-3.0, 3.0, 2).tolist()
+            pa = Pose(0.0, 0.0, psis[0])
+            pb = Pose((vax - vbx) * t_meet + mx, (vay - vby) * t_meet + my,
+                      psis[1])
+            ttc = first_contact_time(pa, fps[0], (vax, vay), pb, fps[1],
+                                     (vbx, vby), horizon)
+
+            def poses(tk):
+                return (Pose(vax * tk, vay * tk, pa.psi),
+                        Pose(pb.X + vbx * tk, pb.Y + vby * tk, pb.psi))
+
+            # the oracle runs SAT only where the bounding circles meet
+            (cax, cay), (cbx, cby) = fps[0].center(pa), fps[1].center(pb)
+            rc = fps[0].circumscribed_radius + fps[1].circumscribed_radius
+            near = np.hypot(cbx - cax + (vbx - vax) * t,
+                            cby - cay + (vby - vay) * t) <= rc + 1e-6
+            first = next((tk for tk in t[near].tolist()
+                          if sat_check(poses(tk)[0], fps[0], poses(tk)[1],
+                                       fps[1])), None)
+            if first is not None:
+                contacts += 1
+                assert ttc <= first   # no oracle contact is missed
+            if math.isfinite(ttc):
+                finite += 1
+                pa_t, pb_t = poses(ttc)
+                assert self._axis_gap(pa_t, fps[0], pb_t, fps[1]) <= 1e-6
+        assert 100 < contacts <= finite < 400

@@ -64,8 +64,8 @@ class TestSeverity:
 class TestProximity:
     def test_constant_distance(self):
         path = flat_path(n=11, dt=0.1)
-        target = TargetTrack("a", Footprint(0.5, 0.5), path.t.copy(),
-                             path.x.copy(), path.y + 5.0, np.zeros(len(path)))
+        # travels alongside the path, 5 m to its left
+        target = TargetTrack("a", Footprint(0.5, 0.5), Pose(0.0, 5.0), 20.0)
         w = CostWeights(K_prox=2.0)
         assert proximity_cost(path, [target], w) == pytest.approx(10.0)
 
@@ -74,10 +74,8 @@ class TestProximity:
 
     def test_min_dominance(self):
         path = flat_path(n=11, dt=0.1)
-        near = TargetTrack("near", Footprint(0.5, 0.5), path.t.copy(),
-                           path.x.copy(), path.y + 3.0, np.zeros(len(path)))
-        far = TargetTrack("far", Footprint(0.5, 0.5), path.t.copy(),
-                          path.x.copy(), path.y + 9.0, np.zeros(len(path)))
+        near = TargetTrack("near", Footprint(0.5, 0.5), Pose(0.0, 3.0), 20.0)
+        far = TargetTrack("far", Footprint(0.5, 0.5), Pose(0.0, 9.0), 20.0)
         w = CostWeights(K_prox=1.0)
         both = proximity_cost(path, [near, far], w)
         assert both == pytest.approx(proximity_cost(path, [near], w))
@@ -87,9 +85,8 @@ class TestRanking:
     def test_all_collide_rejected(self):
         ps, space = family()
         # a wall of targets across the corridor, inside every path's reach
-        targets = [TargetTrack.constant_velocity(
-            f"w{i}", Footprint(4.0, 4.0), Pose(25.0, y, 0.0), 0.0, 8.0)
-            for i, y in enumerate(np.arange(-4.0, 5.0, 2.0))]
+        targets = [TargetTrack(f"w{i}", Footprint(4.0, 4.0), Pose(25.0, y, 0.0))
+                   for i, y in enumerate(np.arange(-4.0, 5.0, 2.0))]
         ranked = rank_paths(ps, targets, space, FP, CostWeights())
         assert all(r.rejected is not None for r in ranked)
         assert select_path(ranked) is None
@@ -108,8 +105,7 @@ class TestRanking:
         # the path both leaves the corridor and collides: driveable wins
         ps, _ = family()
         narrow = DriveableSpace(-10, 300, 0.5, -0.5)
-        blocker = TargetTrack.constant_velocity(
-            "blk", Footprint(4.5, 1.8), Pose(40.0, 0.0, 0.0), 0.0, 8.0)
+        blocker = TargetTrack("blk", Footprint(4.5, 1.8), Pose(40.0, 0.0, 0.0))
         ranked = rank_paths(ps, [blocker], narrow, FP, CostWeights())
         assert all(r.rejected == REJECT_NOT_DRIVEABLE for r in ranked)
 
@@ -120,8 +116,8 @@ class TestRanking:
 
     def test_weight_scaling_preserves_argmin(self):
         ps, space = family()
-        target = TargetTrack.constant_velocity(
-            "vru", Footprint(0.5, 0.5), Pose(70.0, -2.0, math.pi / 2), 1.0, 8.0)
+        target = TargetTrack("vru", Footprint(0.5, 0.5),
+                             Pose(70.0, -2.0, math.pi / 2), 1.0)
         w = CostWeights(K_ay=0.3, K_ax=0.2, K_prox=-0.5)
         r1 = rank_paths(ps, [target], space, FP, w)
         r2 = rank_paths(ps, [target], space, FP,
@@ -170,12 +166,10 @@ class TestMonitor:
         ps, space = family()
         path = ps.paths[2]
         mid = path.pose_at(float(path.t[-1]) / 2)
-        blocker = TargetTrack.constant_velocity(
-            "blk", Footprint(2.0, 2.0), mid, 0.0, 8.0)
+        blocker = TargetTrack("blk", Footprint(2.0, 2.0), mid)
         verdict = monitor_selected(path, [blocker], space, FP)
         assert not verdict.valid
         assert verdict.reason == REJECT_COLLISION
-        assert verdict.report.first_collision_time is not None
 
     def test_narrowed_space_invalidates(self):
         ps, _ = family()
