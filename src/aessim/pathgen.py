@@ -12,7 +12,7 @@ accumulated heading so the path ends parallel to the road.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class PathTuning:
             raise ValueError("invalid path tuning")
         if self.n_tot < 1 or self.dt_presample <= 0:
             raise ValueError("invalid path tuning")
+        if self.y_offset < 0 or self.t_stabilize < 0:
+            raise ValueError("y_offset and t_stabilize must be non-negative")
 
 
 @dataclass
@@ -304,27 +306,92 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
     y_room / y_max, and path n additionally by sqrt(n / n_tot) on both the
     curvature and heading caps. Replanning calls it with the mid-manoeuvre
     state, whose curvature and heading the new paths start from.
-    """
-    try:
-        severe = build_max_severity_profile(init, cap, tuning, side)
-    except InfeasibleProfile as exc:
-        raise NoFeasiblePath(str(exc)) from exc
-    if abs(severe.rhos[2]) < 1e-12:
-        raise NoFeasiblePath(f"no curvature authority on the {side} side")
-    sampled = presample_profile(severe, tuning.dt_presample)
-    y_max = abs(sampled.terminal_offset)
-    if y_max < 1e-9:
-        raise NoFeasiblePath(f"no lateral authority on the {side} side")
 
-    x_reach = init.X + float(np.max(sampled.x))
-    y_room = space.lateral_extent(side, init.Y, init.X, x_reach)
+    The family's shape depends only on the side, psi, v_x, yaw_rate, the
+    capability record and the tuning; X and Y only set the corridor room and
+    translate the paths. The origin-relative family is therefore kept from
+    the previous call on this side (see _family) and only anchored here.
+    """
+    fam = _family(init, cap, tuning, side)
+    if isinstance(fam.reach, str):
+        raise NoFeasiblePath(fam.reach)
+    y_max, x_max = fam.reach
+    y_room = space.lateral_extent(side, init.Y, init.X, init.X + x_max)
     if y_room < tuning.min_lateral_clearance:
         raise NoFeasiblePath(
             f"{side} corridor of {y_room:.2f} m is below the "
             f"{tuning.min_lateral_clearance:.2f} m clearance")
 
     scale = min(1.0, y_room / y_max)
+    if fam.scale != scale.hex():
+        fam.paths = _relative_paths(init, cap, tuning, side, scale)
+        fam.scale = scale.hex()
+    if not fam.paths:
+        raise NoFeasiblePath(f"all {side} profiles infeasible")
     origin = Pose(init.X, init.Y, 0.0)
+    return PathSet(paths=[anchor_path(rel, origin) for rel in fam.paths],
+                   side=side)
+
+
+@dataclass
+class _Family:
+    """Origin-relative path family of one side for one key.
+
+    reach is (y_max, max x) of the pre-sampled maximum-severity path, or the
+    reason no path on this side is feasible; paths are the relative paths
+    for the scale whose float.hex is scale.
+    """
+
+    key: tuple
+    reach: tuple[float, float] | str
+    scale: str | None = None
+    paths: list[SampledPath] = field(default_factory=list)
+
+
+# The last family per side. Between planner cycles before engage the plant
+# gets no input, so psi, v_x and yaw_rate keep their bits and only X moves;
+# one family per side catches those repeats and keeps the memo to two.
+_families: dict[str, _Family] = {}
+_CAP_FIELDS = tuple(f.name for f in fields(CapabilityRecord))
+_TUNING_FIELDS = tuple(f.name for f in fields(PathTuning))
+
+
+def _bits(value):
+    """Floats by bit pattern: 0.0 == -0.0, and _mirror_init makes -0.0."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def _family(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
+            side: str) -> _Family:
+    key = (_bits(init.psi), _bits(init.v_x), _bits(init.yaw_rate),
+           *(_bits(getattr(cap, name)) for name in _CAP_FIELDS),
+           *(_bits(getattr(tuning, name)) for name in _TUNING_FIELDS))
+    fam = _families.get(side)
+    if fam is None or fam.key != key:
+        fam = _Family(key, _severe_reach(init, cap, tuning, side))
+        _families[side] = fam
+    return fam
+
+
+def _severe_reach(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
+                  side: str) -> tuple[float, float] | str:
+    try:
+        severe = build_max_severity_profile(init, cap, tuning, side)
+    except InfeasibleProfile as exc:
+        return str(exc)
+    if abs(severe.rhos[2]) < 1e-12:
+        return f"no curvature authority on the {side} side"
+    sampled = presample_profile(severe, tuning.dt_presample)
+    y_max = abs(sampled.terminal_offset)
+    if y_max < 1e-9:
+        return f"no lateral authority on the {side} side"
+    return y_max, float(np.max(sampled.x))
+
+
+def _relative_paths(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
+                    side: str, scale: float) -> list[SampledPath]:
+    """The family at one scale, starting at the origin, with read-only
+    arrays: every anchored copy shares t, rho, v and the profile."""
     paths: list[SampledPath] = []
     for n in range(1, tuning.n_tot + 1):
         f = scale * math.sqrt(n / tuning.n_tot)
@@ -336,11 +403,11 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
             continue
         if abs(prof_n.rhos[2]) < 1e-12:
             continue
-        path = anchor_path(presample_profile(prof_n, tuning.dt_presample),
-                           origin)
+        path = presample_profile(prof_n, tuning.dt_presample)
         path.index = n
         path.path_id = f"{side[0].upper()}{n}"
+        for arr in (path.t, path.rho, path.v,
+                    prof_n.times, prof_n.rhos, prof_n.vels):
+            arr.flags.writeable = False
         paths.append(path)
-    if not paths:
-        raise NoFeasiblePath(f"all {side} profiles infeasible")
-    return PathSet(paths=paths, side=side)
+    return paths

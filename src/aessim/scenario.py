@@ -45,7 +45,6 @@ class TargetDef:
     pose: Pose
     speed: float = 0.0
     appear_time: float = 0.0
-    type_tag: str = "vehicle"
     maneuver_time: float | None = None   # optional speed change instant [s]
     maneuver_speed: float | None = None  # speed after the change [m/s]
 
@@ -281,9 +280,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         seen.add(tid)
         tfp = _footprint(_section(entry, "footprint", required=True),
                          f"{label}.footprint")
+        # a label (vehicle, vru) that scenario files may carry; nothing reads it
+        entry.pop("type", None)
         kw = {}
-        if "type" in entry:
-            kw["type_tag"] = str(entry.pop("type"))
         man = _section(entry, "maneuver")
         if man:
             man = _numbers(man, f"{label}.maneuver", ("time", "speed"),

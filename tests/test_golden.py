@@ -26,12 +26,19 @@ enough for a one-ulp drift in the plant's integration to reach `X`.
 the loop reaches two branches no shipped scenario does: at 3.81 s the
 replan selects no path and the run aborts; at 3.55 s the run replans once
 and still ends in contact.
+
+`pathgen` keeps the last origin-relative path family per side, also from
+one run to the next in a process. The shipped and replanning runs are
+repeated with that memo emptied before every `generate_path_set` call and
+must hit the same digests.
 """
 import hashlib
 
 import pytest
 import yaml
 
+from aessim import pathgen, simloop
+from aessim.pathgen import generate_path_set
 from aessim.scenario import load_scenario, parse_scenario
 from aessim.simloop import run_scenario
 
@@ -114,14 +121,28 @@ def _digests(result, out_dir, keys):
             for key in keys}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artefacts_match_golden_digests(scenario_dir, tmp_path, name):
+def _check_shipped(scenario_dir, out_dir, name):
     result = run_scenario(load_scenario(scenario_dir / f"{name}.yaml"))
     want = GOLDEN[name]
     assert (result.outcome, result.reason,
             result.summary.get("engage_time"),
             result.summary.get("engage_path_id")) == want["outcome"]
-    assert _digests(result, tmp_path, want["digests"]) == want["digests"]
+    assert _digests(result, out_dir, want["digests"]) == want["digests"]
+
+
+def _check_replan(scenario_dir, out_dir, stop_time):
+    raw = yaml.safe_load((scenario_dir / "replanning.yaml").read_text())
+    raw["targets"][0]["maneuver"]["time"] = stop_time
+    result = run_scenario(parse_scenario(raw, default_name="replanning"))
+    want = REPLAN_RUNS[stop_time]
+    assert (result.outcome, result.reason,
+            len(result.trace.replan_events)) == want["outcome"]
+    assert _digests(result, out_dir, want["digests"]) == want["digests"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artefacts_match_golden_digests(scenario_dir, tmp_path, name):
+    _check_shipped(scenario_dir, tmp_path, name)
 
 
 def test_long_empty_road_matches_golden_digests(scenario_dir, tmp_path):
@@ -137,10 +158,49 @@ def test_long_empty_road_matches_golden_digests(scenario_dir, tmp_path):
 @pytest.mark.parametrize("stop_time", sorted(REPLAN_RUNS))
 def test_replanning_branches_match_golden_digests(scenario_dir, tmp_path,
                                                   stop_time):
-    raw = yaml.safe_load((scenario_dir / "replanning.yaml").read_text())
-    raw["targets"][0]["maneuver"]["time"] = stop_time
-    result = run_scenario(parse_scenario(raw, default_name="replanning"))
-    want = REPLAN_RUNS[stop_time]
-    assert (result.outcome, result.reason,
-            len(result.trace.replan_events)) == want["outcome"]
-    assert _digests(result, tmp_path, want["digests"]) == want["digests"]
+    _check_replan(scenario_dir, tmp_path, stop_time)
+
+
+def _cold_generate(*args, **kwargs):
+    pathgen._families.clear()
+    return generate_path_set(*args, **kwargs)
+
+
+@pytest.fixture
+def cold_families(monkeypatch):
+    monkeypatch.setattr(simloop, "generate_path_set", _cold_generate)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cold_path_families_match_golden_digests(scenario_dir, tmp_path,
+                                                 cold_families, name):
+    _check_shipped(scenario_dir, tmp_path, name)
+
+
+@pytest.mark.parametrize("stop_time", sorted(REPLAN_RUNS))
+def test_cold_path_families_match_replanning_digests(scenario_dir, tmp_path,
+                                                     cold_families, stop_time):
+    _check_replan(scenario_dir, tmp_path, stop_time)
+
+
+def test_runs_in_one_process_match_their_cold_runs(scenario_dir, tmp_path,
+                                                   monkeypatch):
+    """crossing_vru, then with another t_stabilize, then again: each run
+    engages from the initial ego state, which the previous run's last plans
+    left in the memo under the other tuning."""
+    raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+    slow = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+    slow["planner"]["t_stabilize"] = 0.6
+    keys = ("trace", "paths", "summary")
+
+    def digests(config, out):
+        result = run_scenario(parse_scenario(config))
+        return _digests(result, tmp_path / out, keys)
+
+    warm = [digests(config, f"warm{i}")
+            for i, config in enumerate((raw, slow, raw))]
+    monkeypatch.setattr(simloop, "generate_path_set", _cold_generate)
+    cold = [digests(config, f"cold{i}")
+            for i, config in enumerate((raw, slow, raw))]
+    assert warm == cold
+    assert cold[0] != cold[1]

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from aessim import pathgen
 from aessim.capability import CapabilityRecord, CapabilityScenario, EgoState
 from aessim.errors import InfeasibleProfile, NoFeasiblePath
 from aessim.geometry import DriveableSpace
@@ -291,3 +293,141 @@ class TestInvariantSuite:
             for t in np.linspace(0.0, prof.t9, 40):
                 assert abs(prof.heading_at(float(t))) \
                     <= tun.psi_max * (1 + 1e-6)
+
+
+MEMO_SPACE = DriveableSpace(-10.0, 300.0, 3.25, -3.25)
+
+
+def _outcome(args, side, cold):
+    """generate_path_set's result for (init, cap, tuning) in MEMO_SPACE, or
+    the NoFeasiblePath message; with cold the memo is emptied first."""
+    init, cap, tun = args
+    if cold:
+        pathgen._families.clear()
+    try:
+        return generate_path_set(init, cap, MEMO_SPACE, tun, side)
+    except NoFeasiblePath as exc:
+        return str(exc)
+
+
+def _assert_identical(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.side == want.side
+    assert len(got.paths) == len(want.paths)
+    for p, q in zip(got.paths, want.paths):
+        assert (p.path_id, p.index, p.side, p.frame) \
+            == (q.path_id, q.index, q.side, q.frame)
+        for name in ("t", "x", "y", "psi", "rho", "v"):
+            assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+        for name in ("times", "rhos", "vels"):
+            assert getattr(p.profile, name).tobytes() \
+                == getattr(q.profile, name).tobytes()
+        assert p.profile.psi0.hex() == q.profile.psi0.hex()
+
+
+def _memo_base():
+    init = EgoState(X=12.0, Y=0.3, psi=0.02, v_x=18.0, yaw_rate=0.01)
+    # braking row, clamped curvature, offset stretch: every field matters
+    cap = make_cap(rho_max=0.02, rho_dot=0.2, v=8.7, a_x=-9.3,
+                   scenario=CapabilityScenario.BRAKE_STEER)
+    tun = PathTuning(t_pb=1.0, psi_max=0.2, i_sb=0.8, rho_road=0.001,
+                     y_offset=0.3, t_stabilize=0.5, n_tot=4,
+                     dt_presample=0.01, min_lateral_clearance=1.0)
+    return init, cap, tun
+
+
+def _memo_variants():
+    """(warm arguments, arguments) pairs: each changes one key input of the
+    base by the least step."""
+    init, cap, tun = base = _memo_base()
+    out = []
+    for f in fields(CapabilityRecord):
+        value = getattr(cap, f.name)
+        moved = (CapabilityScenario.STEER if f.name == "scenario"
+                 else math.nextafter(value, math.inf))
+        out.append(pytest.param(base,
+                                (init, replace(cap, **{f.name: moved}), tun),
+                                id=f"cap.{f.name}"))
+    for f in fields(PathTuning):
+        value = getattr(tun, f.name)
+        moved = (value + 1 if isinstance(value, int)
+                 else math.nextafter(value, math.inf))
+        out.append(pytest.param(base,
+                                (init, cap, replace(tun, **{f.name: moved})),
+                                id=f"tuning.{f.name}"))
+    for name in ("psi", "v_x", "yaw_rate"):
+        moved = math.nextafter(getattr(init, name), math.inf)
+        out.append(pytest.param(base,
+                                (replace(init, **{name: moved}), cap, tun),
+                                id=f"init.{name}"))
+    for name in ("psi", "yaw_rate"):
+        for a, b in ((0.0, -0.0), (-0.0, 0.0)):
+            out.append(pytest.param((replace(init, **{name: a}), cap, tun),
+                                    (replace(init, **{name: b}), cap, tun),
+                                    id=f"init.{name}={a}->{b}"))
+    return out
+
+
+class TestFamilyMemo:
+    """generate_path_set keeps the last origin-relative family per side;
+    a warm call must return exactly what a cold one does."""
+
+    def test_warm_equals_cold_on_seeded_draws(self):
+        rng = np.random.default_rng(77)
+        scenarios = list(CapabilityScenario)
+        for _ in range(60):
+            v = float(rng.uniform(8.0, 30.0))
+            init = EgoState(X=float(rng.uniform(0.0, 50.0)),
+                            Y=float(rng.uniform(-2.5, 2.5)),
+                            psi=float(rng.choice([0.0, rng.uniform(-0.2, 0.2)])),
+                            v_x=v,
+                            yaw_rate=float(rng.choice([0.0,
+                                                       rng.uniform(-0.3, 0.3)])))
+            scenario = scenarios[rng.integers(len(scenarios))]
+            cap = make_cap(rho_max=float(rng.uniform(0.005, 0.1)),
+                           rho_dot=float(rng.uniform(0.05, 0.5)), v=v,
+                           a_x=-8.0 if scenario.pre_braking else 0.0,
+                           scenario=scenario)
+            tun = PathTuning(t_pb=float(rng.choice([0.0, 0.2])),
+                             psi_max=float(rng.uniform(0.05, 0.4)),
+                             i_sb=float(rng.uniform(0.3, 1.0)),
+                             y_offset=float(rng.choice([0.0, 0.5])),
+                             t_stabilize=float(rng.uniform(0.0, 1.0)),
+                             n_tot=int(rng.integers(1, 8)),
+                             min_lateral_clearance=float(rng.uniform(0.5, 2.0)))
+            side = str(rng.choice(["left", "right"]))
+            # after the previous draw: a miss; then a repeat moved only in
+            # X (a hit), then one whose corridor room and scale differ
+            for moved in (init, replace(init, X=init.X + 2.0),
+                          replace(init, Y=init.Y + 0.4)):
+                args = (moved, cap, tun)
+                warm = _outcome(args, side, cold=False)
+                _assert_identical(warm, _outcome(args, side, cold=True))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("warm_args, args", _memo_variants())
+    def test_every_key_field_misses(self, side, warm_args, args):
+        _outcome(warm_args, side, cold=True)
+        stale = pathgen._families[side]
+        warm = _outcome(args, side, cold=False)
+        assert pathgen._families[side] is not stale
+        _assert_identical(warm, _outcome(args, side, cold=True))
+
+    def test_shared_arrays_are_read_only(self):
+        path = _outcome(_memo_base(), "left", cold=True).paths[0]
+        for arr in (path.t, path.rho, path.v, path.profile.times,
+                    path.profile.rhos, path.profile.vels):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_one_family_per_side(self):
+        init, cap, tun = _memo_base()
+        for k in range(12):
+            side = ("left", "right")[k % 2]
+            _outcome((replace(init, v_x=init.v_x + k), cap, tun), side,
+                     cold=False)
+            assert set(pathgen._families) <= {"left", "right"}
+            for fam in pathgen._families.values():
+                assert len(fam.paths) <= tun.n_tot

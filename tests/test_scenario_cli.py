@@ -77,6 +77,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_scenario(raw)
 
+    def test_target_type_ignored_unknown_target_key_rejected(self):
+        target = {"id": "a", "footprint": {"length": 1, "width": 1}, "X": 5,
+                  "Y": 0, "type": "vru"}
+        cfg = parse_scenario(minimal(targets=[target]))
+        assert [td.track_id for td in cfg.targets] == ["a"]
+        with pytest.raises(ConfigError, match="unknown keys"):
+            parse_scenario(minimal(targets=[dict(target, kind="vru")]))
+
     def test_bad_mode(self):
         raw = minimal(control={"mode": "autopilot"})
         with pytest.raises(ConfigError, match="mode"):
@@ -129,6 +137,10 @@ REJECTED_AT_LOAD = {
     # no look-ahead: the run never engaged and ended collided
     "trigger_ttc_horizon_zero": {"trigger": {"ttc_horizon": 0.0}},
     "trigger_ttc_horizon_negative": {"trigger": {"ttc_horizon": -1.0}},
+    # t9 fell before t8 and the run engaged L1 at 3.27 s instead of R2
+    "planner_t_stabilize_negative": {"planner": {"t_stabilize": -1.0}},
+    # ran as 0: the constant-heading stretch only applies to y_offset > 0
+    "planner_y_offset_negative": {"planner": {"y_offset": -1.0}},
 }
 
 
@@ -161,6 +173,12 @@ class TestRejectedAtLoad:
         raw = minimal(capability={"a_y_threshold": -math.inf})
         with pytest.raises(ConfigError, match="finite"):
             parse_scenario(raw)
+
+    def test_zero_stabilize_and_offset_accepted(self):
+        cfg = parse_scenario(minimal(planner={"t_stabilize": 0.0,
+                                              "y_offset": 0.0}))
+        assert (cfg.path_tuning.t_stabilize, cfg.path_tuning.y_offset) \
+            == (0.0, 0.0)
 
     def test_non_number_rejected(self):
         raw = minimal()
