@@ -13,6 +13,8 @@ from enum import IntEnum
 
 from .errors import DegenerateSpeed
 
+G = 9.81  # gravitational constant [m/s^2]
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -31,7 +33,6 @@ class VehicleParams:
     S_f: float = 1.0    # front brake effectiveness, 0..1
     S_r: float = 1.0    # rear brake effectiveness, 0..1
     delta_max: float = 0.1  # max ground steering angle [rad]
-    g: float = 9.81     # gravitational constant [m/s^2]
 
     def __post_init__(self) -> None:
         if self.m <= 0 or self.a + self.b <= 0:
@@ -100,6 +101,8 @@ class CapabilityTuning:
     v_min: float = 1.0                 # minimum usable planning speed [m/s]
 
     def __post_init__(self) -> None:
+        if self.t_pb < 0:
+            raise ValueError("t_pb must be non-negative")
         if self.rho_dot_max <= 0:
             raise ValueError("rho_dot_max must be positive")
 
@@ -113,12 +116,13 @@ class CapabilityRecord:
     rho_max: float        # saturated steady-state curvature limit [1/m]
     rho_dot_max: float    # curvature rate limit [1/(m s)]
     v_x_evasion: float    # speed at the start of the steering phase [m/s]
+    t_pb: float = 0.0     # pre-braking time, 0 unless the scenario brakes [s]
 
 
 def axle_normal_forces(params: VehicleParams, a_x: float) -> tuple[float, float]:
     """Front/rear axle normal forces including longitudinal load transfer."""
     l = params.l
-    static = params.m * params.g
+    static = params.m * G
     transfer = params.h_cog / l * params.m * a_x
     f_front = params.a / l * static - transfer
     f_rear = params.b / l * static + transfer
@@ -135,7 +139,7 @@ def longitudinal_capability(params: VehicleParams, state: EgoState) -> float:
 def steering_curvature(params: VehicleParams, v_x: float) -> float:
     """Raw steady-state curvature achievable by steering alone [1/m]."""
     k_us = params.m / params.l * (params.b / params.C_f + params.a / params.C_r)
-    return abs(params.delta_max) / (params.l + k_us * v_x * v_x / params.g)
+    return abs(params.delta_max) / (params.l + k_us * v_x * v_x / G)
 
 
 def diff_braking_curvature(params: VehicleParams, v_x: float) -> float:
@@ -145,7 +149,7 @@ def diff_braking_curvature(params: VehicleParams, v_x: float) -> float:
     steady-state relation no longer bounds the curvature, so the result is
     +inf and the friction saturation governs.
     """
-    num = params.w * (params.C_f + params.C_r) * params.mu_min * params.m * params.g
+    num = params.w * (params.C_f + params.C_r) * params.mu_min * params.m * G
     den = 4.0 * (params.C_f * params.C_r
                  - params.m * v_x * v_x * (params.b * params.C_r - params.a * params.C_f))
     if den <= 0.0:
@@ -155,7 +159,7 @@ def diff_braking_curvature(params: VehicleParams, v_x: float) -> float:
 
 def friction_curvature_limit(params: VehicleParams, v_x: float) -> float:
     """Curvature bound from the friction-limited lateral acceleration."""
-    return params.mu_min * params.g / (v_x * v_x)
+    return params.mu_min * G / (v_x * v_x)
 
 
 def threshold_curvature_limit(a_y_threshold: float, v_x: float) -> float:
@@ -172,17 +176,20 @@ def lateral_capability(scenario: CapabilityScenario, params: VehicleParams,
                        state: EgoState, tuning: CapabilityTuning) -> CapabilityRecord:
     """Capability record for one actuation scenario.
 
-    Raises DegenerateSpeed when pre-braking would drop the speed to or below
-    the minimum planning speed.
+    The record carries the pre-braking time the path and the braking window
+    use: tuning.t_pb when the scenario pre-brakes, else 0. Raises
+    DegenerateSpeed when pre-braking would drop the speed to or below the
+    minimum planning speed.
     """
     if scenario.pre_braking:
+        t_pb = tuning.t_pb
         a_x_min = longitudinal_capability(params, state)
-        v_evade = prebraking_speed(a_x_min, tuning.t_pb, state.v_x)
+        v_evade = prebraking_speed(a_x_min, t_pb, state.v_x)
         if v_evade <= tuning.v_min:
             raise DegenerateSpeed(
-                f"pre-braking for {tuning.t_pb} s leaves {v_evade:.3f} m/s")
+                f"pre-braking for {t_pb} s leaves {v_evade:.3f} m/s")
     else:
-        a_x_min = 0.0
+        t_pb = a_x_min = 0.0
         v_evade = state.v_x
 
     raw = 0.0
@@ -195,5 +202,6 @@ def lateral_capability(scenario: CapabilityScenario, params: VehicleParams,
                   friction_curvature_limit(params, v_evade),
                   threshold_curvature_limit(tuning.a_y_threshold, v_evade))
     return CapabilityRecord(scenario=scenario, a_x_min=a_x_min, rho_max=rho_max,
-                            rho_dot_max=tuning.rho_dot_max, v_x_evasion=v_evade)
+                            rho_dot_max=tuning.rho_dot_max, v_x_evasion=v_evade,
+                            t_pb=t_pb)
 

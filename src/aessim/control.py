@@ -21,6 +21,8 @@ from .errors import PathExhausted, SpeedOutOfRange
 from .geometry import Pose
 from .pathgen import SampledPath
 
+U_MIN = 1.0  # gains diverge below this speed [m/s]
+
 
 class ControlMode(Enum):
     STEERING_ONLY = "steering"
@@ -36,7 +38,6 @@ class ControllerConfig:
     i_f: float = 0.7               # front share of the brake force
     i_r: float = 0.3               # rear share, i_f + i_r = 1
     brake_force_max: float = math.inf  # per-wheel cap [N]
-    u_min: float = 1.0             # gains diverge below this speed [m/s]
 
     def __post_init__(self) -> None:
         if self.sigma_1 >= 0 or self.sigma_2 >= 0:
@@ -157,8 +158,8 @@ def steady_state_slip(kappa: float, u: float, delta: float,
 def feedback_gains(params: VehicleParams, u_v: float,
                    cfg: ControllerConfig) -> np.ndarray:
     """Gain matrix (2 x 4): steering row, then moment row, zeroed per mode."""
-    if u_v < cfg.u_min:
-        raise SpeedOutOfRange(f"u={u_v:.2f} m/s below {cfg.u_min} m/s")
+    if u_v < U_MIN:
+        raise SpeedOutOfRange(f"u={u_v:.2f} m/s below {U_MIN} m/s")
     c_f, c_r = _signed_stiffness(params)
     args = (u_v, cfg.sigma_1, cfg.sigma_2, params.m, params.I_zz, params.l,
             params.a, params.b, c_f, c_r)
@@ -222,12 +223,11 @@ def allocate_brakes(m_z_ext: float, params: VehicleParams,
 
 
 def control_step(err: TrackingErrors, plant, params: VehicleParams,
-                 cfg: ControllerConfig,
-                 delta_driver: float = 0.0) -> ControlCommand:
+                 cfg: ControllerConfig) -> ControlCommand:
     """Feedback plus feedforward command, saturated and allocated.
 
-    delta_driver is the externally applied steering angle, relevant in
-    diff-brake-only mode where the system itself does not steer.
+    In diff-brake-only mode the system does not steer and the steering
+    angle stays 0.
     """
     k = feedback_gains(params, plant.u_v, cfg)
     c_f, c_r = _signed_stiffness(params)
@@ -236,8 +236,7 @@ def control_step(err: TrackingErrors, plant, params: VehicleParams,
 
     # reference the heading error to the steady-circle crab angle, so the
     # feedback vanishes at the exact tracking equilibrium
-    delta_ref = (delta_driver if cfg.mode is ControlMode.DIFF_BRAKE_ONLY
-                 else d_ff)
+    delta_ref = 0.0 if cfg.mode is ControlMode.DIFF_BRAKE_ONLY else d_ff
     psi_ref = steady_state_slip(err.kappa, plant.u_v, delta_ref,
                                 params) / plant.u_v
     e = err.vector()
@@ -245,18 +244,16 @@ def control_step(err: TrackingErrors, plant, params: VehicleParams,
 
     if cfg.mode is ControlMode.DIFF_BRAKE_ONLY:
         delta_cmd = 0.0
-        delta_actual = delta_driver
     else:
         delta_cmd = float(k[0] @ e) + d_ff
         delta_cmd = max(-params.delta_max, min(params.delta_max, delta_cmd))
-        delta_actual = delta_cmd
 
     if cfg.mode is ControlMode.STEERING_ONLY:
         return ControlCommand(delta_g=delta_cmd, M_z_ext=0.0)
 
     # the moment feedforward compensates only the deviation of the actual
     # (saturated) steering angle from the steady-state steering
-    m_ff = brake_feedforward_gain(delta_actual, err.kappa, plant.u_v,
+    m_ff = brake_feedforward_gain(delta_cmd, err.kappa, plant.u_v,
                                   params.m, params.l, params.a, params.b,
                                   c_f, c_r)
     m_cmd = float(k[1] @ e) + m_ff

@@ -25,7 +25,6 @@ from .geometry import DriveableSpace, Pose
 class PathTuning:
     """Shape parameters of the evasive profile."""
 
-    t_pb: float = 0.0          # pre-braking duration [s]
     psi_max: float = 0.2       # max heading relative to the road [rad]
     i_sb: float = 0.8          # stabilisation curvature ratio, (0, 1]
     rho_road: float = 0.0      # road curvature [1/m], constant
@@ -36,12 +35,14 @@ class PathTuning:
     min_lateral_clearance: float = 1.0  # least usable corridor width [m]
 
     def __post_init__(self) -> None:
-        if self.t_pb < 0 or self.psi_max <= 0 or not (0 < self.i_sb <= 1):
+        if self.psi_max <= 0 or not (0 < self.i_sb <= 1):
             raise ValueError("invalid path tuning")
         if self.n_tot < 1 or self.dt_presample <= 0:
             raise ValueError("invalid path tuning")
         if self.y_offset < 0 or self.t_stabilize < 0:
             raise ValueError("y_offset and t_stabilize must be non-negative")
+        if self.min_lateral_clearance <= 0:
+            raise ValueError("min_lateral_clearance must be positive")
 
 
 @dataclass
@@ -58,7 +59,6 @@ class CurvatureProfile:
     psi0: float
     direction: str                      # "left" | "right"
     capability: CapabilityRecord | None = None
-    tuning: PathTuning | None = None
 
     @property
     def t8(self) -> float:
@@ -71,13 +71,6 @@ class CurvatureProfile:
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-    def rho_at(self, t) -> np.ndarray:
-        """Piecewise-linear curvature, held constant past t9."""
-        return np.interp(t, self.times, self.rhos)
-
-    def v_at(self, t) -> np.ndarray:
-        return np.interp(t, self.times, self.vels)
 
     def heading_at(self, t: float) -> float:
         """Heading from trapezoidal integration of rho(t) * v(t) per segment."""
@@ -128,11 +121,6 @@ class SampledPath:
         """Lateral deviation of the final sample relative to the start."""
         return float(self.y[-1] - self.y[0])
 
-    def pose_at(self, t: float) -> Pose:
-        return Pose(float(np.interp(t, self.t, self.x)),
-                    float(np.interp(t, self.t, self.y)),
-                    float(np.interp(t, self.t, self.psi)))
-
     def suffix_from(self, tau: float) -> "SampledPath":
         """Remaining path from relative time tau, re-anchored to t=0."""
         keep = self.t >= tau - 1e-12
@@ -157,7 +145,6 @@ class PathSet:
     """Family of sampled paths on one side, ordered by curvature magnitude."""
 
     paths: list[SampledPath]
-    side: str
 
 
 def _mirror_init(init: EgoState) -> EgoState:
@@ -182,12 +169,10 @@ def build_max_severity_profile(init: EgoState, cap: CapabilityRecord,
         prof = _build_canonical(mirrored, cap, mtuning)
         return CurvatureProfile(times=prof.times, rhos=-prof.rhos,
                                 vels=prof.vels, psi0=-prof.psi0,
-                                direction="right", capability=cap,
-                                tuning=tuning)
+                                direction="right", capability=cap)
     prof = _build_canonical(init, cap, tuning)
     prof.direction = "left"
     prof.capability = cap
-    prof.tuning = tuning
     return prof
 
 
@@ -200,9 +185,8 @@ def _build_canonical(init: EgoState, cap: CapabilityRecord,
     rho_dot = cap.rho_dot_max
     rho_road = tuning.rho_road
 
-    # initiation: pre-braking only when the capability scenario brakes
-    t_pb = tuning.t_pb if cap.scenario.pre_braking else 0.0
-    t1 = t_pb
+    # initiation: pre-braking for the capability's time (0 unless it brakes)
+    t1 = cap.t_pb
     v1 = v0 + cap.a_x_min * t1
     rho1 = v0 * rho0 / v1 + rho_road if t1 > 0 else rho0
     psi_tot1 = 0.5 * (t1 * rho0 * v0 + t1 * rho1 * v1)
@@ -280,8 +264,8 @@ def presample_profile(profile: CurvatureProfile, dt: float) -> SampledPath:
         raise ValueError("dt must be positive")
     n = max(1, math.ceil(profile.duration / dt - 1e-12))
     t = profile.times[0] + dt * np.arange(n + 1)
-    rho = profile.rho_at(t)
-    v = profile.v_at(t)
+    rho = np.interp(t, profile.times, profile.rhos)
+    v = np.interp(t, profile.times, profile.vels)
     psi = np.empty_like(t)
     psi[0] = profile.psi0
     np.cumsum(rho[1:] * v[1:] * dt, out=psi[1:])
@@ -329,8 +313,7 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
     if not fam.paths:
         raise NoFeasiblePath(f"all {side} profiles infeasible")
     origin = Pose(init.X, init.Y, 0.0)
-    return PathSet(paths=[anchor_path(rel, origin) for rel in fam.paths],
-                   side=side)
+    return PathSet(paths=[anchor_path(rel, origin) for rel in fam.paths])
 
 
 @dataclass

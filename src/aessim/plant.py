@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capability import VehicleParams
+from .capability import G, VehicleParams
 from .control import ControlCommand
 from .errors import NumericalDivergence
 
@@ -89,7 +89,7 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
     u = s.u_v
     a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
-    ay_max = params.mu_min * params.g
+    ay_max = params.mu_min * G
     delta, m_ext = cmd.delta_g, cmd.M_z_ext
     saturated = False
 

@@ -1,9 +1,10 @@
 """Scenario configuration: schema definition, loading and validation.
 
 A scenario is a single YAML file with an explicit schema_version. All
-physical quantities are SI (metres, seconds, radians, newtons). An absent
-optional key takes the default of its config dataclass. Every
-number must be finite, except `capability.a_y_threshold` and
+physical quantities are SI (metres, seconds, radians, newtons). The keys of
+a section are the fields of the config dataclass it builds (see _config);
+an absent optional key takes the field's default. Every number must be
+finite, except `capability.a_y_threshold` and
 `control.brake_force_max`, where inf means no limit. A scenario that would
 fail or run wrongly because of its settings (non-finite numbers, a zero
 check step, a vehicle model unstable at the initial speed) is rejected here
@@ -12,14 +13,15 @@ with ConfigError rather than mid-run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import yaml
 
 from .capability import (CapabilityScenario, CapabilityTuning, EgoState,
                          VehicleParams)
-from .control import ControllerConfig, ControlMode
+from .control import ControllerConfig
 from .decision import TriggerConfig
 from .errors import ConfigError
 from .geometry import DriveableSpace, Footprint, Pose
@@ -28,12 +30,6 @@ from .plant import DT_MAX, assert_stable_vehicle
 from .ranking import CostWeights
 
 SCHEMA_VERSION = 1
-
-_MODES = {
-    "steering": ControlMode.STEERING_ONLY,
-    "diff_brake": ControlMode.DIFF_BRAKE_ONLY,
-    "combined": ControlMode.COMBINED,
-}
 
 
 @dataclass
@@ -102,58 +98,76 @@ def _section(raw: dict, key: str, required: bool = False) -> dict:
     return dict(value)
 
 
-def _num(section: dict, name: str, key: str, allow_inf: bool = False,
+def _num(value, label: str, allow_inf: bool = False,
          integer: bool = False) -> float | int:
-    """Pop a finite number from the section; with allow_inf, +inf (also
-    written as an empty entry) means no limit; with integer, the value must
-    be integral and is returned as an int."""
-    value = section.pop(key)
+    """A finite number; with allow_inf, +inf (also written as an empty
+    entry) means no limit; with integer, the value must be integral and is
+    returned as an int."""
     if allow_inf and value is None:
         return math.inf
     if isinstance(value, bool):  # float(True) would read as 1.0
-        raise ConfigError(f"'{name}.{key}' must be a number, found {value!r}")
+        raise ConfigError(f"'{label}' must be a number, found {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(
-            f"'{name}.{key}' must be a number, found {value!r}") from exc
+            f"'{label}' must be a number, found {value!r}") from exc
     if not (math.isfinite(number) or (allow_inf and number == math.inf)):
-        raise ConfigError(f"'{name}.{key}' must be finite, found {value!r}")
+        raise ConfigError(f"'{label}' must be finite, found {value!r}")
     if integer:
         if number != int(number):
-            raise ConfigError(
-                f"'{name}.{key}' must be an integer, found {value!r}")
+            raise ConfigError(f"'{label}' must be an integer, found {value!r}")
         return int(number)
     return number
 
 
-def _numbers(section: dict, name: str, keys: tuple[str, ...],
-             required: tuple[str, ...] = (), allow_inf: tuple[str, ...] = (),
-             integers: tuple[str, ...] = ()) -> dict:
-    """The numeric keys present in a section, as keyword arguments; an absent
-    key keeps the default of the config dataclass. Any key left in the
-    section afterwards is unknown."""
-    for key in required:
+def _config(cls, section: dict, name: str, skip: tuple[str, ...] = (),
+            rename: dict[str, str] | None = None,
+            required: tuple[str, ...] = (), **given):
+    """The config dataclass cls built from its scenario section.
+
+    Every field of cls not in skip or given is a key, named like the field
+    unless rename maps a key to it. A field without a default is required,
+    and so is every field in required; an absent key keeps the default. An
+    int field takes an integral number, a field whose default is inf also
+    takes inf, an Enum field takes the value of a member, and every other
+    field takes a finite number. Any other key is unknown. A ValueError
+    from cls becomes a ConfigError.
+    """
+    keys = {f: k for k, f in (rename or {}).items()}
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name in skip or f.name in given:
+            continue
+        key = keys.get(f.name, f.name)
+        label = f"{name}.{key}"
         if key not in section:
-            raise ConfigError(f"missing '{name}.{key}'")
-    kwargs = {key: _num(section, name, key, key in allow_inf, key in integers)
-              for key in keys if key in section}
+            if f.name in required or (f.default is MISSING
+                                      and f.default_factory is MISSING):
+                raise ConfigError(f"missing '{label}'")
+            continue
+        value = section.pop(key)
+        if isinstance(f.default, Enum):
+            members = type(f.default)
+            try:
+                kwargs[f.name] = members(value)
+            except ValueError as exc:
+                values = sorted(m.value for m in members)
+                raise ConfigError(
+                    f"'{label}' must be one of {values}") from exc
+        else:
+            kwargs[f.name] = _num(value, label, allow_inf=f.default == math.inf,
+                                  integer=f.type in (int, "int"))
     _no_leftovers(section, name)
-    return kwargs
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad '{name}': {exc}") from exc
 
 
 def _no_leftovers(section: dict, name: str) -> None:
     if section:
         raise ConfigError(f"unknown keys in '{name}': {sorted(section)}")
-
-
-def _footprint(section: dict, name: str) -> Footprint:
-    try:
-        return Footprint(**_numbers(section, name,
-                                    ("length", "width", "ref_offset"),
-                                    required=("length", "width")))
-    except ValueError as exc:
-        raise ConfigError(f"bad footprint in '{name}': {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -182,81 +196,37 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     name = str(raw.pop("name", default_name))
 
     veh = _section(raw, "vehicle", required=True)
-    fp = _footprint(_section(veh, "footprint")
-                    or {"length": 4.5, "width": 1.8, "ref_offset": 1.35},
-                    "vehicle.footprint")
-    try:
-        vehicle = VehicleParams(**_numbers(
-            veh, "vehicle", ("m", "a", "b", "h_cog", "w", "C_f", "C_r",
-                             "I_zz", "mu_f", "mu_r", "S_f", "S_r",
-                             "delta_max"),
-            required=("m", "a", "b", "h_cog", "w", "C_f", "C_r", "I_zz")))
-    except ValueError as exc:
-        raise ConfigError(f"bad vehicle parameters: {exc}") from exc
+    fp = _config(Footprint, _section(veh, "footprint")
+                 or {"length": 4.5, "width": 1.8, "ref_offset": 1.35},
+                 "vehicle.footprint")
+    vehicle = _config(VehicleParams, veh, "vehicle")
 
-    cap = _numbers(_section(raw, "capability"), "capability",
-                   ("scenario_id", "t_pb", "a_y_threshold", "rho_dot_max",
-                    "v_min"),
-                   allow_inf=("a_y_threshold",), integers=("scenario_id",))
+    cap = _section(raw, "capability")
+    scenario_id = _num(cap.pop("scenario_id", 6), "capability.scenario_id",
+                       integer=True)
     try:
-        cap_scenario = CapabilityScenario(cap.pop("scenario_id", 6))
+        cap_scenario = CapabilityScenario(scenario_id)
     except ValueError as exc:
         raise ConfigError(f"capability.scenario_id must be 1..6: {exc}") from exc
-    try:
-        cap_tuning = CapabilityTuning(**cap)
-    except ValueError as exc:
-        raise ConfigError(f"bad capability tuning: {exc}") from exc
+    cap_tuning = _config(CapabilityTuning, cap, "capability")
 
     pl = _section(raw, "planner")
     sides = pl.pop("sides", ["left", "right"])
     if (not isinstance(sides, list) or not sides
             or any(s not in ("left", "right") for s in sides)):
         raise ConfigError("planner.sides must be a non-empty list of left/right")
-    pl = _numbers(pl, "planner",
-                  ("psi_max", "i_sb", "rho_road", "y_offset", "t_stabilize",
-                   "n_paths", "dt_presample", "min_lateral_clearance"),
-                  integers=("n_paths",))
-    if "n_paths" in pl:
-        pl["n_tot"] = pl.pop("n_paths")
-    try:
-        path_tuning = PathTuning(t_pb=cap_tuning.t_pb, **pl)
-    except ValueError as exc:
-        raise ConfigError(f"bad planner tuning: {exc}") from exc
+    path_tuning = _config(PathTuning, pl, "planner",
+                          rename={"n_paths": "n_tot"})
+    weights = _config(CostWeights, _section(raw, "costs"), "costs")
+    trigger = _config(TriggerConfig, _section(raw, "trigger"), "trigger")
+    controller = _config(ControllerConfig, _section(raw, "control"), "control")
 
-    weights = CostWeights(**_numbers(_section(raw, "costs"), "costs",
-                                     ("K_ay", "K_ax", "K_prox")))
-
-    try:
-        trigger = TriggerConfig(**_numbers(
-            _section(raw, "trigger"), "trigger",
-            ("t_margin", "t_warning", "tte_reduction", "ttc_horizon")))
-    except ValueError as exc:
-        raise ConfigError(f"bad trigger config: {exc}") from exc
-
-    ct = _section(raw, "control")
-    mode = {}
-    if "mode" in ct:
-        mode_name = str(ct.pop("mode"))
-        if mode_name not in _MODES:
-            raise ConfigError(f"control.mode must be one of {sorted(_MODES)}")
-        mode["mode"] = _MODES[mode_name]
-    try:
-        controller = ControllerConfig(**mode, **_numbers(
-            ct, "control", ("sigma_1", "sigma_2", "i_f", "i_r",
-                            "brake_force_max"),
-            allow_inf=("brake_force_max",)))
-    except ValueError as exc:
-        raise ConfigError(f"bad control config: {exc}") from exc
-
-    road = DriveableSpace(**_numbers(
-        _section(raw, "road", required=True), "road",
-        ("x_start", "x_end", "y_left", "y_right"),
-        required=("x_start", "x_end", "y_left", "y_right")))
+    road = _config(DriveableSpace, _section(raw, "road", required=True), "road")
     if road.y_left <= road.y_right or road.x_end <= road.x_start:
         raise ConfigError("road bounds are inverted")
 
-    ego = EgoState(**_numbers(_section(raw, "ego", required=True), "ego",
-                              ("X", "Y", "psi", "v_x"), required=("v_x",)))
+    ego = _config(EgoState, _section(raw, "ego", required=True), "ego",
+                  skip=("a_x", "yaw_rate"), required=("v_x",))
     if ego.v_x <= 0:
         raise ConfigError("ego.v_x must be positive")
     try:
@@ -278,25 +248,25 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         if tid in seen:
             raise ConfigError(f"duplicate target id '{tid}'")
         seen.add(tid)
-        tfp = _footprint(_section(entry, "footprint", required=True),
-                         f"{label}.footprint")
+        tfp = _config(Footprint, _section(entry, "footprint", required=True),
+                      f"{label}.footprint")
         # a label (vehicle, vru) that scenario files may carry; nothing reads it
         entry.pop("type", None)
-        kw = {}
         man = _section(entry, "maneuver")
+        maneuver = {"maneuver_time": None, "maneuver_speed": None}
         if man:
-            man = _numbers(man, f"{label}.maneuver", ("time", "speed"),
-                           required=("time", "speed"))
-            kw.update(maneuver_time=man["time"], maneuver_speed=man["speed"])
-        kw.update(_numbers(entry, label,
-                           ("X", "Y", "psi", "speed", "appear_time"),
-                           required=("X", "Y")))
-        pose = Pose(**{k: kw.pop(k) for k in ("X", "Y", "psi") if k in kw})
-        targets.append(TargetDef(track_id=tid, footprint=tfp, pose=pose, **kw))
+            for key in ("time", "speed"):
+                if key not in man:
+                    raise ConfigError(f"missing '{label}.maneuver.{key}'")
+                maneuver[f"maneuver_{key}"] = _num(man.pop(key),
+                                                   f"{label}.maneuver.{key}")
+            _no_leftovers(man, f"{label}.maneuver")
+        pose = _config(Pose, {k: entry.pop(k) for k in ("X", "Y", "psi")
+                              if k in entry}, label, required=("X", "Y"))
+        targets.append(_config(TargetDef, entry, label, track_id=tid,
+                               footprint=tfp, pose=pose, **maneuver))
 
-    sim = SimSettings(**_numbers(
-        _section(raw, "sim"), "sim",
-        ("duration", "dt_plant", "dt_control", "planner_period", "dt_check")))
+    sim = _config(SimSettings, _section(raw, "sim"), "sim")
     if sim.duration <= 0 or sim.dt_check <= 0:
         raise ConfigError("sim.duration and sim.dt_check must be positive")
     if not 0.0 < sim.dt_plant <= DT_MAX:

@@ -77,9 +77,9 @@ def _predictions(cfg: ScenarioConfig, t: float) -> list[TargetTrack]:
             for td in cfg.targets if t >= td.appear_time]
 
 
-def _ego_state(plant: PlantState, a_x: float = 0.0) -> EgoState:
+def _ego_state(plant: PlantState) -> EgoState:
     return EgoState(X=plant.X, Y=plant.Y, psi=plant.psi, v_x=plant.u_v,
-                    a_x=a_x, yaw_rate=plant.r)
+                    yaw_rate=plant.r)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -205,9 +205,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             if prev.state is not AesState.IN_REGULATION:
                 engaged_ever = True
                 cap = candidate.profile.capability
-                t_pb = (cfg.cap_tuning.t_pb if cap.scenario.pre_braking else 0.0)
                 reg = _Regulation(path=sup.selected_path, anchor=t,
-                                  capability=cap, prebrake_until=t + t_pb)
+                                  capability=cap, prebrake_until=t + cap.t_pb)
                 engage_info = {
                     "engage_time": t, "engage_ttc": ttc, "engage_tte": tte,
                     "engage_path_id": sup.selected_path.path_id,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aessim.capability import (CapabilityScenario, CapabilityTuning, EgoState,
-                               VehicleParams, diff_braking_curvature,
+from aessim.capability import (G, CapabilityScenario, CapabilityTuning,
+                               EgoState, VehicleParams, diff_braking_curvature,
                                friction_curvature_limit, lateral_capability,
                                longitudinal_capability,
                                prebraking_speed, steering_curvature,
@@ -167,7 +167,7 @@ class TestProperties:
             except DegenerateSpeed:
                 continue
             v_e = rec.v_x_evasion
-            assert rec.rho_max <= p.mu_min * p.g / v_e**2 + 1e-12
+            assert rec.rho_max <= p.mu_min * G / v_e**2 + 1e-12
             assert rec.rho_max <= tun.a_y_threshold / v_e**2 + 1e-12
             assert rec.a_x_min <= 0.0
             assert rec.rho_max >= 0.0

@@ -22,6 +22,14 @@ The shipped runs last at most a few seconds. `LONG_RUN` adds shipped
 `empty_road` at a non-default speed for 30 s (30 000 RK4 substeps), long
 enough for a one-ulp drift in the plant's integration to reach `X`.
 
+The CSV files print floats with 10 significant digits, so a change in the
+last bits of a value can leave them byte-identical. Each run therefore also
+pins `exact`, a digest of the in-memory trace rows and path events with
+every float at full precision (`float.hex`). A reordered sum in the plant's
+RK4 step (the Y stages summed as `y1 + y4 + 2*y2 + 2*y3`) moves it on
+`crossing_vru`, `stalled_car`, `replanning` and both `REPLAN_RUNS`, while
+every CSV digest holds.
+
 `REPLAN_RUNS` move the stop of shipped `replanning`'s pedestrian, so that
 the loop reaches two branches no shipped scenario does: at 3.81 s the
 replan selects no path and the run aborts; at 3.55 s the run replans once
@@ -49,6 +57,7 @@ GOLDEN = {
             "trace": "8dc66d64a56f911509df20d7bc5a7aaddc6947f03343c91b7441de419504ce31",
             "paths": "c1d4039c8770e3f24b05d309faf646a49d234d6f3ba129e63fc9eec2c5ecea00",
             "summary": "ce5be353ad5887c4b3b121e593d31c08dc092b53b554aa3e54d9a365799e344f",
+            "exact": "2190e121a4ed14f02a83dfebcfdb39bc23cb6ec83d1a09670cbdbc154d42797f",
         },
     },
     "crossing_vru": {
@@ -57,6 +66,7 @@ GOLDEN = {
             "trace": "7ce6d520892771979d3639fe057a8954d636f08ffbffdeaaf68ceb03823f2077",
             "paths": "064687295ac429b3c9f3358c782b70b69ddc1a1a3e8a456c726be1746dc11e85",
             "summary": "ba4e61fc61e9638a00d977fb8d8f04d448fe84e02007c977a127e96fa50dd14f",
+            "exact": "56d7c765dafa08a0aa421e57368eabace7c28e66a3ef6c1b516314aad53d2ed7",
         },
     },
     "empty_road": {
@@ -65,6 +75,7 @@ GOLDEN = {
             "trace": "473d98ce7a3ae0cc7ea399ae8bbb2ffb12f1e4cb07620ca9eb5e2d5e756ec80f",
             "paths": "da4481a25bcc50493e254c10585abc4d096b10b499f74b13bc16435450459bfc",
             "summary": "618201d5c73d7b6ff96e67442e86af7a2e0597f9f5cb5568481fc09746413f19",
+            "exact": "3d740f89419496731c6446f212e7f03d6fe04871be3a6848a5a8e00c7342b360",
         },
     },
     "replanning": {
@@ -73,6 +84,7 @@ GOLDEN = {
             "trace": "2b373945741ccdc289189bca424de035b15a1818ed8a0733be356526b49c0d1f",
             "paths": "22485e0afb5fbbe96c2db7254df979d5e798263433ba9c65b2f12c340d9929ff",
             "summary": "06d8a2d0b34bd25d552bef0874cbb55049471f3751e637b4669b1b8492d92eff",
+            "exact": "5f173456382c0dfda5e5b58e7e66736b57626c94bf4a4393be3ab63c80df4f1f",
         },
     },
     "stalled_car": {
@@ -81,6 +93,7 @@ GOLDEN = {
             "trace": "501943cd16b5bd508d002998cd685c7b96691545b599ca8db58718830acb883a",
             "paths": "58ec316a4a82a8482d24d900826c5201c2997fc0dfc51d1388a8bfef85344d86",
             "summary": "78e64d79b05611514ab37902ff4a430edfae82a2f63e60860c74cfefb56f1deb",
+            "exact": "e758047c91b1043f02e96c0a630c18c0ab982fb9398efd0825ba18b0cd68e469",
         },
     },
 }
@@ -91,6 +104,7 @@ LONG_RUN = {
         "trace": "86e3d2ad514a357929fc0fa74437d24d6fe98beba1ab46208cb37aeb3bf494b4",
         "paths": "da4481a25bcc50493e254c10585abc4d096b10b499f74b13bc16435450459bfc",
         "summary": "c23ddfd4701dde6d2321db7832c6632baea887653d002c12005d0792cbcabe76",
+        "exact": "d4f76ec1c97eea53329d197341e897dacb2bcd62c73a7fdf42b4883241bc3504",
     },
 }
 
@@ -102,6 +116,7 @@ REPLAN_RUNS = {
             "trace": "c92c3cb48fb023300e7fc37f3012b3a3da0d59b13c227b505a48008ad0213219",
             "paths": "7abb2fc595cc18cd859d139bcd9824c5d5e7da461df6aea0d8dd325c5fd9a028",
             "summary": "3850f0b9814996528d96653049c896c6f4bb41152a317e72be6eeab6a81ec65c",
+            "exact": "94c3d0fe2ae86add810502a157ff478980d855ceba792b6ccd857c808ae768e8",
         },
     },
     3.55: {
@@ -110,14 +125,27 @@ REPLAN_RUNS = {
             "trace": "be2ca566f7e76824bd2c338d48990b838aa57e97766efe59b85aba699a9dc2a8",
             "paths": "9bd0195db7d8ce54b2ebfe1496aff49406b181763e3eda2fa53f8fffd0596e4a",
             "summary": "ccdbe98fd1e995986433c475c0b9ad0c332e4e1cb31fe4c2d6b814ed719ce40b",
+            "exact": "ac78d21ae46a72f03f1c857a2e9f9c6994aa83d3c0306cb36a4eaf1002e78423",
         },
     },
 }
 
 
+def _exact_digest(trace):
+    """sha256 of the trace rows and path events at full precision: every
+    float by float.hex, every other cell by repr."""
+    h = hashlib.sha256()
+    for table in (trace.rows, trace.path_events):
+        for row in table:
+            h.update(",".join(v.hex() if isinstance(v, float) else repr(v)
+                              for v in row).encode() + b"\n")
+    return h.hexdigest()
+
+
 def _digests(result, out_dir, keys):
     files = result.trace.write(out_dir)
-    return {key: hashlib.sha256(files[key].read_bytes()).hexdigest()
+    return {key: (_exact_digest(result.trace) if key == "exact" else
+                  hashlib.sha256(files[key].read_bytes()).hexdigest())
             for key in keys}
 
 
@@ -191,7 +219,7 @@ def test_runs_in_one_process_match_their_cold_runs(scenario_dir, tmp_path,
     raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
     slow = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
     slow["planner"]["t_stabilize"] = 0.6
-    keys = ("trace", "paths", "summary")
+    keys = ("trace", "paths", "summary", "exact")
 
     def digests(config, out):
         result = run_scenario(parse_scenario(config))

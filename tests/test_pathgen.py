@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from aessim import pathgen
-from aessim.capability import CapabilityRecord, CapabilityScenario, EgoState
+from aessim.capability import (CapabilityRecord, CapabilityScenario,
+                               CapabilityTuning, EgoState, lateral_capability)
 from aessim.errors import InfeasibleProfile, NoFeasiblePath
 from aessim.geometry import DriveableSpace
 from aessim.pathgen import (CurvatureProfile, PathTuning,
@@ -15,9 +16,9 @@ from aessim.geometry import Pose
 
 
 def make_cap(rho_max=0.1, rho_dot=0.2, v=20.0, a_x=0.0,
-             scenario=CapabilityScenario.STEER):
+             scenario=CapabilityScenario.STEER, t_pb=0.0):
     return CapabilityRecord(scenario=scenario, a_x_min=a_x, rho_max=rho_max,
-                            rho_dot_max=rho_dot, v_x_evasion=v)
+                            rho_dot_max=rho_dot, v_x_evasion=v, t_pb=t_pb)
 
 
 def family_scale(ps, cap):
@@ -90,17 +91,19 @@ class TestBreakpoints:
 
     def test_prebraking_initiation(self):
         cap = make_cap(a_x=-9.81, v=17.057,
-                       scenario=CapabilityScenario.BRAKE_STEER)
-        tun = PathTuning(t_pb=0.3, psi_max=0.2)
+                       scenario=CapabilityScenario.BRAKE_STEER, t_pb=0.3)
+        tun = PathTuning(psi_max=0.2)
         prof = build_max_severity_profile(rest_init(20.0), cap, tun)
         assert prof.times[1] == pytest.approx(0.3)
         assert prof.vels[1] == pytest.approx(20.0 - 9.81 * 0.3, rel=1e-12)
         assert np.all(prof.vels[1:] == prof.vels[1])
 
-    def test_no_prebraking_for_steer_only_rows(self):
-        cap = make_cap(scenario=CapabilityScenario.STEER)
-        tun = PathTuning(t_pb=0.3, psi_max=0.2)
-        prof = build_max_severity_profile(rest_init(), cap, tun)
+    def test_no_prebraking_for_steer_only_rows(self, ref_params):
+        cap = lateral_capability(CapabilityScenario.STEER, ref_params,
+                                 rest_init(), CapabilityTuning(t_pb=0.3))
+        assert cap.t_pb == 0.0
+        prof = build_max_severity_profile(rest_init(), cap,
+                                          PathTuning(psi_max=0.2))
         assert prof.times[1] == 0.0
 
     def test_times_nondecreasing_and_rate_bound(self):
@@ -174,7 +177,11 @@ class TestPathSet:
             n = path.index
             f = scale * math.sqrt(n / 4)
             assert path.profile.capability.rho_max == f * cap.rho_max
-            assert path.profile.tuning.psi_max == f * tun.psi_max
+            rebuilt = build_max_severity_profile(
+                rest_init(), replace(cap, rho_max=f * cap.rho_max),
+                replace(tun, psi_max=f * tun.psi_max), "left")
+            assert np.array_equal(path.profile.times, rebuilt.times)
+            assert np.array_equal(path.profile.rhos, rebuilt.rhos)
 
     def test_reference_family_stays_inside(self):
         cap = make_cap(rho_max=0.0245)
@@ -314,7 +321,6 @@ def _assert_identical(got, want):
     if isinstance(want, str):
         assert got == want
         return
-    assert got.side == want.side
     assert len(got.paths) == len(want.paths)
     for p, q in zip(got.paths, want.paths):
         assert (p.path_id, p.index, p.side, p.frame) \
@@ -331,8 +337,8 @@ def _memo_base():
     init = EgoState(X=12.0, Y=0.3, psi=0.02, v_x=18.0, yaw_rate=0.01)
     # braking row, clamped curvature, offset stretch: every field matters
     cap = make_cap(rho_max=0.02, rho_dot=0.2, v=8.7, a_x=-9.3,
-                   scenario=CapabilityScenario.BRAKE_STEER)
-    tun = PathTuning(t_pb=1.0, psi_max=0.2, i_sb=0.8, rho_road=0.001,
+                   scenario=CapabilityScenario.BRAKE_STEER, t_pb=1.0)
+    tun = PathTuning(psi_max=0.2, i_sb=0.8, rho_road=0.001,
                      y_offset=0.3, t_stabilize=0.5, n_tot=4,
                      dt_presample=0.01, min_lateral_clearance=1.0)
     return init, cap, tun
@@ -390,8 +396,9 @@ class TestFamilyMemo:
                            rho_dot=float(rng.uniform(0.05, 0.5)), v=v,
                            a_x=-8.0 if scenario.pre_braking else 0.0,
                            scenario=scenario)
-            tun = PathTuning(t_pb=float(rng.choice([0.0, 0.2])),
-                             psi_max=float(rng.uniform(0.05, 0.4)),
+            t_pb = float(rng.choice([0.0, 0.2]))
+            cap = replace(cap, t_pb=t_pb if scenario.pre_braking else 0.0)
+            tun = PathTuning(psi_max=float(rng.uniform(0.05, 0.4)),
                              i_sb=float(rng.uniform(0.3, 1.0)),
                              y_offset=float(rng.choice([0.0, 0.5])),
                              t_stabilize=float(rng.uniform(0.0, 1.0)),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aessim.capability import VehicleParams
+from aessim.capability import G, VehicleParams
 from aessim.control import ControlCommand, WheelForces
 from aessim.errors import NumericalDivergence
 from aessim.plant import (U_FLOOR, V_LAT_LIMIT, YAW_RATE_LIMIT, PlantState,
@@ -127,7 +127,7 @@ def numpy_plant_step(s, cmd, params, a_x_cmd, dt):
     a21, a22 = A[1]
     b11 = B[0, 0]
     b21, b22 = B[1]
-    ay_max = params.mu_min * params.g
+    ay_max = params.mu_min * G
     delta, m_ext = cmd.delta_g, cmd.M_z_ext
     saturated = False
 

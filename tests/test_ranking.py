@@ -165,7 +165,9 @@ class TestMonitor:
     def test_shifted_prediction_invalidates(self):
         ps, space = family()
         path = ps.paths[2]
-        mid = path.pose_at(float(path.t[-1]) / 2)
+        t_mid = float(path.t[-1]) / 2
+        mid = Pose(*(float(np.interp(t_mid, path.t, a))
+                     for a in (path.x, path.y, path.psi)))
         blocker = TargetTrack("blk", Footprint(2.0, 2.0), mid)
         verdict = monitor_selected(path, [blocker], space, FP)
         assert not verdict.valid

@@ -2,14 +2,22 @@ import importlib.util
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
 
+from aessim.capability import CapabilityTuning, EgoState, VehicleParams
 from aessim.cli import main
+from aessim.control import ControllerConfig
+from aessim.decision import TriggerConfig
 from aessim.errors import AesError, ConfigError
-from aessim.scenario import load_scenario, parse_scenario
+from aessim.geometry import DriveableSpace, Footprint, Pose
+from aessim.pathgen import PathTuning
+from aessim.ranking import CostWeights
+from aessim.scenario import (SimSettings, TargetDef, load_scenario,
+                             parse_scenario)
 from aessim.simloop import run_scenario
 from aessim.trace import TraceLog, emit_plot_data
 
@@ -141,6 +149,12 @@ REJECTED_AT_LOAD = {
     "planner_t_stabilize_negative": {"planner": {"t_stabilize": -1.0}},
     # ran as 0: the constant-heading stretch only applies to y_offset > 0
     "planner_y_offset_negative": {"planner": {"y_offset": -1.0}},
+    # with road.x_end: 20 the corridor room past the road end is 0, so the
+    # family scale and psi_max became 0: "invalid path tuning" mid-run
+    "planner_min_lateral_clearance_zero":
+        {"planner": {"min_lateral_clearance": 0.0}},
+    "planner_min_lateral_clearance_negative":
+        {"planner": {"min_lateral_clearance": -0.5}},
 }
 
 
@@ -185,6 +199,108 @@ class TestRejectedAtLoad:
         raw["vehicle"]["m"] = [2000.0]
         with pytest.raises(ConfigError, match="vehicle.m"):
             parse_scenario(raw)
+
+
+# The schema as an explicit table. Per section (its path in the raw
+# mapping): every accepted key with a valid value, the required keys, the
+# config dataclasses the section builds, and names that must not be keys.
+# A field of those dataclasses that is not an accepted key must be refused
+# as unknown, so a new field cannot become a YAML key unnoticed.
+SCHEMA = {
+    ("vehicle",): (
+        {"m": 2000.0, "a": 1.4, "b": 1.6, "h_cog": 0.55, "w": 1.6,
+         "C_f": 1e5, "C_r": 1e5, "I_zz": 3500.0, "mu_f": 1.0, "mu_r": 1.0,
+         "S_f": 1.0, "S_r": 1.0, "delta_max": 0.1, "footprint": None},
+        {"m", "a", "b", "h_cog", "w", "C_f", "C_r", "I_zz"},
+        (VehicleParams,), {"g"}),
+    ("vehicle", "footprint"): (
+        {"length": 4.5, "width": 1.8, "ref_offset": 1.35},
+        {"length", "width"}, (Footprint,), set()),
+    ("capability",): (
+        {"scenario_id": 6, "t_pb": 0.0, "a_y_threshold": "inf",
+         "rho_dot_max": 0.2, "v_min": 1.0},
+        set(), (CapabilityTuning,), set()),
+    ("planner",): (
+        {"sides": ["left", "right"], "psi_max": 0.2, "i_sb": 0.8,
+         "rho_road": 0.0, "y_offset": 0.0, "t_stabilize": 0.5, "n_paths": 6,
+         "dt_presample": 0.01, "min_lateral_clearance": 1.0},
+        set(), (PathTuning,), {"n_tot", "t_pb"}),
+    ("costs",): (
+        {"K_ay": 1.0, "K_ax": 1.0, "K_prox": 0.0},
+        set(), (CostWeights,), set()),
+    ("trigger",): (
+        {"t_margin": 0.15, "t_warning": 0.3, "tte_reduction": 0.0,
+         "ttc_horizon": 5.0},
+        set(), (TriggerConfig,), set()),
+    ("control",): (
+        {"mode": "combined", "sigma_1": -3.0, "sigma_2": -3.0, "i_f": 0.7,
+         "i_r": 0.3, "brake_force_max": "inf"},
+        set(), (ControllerConfig,), {"u_min"}),
+    ("road",): (
+        {"x_start": -10.0, "x_end": 150.0, "y_left": 3.25, "y_right": -3.25},
+        {"x_start", "x_end", "y_left", "y_right"}, (DriveableSpace,), set()),
+    ("ego",): (
+        {"X": 0.0, "Y": 0.0, "psi": 0.0, "v_x": 20.0},
+        {"v_x"}, (EgoState,), {"a_x", "yaw_rate"}),
+    ("sim",): (
+        {"duration": 1.0, "dt_plant": 0.001, "dt_control": 0.01,
+         "planner_period": 0.1, "dt_check": 0.1},
+        set(), (SimSettings,), set()),
+    ("targets", 0): (
+        {"id": "a", "type": "vru", "footprint": None, "maneuver": None,
+         "X": 40.0, "Y": 0.0, "psi": 0.0, "speed": 1.0, "appear_time": 0.0},
+        {"footprint", "X", "Y"}, (TargetDef, Pose), {"maneuver_time"}),
+    ("targets", 0, "footprint"): (
+        {"length": 0.5, "width": 0.5, "ref_offset": 0.0},
+        {"length", "width"}, (Footprint,), set()),
+    ("targets", 0, "maneuver"): (
+        {"time": 0.5, "speed": 0.0}, {"time", "speed"}, (), set()),
+}
+
+
+def _schema_raw(path=None, key=None, value=None, drop=False):
+    """A scenario holding every accepted key of SCHEMA; with path and key,
+    that key dropped or set to value."""
+    def at(where):
+        holder = raw
+        for step in where:
+            holder = holder[step]
+        return holder
+
+    raw = {"schema_version": 1, "targets": [None]}
+    for where, (accepted, *_) in SCHEMA.items():
+        at(where[:-1])[where[-1]] = dict(accepted)
+    if drop:
+        del at(path)[key]
+    elif path is not None:
+        at(path)[key] = value
+    return raw
+
+
+class TestSchemaTable:
+    def test_every_accepted_key_loads(self):
+        cfg = parse_scenario(_schema_raw())
+        assert cfg.targets[0].maneuver_time == 0.5
+
+    @pytest.mark.parametrize("path", list(SCHEMA), ids=str)
+    def test_required_keys(self, path):
+        accepted, required, _, _ = SCHEMA[path]
+        for key in accepted:
+            raw = _schema_raw(path, key, drop=True)
+            if key in required:
+                with pytest.raises(ConfigError, match="missing"):
+                    parse_scenario(raw)
+            else:
+                parse_scenario(raw)
+
+    @pytest.mark.parametrize("path", list(SCHEMA), ids=str)
+    def test_other_names_are_unknown_keys(self, path):
+        accepted, _, classes, not_keys = SCHEMA[path]
+        names = {f.name for cls in classes for f in fields(cls)} | not_keys
+        assert not_keys.isdisjoint(accepted)
+        for name in sorted(names - set(accepted)):
+            with pytest.raises(ConfigError, match="unknown keys"):
+                parse_scenario(_schema_raw(path, name, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -364,7 +480,7 @@ class TestCli:
         assert rc in (0, 1, 2)
         want = parse_scenario({**raw, "capability": {**raw["capability"],
                                                      "t_pb": 0.3}})
-        assert want.path_tuning.t_pb == want.cap_tuning.t_pb == 0.3
+        assert want.cap_tuning.t_pb == 0.3
         swept = (tmp_path / "out" / "0.3" / "paths.csv").read_text()
         assert swept == _paths_csv(want, tmp_path / "want")
 
