@@ -90,6 +90,11 @@ class CapabilityScenario(IntEnum):
         return self in (self.BRAKE_DIFF, self.BRAKE_STEER_DIFF, self.DIFF,
                         self.STEER_DIFF)
 
+    @property
+    def without_prebraking(self) -> "CapabilityScenario":
+        """The same actuators without pre-braking (1-3 become 4-6)."""
+        return CapabilityScenario(self + 3) if self.pre_braking else self
+
 
 @dataclass
 class CapabilityTuning:
@@ -105,6 +110,8 @@ class CapabilityTuning:
             raise ValueError("t_pb must be non-negative")
         if self.rho_dot_max <= 0:
             raise ValueError("rho_dot_max must be positive")
+        if self.v_min < 0:
+            raise ValueError("v_min must be non-negative")
 
 
 @dataclass

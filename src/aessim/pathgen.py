@@ -164,21 +164,20 @@ def build_max_severity_profile(init: EgoState, cap: CapabilityRecord,
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
     if direction == "right":
-        mirrored = _mirror_init(init)
-        mtuning = replace(tuning, rho_road=-tuning.rho_road)
-        prof = _build_canonical(mirrored, cap, mtuning)
-        return CurvatureProfile(times=prof.times, rhos=-prof.rhos,
-                                vels=prof.vels, psi0=-prof.psi0,
-                                direction="right", capability=cap)
-    prof = _build_canonical(init, cap, tuning)
-    prof.direction = "left"
-    prof.capability = cap
-    return prof
+        times, rhos, vels, psi0 = _build_canonical(
+            _mirror_init(init), cap,
+            replace(tuning, rho_road=-tuning.rho_road))
+        rhos, psi0 = -rhos, -psi0
+    else:
+        times, rhos, vels, psi0 = _build_canonical(init, cap, tuning)
+    return CurvatureProfile(times=times, rhos=rhos, vels=vels, psi0=psi0,
+                            direction=direction, capability=cap)
 
 
-def _build_canonical(init: EgoState, cap: CapabilityRecord,
-                     tuning: PathTuning) -> CurvatureProfile:
-    """Left-evading profile; the caller mirrors for right evasion."""
+def _build_canonical(init: EgoState, cap: CapabilityRecord, tuning: PathTuning
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Breakpoint times, curvatures and speeds and the initial heading of the
+    left-evading profile; the caller mirrors them for right evasion."""
     v0 = init.v_x
     rho0 = init.yaw_rate / v0
     psi0 = init.psi
@@ -250,8 +249,7 @@ def _build_canonical(init: EgoState, cap: CapabilityRecord,
     rhos = np.array([rho0, rho1, rho2, rho3, rho4, rho5, rho6, rho7, rho8,
                      rho_road])
     vels = np.array([v0] + [v] * 9)
-    return CurvatureProfile(times=times, rhos=rhos, vels=vels, psi0=psi0,
-                            direction="left")
+    return times, rhos, vels, psi0
 
 
 def presample_profile(profile: CurvatureProfile, dt: float) -> SampledPath:

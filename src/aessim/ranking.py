@@ -38,12 +38,6 @@ class RankedPath:
     total: float = 0.0
 
 
-@dataclass
-class PathValidity:
-    valid: bool
-    reason: str | None = None
-
-
 def severity_cost(path: SampledPath, w: CostWeights) -> float:
     """Severity from lateral (v^2 rho) and longitudinal (dv/dt) terms."""
     if len(path) < 2:
@@ -70,22 +64,31 @@ def proximity_cost(path: SampledPath, targets, w: CostWeights) -> float:
     return w.K_prox * float(np.mean(dmin))
 
 
+def _rejection(path: SampledPath, targets, space: DriveableSpace,
+               fp: Footprint, dt_check: float) -> str | None:
+    """Why the path is rejected, or None if it is clear. The driveable check
+    runs before the collision check, so a path failing both reports
+    not_driveable."""
+    if not driveable_area_check(path, space, fp):
+        return REJECT_NOT_DRIVEABLE
+    if collision_check(path, targets, fp, dt_check).collides:
+        return REJECT_COLLISION
+    return None
+
+
 def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
                fp: Footprint, w: CostWeights,
                dt_check: float = 0.1) -> list[RankedPath]:
     """Reject or cost every path of the set; input order is preserved.
 
     Paths must be expressed in the same frame as the space and the target
-    predictions. The driveable check runs before the collision check, so a
-    path failing both reports not_driveable.
+    predictions.
     """
     ranked: list[RankedPath] = []
     for path in path_set.paths:
-        if not driveable_area_check(path, space, fp):
-            ranked.append(RankedPath(path=path, rejected=REJECT_NOT_DRIVEABLE))
-            continue
-        if collision_check(path, targets, fp, dt_check).collides:
-            ranked.append(RankedPath(path=path, rejected=REJECT_COLLISION))
+        rejected = _rejection(path, targets, space, fp, dt_check)
+        if rejected is not None:
+            ranked.append(RankedPath(path=path, rejected=rejected))
             continue
         sev = severity_cost(path, w)
         prox = proximity_cost(path, targets, w)
@@ -108,7 +111,6 @@ def select_path(ranked: list[RankedPath],
     if path.profile is not None and abs(path.dt - dt_fine) > 1e-12:
         fine = anchor_path(presample_profile(path.profile, dt_fine),
                            path.frame)
-        fine.side = path.side
         fine.index = path.index
         fine.path_id = path.path_id
         return fine
@@ -116,10 +118,7 @@ def select_path(ranked: list[RankedPath],
 
 
 def monitor_selected(path: SampledPath, targets, space: DriveableSpace,
-                     fp: Footprint, dt_check: float = 0.1) -> PathValidity:
-    """Re-check the remaining part of the active path against fresh data."""
-    if not driveable_area_check(path, space, fp):
-        return PathValidity(valid=False, reason=REJECT_NOT_DRIVEABLE)
-    if collision_check(path, targets, fp, dt_check).collides:
-        return PathValidity(valid=False, reason=REJECT_COLLISION)
-    return PathValidity(valid=True)
+                     fp: Footprint, dt_check: float = 0.1) -> str | None:
+    """Re-check the remaining part of the active path against fresh data:
+    the rejection reason, or None while the path stays valid."""
+    return _rejection(path, targets, space, fp, dt_check)

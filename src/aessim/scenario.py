@@ -26,7 +26,7 @@ from .decision import TriggerConfig
 from .errors import ConfigError
 from .geometry import DriveableSpace, Footprint, Pose
 from .pathgen import PathTuning
-from .plant import DT_MAX, assert_stable_vehicle
+from .plant import DT_MAX, U_FLOOR, assert_stable_vehicle
 from .ranking import CostWeights
 
 SCHEMA_VERSION = 1
@@ -227,8 +227,8 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
 
     ego = _config(EgoState, _section(raw, "ego", required=True), "ego",
                   skip=("a_x", "yaw_rate"), required=("v_x",))
-    if ego.v_x <= 0:
-        raise ConfigError("ego.v_x must be positive")
+    if ego.v_x < U_FLOOR:  # the plant would speed a slower ego up to it
+        raise ConfigError(f"ego.v_x must be at least {U_FLOOR} m/s")
     try:
         assert_stable_vehicle(vehicle, ego.v_x)
     except ValueError as exc:

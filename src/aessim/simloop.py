@@ -1,19 +1,20 @@
 """Closed-loop scenario orchestration.
 
 One deterministic loop steps the plant at dt_plant, the controller and
-supervisor at dt_control and the planner at planner_period. Each planner
-cycle recomputes the capability, generates and ranks path sets on the
-configured sides, refreshes the time-to-evade of the best candidate and,
-once in regulation, monitors the active path and replans when it becomes
-invalid.
+supervisor at dt_control and the planner at planner_period. Each tick runs
+the paper's three steps: while monitoring or warning, trigger on the TTC of
+the no-action path against the TTE of the best candidate path, which each
+planner cycle replans; once in regulation, track the supervisor's selected
+path, re-check its remainder each planner cycle, and replan from the
+current state on its side when the check rejects it. The supervisor state is
+the only record of the manoeuvre; a new selected path re-anchors tracking.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .capability import (CapabilityRecord, CapabilityScenario, EgoState,
-                         lateral_capability)
+from .capability import CapabilityScenario, EgoState, lateral_capability
 from .control import (ControlCommand, control_step, path_to_vehicle_frame,
                       tracking_errors)
 from .decision import (AesState, SupervisorEvents, SupervisorState, Trigger,
@@ -41,12 +42,6 @@ EXIT_CODES = {
     OUTCOME_ABORTED: 2,
 }
 
-_NO_PREBRAKE = {
-    CapabilityScenario.BRAKE_STEER: CapabilityScenario.STEER,
-    CapabilityScenario.BRAKE_DIFF: CapabilityScenario.DIFF,
-    CapabilityScenario.BRAKE_STEER_DIFF: CapabilityScenario.STEER_DIFF,
-}
-
 
 @dataclass
 class RunResult:
@@ -58,16 +53,6 @@ class RunResult:
     @property
     def exit_code(self) -> int:
         return EXIT_CODES[self.outcome]
-
-
-@dataclass
-class _Regulation:
-    """Book-keeping for the active manoeuvre."""
-
-    path: SampledPath
-    anchor: float
-    capability: CapabilityRecord
-    prebrake_until: float
 
 
 def _predictions(cfg: ScenarioConfig, t: float) -> list[TargetTrack]:
@@ -101,11 +86,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     candidate: SampledPath | None = None
     last_ranked: list[RankedPath] = []
     tte: float | None = None
-    reg: _Regulation | None = None
-    engaged_ever = False
+    anchor = brake_until = a_x_min = 0.0  # set at engage
     force_complete = False
     outcome = None
-    reason = ""
     engage_info: dict = {}
     max_abs_ay = 0.0
     max_abs_ye = 0.0
@@ -140,94 +123,91 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 terminal_y=r.path.terminal_offset)
         return select_path(ranked_all, dt_ctrl), ranked_all
 
+    def plan_and_trigger(t: float, preds, ttc: float,
+                         kind: str | None) -> Trigger:
+        """Plan a fresh candidate when given a path-event kind, then weigh
+        the TTC against the candidate's time-to-evade."""
+        nonlocal candidate, last_ranked, tte
+        if kind is not None:
+            candidate, last_ranked = plan(t, preds, kind, cfg.cap_scenario,
+                                          cfg.sides)
+            tte = (None if candidate is None
+                   else compute_tte(candidate.profile, cfg.trigger))
+        if tte is None:
+            return Trigger.NONE
+        return evaluate_triggers(ttc, tte, cfg.trigger)
+
     for k in range(n_ticks + 1):
         t = k * dt_ctrl
         preds = _predictions(cfg, t)
-        targets_present = bool(preds)
         planner_tick = (k % planner_every == 0)
-
-        events = SupervisorEvents(targets_present=targets_present)
+        events = SupervisorEvents(targets_present=bool(preds))
         ttc = math.inf
-        ttc_evaluated = False
-        trigger_evaluated = False
+        triggering = sup.state in (AesState.MONITORING, AesState.WARNING)
 
-        if sup.state in (AesState.MONITORING, AesState.WARNING):
-            ttc_evaluated = targets_present
-            if not targets_present:
+        # trigger: TTC of the no-action path against the candidate's TTE
+        if triggering:
+            if not preds:
                 candidate, tte = None, None
-            kind = "plan" if targets_present and planner_tick else None
             ttc = compute_ttc(_ego_state(plant), preds, fp,
                               cfg.trigger.ttc_horizon)
-            while True:
-                if kind is not None:
-                    candidate, last_ranked = plan(t, preds, kind,
-                                                  cfg.cap_scenario, cfg.sides)
-                    tte = (compute_tte(candidate.profile, cfg.trigger)
-                           if candidate is not None and candidate.profile
-                           else None)
-                if tte is None or candidate is None:
-                    events.trigger = Trigger.NONE
-                    break
-                events.trigger = evaluate_triggers(ttc, tte, cfg.trigger)
-                trigger_evaluated = True
-                if (kind is not None or events.trigger is not Trigger.ENGAGE
-                        or sup.state is not AesState.WARNING):
-                    break
+            events.trigger = plan_and_trigger(
+                t, preds, ttc, "plan" if preds and planner_tick else None)
+            if (events.trigger is Trigger.ENGAGE and not planner_tick
+                    and sup.state is AesState.WARNING):
                 # regenerate at the engage tick so the executed path starts
                 # exactly at the current vehicle state
-                kind = "engage_plan"
+                events.trigger = plan_and_trigger(t, preds, ttc,
+                                                  "engage_plan")
             events.candidate_path = candidate
 
-        if sup.state is AesState.IN_REGULATION and reg is not None:
-            tau = t - reg.anchor
-            complete = force_complete or tau >= reg.path.profile.duration - 1e-9
+        # regulation: monitor the selected path, replan from it when invalid
+        if sup.state is AesState.IN_REGULATION:
+            path = sup.selected_path
+            tau = t - anchor
+            complete = force_complete or tau >= path.profile.duration - 1e-9
             events.manoeuvre_complete = complete
             if not complete and planner_tick:
-                verdict = monitor_selected(reg.path.suffix_from(tau), preds,
-                                           space, fp, cfg.sim.dt_check)
-                if not verdict.valid:
+                rejected = monitor_selected(path.suffix_from(tau), preds,
+                                            space, fp, cfg.sim.dt_check)
+                if rejected is not None:
                     events.path_valid = False
-                    replanned, _ = plan(
-                        t, preds, "replan",
-                        _NO_PREBRAKE.get(cfg.cap_scenario, cfg.cap_scenario),
-                        [reg.path.side])
+                    replanned, _ = plan(t, preds, "replan",
+                                        cfg.cap_scenario.without_prebraking,
+                                        [path.side])
                     events.replanned_path = replanned
                     if replanned is not None:
                         trace.add_replan_event(
-                            t, verdict.reason,
+                            t, rejected,
                             rho0_path=float(replanned.profile.rhos[0]),
                             rho0_plant=plant.r / plant.u_v)
 
         prev = sup
         sup = step_state_machine(sup, events)
+        regulating = sup.state is AesState.IN_REGULATION
 
-        if sup.state is AesState.IN_REGULATION:
-            if prev.state is not AesState.IN_REGULATION:
-                engaged_ever = True
-                cap = candidate.profile.capability
-                reg = _Regulation(path=sup.selected_path, anchor=t,
-                                  capability=cap, prebrake_until=t + cap.t_pb)
-                engage_info = {
-                    "engage_time": t, "engage_ttc": ttc, "engage_tte": tte,
-                    "engage_path_id": sup.selected_path.path_id,
-                    "engage_side": sup.selected_path.side,
-                    "engage_speed": plant.u_v,
-                }
-                trace.snapshot_candidates(_mark_selected(last_ranked,
-                                                         sup.selected_path))
-            elif sup.selected_path is not reg.path:
-                reg = replace(reg, path=sup.selected_path, anchor=t)
-                force_complete = False
+        if regulating and prev.state is not AesState.IN_REGULATION:
+            cap = sup.selected_path.profile.capability
+            anchor, brake_until, a_x_min = t, t + cap.t_pb, cap.a_x_min
+            engage_info = {
+                "engage_time": t, "engage_ttc": ttc, "engage_tte": tte,
+                "engage_path_id": sup.selected_path.path_id,
+                "engage_side": sup.selected_path.side,
+                "engage_speed": plant.u_v,
+            }
+            trace.snapshot_candidates(last_ranked, sup.selected_path)
+        elif regulating and sup.selected_path is not prev.selected_path:
+            anchor, force_complete = t, False
 
         # control and actuation for this tick
         cmd = ControlCommand()
         a_x_cmd = 0.0
         y_e = psi_e = None
-        if sup.state is AesState.IN_REGULATION:
-            if t < reg.prebrake_until:
-                a_x_cmd = reg.capability.a_x_min
+        if regulating:
+            if t < brake_until:
+                a_x_cmd = a_x_min
             local = path_to_vehicle_frame(
-                reg.path, Pose(plant.X, plant.Y, plant.psi))
+                sup.selected_path, Pose(plant.X, plant.Y, plant.psi))
             try:
                 err = tracking_errors(local, plant)
                 cmd = control_step(err, plant, params, cfg.controller)
@@ -247,11 +227,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             "t": t, "state": sup.state.value, "X": plant.X, "Y": plant.Y,
             "psi": plant.psi, "u_v": plant.u_v, "v_v": plant.v_v,
             "r": plant.r, "a_y": a_y, "ay_sat": plant.ay_saturated,
-            "ttc": ttc if ttc_evaluated else None,
-            "tte": tte if trigger_evaluated else None,
+            "ttc": ttc if triggering and preds else None,
+            "tte": tte if triggering else None,
             "trigger": events.trigger.value,
-            "path_id": (reg.path.path_id
-                        if sup.state is AesState.IN_REGULATION else None),
+            "path_id": sup.selected_path.path_id if regulating else None,
             "y_e": y_e, "psi_e": psi_e, "delta_g": cmd.delta_g,
             "M_z": cmd.M_z_ext, "F_fl": cmd.brakes.fl, "F_fr": cmd.brakes.fr,
             "F_rl": cmd.brakes.rl, "F_rr": cmd.brakes.rr,
@@ -296,7 +275,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 break
 
     if outcome is None:
-        outcome = OUTCOME_AVOIDED if engaged_ever else OUTCOME_NO_TRIGGER
+        outcome = OUTCOME_AVOIDED if engage_info else OUTCOME_NO_TRIGGER
         reason = "duration reached"
 
     summary = {
@@ -306,7 +285,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         "reason": reason,
         "final_state": sup.state.value,
         "t_end": plant.t,
-        "engaged": engaged_ever,
+        "engaged": bool(engage_info),
         "max_abs_ay": max_abs_ay,
         "max_abs_ye": max_abs_ye,
         "min_distance": {k: (v if math.isfinite(v) else None)
@@ -318,15 +297,3 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     trace.summary = summary
     return RunResult(outcome=outcome, reason=reason, summary=summary,
                      trace=trace)
-
-
-def _mark_selected(ranked: list[RankedPath],
-                   selected: SampledPath) -> list[RankedPath]:
-    out = []
-    for r in ranked:
-        if r.rejected is None and r.path.path_id == selected.path_id \
-                and r.path.side == selected.side:
-            out.append(replace(r, rejected="selected"))
-        else:
-            out.append(r)
-    return out

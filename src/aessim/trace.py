@@ -59,12 +59,15 @@ class TraceLog:
             "rho0_plant": float(rho0_plant),
         })
 
-    def snapshot_candidates(self, ranked) -> None:
-        """Keep decimated polylines of the path set active at engagement."""
+    def snapshot_candidates(self, ranked, selected) -> None:
+        """Keep decimated polylines of the path set active at engagement,
+        marking the survivor the selected path was resampled from."""
         self.engage_candidates = []
+        chosen = (selected.path_id, selected.side)
         for r in ranked:
             p = r.path
-            status = r.rejected or "survivor"
+            status = r.rejected or ("selected" if (p.path_id, p.side) == chosen
+                                    else "survivor")
             self.engage_candidates.append({
                 "path_id": p.path_id,
                 "status": status,

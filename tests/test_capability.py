@@ -100,6 +100,15 @@ class TestLateral:
             lateral_capability(CapabilityScenario.BRAKE_STEER, p,
                                EgoState(v_x=3.0), CapabilityTuning(t_pb=1.0))
 
+    def test_zero_v_min_still_guards_a_stopped_evasion(self):
+        p = make_params()
+        with pytest.raises(ValueError, match="v_min"):
+            CapabilityTuning(v_min=-0.1)
+        with pytest.raises(DegenerateSpeed):
+            lateral_capability(CapabilityScenario.BRAKE_STEER, p,
+                               EgoState(v_x=3.0),
+                               CapabilityTuning(t_pb=1.0, v_min=0.0))
+
     def test_threshold_saturation(self):
         p = make_params()
         tun = CapabilityTuning(a_y_threshold=4.0)
@@ -150,6 +159,16 @@ class TestTable:
                 assert rec.v_x_evasion == pytest.approx(17.057, abs=1e-9)
             else:
                 assert rec.v_x_evasion == 20.0
+
+    @pytest.mark.parametrize("scenario, bare",
+                             [(1, 4), (2, 5), (3, 6), (4, 4), (5, 5), (6, 6)])
+    def test_without_prebraking_keeps_the_actuators(self, scenario, bare):
+        scenario = CapabilityScenario(scenario)
+        got = scenario.without_prebraking
+        assert got is CapabilityScenario(bare)
+        assert not got.pre_braking
+        assert (got.steering, got.diff_braking) == \
+            (scenario.steering, scenario.diff_braking)
 
 
 class TestProperties:

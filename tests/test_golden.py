@@ -21,6 +21,11 @@ that moved were re-recorded.
 The shipped runs last at most a few seconds. `LONG_RUN` adds shipped
 `empty_road` at a non-default speed for 30 s (30 000 RK4 substeps), long
 enough for a one-ulp drift in the plant's integration to reach `X`.
+`HEADING_RUN` drives the same road for 30 s with a small initial heading.
+On a straight heading every RK4 stage derivative of `X` is the same `u`,
+so any order of the X-stage sum rounds alike; with a heading the stages
+differ, and summing them as `x1 + x4 + 2*x2 + 2*x3` moves its `exact`
+digest while `LONG_RUN` and every shipped run hold.
 
 The CSV files print floats with 10 significant digits, so a change in the
 last bits of a value can leave them byte-identical. Each run therefore also
@@ -108,6 +113,16 @@ LONG_RUN = {
     },
 }
 
+HEADING_RUN = {
+    "overrides": {"sim": {"duration": 30.0},
+                  "ego": {"psi": 0.02, "v_x": 20.0}},
+    "digests": {
+        "trace": "f38d29d2ac6f6ae9614babf12a563d6fe19054cf2930b95c2be2c779ce2aab96",
+        "paths": "da4481a25bcc50493e254c10585abc4d096b10b499f74b13bc16435450459bfc",
+        "summary": "c23ddfd4701dde6d2321db7832c6632baea887653d002c12005d0792cbcabe76",
+        "exact": "e5d53617f0d04a876a2f4ce9b44ee9f510be6ae75bf0f6854bf6cdb009ecd12b",
+    },
+}
 
 REPLAN_RUNS = {
     3.81: {
@@ -173,14 +188,22 @@ def test_artefacts_match_golden_digests(scenario_dir, tmp_path, name):
     _check_shipped(scenario_dir, tmp_path, name)
 
 
-def test_long_empty_road_matches_golden_digests(scenario_dir, tmp_path):
+def _check_long(scenario_dir, out_dir, run):
     raw = yaml.safe_load((scenario_dir / "empty_road.yaml").read_text())
-    for section, values in LONG_RUN["overrides"].items():
+    for section, values in run["overrides"].items():
         raw[section].update(values)
     result = run_scenario(parse_scenario(raw, default_name="empty_road"))
     assert result.summary["t_end"] == pytest.approx(30.0)
-    want = LONG_RUN["digests"]
-    assert _digests(result, tmp_path, want) == want
+    want = run["digests"]
+    assert _digests(result, out_dir, want) == want
+
+
+def test_long_empty_road_matches_golden_digests(scenario_dir, tmp_path):
+    _check_long(scenario_dir, tmp_path, LONG_RUN)
+
+
+def test_heading_empty_road_matches_golden_digests(scenario_dir, tmp_path):
+    _check_long(scenario_dir, tmp_path, HEADING_RUN)
 
 
 @pytest.mark.parametrize("stop_time", sorted(REPLAN_RUNS))

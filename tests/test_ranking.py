@@ -159,8 +159,7 @@ class TestSelect:
 class TestMonitor:
     def test_unchanged_world_valid(self):
         ps, space = family()
-        verdict = monitor_selected(ps.paths[2], [], space, FP)
-        assert verdict.valid
+        assert monitor_selected(ps.paths[2], [], space, FP) is None
 
     def test_shifted_prediction_invalidates(self):
         ps, space = family()
@@ -169,13 +168,10 @@ class TestMonitor:
         mid = Pose(*(float(np.interp(t_mid, path.t, a))
                      for a in (path.x, path.y, path.psi)))
         blocker = TargetTrack("blk", Footprint(2.0, 2.0), mid)
-        verdict = monitor_selected(path, [blocker], space, FP)
-        assert not verdict.valid
-        assert verdict.reason == REJECT_COLLISION
+        assert monitor_selected(path, [blocker], space, FP) == REJECT_COLLISION
 
     def test_narrowed_space_invalidates(self):
         ps, _ = family()
         narrow = DriveableSpace(-10, 300, 0.95, -0.95)
-        verdict = monitor_selected(ps.paths[-1], [], narrow, FP)
-        assert not verdict.valid
-        assert verdict.reason == REJECT_NOT_DRIVEABLE
+        assert (monitor_selected(ps.paths[-1], [], narrow, FP)
+                == REJECT_NOT_DRIVEABLE)

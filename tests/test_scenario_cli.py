@@ -155,6 +155,12 @@ REJECTED_AT_LOAD = {
         {"planner": {"min_lateral_clearance": 0.0}},
     "planner_min_lateral_clearance_negative":
         {"planner": {"min_lateral_clearance": -0.5}},
+    # a 5 s pre-braking phase took the pre-braked speed below zero:
+    # "math domain error" mid-run
+    "capability_v_min_negative":
+        {"capability": {"scenario_id": 3, "t_pb": 5.0, "v_min": -100.0}},
+    # below the plant's speed floor: the plant ran the ego at 1.0 m/s
+    "ego_v_x_below_plant_floor": {"ego": {"v_x": 0.5}},
 }
 
 
