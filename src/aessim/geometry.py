@@ -8,10 +8,24 @@ operations in numpy's order, so for finite poses it returns the same bits as
 the array formula it replaced: a corner is `(cx + l*c) - w*s`, projected as
 `x*ax + y*ay`. Any change to an expression here changes the run artefacts;
 `tests/test_golden.py` guards them.
+
+`driveable_area_check` decides a path that `pathgen` anchored by a pure
+translation (X, Y) from the axis-aligned box of the footprint corners of its
+origin-relative source, computed once per source and footprint with the
+per-sample corner expressions and translated per call. An anchored corner,
+`((X + rx) + p) + q) - r` in floats, is four roundings away from the exact
+sum; the box corner is three on the relative sample and one more for the
+translation. Each rounding errs by at most one unit roundoff of
+`|X| + |Y| + size`, where size bounds the relative samples plus the
+footprint's reach, so the two differ by at most 8 of them. The box decides
+only when every corridor edge clears it by more than the band `_BOX_BAND`
+times that sum, and the per-sample test decides every other case, so the
+answer is the per-sample test's, bit for bit.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,20 +183,70 @@ def sat_check(pose_a: Pose, fp_a: Footprint,
     return True
 
 
+def _corner_arrays(path, fp: Footprint):
+    """(x, y) arrays of each footprint corner over the path samples."""
+    c, s = np.cos(path.psi), np.sin(path.psi)
+    cx = path.x + fp.ref_offset * c
+    cy = path.y + fp.ref_offset * s
+    hl, hw = 0.5 * fp.length, 0.5 * fp.width
+    for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
+        yield cx + dx * c - dy * s, cy + dx * s + dy * c
+
+
+def _corner_box(path, fp: Footprint) -> tuple[float, ...]:
+    """(x_lo, x_hi, y_lo, y_hi, size): the box of every corner at every
+    sample, and a bound on |coordinate| of the samples plus the footprint's
+    reach from them."""
+    corners = list(_corner_arrays(path, fp))
+    xs = np.concatenate([x for x, _ in corners])
+    ys = np.concatenate([y for _, y in corners])
+    size = (max(float(np.max(np.abs(path.x))), float(np.max(np.abs(path.y))))
+            + abs(fp.ref_offset) + 0.5 * fp.length + 0.5 * fp.width)
+    return (float(xs.min()), float(xs.max()), float(ys.min()),
+            float(ys.max()), size)
+
+
+# Band per metre of |X| + |Y| + size: 32 unit roundoffs (u = eps/2) against
+# the 8 by which box and corners can differ and 1 more for the band's own
+# addition or subtraction.
+_BOX_BAND = 16 * sys.float_info.epsilon
+
+
+def _box_verdict(path, space: DriveableSpace, fp: Footprint) -> bool | None:
+    """The driveable answer from the corner box of the path's relative
+    source, or None when it has none or a corridor edge lies within the
+    rounding band of the translated box."""
+    rel = path.relative
+    if rel is None:
+        return None
+    box = rel.corner_boxes.get(fp)
+    if box is None:
+        box = rel.corner_boxes[fp] = _corner_box(rel, fp)
+    x_lo, x_hi, y_lo, y_hi, size = box
+    X, Y = path.frame.X, path.frame.Y
+    band = _BOX_BAND * (abs(X) + abs(Y) + size)
+    x_lo, x_hi, y_lo, y_hi = x_lo + X, x_hi + X, y_lo + Y, y_hi + Y
+    if (x_lo - band > space.x_start and x_hi + band < space.x_end
+            and y_lo - band > space.y_right and y_hi + band < space.y_left):
+        return True
+    if (x_lo + band < space.x_start or x_hi - band > space.x_end
+            or y_lo + band < space.y_right or y_hi - band > space.y_left):
+        return False
+    return None
+
+
 def driveable_area_check(path, space: DriveableSpace, fp: Footprint) -> bool:
     """True when the swept footprint stays inside the corridor.
 
     All four footprint corners must lie inside the corridor at every path
-    sample, so a path reaching past x_end is not driveable.
+    sample, so a path reaching past x_end is not driveable. A path anchored
+    from a kept family is decided by its source's corner box (module
+    docstring) unless an edge lies within the rounding band.
     """
-    xs, ys, psis = path.x, path.y, path.psi
-    c, s = np.cos(psis), np.sin(psis)
-    cx = xs + fp.ref_offset * c
-    cy = ys + fp.ref_offset * s
-    hl, hw = 0.5 * fp.length, 0.5 * fp.width
-    for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-        corner_x = cx + dx * c - dy * s
-        corner_y = cy + dx * s + dy * c
+    verdict = _box_verdict(path, space, fp)
+    if verdict is not None:
+        return verdict
+    for corner_x, corner_y in _corner_arrays(path, fp):
         if not np.all(space.contains(corner_x, corner_y)):
             return False
     return True

@@ -108,6 +108,16 @@ class SampledPath:
     side: str = "left"
     index: int = 0
     path_id: str = ""
+    # The origin-relative family path of which this one is a translation by
+    # frame.X, frame.Y, set by generate_path_set. Neither field is an init
+    # field, so dataclasses.replace (suffix_from, anchor_path) never carries
+    # them over to a copy with other samples.
+    relative: SampledPath | None = field(default=None, init=False,
+                                         repr=False, compare=False)
+    # Corner boxes of this family path per footprint, filled by the
+    # driveable check of the paths anchored from it
+    corner_boxes: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -292,7 +302,9 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
     The family's shape depends only on the side, psi, v_x, yaw_rate, the
     capability record and the tuning; X and Y only set the corridor room and
     translate the paths. The origin-relative family is therefore kept from
-    the previous call on this side (see _family) and only anchored here.
+    the previous call on this side (see _family) and only anchored here;
+    each anchored path links its relative source, whose corner boxes the
+    driveable check keeps.
     """
     fam = _family(init, cap, tuning, side)
     if isinstance(fam.reach, str):
@@ -311,7 +323,12 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
     if not fam.paths:
         raise NoFeasiblePath(f"all {side} profiles infeasible")
     origin = Pose(init.X, init.Y, 0.0)
-    return PathSet(paths=[anchor_path(rel, origin) for rel in fam.paths])
+    paths = []
+    for rel in fam.paths:
+        path = anchor_path(rel, origin)
+        path.relative = rel
+        paths.append(path)
+    return PathSet(paths=paths)
 
 
 @dataclass
@@ -372,7 +389,8 @@ def _severe_reach(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
 def _relative_paths(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
                     side: str, scale: float) -> list[SampledPath]:
     """The family at one scale, starting at the origin, with read-only
-    arrays: every anchored copy shares t, rho, v and the profile."""
+    arrays: every anchored copy shares t, rho, v and the profile, and the
+    corner boxes hold only while x, y and psi do."""
     paths: list[SampledPath] = []
     for n in range(1, tuning.n_tot + 1):
         f = scale * math.sqrt(n / tuning.n_tot)
@@ -387,7 +405,7 @@ def _relative_paths(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
         path = presample_profile(prof_n, tuning.dt_presample)
         path.index = n
         path.path_id = f"{side[0].upper()}{n}"
-        for arr in (path.t, path.rho, path.v,
+        for arr in (path.t, path.x, path.y, path.psi, path.rho, path.v,
                     prof_n.times, prof_n.rhos, prof_n.vels):
             arr.flags.writeable = False
         paths.append(path)

@@ -7,8 +7,9 @@ an absent optional key takes the field's default. Every number must be
 finite, except `capability.a_y_threshold` and
 `control.brake_force_max`, where inf means no limit. A scenario that would
 fail or run wrongly because of its settings (non-finite numbers, a zero
-check step, a vehicle model unstable at the initial speed) is rejected here
-with ConfigError rather than mid-run.
+check step, a vehicle model unstable at the initial speed, an evasive path
+that outlasts the run) is rejected here with ConfigError rather than
+mid-run.
 """
 from __future__ import annotations
 
@@ -20,12 +21,12 @@ from pathlib import Path
 import yaml
 
 from .capability import (CapabilityScenario, CapabilityTuning, EgoState,
-                         VehicleParams)
+                         VehicleParams, lateral_capability)
 from .control import ControllerConfig
 from .decision import TriggerConfig
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateSpeed, InfeasibleProfile
 from .geometry import DriveableSpace, Footprint, Pose
-from .pathgen import PathTuning
+from .pathgen import PathTuning, build_max_severity_profile
 from .plant import DT_MAX, U_FLOOR, assert_stable_vehicle
 from .ranking import CostWeights
 
@@ -279,8 +280,39 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
             raise ConfigError(f"{label} must be an integer multiple")
     _no_leftovers(raw, "scenario")
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         name=name, vehicle=vehicle, footprint=fp, cap_scenario=cap_scenario,
         cap_tuning=cap_tuning, path_tuning=path_tuning, sides=list(sides),
         weights=weights, trigger=trigger, controller=controller, road=road,
         ego=ego, targets=targets, sim=sim)
+    _check_path_duration(cfg)
+    return cfg
+
+
+def _check_path_duration(cfg: ScenarioConfig) -> None:
+    """Reject a path shape that outlasts the run and its look-ahead.
+
+    The planner pre-samples each path whole, so a tiny planner.i_sb,
+    capability.rho_dot_max or capability.a_y_threshold, which stretches the
+    profile's ramps, would exhaust memory mid-run. The maximum-severity
+    profile is built as the first planner cycle builds it, from the initial
+    ego state on each side, and may last at most sim.duration plus
+    trigger.ttc_horizon, the span of the run and of its last TTC.
+    """
+    try:
+        cap = lateral_capability(cfg.cap_scenario, cfg.vehicle, cfg.ego,
+                                 cfg.cap_tuning)
+    except DegenerateSpeed:
+        return  # the planner plans nothing from this state
+    limit = cfg.sim.duration + cfg.trigger.ttc_horizon
+    for side in cfg.sides:
+        try:
+            profile = build_max_severity_profile(cfg.ego, cap,
+                                                 cfg.path_tuning, side)
+        except InfeasibleProfile:
+            continue
+        if not profile.duration <= limit:
+            raise ConfigError(
+                f"the {side} evasive path lasts {profile.duration:.4g} s, "
+                f"more than sim.duration + trigger.ttc_horizon = "
+                f"{limit:.4g} s")

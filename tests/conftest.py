@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aessim.capability import EgoState, VehicleParams
@@ -22,3 +23,22 @@ def ego20() -> EgoState:
 @pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return SCENARIO_DIR
+
+
+def reference_corners(path, fp) -> list:
+    """(x, y) arrays of each footprint corner at every sample, by the corner
+    expressions of the driveable check (reference)."""
+    c, s = np.cos(path.psi), np.sin(path.psi)
+    cx = path.x + fp.ref_offset * c
+    cy = path.y + fp.ref_offset * s
+    hl, hw = 0.5 * fp.length, 0.5 * fp.width
+    return [(cx + dx * c - dy * s, cy + dx * s + dy * c)
+            for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+
+
+def reference_driveable(path, space, fp) -> bool:
+    """The per-sample corner test of the driveable check (reference): every
+    corner at every sample inside the corridor, boundary included."""
+    return all(bool(np.all((x >= space.x_start) & (x <= space.x_end)
+                           & (y >= space.y_right) & (y <= space.y_left)))
+               for x, y in reference_corners(path, fp))

@@ -1,13 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import reference_corners, reference_driveable
 
+from aessim.capability import (CapabilityScenario, CapabilityTuning, EgoState,
+                               lateral_capability)
+from aessim.errors import DegenerateSpeed, NoFeasiblePath
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
-                             circumscribed_check, collision_check,
-                             driveable_area_check, first_contact_time,
-                             inscribed_check, sat_check)
-from aessim.pathgen import SampledPath
+                             _box_verdict, circumscribed_check,
+                             collision_check, driveable_area_check,
+                             first_contact_time, inscribed_check, sat_check)
+from aessim.pathgen import PathTuning, SampledPath, generate_path_set
 
 
 def straight_path(n=101, v=20.0, dt=0.05, y=0.0, psi=0.0):
@@ -134,6 +139,97 @@ class TestDriveableSpace:
         # an ego past x_end has no room
         assert space.lateral_extent("left", 0.0, 101, 180) == 0.0
         assert space.lateral_extent("right", 0.0, 101, 180) == 0.0
+
+
+# positive, zero and negative ref_offset, and a zero-size point
+ENVELOPE_FOOTPRINTS = (Footprint(4.5, 1.8, ref_offset=1.35),
+                       Footprint(4.0, 2.0),
+                       Footprint(3.9, 1.7, ref_offset=-0.8),
+                       Footprint(0.0, 0.0))
+
+
+def _anchored_families(params):
+    """Seeded anchored path families: every capability scenario, both
+    sides, each family at two translations up to |X| = 1e5 m."""
+    rng = np.random.default_rng(4242)
+    for k in range(24):
+        v = float(rng.uniform(10.0, 30.0))
+        init = EgoState(X=float(rng.choice([0.0, rng.uniform(-1e5, 1e5)])),
+                        Y=float(rng.uniform(-20.0, 20.0)),
+                        psi=float(rng.choice([0.0, rng.uniform(-0.05, 0.05)])),
+                        v_x=v, yaw_rate=float(rng.uniform(-0.05, 0.05)))
+        tuning = CapabilityTuning(t_pb=float(rng.choice([0.0, 0.3])),
+                                  rho_dot_max=float(rng.uniform(0.1, 0.4)))
+        try:
+            cap = lateral_capability(list(CapabilityScenario)[k % 6], params,
+                                     init, tuning)
+        except DegenerateSpeed:
+            continue
+        tun = PathTuning(psi_max=float(rng.uniform(0.1, 0.3)), n_tot=3,
+                         dt_presample=float(rng.choice([0.01, 0.0025])))
+        room = float(rng.uniform(1.5, 6.0))
+        side = ("left", "right")[k // 6 % 2]
+        for X in (init.X, float(rng.uniform(-1e5, 1e5))):
+            moved = replace(init, X=X)
+            space = DriveableSpace(X - 10.0, X + 400.0, moved.Y + room,
+                                   moved.Y - room)
+            try:
+                yield generate_path_set(moved, cap, space, tun, side)
+            except NoFeasiblePath:
+                continue
+
+
+class TestDriveableEnvelope:
+    """The corner box of a family path's relative source gives the
+    per-sample test's answer, and leaves every corridor edge that a corner
+    touches within a few ulps to the per-sample test."""
+
+    def test_box_matches_per_sample_test(self, ref_params):
+        boxed = 0
+        for ps in _anchored_families(ref_params):
+            for path in ps.paths:
+                assert path.relative is not None
+                for fp in ENVELOPE_FOOTPRINTS:
+                    boxed += self._check(path, fp)
+        assert boxed > 1000
+
+    @staticmethod
+    def _check(path, fp) -> int:
+        corners = reference_corners(path, fp)
+        x_lo = min(float(x.min()) for x, _ in corners)
+        x_hi = max(float(x.max()) for x, _ in corners)
+        y_lo = min(float(y.min()) for _, y in corners)
+        y_hi = max(float(y.max()) for _, y in corners)
+        wide = DriveableSpace(x_lo - 1.0, x_hi + 1.0, y_hi + 1.0, y_lo - 1.0)
+        edges = (("x_start", x_lo, -math.inf), ("x_end", x_hi, math.inf),
+                 ("y_right", y_lo, -math.inf), ("y_left", y_hi, math.inf))
+        # 1 m of room on every edge, or one edge 1 m into the corners: the
+        # box decides
+        boxed = [wide] + [
+            replace(wide, **{edge: value - math.copysign(1.0, out)})
+            for edge, value, out in edges]
+        for space in boxed:
+            want = reference_driveable(path, space, fp)
+            assert _box_verdict(path, space, fp) is want
+            assert driveable_area_check(path, space, fp) is want
+        # an extreme corner on the edge, 1 ulp inside it or 1 ulp outside
+        for edge, value, out in edges:
+            for placed, want in ((value, True),
+                                 (math.nextafter(value, out), True),
+                                 (math.nextafter(value, -out), False)):
+                space = replace(wide, **{edge: placed})
+                assert reference_driveable(path, space, fp) is want
+                assert _box_verdict(path, space, fp) is None
+                assert driveable_area_check(path, space, fp) is want
+        return len(boxed)
+
+    def test_paths_without_a_source_take_the_per_sample_test(self):
+        space = DriveableSpace(-10, 120, 1.625, -1.625)
+        fp = Footprint(4.5, 1.8, ref_offset=1.35)
+        for path in (straight_path(), straight_path(y=2.0)):
+            assert _box_verdict(path, space, fp) is None
+            assert (driveable_area_check(path, space, fp)
+                    is reference_driveable(path, space, fp))
 
 
 class TestCircleFilters:

@@ -44,13 +44,20 @@ and still ends in contact.
 one run to the next in a process. The shipped and replanning runs are
 repeated with that memo emptied before every `generate_path_set` call and
 must hit the same digests.
+
+The driveable check decides a family path from the corner box of its
+relative source. The shipped and replanning runs are repeated with every
+check compared with the per-sample reference, and every ranked candidate
+must be decided by the box: a change that drops the relative source passes
+every digest and only loses the speed.
 """
 import hashlib
 
 import pytest
 import yaml
+from conftest import reference_driveable
 
-from aessim import pathgen, simloop
+from aessim import geometry, pathgen, ranking, simloop
 from aessim.pathgen import generate_path_set
 from aessim.scenario import load_scenario, parse_scenario
 from aessim.simloop import run_scenario
@@ -255,3 +262,40 @@ def test_runs_in_one_process_match_their_cold_runs(scenario_dir, tmp_path,
             for i, config in enumerate((raw, slow, raw))]
     assert warm == cold
     assert cold[0] != cold[1]
+
+
+@pytest.fixture
+def box_decides(monkeypatch):
+    """Every driveable check compared with the reference, and every ranked
+    candidate decided by the corner box; yields the candidate count."""
+    counts = {"candidates": 0}
+    check, rank = ranking.driveable_area_check, simloop.rank_paths
+
+    def checked(path, space, fp):
+        got = check(path, space, fp)
+        assert got is reference_driveable(path, space, fp)
+        return got
+
+    def ranked(path_set, targets, space, fp, *args):
+        for path in path_set.paths:
+            assert geometry._box_verdict(path, space, fp) is not None
+        counts["candidates"] += len(path_set.paths)
+        return rank(path_set, targets, space, fp, *args)
+
+    monkeypatch.setattr(ranking, "driveable_area_check", checked)
+    monkeypatch.setattr(simloop, "rank_paths", ranked)
+    yield counts
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_box_decides_shipped_candidates(scenario_dir, tmp_path, box_decides,
+                                        name):
+    _check_shipped(scenario_dir, tmp_path, name)
+    assert box_decides["candidates"] > 0 or name == "empty_road"
+
+
+@pytest.mark.parametrize("stop_time", sorted(REPLAN_RUNS))
+def test_box_decides_replanning_candidates(scenario_dir, tmp_path,
+                                           box_decides, stop_time):
+    _check_replan(scenario_dir, tmp_path, stop_time)
+    assert box_decides["candidates"] > 0

@@ -170,6 +170,27 @@ class TestMonitor:
         blocker = TargetTrack("blk", Footprint(2.0, 2.0), mid)
         assert monitor_selected(path, [blocker], space, FP) == REJECT_COLLISION
 
+    def test_suffix_is_checked_on_its_own_samples(self):
+        """A suffix does not inherit the corner box of its family path."""
+        ps, space = family()
+        path = ps.paths[2]
+        assert path.relative is not None
+        tau = 1.0
+        suffix = path.suffix_from(tau)
+        assert suffix.relative is None
+        # only the dropped prefix starts behind x_start
+        late_start = DriveableSpace(5.0, space.x_end, space.y_left,
+                                    space.y_right)
+        assert float(np.min(path.x[path.t >= tau])) - FP.length > 5.0
+        assert (monitor_selected(path, [], late_start, FP)
+                == REJECT_NOT_DRIVEABLE)
+        assert monitor_selected(suffix, [], late_start, FP) is None
+        # the remainder runs past x_end
+        early_end = DriveableSpace(space.x_start, float(path.x[-1]),
+                                   space.y_left, space.y_right)
+        assert (monitor_selected(suffix, [], early_end, FP)
+                == REJECT_NOT_DRIVEABLE)
+
     def test_narrowed_space_invalidates(self):
         ps, _ = family()
         narrow = DriveableSpace(-10, 300, 0.95, -0.95)

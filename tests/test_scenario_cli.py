@@ -161,6 +161,9 @@ REJECTED_AT_LOAD = {
         {"capability": {"scenario_id": 3, "t_pb": 5.0, "v_min": -100.0}},
     # below the plant's speed floor: the plant ran the ego at 1.0 m/s
     "ego_v_x_below_plant_floor": {"ego": {"v_x": 0.5}},
+    # the stabilisation ramp stretched past 1e8 s: MemoryError mid-run in
+    # presample_profile
+    "planner_i_sb_tiny": {"planner": {"i_sb": 1e-9}},
 }
 
 
