@@ -79,18 +79,23 @@ def _cmd_sweep(args) -> int:
     values = raw.get(section) or {}
     if not key or not isinstance(values, dict):
         raise ConfigError(f"cannot sweep '{args.param}': not a section.key")
+    # each run writes to <out>/<label>, so no two values may share one
+    labels = [f"{value:g}" for value in args.values]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"sweep values {' '.join(labels)} repeat an output "
+                          "label")
     # every swept scenario is validated like a file before any of them runs
     cfgs = [parse_scenario({**raw, section: {**values, key: value},
-                            "name": f"{base.name}_{args.param}_{value:g}"})
-            for value in args.values]
+                            "name": f"{base.name}_{args.param}_{label}"})
+            for value, label in zip(args.values, labels)]
     out_root = args.out or Path("out") / f"sweep_{args.param.replace('.', '_')}"
     worst = 0
     print(f"sweep {args.param}: {len(args.values)} values")
-    for value, cfg in zip(args.values, cfgs):
+    for label, cfg in zip(labels, cfgs):
         result = run_scenario(cfg)
-        result.trace.write(out_root / f"{value:g}")
+        result.trace.write(out_root / label)
         engage = result.summary.get("engage_ttc")
-        print(f"  {args.param}={value:g}: outcome={result.outcome}"
+        print(f"  {args.param}={label}: outcome={result.outcome}"
               + (f" engage_ttc={engage:.3f}" if engage is not None else ""))
         worst = max(worst, result.exit_code)
     return worst

@@ -53,7 +53,6 @@ class TrackingErrors:
     psi_e: float      # heading error [rad]
     psi_e_dot: float  # [rad/s]
     kappa: float      # path curvature at the match point [1/m]
-    kappa_dot: float  # [1/(m s)]
 
     def vector(self) -> np.ndarray:
         return np.array([self.y_e, self.y_e_dot, self.psi_e, self.psi_e_dot])
@@ -177,7 +176,7 @@ def path_to_vehicle_frame(path: SampledPath, ego: Pose) -> SampledPath:
     dx = path.x - ego.X
     dy = path.y - ego.Y
     return replace(path, x=dx * c + dy * s, y=-dx * s + dy * c,
-                   psi=path.psi - ego.psi, frame=Pose())
+                   psi=path.psi - ego.psi)
 
 
 def tracking_errors(local_path: SampledPath, plant) -> TrackingErrors:
@@ -193,15 +192,12 @@ def tracking_errors(local_path: SampledPath, plant) -> TrackingErrors:
     y_e = float(local_path.y[i])
     psi_e = math.remainder(float(local_path.psi[i]), 2.0 * math.pi)
     kappa = float(local_path.rho[i])
-    kappa_dot = float((local_path.rho[i + 1] - local_path.rho[i])
-                      / (local_path.t[i + 1] - local_path.t[i]))
     u = plant.u_v
     return TrackingErrors(y_e=y_e,
                           y_e_dot=u * psi_e - plant.v_v,
                           psi_e=psi_e,
                           psi_e_dot=u * kappa - plant.r,
-                          kappa=kappa,
-                          kappa_dot=kappa_dot)
+                          kappa=kappa)
 
 
 def allocate_brakes(m_z_ext: float, params: VehicleParams,

@@ -9,18 +9,18 @@ the array formula it replaced: a corner is `(cx + l*c) - w*s`, projected as
 `x*ax + y*ay`. Any change to an expression here changes the run artefacts;
 `tests/test_golden.py` guards them.
 
-`driveable_area_check` decides a path that `pathgen` anchored by a pure
-translation (X, Y) from the axis-aligned box of the footprint corners of its
-origin-relative source, computed once per source and footprint with the
-per-sample corner expressions and translated per call. An anchored corner,
-`((X + rx) + p) + q) - r` in floats, is four roundings away from the exact
-sum; the box corner is three on the relative sample and one more for the
-translation. Each rounding errs by at most one unit roundoff of
-`|X| + |Y| + size`, where size bounds the relative samples plus the
-footprint's reach, so the two differ by at most 8 of them. The box decides
-only when every corridor edge clears it by more than the band `_BOX_BAND`
-times that sum, and the per-sample test decides every other case, so the
-answer is the per-sample test's, bit for bit.
+`driveable_area_check` and `collision_check` take a path and the
+translation (X, Y) that places it in the road frame. The driveable check
+decides from the box of the footprint corners over all samples, built by
+the per-sample corner expressions (kept per footprint on a path whose
+arrays are read-only) and translated by (X, Y). A translated corner,
+`((X + x) + p) + q) - r` in floats, is four roundings from the exact sum;
+the box corner is three on the sample and one for the translation. Each
+errs by at most one unit roundoff of `|X| + |Y| + size`, where size bounds
+the samples plus the footprint's reach, so the two differ by at most 8 of
+them. The box decides only when every corridor edge clears it by more than
+`_BOX_BAND` times that sum, and the per-sample test on the translated
+corners decides every other case: the answer is the same, bit for bit.
 """
 from __future__ import annotations
 
@@ -183,11 +183,12 @@ def sat_check(pose_a: Pose, fp_a: Footprint,
     return True
 
 
-def _corner_arrays(path, fp: Footprint):
-    """(x, y) arrays of each footprint corner over the path samples."""
+def _corner_arrays(path, fp: Footprint, X: float = 0.0, Y: float = 0.0):
+    """(x, y) arrays of each footprint corner over the path samples
+    translated by (X, Y)."""
     c, s = np.cos(path.psi), np.sin(path.psi)
-    cx = path.x + fp.ref_offset * c
-    cy = path.y + fp.ref_offset * s
+    cx = (X + path.x) + fp.ref_offset * c
+    cy = (Y + path.y) + fp.ref_offset * s
     hl, hw = 0.5 * fp.length, 0.5 * fp.width
     for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
         yield cx + dx * c - dy * s, cy + dx * s + dy * c
@@ -212,18 +213,16 @@ def _corner_box(path, fp: Footprint) -> tuple[float, ...]:
 _BOX_BAND = 16 * sys.float_info.epsilon
 
 
-def _box_verdict(path, space: DriveableSpace, fp: Footprint) -> bool | None:
-    """The driveable answer from the corner box of the path's relative
-    source, or None when it has none or a corridor edge lies within the
-    rounding band of the translated box."""
-    rel = path.relative
-    if rel is None:
-        return None
-    box = rel.corner_boxes.get(fp)
+def _box_verdict(path, space: DriveableSpace, fp: Footprint, X: float,
+                 Y: float) -> bool | None:
+    """The driveable answer from the path's corner box translated by
+    (X, Y), or None when a corridor edge lies within its rounding band."""
+    box = path.corner_boxes.get(fp)
     if box is None:
-        box = rel.corner_boxes[fp] = _corner_box(rel, fp)
+        box = _corner_box(path, fp)
+        if not any(a.flags.writeable for a in (path.x, path.y, path.psi)):
+            path.corner_boxes[fp] = box
     x_lo, x_hi, y_lo, y_hi, size = box
-    X, Y = path.frame.X, path.frame.Y
     band = _BOX_BAND * (abs(X) + abs(Y) + size)
     x_lo, x_hi, y_lo, y_hi = x_lo + X, x_hi + X, y_lo + Y, y_hi + Y
     if (x_lo - band > space.x_start and x_hi + band < space.x_end
@@ -235,26 +234,26 @@ def _box_verdict(path, space: DriveableSpace, fp: Footprint) -> bool | None:
     return None
 
 
-def driveable_area_check(path, space: DriveableSpace, fp: Footprint) -> bool:
-    """True when the swept footprint stays inside the corridor.
-
-    All four footprint corners must lie inside the corridor at every path
-    sample, so a path reaching past x_end is not driveable. A path anchored
-    from a kept family is decided by its source's corner box (module
-    docstring) unless an edge lies within the rounding band.
+def driveable_area_check(path, space: DriveableSpace, fp: Footprint,
+                         X: float = 0.0, Y: float = 0.0) -> bool:
+    """True when all four footprint corners of the path translated by
+    (X, Y) lie inside the corridor at every sample, so a path reaching past
+    x_end is not driveable. The corner box decides (module docstring) unless
+    an edge lies within its rounding band.
     """
-    verdict = _box_verdict(path, space, fp)
+    verdict = _box_verdict(path, space, fp, X, Y)
     if verdict is not None:
         return verdict
-    for corner_x, corner_y in _corner_arrays(path, fp):
+    for corner_x, corner_y in _corner_arrays(path, fp, X, Y):
         if not np.all(space.contains(corner_x, corner_y)):
             return False
     return True
 
 
-def collision_check(path, targets, fp: Footprint,
-                    dt_check: float = 0.1) -> CollisionReport:
-    """Staged collision check of a sampled path against predicted targets.
+def collision_check(path, targets, fp: Footprint, dt_check: float = 0.1,
+                    X: float = 0.0, Y: float = 0.0) -> CollisionReport:
+    """Staged collision check of a sampled path, translated by (X, Y),
+    against predicted targets.
 
     Check instants are the path samples subsampled to roughly dt_check. Per
     instant the circumscribed filter runs first, then the inscribed filter,
@@ -272,8 +271,9 @@ def collision_check(path, targets, fp: Footprint,
     check_t = times[idx]
 
     c, s = np.cos(path.psi[idx]), np.sin(path.psi[idx])
-    ego_cx = path.x[idx] + fp.ref_offset * c
-    ego_cy = path.y[idx] + fp.ref_offset * s
+    ego_x, ego_y = X + path.x[idx], Y + path.y[idx]
+    ego_cx = ego_x + fp.ref_offset * c
+    ego_cy = ego_y + fp.ref_offset * s
 
     for target in targets:
         vx, vy = target.velocity
@@ -294,9 +294,8 @@ def collision_check(path, targets, fp: Footprint,
                 report.collides = True
                 return report
             report.sat_evaluations += 1
-            i = idx[k]
-            if sat_check(Pose(float(path.x[i]), float(path.y[i]),
-                              float(path.psi[i])), fp,
+            if sat_check(Pose(float(ego_x[k]), float(ego_y[k]),
+                              float(path.psi[idx[k]])), fp,
                          Pose(float(tx[k]), float(ty[k]), psi),
                          target.footprint):
                 report.collides = True

@@ -18,7 +18,7 @@ import numpy as np
 
 from .capability import CapabilityRecord, EgoState
 from .errors import InfeasibleProfile, NoFeasiblePath
-from .geometry import DriveableSpace, Pose
+from .geometry import DriveableSpace
 
 
 @dataclass
@@ -92,9 +92,9 @@ class CurvatureProfile:
 class SampledPath:
     """Time-gridded path samples.
 
-    Freshly pre-sampled paths start at the origin; anchor_path() shifts them
-    into the global (road) frame. frame records the global pose of the
-    profile start so the path can be re-sampled and re-anchored later.
+    A family path from generate_path_set starts at the origin and keeps
+    read-only arrays; a planner cycle's candidate is such a path plus the
+    cycle's start point (X, Y), and anchor_path places a path there.
     """
 
     t: np.ndarray
@@ -103,19 +103,13 @@ class SampledPath:
     psi: np.ndarray
     rho: np.ndarray
     v: np.ndarray
-    frame: Pose = field(default_factory=Pose)
     profile: CurvatureProfile | None = None
     side: str = "left"
     index: int = 0
     path_id: str = ""
-    # The origin-relative family path of which this one is a translation by
-    # frame.X, frame.Y, set by generate_path_set. Neither field is an init
-    # field, so dataclasses.replace (suffix_from, anchor_path) never carries
-    # them over to a copy with other samples.
-    relative: SampledPath | None = field(default=None, init=False,
-                                         repr=False, compare=False)
-    # Corner boxes of this family path per footprint, filled by the
-    # driveable check of the paths anchored from it
+    # Corner boxes per footprint, kept by the driveable check only while x,
+    # y and psi are read-only; not an init field, so a copy made by
+    # dataclasses.replace starts empty
     corner_boxes: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -142,19 +136,20 @@ class SampledPath:
                        v=self.v[keep])
 
 
-def anchor_path(path: SampledPath, origin: Pose) -> SampledPath:
-    """Express an origin-relative path in the frame the origin lives in."""
-    c, s = math.cos(origin.psi), math.sin(origin.psi)
-    gx = origin.X + path.x * c - path.y * s
-    gy = origin.Y + path.x * s + path.y * c
-    return replace(path, x=gx, y=gy, psi=path.psi + origin.psi, frame=origin)
+def anchor_path(path: SampledPath, X: float, Y: float) -> SampledPath:
+    """The path translated by (X, Y), in fresh arrays; psi + 0.0 turns a
+    -0.0 heading into 0.0."""
+    return replace(path, x=X + path.x, y=Y + path.y, psi=path.psi + 0.0)
 
 
 @dataclass
 class PathSet:
-    """Family of sampled paths on one side, ordered by curvature magnitude."""
+    """The candidates of one side, ordered by curvature magnitude: the kept
+    origin-relative family paths, placed in the road frame at (X, Y)."""
 
     paths: list[SampledPath]
+    X: float = 0.0
+    Y: float = 0.0
 
 
 def _mirror_init(init: EgoState) -> EgoState:
@@ -302,9 +297,9 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
     The family's shape depends only on the side, psi, v_x, yaw_rate, the
     capability record and the tuning; X and Y only set the corridor room and
     translate the paths. The origin-relative family is therefore kept from
-    the previous call on this side (see _family) and only anchored here;
-    each anchored path links its relative source, whose corner boxes the
-    driveable check keeps.
+    the previous call on this side (see _family), and the set holds those
+    very paths with the start point (init.X, init.Y); no samples are
+    copied. ranking.select_path places the one selected.
     """
     fam = _family(init, cap, tuning, side)
     if isinstance(fam.reach, str):
@@ -322,13 +317,7 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
         fam.scale = scale.hex()
     if not fam.paths:
         raise NoFeasiblePath(f"all {side} profiles infeasible")
-    origin = Pose(init.X, init.Y, 0.0)
-    paths = []
-    for rel in fam.paths:
-        path = anchor_path(rel, origin)
-        path.relative = rel
-        paths.append(path)
-    return PathSet(paths=paths)
+    return PathSet(paths=fam.paths, X=init.X, Y=init.Y)
 
 
 @dataclass
@@ -389,8 +378,8 @@ def _severe_reach(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
 def _relative_paths(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
                     side: str, scale: float) -> list[SampledPath]:
     """The family at one scale, starting at the origin, with read-only
-    arrays: every anchored copy shares t, rho, v and the profile, and the
-    corner boxes hold only while x, y and psi do."""
+    arrays: every call on this key returns these paths, and their corner
+    boxes hold only while x, y and psi do."""
     paths: list[SampledPath] = []
     for n in range(1, tuning.n_tot + 1):
         f = scale * math.sqrt(n / tuning.n_tot)

@@ -9,7 +9,7 @@ configuration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,10 +32,17 @@ class CostWeights:
 @dataclass
 class RankedPath:
     path: SampledPath
+    X: float = 0.0      # the candidate is the path translated by (X, Y)
+    Y: float = 0.0
     rejected: str | None = None
     severity: float = 0.0
     proximity: float = 0.0
     total: float = 0.0
+
+    @property
+    def terminal_offset(self) -> float:
+        """Lateral deviation of the placed final sample from the start."""
+        return float((self.Y + self.path.y[-1]) - (self.Y + self.path.y[0]))
 
 
 def severity_cost(path: SampledPath, w: CostWeights) -> float:
@@ -51,27 +58,30 @@ def severity_cost(path: SampledPath, w: CostWeights) -> float:
             + w.K_ax * math.sqrt(float(np.sum(np.abs(a_lon) ** 2))))
 
 
-def proximity_cost(path: SampledPath, targets, w: CostWeights) -> float:
+def proximity_cost(path: SampledPath, targets, w: CostWeights,
+                   X: float = 0.0, Y: float = 0.0) -> float:
     """Mean over samples of the distance to the nearest target."""
     if not targets:
         return 0.0
+    xs, ys = X + path.x, Y + path.y
     dmin = np.full(len(path), math.inf)
     for target in targets:
         vx, vy = target.velocity
-        d = np.hypot((target.pose.X + vx * path.t) - path.x,
-                     (target.pose.Y + vy * path.t) - path.y)
+        d = np.hypot((target.pose.X + vx * path.t) - xs,
+                     (target.pose.Y + vy * path.t) - ys)
         np.minimum(dmin, d, out=dmin)
     return w.K_prox * float(np.mean(dmin))
 
 
 def _rejection(path: SampledPath, targets, space: DriveableSpace,
-               fp: Footprint, dt_check: float) -> str | None:
-    """Why the path is rejected, or None if it is clear. The driveable check
-    runs before the collision check, so a path failing both reports
-    not_driveable."""
-    if not driveable_area_check(path, space, fp):
+               fp: Footprint, dt_check: float, X: float = 0.0,
+               Y: float = 0.0) -> str | None:
+    """Why the path translated by (X, Y) is rejected, or None if it is
+    clear. The driveable check runs before the collision check, so a path
+    failing both reports not_driveable."""
+    if not driveable_area_check(path, space, fp, X, Y):
         return REJECT_NOT_DRIVEABLE
-    if collision_check(path, targets, fp, dt_check).collides:
+    if collision_check(path, targets, fp, dt_check, X, Y).collides:
         return REJECT_COLLISION
     return None
 
@@ -81,25 +91,27 @@ def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
                dt_check: float = 0.1) -> list[RankedPath]:
     """Reject or cost every path of the set; input order is preserved.
 
-    Paths must be expressed in the same frame as the space and the target
-    predictions.
+    The set's paths translated by (path_set.X, path_set.Y) must be in the
+    frame of the space and the target predictions.
     """
+    X, Y = path_set.X, path_set.Y
     ranked: list[RankedPath] = []
     for path in path_set.paths:
-        rejected = _rejection(path, targets, space, fp, dt_check)
+        rejected = _rejection(path, targets, space, fp, dt_check, X, Y)
         if rejected is not None:
-            ranked.append(RankedPath(path=path, rejected=rejected))
+            ranked.append(RankedPath(path, X, Y, rejected=rejected))
             continue
         sev = severity_cost(path, w)
-        prox = proximity_cost(path, targets, w)
-        ranked.append(RankedPath(path=path, severity=sev, proximity=prox,
+        prox = proximity_cost(path, targets, w, X, Y)
+        ranked.append(RankedPath(path, X, Y, severity=sev, proximity=prox,
                                  total=sev + prox))
     return ranked
 
 
 def select_path(ranked: list[RankedPath],
                 dt_fine: float = 0.01) -> SampledPath | None:
-    """Lowest-cost survivor, resampled to the fine control grid.
+    """Lowest-cost survivor, resampled to the fine control grid and placed
+    at its (X, Y) in fresh arrays.
 
     Ties break toward lower severity, then lower path index.
     """
@@ -109,12 +121,9 @@ def select_path(ranked: list[RankedPath],
     best = min(survivors, key=lambda r: (r.total, r.severity, r.path.index))
     path = best.path
     if path.profile is not None and abs(path.dt - dt_fine) > 1e-12:
-        fine = anchor_path(presample_profile(path.profile, dt_fine),
-                           path.frame)
-        fine.index = path.index
-        fine.path_id = path.path_id
-        return fine
-    return path
+        path = replace(presample_profile(path.profile, dt_fine),
+                       index=path.index, path_id=path.path_id)
+    return anchor_path(path, best.X, best.Y)
 
 
 def monitor_selected(path: SampledPath, targets, space: DriveableSpace,

@@ -120,7 +120,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 severity=r.severity if r.rejected is None else None,
                 proximity=r.proximity if r.rejected is None else None,
                 total=r.total if r.rejected is None else None,
-                terminal_y=r.path.terminal_offset)
+                terminal_y=r.terminal_offset)
         return select_path(ranked_all, dt_ctrl), ranked_all
 
     def plan_and_trigger(t: float, preds, ttc: float,

@@ -71,8 +71,8 @@ class TraceLog:
             self.engage_candidates.append({
                 "path_id": p.path_id,
                 "status": status,
-                "x": [float(v) for v in p.x[::5]],
-                "y": [float(v) for v in p.y[::5]],
+                "x": [float(v) for v in r.X + p.x[::5]],
+                "y": [float(v) for v in r.Y + p.y[::5]],
             })
 
     def column_index(self, name: str) -> int:

@@ -106,14 +106,6 @@ class TestTrackingErrors:
         assert err.y_e_dot == pytest.approx(20.0 * err.psi_e - 0.5)
         assert err.psi_e_dot == pytest.approx(20.0 * 0.02 - 0.1)
 
-    def test_kappa_dot_forward_difference(self):
-        path = straight_local_path()
-        path.rho = 0.05 * path.t
-        err = tracking_errors(path, PlantState(u_v=20.0))
-        i = int(np.argmin(np.abs(path.x)))
-        expected = (path.rho[i + 1] - path.rho[i]) / 0.01
-        assert err.kappa_dot == pytest.approx(expected)
-
     def test_path_exhausted(self):
         path = straight_local_path()
         path.x = path.x - 50.0  # path entirely behind the vehicle
@@ -151,7 +143,7 @@ class TestFeedforward:
     def test_mode_shapes(self):
         # with zero errors on a curve the command is the feedforward alone
         p = make_params()
-        err = TrackingErrors(0, 0, 0, 0, kappa=0.01, kappa_dot=0.0)
+        err = TrackingErrors(0, 0, 0, 0, kappa=0.01)
         cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig(
             mode=ControlMode.STEERING_ONLY))
         assert cmd.M_z_ext == 0.0 and cmd.delta_g != 0.0
@@ -202,7 +194,7 @@ class TestGains:
 class TestControlStep:
     def test_zero_errors_straight_path(self):
         p = make_params()
-        err = TrackingErrors(0, 0, 0, 0, kappa=0.0, kappa_dot=0.0)
+        err = TrackingErrors(0, 0, 0, 0, kappa=0.0)
         cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig())
         assert cmd.delta_g == 0.0
         assert cmd.M_z_ext == 0.0
@@ -218,8 +210,7 @@ class TestControlStep:
                                          c_f, c_r)
         v_ss = steady_state_slip(kappa, u, d_ff, p)
         err = TrackingErrors(y_e=0.0, y_e_dot=u * (v_ss / u) - v_ss,
-                             psi_e=v_ss / u, psi_e_dot=0.0, kappa=kappa,
-                             kappa_dot=0.0)
+                             psi_e=v_ss / u, psi_e_dot=0.0, kappa=kappa)
         plant = PlantState(u_v=u, v_v=v_ss, r=u * kappa)
         cmd = control_step(err, plant, p,
                            ControllerConfig(mode=ControlMode.STEERING_ONLY))
@@ -227,13 +218,13 @@ class TestControlStep:
 
     def test_saturation(self):
         p = make_params(delta_max=0.05)
-        err = TrackingErrors(5.0, 0, 0, 0, kappa=0.0, kappa_dot=0.0)
+        err = TrackingErrors(5.0, 0, 0, 0, kappa=0.0)
         cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig())
         assert abs(cmd.delta_g) == 0.05
 
     def test_diff_brake_only_does_not_steer(self):
         p = make_params()
-        err = TrackingErrors(1.0, 0, 0, 0, kappa=0.0, kappa_dot=0.0)
+        err = TrackingErrors(1.0, 0, 0, 0, kappa=0.0)
         cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig(
             mode=ControlMode.DIFF_BRAKE_ONLY))
         assert cmd.delta_g == 0.0
@@ -332,7 +323,7 @@ class TestAllocation:
     def test_command_carries_achieved_moment(self):
         p = make_params()
         cfg = ControllerConfig(brake_force_max=500.0)
-        err = TrackingErrors(3.0, 0, 0, 0, kappa=0.0, kappa_dot=0.0)
+        err = TrackingErrors(3.0, 0, 0, 0, kappa=0.0)
         cmd = control_step(err, PlantState(u_v=20.0), p, cfg)
         assert cmd.M_z_ext == pytest.approx(
             cmd.brakes.induced_moment(p.w), abs=1e-9)

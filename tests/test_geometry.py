@@ -12,7 +12,8 @@ from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
                              _box_verdict, circumscribed_check,
                              collision_check, driveable_area_check,
                              first_contact_time, inscribed_check, sat_check)
-from aessim.pathgen import PathTuning, SampledPath, generate_path_set
+from aessim.pathgen import (PathTuning, SampledPath, anchor_path,
+                            generate_path_set)
 
 
 def straight_path(n=101, v=20.0, dt=0.05, y=0.0, psi=0.0):
@@ -148,9 +149,9 @@ ENVELOPE_FOOTPRINTS = (Footprint(4.5, 1.8, ref_offset=1.35),
                        Footprint(0.0, 0.0))
 
 
-def _anchored_families(params):
-    """Seeded anchored path families: every capability scenario, both
-    sides, each family at two translations up to |X| = 1e5 m."""
+def _placed_families(params):
+    """Seeded path sets: every capability scenario, both sides, each family
+    at two start points up to |X| = 1e5 m."""
     rng = np.random.default_rng(4242)
     for k in range(24):
         v = float(rng.uniform(10.0, 30.0))
@@ -180,22 +181,24 @@ def _anchored_families(params):
 
 
 class TestDriveableEnvelope:
-    """The corner box of a family path's relative source gives the
-    per-sample test's answer, and leaves every corridor edge that a corner
-    touches within a few ulps to the per-sample test."""
+    """The translated corner box of a family path gives the per-sample
+    test's answer on the placed path, and leaves every corridor edge that a
+    corner touches within a few ulps to the per-sample test."""
 
     def test_box_matches_per_sample_test(self, ref_params):
         boxed = 0
-        for ps in _anchored_families(ref_params):
+        for ps in _placed_families(ref_params):
             for path in ps.paths:
-                assert path.relative is not None
+                assert not path.x.flags.writeable
                 for fp in ENVELOPE_FOOTPRINTS:
-                    boxed += self._check(path, fp)
+                    boxed += self._check(path, ps.X, ps.Y, fp)
+                    assert fp in path.corner_boxes
         assert boxed > 1000
 
     @staticmethod
-    def _check(path, fp) -> int:
-        corners = reference_corners(path, fp)
+    def _check(path, X, Y, fp) -> int:
+        placed = anchor_path(path, X, Y)
+        corners = reference_corners(placed, fp)
         x_lo = min(float(x.min()) for x, _ in corners)
         x_hi = max(float(x.max()) for x, _ in corners)
         y_lo = min(float(y.min()) for _, y in corners)
@@ -209,27 +212,29 @@ class TestDriveableEnvelope:
             replace(wide, **{edge: value - math.copysign(1.0, out)})
             for edge, value, out in edges]
         for space in boxed:
-            want = reference_driveable(path, space, fp)
-            assert _box_verdict(path, space, fp) is want
-            assert driveable_area_check(path, space, fp) is want
+            want = reference_driveable(placed, space, fp)
+            assert _box_verdict(path, space, fp, X, Y) is want
+            assert driveable_area_check(path, space, fp, X, Y) is want
         # an extreme corner on the edge, 1 ulp inside it or 1 ulp outside
         for edge, value, out in edges:
-            for placed, want in ((value, True),
-                                 (math.nextafter(value, out), True),
-                                 (math.nextafter(value, -out), False)):
-                space = replace(wide, **{edge: placed})
-                assert reference_driveable(path, space, fp) is want
-                assert _box_verdict(path, space, fp) is None
-                assert driveable_area_check(path, space, fp) is want
+            for on, want in ((value, True),
+                             (math.nextafter(value, out), True),
+                             (math.nextafter(value, -out), False)):
+                space = replace(wide, **{edge: on})
+                assert reference_driveable(placed, space, fp) is want
+                assert _box_verdict(path, space, fp, X, Y) is None
+                assert driveable_area_check(path, space, fp, X, Y) is want
         return len(boxed)
 
-    def test_paths_without_a_source_take_the_per_sample_test(self):
+    def test_hand_built_paths_get_the_per_sample_answer(self):
+        """Writeable samples may change, so their box is built per call."""
         space = DriveableSpace(-10, 120, 1.625, -1.625)
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
-        for path in (straight_path(), straight_path(y=2.0)):
-            assert _box_verdict(path, space, fp) is None
-            assert (driveable_area_check(path, space, fp)
-                    is reference_driveable(path, space, fp))
+        for path, want in ((straight_path(), True),
+                           (straight_path(y=2.0), False)):
+            assert reference_driveable(path, space, fp) is want
+            assert driveable_area_check(path, space, fp) is want
+            assert not path.corner_boxes
 
 
 class TestCircleFilters:

@@ -45,11 +45,12 @@ one run to the next in a process. The shipped and replanning runs are
 repeated with that memo emptied before every `generate_path_set` call and
 must hit the same digests.
 
-The driveable check decides a family path from the corner box of its
-relative source. The shipped and replanning runs are repeated with every
-check compared with the per-sample reference, and every ranked candidate
-must be decided by the box: a change that drops the relative source passes
-every digest and only loses the speed.
+A candidate is a kept family path plus the cycle's start point (X, Y), and
+the driveable check decides it from the family path's corner box translated
+by (X, Y). The shipped and replanning runs are repeated with every check
+compared with the per-sample reference on the placed path, and every ranked
+candidate must be decided by the box: a change that stops the box from
+deciding passes every digest and only loses the speed.
 """
 import hashlib
 
@@ -58,7 +59,7 @@ import yaml
 from conftest import reference_driveable
 
 from aessim import geometry, pathgen, ranking, simloop
-from aessim.pathgen import generate_path_set
+from aessim.pathgen import anchor_path, generate_path_set
 from aessim.scenario import load_scenario, parse_scenario
 from aessim.simloop import run_scenario
 
@@ -271,14 +272,15 @@ def box_decides(monkeypatch):
     counts = {"candidates": 0}
     check, rank = ranking.driveable_area_check, simloop.rank_paths
 
-    def checked(path, space, fp):
-        got = check(path, space, fp)
-        assert got is reference_driveable(path, space, fp)
+    def checked(path, space, fp, X=0.0, Y=0.0):
+        got = check(path, space, fp, X, Y)
+        assert got is reference_driveable(anchor_path(path, X, Y), space, fp)
         return got
 
     def ranked(path_set, targets, space, fp, *args):
         for path in path_set.paths:
-            assert geometry._box_verdict(path, space, fp) is not None
+            assert geometry._box_verdict(path, space, fp, path_set.X,
+                                         path_set.Y) is not None
         counts["candidates"] += len(path_set.paths)
         return rank(path_set, targets, space, fp, *args)
 

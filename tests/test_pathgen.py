@@ -9,10 +9,9 @@ from aessim.capability import (CapabilityRecord, CapabilityScenario,
                                CapabilityTuning, EgoState, lateral_capability)
 from aessim.errors import InfeasibleProfile, NoFeasiblePath
 from aessim.geometry import DriveableSpace
-from aessim.pathgen import (CurvatureProfile, PathTuning,
+from aessim.pathgen import (CurvatureProfile, PathTuning, anchor_path,
                             build_max_severity_profile, generate_path_set,
                             presample_profile)
-from aessim.geometry import Pose
 
 
 def make_cap(rho_max=0.1, rho_dot=0.2, v=20.0, a_x=0.0,
@@ -235,10 +234,11 @@ class TestPathSet:
         ps = generate_path_set(init, cap,
                                DriveableSpace(0, 300, 3.0, -6.0),
                                tun, "left")
+        assert (ps.X, ps.Y) == (15.0, -2.0)
         for path in ps.paths:
-            assert path.x[0] == pytest.approx(15.0)
-            assert path.y[0] == pytest.approx(-2.0)
-            assert path.frame == Pose(15.0, -2.0, 0.0)
+            assert (path.x[0], path.y[0]) == (0.0, 0.0)
+            placed = anchor_path(path, ps.X, ps.Y)
+            assert (placed.x[0], placed.y[0]) == (15.0, -2.0)
 
 
 class TestReplan:
@@ -321,10 +321,10 @@ def _assert_identical(got, want):
     if isinstance(want, str):
         assert got == want
         return
+    assert (got.X.hex(), got.Y.hex()) == (want.X.hex(), want.Y.hex())
     assert len(got.paths) == len(want.paths)
     for p, q in zip(got.paths, want.paths):
-        assert (p.path_id, p.index, p.side, p.frame) \
-            == (q.path_id, q.index, q.side, q.frame)
+        assert (p.path_id, p.index, p.side) == (q.path_id, q.index, q.side)
         for name in ("t", "x", "y", "psi", "rho", "v"):
             assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
         for name in ("times", "rhos", "vels"):
@@ -424,10 +424,26 @@ class TestFamilyMemo:
 
     def test_shared_arrays_are_read_only(self):
         path = _outcome(_memo_base(), "left", cold=True).paths[0]
-        for arr in (path.t, path.rho, path.v, path.profile.times,
-                    path.profile.rhos, path.profile.vels):
+        for arr in (path.t, path.x, path.y, path.psi, path.rho, path.v,
+                    path.profile.times, path.profile.rhos,
+                    path.profile.vels):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+    def test_a_hit_returns_the_kept_paths_at_its_start_point(self):
+        """A memo hit copies no samples: the set holds the family's own
+        paths and the call's start point."""
+        init, cap, tun = _memo_base()
+        first = _outcome((init, cap, tun), "left", cold=True)
+        moved = replace(init, X=init.X + 7.5)
+        second = _outcome((moved, cap, tun), "left", cold=False)
+        assert len(second.paths) == len(first.paths) > 0
+        assert all(p is q for p, q in zip(second.paths, first.paths))
+        assert (first.X, first.Y) == (init.X, init.Y)
+        assert (second.X, second.Y) == (moved.X, init.Y)
+        for path in second.paths:
+            assert not (path.x.flags.writeable or path.y.flags.writeable
+                        or path.psi.flags.writeable)
 
     def test_one_family_per_side(self):
         init, cap, tun = _memo_base()

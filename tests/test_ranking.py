@@ -6,7 +6,8 @@ import pytest
 from aessim.capability import CapabilityRecord, CapabilityScenario, EgoState
 from aessim.errors import DegenerateGrid
 from aessim.geometry import DriveableSpace, Footprint, Pose, TargetTrack
-from aessim.pathgen import PathTuning, SampledPath, generate_path_set
+from aessim.pathgen import (PathTuning, SampledPath, generate_path_set,
+                            presample_profile)
 from aessim.ranking import (REJECT_COLLISION, REJECT_NOT_DRIVEABLE,
                             CostWeights, RankedPath, monitor_selected,
                             proximity_cost, rank_paths, select_path,
@@ -147,6 +148,35 @@ class TestSelect:
     def test_empty(self):
         assert select_path([]) is None
 
+    @pytest.mark.parametrize("dt_fine", [0.01, 0.005])
+    def test_places_a_fresh_path(self, dt_fine):
+        """The selected path is placed at the set's start point in fresh
+        arrays, bit for bit as a frame of heading 0 places it."""
+        cap = CapabilityRecord(CapabilityScenario.STEER, 0.0, 0.0245, 0.25,
+                               20.0)
+        space = DriveableSpace(-50, 2000, 4.0, -4.0)
+        # the right side's mirrored heading starts its samples at psi = -0.0
+        for init, side in ((EgoState(X=1234.5678, Y=-0.7, v_x=20.0), "left"),
+                           (EgoState(X=-3.3, Y=1.1, v_x=20.0), "right"),
+                           (EgoState(v_x=20.0), "left")):
+            ps = generate_path_set(init, cap, space, PathTuning(psi_max=0.2),
+                                   side)
+            best = rank_paths(ps, [], space, FP, CostWeights())[0]
+            placed = select_path([best], dt_fine)
+            assert all(placed is not p for p in ps.paths)
+            assert placed.x.flags.writeable and placed.psi.flags.writeable
+            assert (placed.path_id, placed.index, placed.side) \
+                == (best.path.path_id, best.path.index, side)
+            rel = best.path
+            if abs(rel.dt - dt_fine) > 1e-12:
+                rel = presample_profile(rel.profile, dt_fine)
+            c, s = math.cos(0.0), math.sin(0.0)
+            want = (init.X + rel.x * c - rel.y * s,
+                    init.Y + rel.x * s + rel.y * c, rel.psi + 0.0)
+            for got, ref in zip((placed.x, placed.y, placed.psi), want):
+                assert ([v.hex() for v in got.tolist()]
+                        == [v.hex() for v in ref.tolist()])
+
     def test_resamples_to_fine_grid(self):
         ps, _ = family()
         ranked = [RankedPath(path=ps.paths[2], severity=1.0, total=1.0)]
@@ -174,10 +204,11 @@ class TestMonitor:
         """A suffix does not inherit the corner box of its family path."""
         ps, space = family()
         path = ps.paths[2]
-        assert path.relative is not None
+        assert monitor_selected(path, [], space, FP) is None
+        assert FP in path.corner_boxes
         tau = 1.0
         suffix = path.suffix_from(tau)
-        assert suffix.relative is None
+        assert not suffix.corner_boxes
         # only the dropped prefix starts behind x_start
         late_start = DriveableSpace(5.0, space.x_end, space.y_left,
                                     space.y_right)
@@ -190,6 +221,7 @@ class TestMonitor:
                                    space.y_left, space.y_right)
         assert (monitor_selected(suffix, [], early_end, FP)
                 == REJECT_NOT_DRIVEABLE)
+        assert not suffix.corner_boxes
 
     def test_narrowed_space_invalidates(self):
         ps, _ = family()

@@ -464,6 +464,18 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("values", [["0.8500001", "0.8500004"],
+                                        ["0.5", "0.50"]])
+    def test_sweep_refuses_values_with_one_label(self, scenario_dir, tmp_path,
+                                                 capsys, values):
+        # the second run used to overwrite the first's <out>/0.85, exit 0
+        rc = main(["sweep", str(scenario_dir / "empty_road.yaml"),
+                   "--param", "trigger.tte_reduction", "--values", *values,
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert "output label" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_sweep_takes_yaml_key_names(self, scenario_dir, tmp_path,
                                         capsys):
         # the YAML key n_paths used to be refused, the field name n_tot
