@@ -11,21 +11,14 @@ the array formula it replaced: a corner is `(cx + l*c) - w*s`, projected as
 
 `driveable_area_check` and `collision_check` take a path and the
 translation (X, Y) that places it in the road frame. The driveable check
-decides from the box of the footprint corners over all samples, built by
-the per-sample corner expressions (kept per footprint on a path whose
-arrays are read-only) and translated by (X, Y). A translated corner,
-`((X + x) + p) + q) - r` in floats, is four roundings from the exact sum;
-the box corner is three on the sample and one for the translation. Each
-errs by at most one unit roundoff of `|X| + |Y| + size`, where size bounds
-the samples plus the footprint's reach, so the two differ by at most 8 of
-them. The box decides only when every corridor edge clears it by more than
-`_BOX_BAND` times that sum, and the per-sample test on the translated
-corners decides every other case: the answer is the same, bit for bit.
+forms each footprint corner on the path's own samples and adds (X, Y) last.
+Rounding to nearest is monotone, so X plus the largest corner x is the
+largest translated corner x: the box of the untranslated corners, shifted by
+(X, Y), gives the per-corner answer bit for bit.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +87,6 @@ class DriveableSpace:
     x_end: float
     y_left: float
     y_right: float
-
-    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorised point membership."""
-        return ((xs >= self.x_start) & (xs <= self.x_end)
-                & (ys <= self.y_left) & (ys >= self.y_right))
 
     def lateral_extent(self, side: str, y_ref: float, x_from: float,
                        x_to: float) -> float:
@@ -183,71 +171,35 @@ def sat_check(pose_a: Pose, fp_a: Footprint,
     return True
 
 
-def _corner_arrays(path, fp: Footprint, X: float = 0.0, Y: float = 0.0):
-    """(x, y) arrays of each footprint corner over the path samples
-    translated by (X, Y)."""
+def _corner_box(path, fp: Footprint) -> tuple[float, float, float, float]:
+    """(x_lo, x_hi, y_lo, y_hi): the box of every footprint corner at every
+    sample, formed on the path's own samples."""
     c, s = np.cos(path.psi), np.sin(path.psi)
-    cx = (X + path.x) + fp.ref_offset * c
-    cy = (Y + path.y) + fp.ref_offset * s
+    cx = path.x + fp.ref_offset * c
+    cy = path.y + fp.ref_offset * s
     hl, hw = 0.5 * fp.length, 0.5 * fp.width
-    for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-        yield cx + dx * c - dy * s, cy + dx * s + dy * c
-
-
-def _corner_box(path, fp: Footprint) -> tuple[float, ...]:
-    """(x_lo, x_hi, y_lo, y_hi, size): the box of every corner at every
-    sample, and a bound on |coordinate| of the samples plus the footprint's
-    reach from them."""
-    corners = list(_corner_arrays(path, fp))
+    corners = [(cx + dx * c - dy * s, cy + dx * s + dy * c)
+               for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
     xs = np.concatenate([x for x, _ in corners])
     ys = np.concatenate([y for _, y in corners])
-    size = (max(float(np.max(np.abs(path.x))), float(np.max(np.abs(path.y))))
-            + abs(fp.ref_offset) + 0.5 * fp.length + 0.5 * fp.width)
-    return (float(xs.min()), float(xs.max()), float(ys.min()),
-            float(ys.max()), size)
+    return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
 
 
-# Band per metre of |X| + |Y| + size: 32 unit roundoffs (u = eps/2) against
-# the 8 by which box and corners can differ and 1 more for the band's own
-# addition or subtraction.
-_BOX_BAND = 16 * sys.float_info.epsilon
-
-
-def _box_verdict(path, space: DriveableSpace, fp: Footprint, X: float,
-                 Y: float) -> bool | None:
-    """The driveable answer from the path's corner box translated by
-    (X, Y), or None when a corridor edge lies within its rounding band."""
+def driveable_area_check(path, space: DriveableSpace, fp: Footprint,
+                         X: float = 0.0, Y: float = 0.0) -> bool:
+    """True when all four footprint corners, formed on the path's samples and
+    translated by (X, Y), lie inside the corridor at every sample, so a path
+    reaching past x_end is not driveable. Decided by the corner box (module
+    docstring), which a path with read-only x, y and psi keeps per footprint.
+    """
     box = path.corner_boxes.get(fp)
     if box is None:
         box = _corner_box(path, fp)
         if not any(a.flags.writeable for a in (path.x, path.y, path.psi)):
             path.corner_boxes[fp] = box
-    x_lo, x_hi, y_lo, y_hi, size = box
-    band = _BOX_BAND * (abs(X) + abs(Y) + size)
-    x_lo, x_hi, y_lo, y_hi = x_lo + X, x_hi + X, y_lo + Y, y_hi + Y
-    if (x_lo - band > space.x_start and x_hi + band < space.x_end
-            and y_lo - band > space.y_right and y_hi + band < space.y_left):
-        return True
-    if (x_lo + band < space.x_start or x_hi - band > space.x_end
-            or y_lo + band < space.y_right or y_hi - band > space.y_left):
-        return False
-    return None
-
-
-def driveable_area_check(path, space: DriveableSpace, fp: Footprint,
-                         X: float = 0.0, Y: float = 0.0) -> bool:
-    """True when all four footprint corners of the path translated by
-    (X, Y) lie inside the corridor at every sample, so a path reaching past
-    x_end is not driveable. The corner box decides (module docstring) unless
-    an edge lies within its rounding band.
-    """
-    verdict = _box_verdict(path, space, fp, X, Y)
-    if verdict is not None:
-        return verdict
-    for corner_x, corner_y in _corner_arrays(path, fp, X, Y):
-        if not np.all(space.contains(corner_x, corner_y)):
-            return False
-    return True
+    x_lo, x_hi, y_lo, y_hi = box
+    return (space.x_start <= X + x_lo and X + x_hi <= space.x_end
+            and space.y_right <= Y + y_lo and Y + y_hi <= space.y_left)
 
 
 def collision_check(path, targets, fp: Footprint, dt_check: float = 0.1,

@@ -214,8 +214,10 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     pl = _section(raw, "planner")
     sides = pl.pop("sides", ["left", "right"])
     if (not isinstance(sides, list) or not sides
-            or any(s not in ("left", "right") for s in sides)):
-        raise ConfigError("planner.sides must be a non-empty list of left/right")
+            or any(s not in ("left", "right") for s in sides)
+            or len(set(sides)) < len(sides)):
+        raise ConfigError(
+            "planner.sides must be a non-empty list of distinct left/right")
     path_tuning = _config(PathTuning, pl, "planner",
                           rename={"n_paths": "n_tot"})
     weights = _config(CostWeights, _section(raw, "costs"), "costs")
@@ -272,6 +274,10 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("sim.duration and sim.dt_check must be positive")
     if not 0.0 < sim.dt_plant <= DT_MAX:
         raise ConfigError(f"sim.dt_plant must lie in (0, {DT_MAX}]")
+    # with the path-duration check below, this caps a path at
+    # (sim.duration + trigger.ttc_horizon) / sim.dt_plant samples
+    if path_tuning.dt_presample < sim.dt_plant:
+        raise ConfigError("planner.dt_presample must be at least sim.dt_plant")
     for coarse, fine, label in ((sim.dt_control, sim.dt_plant, "dt_control/dt_plant"),
                                 (sim.planner_period, sim.dt_control,
                                  "planner_period/dt_control")):

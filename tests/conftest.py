@@ -25,20 +25,21 @@ def scenario_dir() -> Path:
     return SCENARIO_DIR
 
 
-def reference_corners(path, fp) -> list:
-    """(x, y) arrays of each footprint corner at every sample, by the corner
-    expressions of the driveable check (reference)."""
+def reference_corners(path, fp, X=0.0, Y=0.0) -> list:
+    """(x, y) arrays of each footprint corner at every sample, formed on the
+    path's own samples and then translated by (X, Y) (reference)."""
     c, s = np.cos(path.psi), np.sin(path.psi)
     cx = path.x + fp.ref_offset * c
     cy = path.y + fp.ref_offset * s
     hl, hw = 0.5 * fp.length, 0.5 * fp.width
-    return [(cx + dx * c - dy * s, cy + dx * s + dy * c)
+    return [(X + (cx + dx * c - dy * s), Y + (cy + dx * s + dy * c))
             for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
 
 
-def reference_driveable(path, space, fp) -> bool:
+def reference_driveable(path, space, fp, X=0.0, Y=0.0) -> bool:
     """The per-sample corner test of the driveable check (reference): every
-    corner at every sample inside the corridor, boundary included."""
+    corner translated by (X, Y) at every sample inside the corridor,
+    boundary included."""
     return all(bool(np.all((x >= space.x_start) & (x <= space.x_end)
                            & (y >= space.y_right) & (y <= space.y_left)))
-               for x, y in reference_corners(path, fp))
+               for x, y in reference_corners(path, fp, X, Y))

@@ -18,6 +18,9 @@ LETTER = {"avoided": "a", "collided": "c", "aborted": "x", "no-trigger": "n"}
 # stalled_car: target X = 69 ... 71 m in 0.25 m steps, one row per target Y
 STALLED_X = [70.0 + 0.25 * k for k in range(-4, 5)]
 STALLED_ROWS = {
+    -0.3: "aaaaaaaaa",
+    -0.2: "aaaaaaaaa",
+    -0.1: "aaaaaaaaa",
     0.0: "cccaacccc",
     0.1: "aaaaaaaaa",
     0.2: "ccccacccc",

@@ -9,9 +9,9 @@ from aessim.capability import (CapabilityScenario, CapabilityTuning, EgoState,
                                lateral_capability)
 from aessim.errors import DegenerateSpeed, NoFeasiblePath
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
-                             _box_verdict, circumscribed_check,
-                             collision_check, driveable_area_check,
-                             first_contact_time, inscribed_check, sat_check)
+                             circumscribed_check, collision_check,
+                             driveable_area_check, first_contact_time,
+                             inscribed_check, sat_check)
 from aessim.pathgen import (PathTuning, SampledPath, anchor_path,
                             generate_path_set)
 
@@ -180,51 +180,53 @@ def _placed_families(params):
                 continue
 
 
+def _corridors(path, fp, X=0.0, Y=0.0):
+    """(space, clear, want): corridors around the path's corners translated
+    by (X, Y). clear ones leave 1 m of room on every edge or put one edge 1 m
+    into the corners; the others put one edge on an extreme corner, 1 ulp
+    inside it or 1 ulp outside it."""
+    corners = reference_corners(path, fp, X, Y)
+    x_lo = min(float(x.min()) for x, _ in corners)
+    x_hi = max(float(x.max()) for x, _ in corners)
+    y_lo = min(float(y.min()) for _, y in corners)
+    y_hi = max(float(y.max()) for _, y in corners)
+    wide = DriveableSpace(x_lo - 1.0, x_hi + 1.0, y_hi + 1.0, y_lo - 1.0)
+    edges = (("x_start", x_lo, -math.inf), ("x_end", x_hi, math.inf),
+             ("y_right", y_lo, -math.inf), ("y_left", y_hi, math.inf))
+    yield wide, True, True
+    for edge, value, out in edges:
+        yield replace(wide, **{edge: value - math.copysign(1.0, out)}), \
+            True, False
+        for on, want in ((value, True), (math.nextafter(value, out), True),
+                         (math.nextafter(value, -out), False)):
+            yield replace(wide, **{edge: on}), False, want
+
+
 class TestDriveableEnvelope:
-    """The translated corner box of a family path gives the per-sample
-    test's answer on the placed path, and leaves every corridor edge that a
-    corner touches within a few ulps to the per-sample test."""
+    """The check gives the per-sample answer on the corners translated by
+    (X, Y) last, also with a corridor edge on an extreme corner or 1 ulp
+    inside or outside it."""
 
     def test_box_matches_per_sample_test(self, ref_params):
-        boxed = 0
+        n_clear = n_edge = 0
         for ps in _placed_families(ref_params):
             for path in ps.paths:
                 assert not path.x.flags.writeable
                 for fp in ENVELOPE_FOOTPRINTS:
-                    boxed += self._check(path, ps.X, ps.Y, fp)
+                    placed = anchor_path(path, ps.X, ps.Y)
+                    for space, clear, want in _corridors(path, fp, ps.X,
+                                                         ps.Y):
+                        assert reference_driveable(path, space, fp, ps.X,
+                                                   ps.Y) is want
+                        assert driveable_area_check(path, space, fp, ps.X,
+                                                    ps.Y) is want
+                        if clear:  # the placed path's samples agree here
+                            assert reference_driveable(placed, space,
+                                                       fp) is want
+                        n_clear += clear
+                        n_edge += not clear
                     assert fp in path.corner_boxes
-        assert boxed > 1000
-
-    @staticmethod
-    def _check(path, X, Y, fp) -> int:
-        placed = anchor_path(path, X, Y)
-        corners = reference_corners(placed, fp)
-        x_lo = min(float(x.min()) for x, _ in corners)
-        x_hi = max(float(x.max()) for x, _ in corners)
-        y_lo = min(float(y.min()) for _, y in corners)
-        y_hi = max(float(y.max()) for _, y in corners)
-        wide = DriveableSpace(x_lo - 1.0, x_hi + 1.0, y_hi + 1.0, y_lo - 1.0)
-        edges = (("x_start", x_lo, -math.inf), ("x_end", x_hi, math.inf),
-                 ("y_right", y_lo, -math.inf), ("y_left", y_hi, math.inf))
-        # 1 m of room on every edge, or one edge 1 m into the corners: the
-        # box decides
-        boxed = [wide] + [
-            replace(wide, **{edge: value - math.copysign(1.0, out)})
-            for edge, value, out in edges]
-        for space in boxed:
-            want = reference_driveable(placed, space, fp)
-            assert _box_verdict(path, space, fp, X, Y) is want
-            assert driveable_area_check(path, space, fp, X, Y) is want
-        # an extreme corner on the edge, 1 ulp inside it or 1 ulp outside
-        for edge, value, out in edges:
-            for on, want in ((value, True),
-                             (math.nextafter(value, out), True),
-                             (math.nextafter(value, -out), False)):
-                space = replace(wide, **{edge: on})
-                assert reference_driveable(placed, space, fp) is want
-                assert _box_verdict(path, space, fp, X, Y) is None
-                assert driveable_area_check(path, space, fp, X, Y) is want
-        return len(boxed)
+        assert n_clear > 1000 and n_edge >= 6000
 
     def test_hand_built_paths_get_the_per_sample_answer(self):
         """Writeable samples may change, so their box is built per call."""
@@ -235,6 +237,25 @@ class TestDriveableEnvelope:
             assert reference_driveable(path, space, fp) is want
             assert driveable_area_check(path, space, fp) is want
             assert not path.corner_boxes
+        path = straight_path(n=37, v=17.3, dt=0.03, y=0.41, psi=0.07)
+        for fp in ENVELOPE_FOOTPRINTS:
+            for space, _, want in _corridors(path, fp):
+                assert reference_driveable(path, space, fp) is want
+                assert driveable_area_check(path, space, fp) is want
+        assert not path.corner_boxes
+
+    def test_monitored_suffix_gets_the_per_sample_answer(self, ref_params):
+        """A monitored suffix of a placed path is checked at X = Y = 0 on
+        its own samples."""
+        ps = next(ps for ps in _placed_families(ref_params) if ps.X != 0.0)
+        path = ps.paths[len(ps.paths) // 2]
+        suffix = anchor_path(path, ps.X, ps.Y).suffix_from(0.5 * path.t[-1])
+        assert 0 < len(suffix) < len(path)
+        for fp in ENVELOPE_FOOTPRINTS:
+            for space, _, want in _corridors(suffix, fp):
+                assert reference_driveable(suffix, space, fp) is want
+                assert driveable_area_check(suffix, space, fp) is want
+        assert not suffix.corner_boxes
 
 
 class TestCircleFilters:

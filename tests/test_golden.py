@@ -46,11 +46,12 @@ repeated with that memo emptied before every `generate_path_set` call and
 must hit the same digests.
 
 A candidate is a kept family path plus the cycle's start point (X, Y), and
-the driveable check decides it from the family path's corner box translated
-by (X, Y). The shipped and replanning runs are repeated with every check
-compared with the per-sample reference on the placed path, and every ranked
-candidate must be decided by the box: a change that stops the box from
-deciding passes every digest and only loses the speed.
+the driveable check decides it from the family path's corner box: each
+corner is formed on the family path's samples and translated by (X, Y)
+last, and rounding to nearest is monotone, so the shifted box gives the
+per-corner answer exactly. The shipped and replanning runs are repeated
+with every check compared with the per-sample reference, corners translated
+last, and must reach ranked candidates.
 """
 import hashlib
 
@@ -58,8 +59,8 @@ import pytest
 import yaml
 from conftest import reference_driveable
 
-from aessim import geometry, pathgen, ranking, simloop
-from aessim.pathgen import anchor_path, generate_path_set
+from aessim import pathgen, ranking, simloop
+from aessim.pathgen import generate_path_set
 from aessim.scenario import load_scenario, parse_scenario
 from aessim.simloop import run_scenario
 
@@ -267,20 +268,17 @@ def test_runs_in_one_process_match_their_cold_runs(scenario_dir, tmp_path,
 
 @pytest.fixture
 def box_decides(monkeypatch):
-    """Every driveable check compared with the reference, and every ranked
-    candidate decided by the corner box; yields the candidate count."""
+    """Every driveable check compared with the reference; yields the count
+    of ranked candidates."""
     counts = {"candidates": 0}
     check, rank = ranking.driveable_area_check, simloop.rank_paths
 
     def checked(path, space, fp, X=0.0, Y=0.0):
         got = check(path, space, fp, X, Y)
-        assert got is reference_driveable(anchor_path(path, X, Y), space, fp)
+        assert got is reference_driveable(path, space, fp, X, Y)
         return got
 
     def ranked(path_set, targets, space, fp, *args):
-        for path in path_set.paths:
-            assert geometry._box_verdict(path, space, fp, path_set.X,
-                                         path_set.Y) is not None
         counts["candidates"] += len(path_set.paths)
         return rank(path_set, targets, space, fp, *args)
 

@@ -164,6 +164,11 @@ REJECTED_AT_LOAD = {
     # the stabilisation ramp stretched past 1e8 s: MemoryError mid-run in
     # presample_profile
     "planner_i_sb_tiny": {"planner": {"i_sb": 1e-9}},
+    # the 1.84 s path pre-sampled every 1e-9 s: 1.8e9 samples, about 90 GB,
+    # per path at the first planner cycle (computed, never run)
+    "planner_dt_presample_below_dt_plant": {"planner": {"dt_presample": 1e-9}},
+    # each side planned twice, every candidate written twice to paths.csv
+    "planner_sides_repeated": {"planner": {"sides": ["left", "left"]}},
 }
 
 
@@ -202,6 +207,11 @@ class TestRejectedAtLoad:
                                               "y_offset": 0.0}))
         assert (cfg.path_tuning.t_stabilize, cfg.path_tuning.y_offset) \
             == (0.0, 0.0)
+
+    def test_dt_presample_at_dt_plant_accepted(self):
+        cfg = parse_scenario(minimal(planner={"dt_presample": 0.001},
+                                     sim={"duration": 1.0, "dt_plant": 0.001}))
+        assert cfg.path_tuning.dt_presample == cfg.sim.dt_plant == 0.001
 
     def test_non_number_rejected(self):
         raw = minimal()
