@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .capability import EgoState
@@ -43,10 +43,10 @@ class AesState(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupervisorState:
     state: AesState = AesState.STANDBY
-    selected_path: SampledPath | None = None
+    selected_path: SampledPath | None = None  # executed, iff IN_REGULATION
     abort_reason: str | None = None
 
 
@@ -108,30 +108,27 @@ def step_state_machine(s: SupervisorState,
                        ev: SupervisorEvents) -> SupervisorState:
     """One supervisor transition; deterministic and side-effect free.
 
-    Event combinations unreachable by construction are rejected: the state is
-    returned unchanged and the combination is logged. ABORTED is absorbing.
+    Event combinations unreachable by construction are rejected and logged.
+    A rejected transition, or one that changes nothing, returns s itself.
+    ABORTED is absorbing.
     """
     reason = _illegal(s, ev)
     if reason is not None:
         logger.warning("illegal event rejected (%s)", reason)
-        return replace(s)
-
-    if s.state is AesState.ABORTED:
-        return replace(s)
+        return s
 
     if s.state is AesState.STANDBY:
         if ev.targets_present:
             return SupervisorState(AesState.MONITORING)
-        return replace(s)
+        return s
 
     if s.state is AesState.MONITORING:
         if not ev.targets_present:
             return SupervisorState(AesState.STANDBY)
         if ev.trigger is not Trigger.NONE and ev.candidate_path is not None:
             # an engage-grade trigger still passes through the warning state
-            return SupervisorState(AesState.WARNING,
-                                   selected_path=ev.candidate_path)
-        return replace(s)
+            return SupervisorState(AesState.WARNING)
+        return s
 
     if s.state is AesState.WARNING:
         if ev.trigger is Trigger.NONE:
@@ -142,16 +139,17 @@ def step_state_machine(s: SupervisorState,
                                        abort_reason="no feasible path at engage")
             return SupervisorState(AesState.IN_REGULATION,
                                    selected_path=ev.candidate_path)
-        return replace(s, selected_path=ev.candidate_path or s.selected_path)
+        return s
 
     if s.state is AesState.IN_REGULATION:
         if ev.manoeuvre_complete:
             return SupervisorState(AesState.MONITORING)
         if not ev.path_valid:
             if ev.replanned_path is not None:
-                return replace(s, selected_path=ev.replanned_path)
+                return SupervisorState(AesState.IN_REGULATION,
+                                       selected_path=ev.replanned_path)
             return SupervisorState(AesState.ABORTED,
                                    abort_reason="replanning failed")
-        return replace(s)
+        return s
 
-    raise AssertionError(f"unhandled state {s.state}")
+    return s  # ABORTED

@@ -215,8 +215,9 @@ def collision_check(path, targets, fp: Footprint, dt_check: float = 0.1,
     times = path.t
     if len(times) == 0:
         return report
-    dt_path = times[1] - times[0] if len(times) > 1 else dt_check
-    stride = max(1, int(round(dt_check / max(dt_path, 1e-9))))
+    dt_path = float(times[1] - times[0]) if len(times) > 1 else dt_check
+    # any stride from len(times) up checks only the first and last samples
+    stride = max(1, round(min(dt_check / max(dt_path, 1e-9), len(times))))
     idx = np.arange(0, len(times), stride)
     if idx[-1] != len(times) - 1:
         idx = np.append(idx, len(times) - 1)

@@ -70,7 +70,10 @@ def vehicle_poles(params: VehicleParams, u: float) -> np.ndarray:
 
 
 def assert_stable_vehicle(params: VehicleParams, u: float) -> None:
-    poles = vehicle_poles(params, u)
+    try:
+        poles = vehicle_poles(params, u)
+    except OverflowError as exc:  # a**2 or b**2 beyond the float range
+        raise ValueError(f"vehicle model overflows at u={u:.1f} m/s") from exc
     if np.any(poles.real >= 0):
         raise ValueError(
             f"vehicle model unstable at u={u:.1f} m/s (poles {poles})")
@@ -91,6 +94,7 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
     a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
     ay_max = params.mu_min * G
     delta, m_ext = cmd.delta_g, cmd.M_z_ext
+    t = s.t + dt
     saturated = False
 
     def deriv(v, r, psi):
@@ -106,7 +110,10 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
             v_dot = scale * a_y - u * r
             r_dot_tire *= scale
         r_dot = r_dot_tire + b22 * m_ext
-        c, sn = math.cos(psi), math.sin(psi)
+        try:
+            c, sn = math.cos(psi), math.sin(psi)
+        except ValueError:  # the stage heading overflowed to inf
+            raise _diverged(t, v, r) from None
         return v_dot, r_dot, u * c - v * sn, u * sn + v * c
 
     # RK4 stages; the heading derivative of a stage is its yaw-rate input
@@ -128,14 +135,18 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
         X=float(s.X + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)),
         Y=float(s.Y + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)),
         psi=float(psi + w * (r + 2.0 * r_2 + 2.0 * r_3 + r_4)),
-        t=s.t + dt,
+        t=t,
         ay_saturated=saturated,
     )
-    if abs(new.v_v) > V_LAT_LIMIT or abs(new.r) > YAW_RATE_LIMIT:
-        raise NumericalDivergence(
-            f"plant state out of bounds at t={new.t:.3f} "
-            f"(v_v={new.v_v:.2f}, r={new.r:.2f})")
+    # negated, so that a NaN state fails the bounds too
+    if not (abs(new.v_v) <= V_LAT_LIMIT and abs(new.r) <= YAW_RATE_LIMIT):
+        raise _diverged(new.t, new.v_v, new.r)
     return new
+
+
+def _diverged(t: float, v_v: float, r: float) -> NumericalDivergence:
+    return NumericalDivergence(
+        f"plant state out of bounds at t={t:.3f} (v_v={v_v:.2f}, r={r:.2f})")
 
 
 def lateral_acceleration(s: PlantState, cmd: ControlCommand,

@@ -35,9 +35,9 @@ class RankedPath:
     X: float = 0.0      # the candidate is the path translated by (X, Y)
     Y: float = 0.0
     rejected: str | None = None
-    severity: float = 0.0
-    proximity: float = 0.0
-    total: float = 0.0
+    severity: float | None = None   # costs of a survivor only
+    proximity: float | None = None
+    total: float | None = None
 
     @property
     def terminal_offset(self) -> float:

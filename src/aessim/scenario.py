@@ -248,6 +248,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
             raise ConfigError(f"{label} must be a mapping")
         entry = dict(entry)
         tid = str(entry.pop("id", f"target{i}"))
+        if any(c in tid for c in ",\n\r"):  # ids name CSV columns
+            raise ConfigError(f"{label}.id must not contain ',' or a "
+                              f"line break, found {tid!r}")
         if tid in seen:
             raise ConfigError(f"duplicate target id '{tid}'")
         seen.add(tid)
@@ -282,8 +285,11 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
                                 (sim.planner_period, sim.dt_control,
                                  "planner_period/dt_control")):
         ratio = coarse / fine
-        if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
+        if (not math.isfinite(ratio) or ratio < 1
+                or abs(ratio - round(ratio)) > 1e-9):
             raise ConfigError(f"{label} must be an integer multiple")
+    if not math.isfinite(sim.duration / sim.dt_control):
+        raise ConfigError("sim.duration/dt_control must be finite")
     _no_leftovers(raw, "scenario")
 
     cfg = ScenarioConfig(

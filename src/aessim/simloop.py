@@ -116,49 +116,46 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             trace.add_path_event(
                 t=t, kind=kind, side=r.path.side, index=r.path.index,
                 path_id=r.path.path_id,
-                status=r.rejected or "survivor",
-                severity=r.severity if r.rejected is None else None,
-                proximity=r.proximity if r.rejected is None else None,
-                total=r.total if r.rejected is None else None,
+                status=r.rejected or "survivor", severity=r.severity,
+                proximity=r.proximity, total=r.total,
                 terminal_y=r.terminal_offset)
         return select_path(ranked_all, dt_ctrl), ranked_all
 
-    def plan_and_trigger(t: float, preds, ttc: float,
-                         kind: str | None) -> Trigger:
-        """Plan a fresh candidate when given a path-event kind, then weigh
-        the TTC against the candidate's time-to-evade."""
+    def plan_candidate(t: float, preds, kind: str) -> None:
+        """Plan a fresh candidate with its time-to-evade."""
         nonlocal candidate, last_ranked, tte
-        if kind is not None:
-            candidate, last_ranked = plan(t, preds, kind, cfg.cap_scenario,
-                                          cfg.sides)
-            tte = (None if candidate is None
-                   else compute_tte(candidate.profile, cfg.trigger))
-        if tte is None:
-            return Trigger.NONE
-        return evaluate_triggers(ttc, tte, cfg.trigger)
+        candidate, last_ranked = plan(t, preds, kind, cfg.cap_scenario,
+                                      cfg.sides)
+        tte = (None if candidate is None
+               else compute_tte(candidate.profile, cfg.trigger))
+
+    def weigh(ttc: float) -> Trigger:
+        """The TTC against the candidate's time-to-evade."""
+        return (Trigger.NONE if candidate is None
+                else evaluate_triggers(ttc, tte, cfg.trigger))
 
     for k in range(n_ticks + 1):
         t = k * dt_ctrl
         preds = _predictions(cfg, t)
         planner_tick = (k % planner_every == 0)
         events = SupervisorEvents(targets_present=bool(preds))
-        ttc = math.inf
+        ttc = None
         triggering = sup.state in (AesState.MONITORING, AesState.WARNING)
 
-        # trigger: TTC of the no-action path against the candidate's TTE
+        # trigger: TTC of the no-action path against the candidate's TTE;
+        # a run monitors only with targets present, and none disappears
         if triggering:
-            if not preds:
-                candidate, tte = None, None
             ttc = compute_ttc(_ego_state(plant), preds, fp,
                               cfg.trigger.ttc_horizon)
-            events.trigger = plan_and_trigger(
-                t, preds, ttc, "plan" if preds and planner_tick else None)
+            if planner_tick:
+                plan_candidate(t, preds, "plan")
+            events.trigger = weigh(ttc)
             if (events.trigger is Trigger.ENGAGE and not planner_tick
                     and sup.state is AesState.WARNING):
                 # regenerate at the engage tick so the executed path starts
                 # exactly at the current vehicle state
-                events.trigger = plan_and_trigger(t, preds, ttc,
-                                                  "engage_plan")
+                plan_candidate(t, preds, "engage_plan")
+                events.trigger = weigh(ttc)
             events.candidate_path = candidate
 
         # regulation: monitor the selected path, replan from it when invalid
@@ -186,18 +183,19 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         sup = step_state_machine(sup, events)
         regulating = sup.state is AesState.IN_REGULATION
 
-        if regulating and prev.state is not AesState.IN_REGULATION:
-            cap = sup.selected_path.profile.capability
-            anchor, brake_until, a_x_min = t, t + cap.t_pb, cap.a_x_min
-            engage_info = {
-                "engage_time": t, "engage_ttc": ttc, "engage_tte": tte,
-                "engage_path_id": sup.selected_path.path_id,
-                "engage_side": sup.selected_path.side,
-                "engage_speed": plant.u_v,
-            }
-            trace.snapshot_candidates(last_ranked, sup.selected_path)
-        elif regulating and sup.selected_path is not prev.selected_path:
+        # a new selected path, at engage or replan, re-anchors tracking
+        if regulating and sup.selected_path is not prev.selected_path:
             anchor, force_complete = t, False
+            if prev.state is not AesState.IN_REGULATION:
+                cap = sup.selected_path.profile.capability
+                brake_until, a_x_min = t + cap.t_pb, cap.a_x_min
+                engage_info = {
+                    "engage_time": t, "engage_ttc": ttc, "engage_tte": tte,
+                    "engage_path_id": sup.selected_path.path_id,
+                    "engage_side": sup.selected_path.side,
+                    "engage_speed": plant.u_v,
+                }
+                trace.snapshot_candidates(last_ranked, sup.selected_path)
 
         # control and actuation for this tick
         cmd = ControlCommand()
@@ -227,8 +225,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             "t": t, "state": sup.state.value, "X": plant.X, "Y": plant.Y,
             "psi": plant.psi, "u_v": plant.u_v, "v_v": plant.v_v,
             "r": plant.r, "a_y": a_y, "ay_sat": plant.ay_saturated,
-            "ttc": ttc if triggering and preds else None,
-            "tte": tte if triggering else None,
+            "ttc": ttc, "tte": tte if triggering else None,
             "trigger": events.trigger.value,
             "path_id": sup.selected_path.path_id if regulating else None,
             "y_e": y_e, "psi_e": psi_e, "delta_g": cmd.delta_g,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -135,7 +136,7 @@ class TestStateMachine:
         ev.candidate_path = dummy_path()
         out = step_state_machine(s, ev)
         assert out.state is AesState.WARNING
-        assert out.selected_path is ev.candidate_path
+        assert out.selected_path is None  # a path is held only in regulation
 
     def test_engage_passes_through_warning(self):
         s = SupervisorState(AesState.MONITORING)
@@ -146,7 +147,7 @@ class TestStateMachine:
 
     def test_warning_to_in_regulation(self):
         path = dummy_path()
-        s = SupervisorState(AesState.WARNING, selected_path=path)
+        s = SupervisorState(AesState.WARNING)
         ev = SupervisorEvents(targets_present=True, trigger=Trigger.ENGAGE,
                               candidate_path=path)
         out = step_state_machine(s, ev)
@@ -154,14 +155,14 @@ class TestStateMachine:
         assert out.selected_path is path
 
     def test_warning_relaxes_to_monitoring(self):
-        s = SupervisorState(AesState.WARNING, selected_path=dummy_path())
+        s = SupervisorState(AesState.WARNING)
         out = step_state_machine(s, SupervisorEvents(targets_present=True,
                                                      trigger=Trigger.NONE))
         assert out.state is AesState.MONITORING
         assert out.selected_path is None
 
     def test_engage_without_candidate_aborts(self):
-        s = SupervisorState(AesState.WARNING, selected_path=dummy_path())
+        s = SupervisorState(AesState.WARNING)
         ev = SupervisorEvents(targets_present=True, trigger=Trigger.ENGAGE)
         out = step_state_machine(s, ev)
         assert out.state is AesState.ABORTED
@@ -202,31 +203,38 @@ class TestStateMachine:
 
     def test_exhaustive_closure_and_determinism(self):
         states = list(AesState)
-        path = dummy_path()
+        path, candidate, replanned = dummy_path(), dummy_path(), dummy_path()
         bools = (False, True)
         count = 0
         for state in states:
             base = SupervisorState(
                 state,
-                selected_path=path if state in (AesState.WARNING,
-                                                AesState.IN_REGULATION) else None,
+                selected_path=path if state is AesState.IN_REGULATION else None,
                 abort_reason="x" if state is AesState.ABORTED else None)
             for combo in itertools.product(bools, list(Trigger), bools, bools,
                                            bools, bools):
                 tp, trig, pv, cand, repl, done = combo
                 ev = SupervisorEvents(
                     targets_present=tp, trigger=trig, path_valid=pv,
-                    candidate_path=path if cand else None,
-                    replanned_path=path if repl else None,
+                    candidate_path=candidate if cand else None,
+                    replanned_path=replanned if repl else None,
                     manoeuvre_complete=done)
                 out1 = step_state_machine(base, ev)
                 out2 = step_state_machine(base, ev)
                 assert out1.state in states
                 assert out1.state == out2.state
                 assert (out1.selected_path is None) == \
-                    (out1.state not in (AesState.WARNING,
-                                        AesState.IN_REGULATION))
+                    (out1.state is not AesState.IN_REGULATION)
+                unchanged = (out1.state is base.state
+                             and out1.selected_path is base.selected_path
+                             and out1.abort_reason == base.abort_reason)
+                assert (out1 is base) == unchanged
                 if state is AesState.ABORTED:
-                    assert out1 == base  # absorbing
+                    assert out1 is base  # absorbing
                 count += 1
-        assert count == len(states) * 2**5 * len(Trigger)
+        assert count == len(states) * 2**5 * len(Trigger) == 480
+
+    def test_state_is_frozen(self):
+        s = SupervisorState(AesState.IN_REGULATION, selected_path=dummy_path())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.selected_path = None

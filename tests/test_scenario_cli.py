@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import math
@@ -18,7 +19,7 @@ from aessim.pathgen import PathTuning
 from aessim.ranking import CostWeights
 from aessim.scenario import (SimSettings, TargetDef, load_scenario,
                              parse_scenario)
-from aessim.simloop import run_scenario
+from aessim.simloop import EXIT_CODES, run_scenario
 from aessim.trace import TraceLog, emit_plot_data
 
 MINIMAL = {
@@ -84,6 +85,17 @@ class TestConfig:
         ])
         with pytest.raises(ConfigError, match="duplicate"):
             parse_scenario(raw)
+
+    @pytest.mark.parametrize("tid", ["car,1", "car\n1", "car\r1", ","])
+    def test_target_id_with_csv_separator_rejected(self, tid):
+        # ids name trace.csv columns: "car,1" wrote 28 header cells for 25
+        # row cells
+        target = {"id": tid, "footprint": {"length": 1, "width": 1}, "X": 5,
+                  "Y": 0}
+        with pytest.raises(ConfigError, match="id"):
+            parse_scenario(minimal(targets=[target]))
+        target["id"] = "left_car-1 (stalled)"
+        parse_scenario(minimal(targets=[target]))
 
     def test_target_type_ignored_unknown_target_key_rejected(self):
         target = {"id": "a", "footprint": {"length": 1, "width": 1}, "X": 5,
@@ -169,6 +181,16 @@ REJECTED_AT_LOAD = {
     "planner_dt_presample_below_dt_plant": {"planner": {"dt_presample": 1e-9}},
     # each side planned twice, every candidate written twice to paths.csv
     "planner_sides_repeated": {"planner": {"sides": ["left", "left"]}},
+    # schedule ratios beyond the float range: OverflowError in the
+    # integer-multiple check (validate printed a traceback, exit 1)
+    "sim_dt_control_huge": {"sim": {"dt_control": 1e308}},
+    "sim_planner_period_huge": {"sim": {"planner_period": 1e308}},
+    "sim_dt_plant_subnormal": {"sim": {"dt_plant": 5e-324}},
+    # loaded, then run_scenario raised OverflowError computing n_ticks
+    "sim_duration_huge": {"sim": {"duration": 1e308}},
+    # a**2 and b**2 overflow in the stability check: OverflowError
+    "vehicle_a_huge": {"vehicle": {"a": 1e155}},
+    "vehicle_b_huge": {"vehicle": {"b": 1e155}},
 }
 
 
@@ -218,6 +240,73 @@ class TestRejectedAtLoad:
         raw["vehicle"]["m"] = [2000.0]
         with pytest.raises(ConfigError, match="vehicle.m"):
             parse_scenario(raw)
+
+
+def _numeric_keys(node, where=()):
+    """Paths to every numeric leaf of a raw scenario mapping, including the
+    numbers YAML leaves as strings (1.0e5 has no exponent sign)."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_keys(value, where + (key,))
+        elif not isinstance(value, bool):
+            try:
+                float(value)
+            except ValueError:
+                continue
+            yield where + (key,)
+
+
+class TestExtremeValues:
+    EXTREMES = (1e308, -1e308, 1e-300, -1e-300, 5e-324)
+
+    def test_every_numeric_key_loads_or_raises_config_error(self,
+                                                             scenario_dir):
+        base = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+        keys = [k for k in _numeric_keys(base) if len(k) > 1]
+        assert {("vehicle", "C_f"), ("control", "brake_force_max"),
+                ("targets", 0, "footprint", "ref_offset")} <= set(keys)
+        assert len(keys) == 61
+        failures = []
+        for key in keys:
+            for value in self.EXTREMES:
+                raw = copy.deepcopy(base)
+                holder = raw
+                for step in key[:-1]:
+                    holder = holder[step]
+                holder[key[-1]] = value
+                try:
+                    parse_scenario(raw)
+                except ConfigError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    failures.append(f"{key}={value!r}: {exc!r}")
+        assert not failures
+
+    @pytest.mark.parametrize("dt_check", [1e300, 1e308])
+    def test_huge_dt_check_checks_first_and_last_samples(self, scenario_dir,
+                                                         dt_check):
+        # the stride overflowed mid-run (IndexError at 1e300, OverflowError
+        # at 1e308); any stride from a path's sample count up checks the
+        # same two samples, so the run matches one with a 1000 s step
+        raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+        runs = []
+        for value in (1000.0, dt_check):
+            raw["sim"]["dt_check"] = value
+            runs.append(run_scenario(parse_scenario(raw)))
+        assert runs[1].outcome in EXIT_CODES
+        assert runs[1].trace.rows == runs[0].trace.rows
+        assert runs[1].trace.path_events == runs[0].trace.path_events
+
+    @pytest.mark.parametrize("I_zz", [1e-12, 1e-300])
+    def test_tiny_yaw_inertia_aborts_on_divergence(self, scenario_dir, I_zz):
+        # at 1e-300 a stage heading overflowed within one substep and
+        # math.cos raised "math domain error" mid-run
+        raw = yaml.safe_load((scenario_dir / "stalled_car.yaml").read_text())
+        raw["vehicle"]["I_zz"] = I_zz
+        res = run_scenario(parse_scenario(raw))
+        assert res.outcome == "aborted"
+        assert res.reason.startswith("plant state out of bounds at t=")
 
 
 # The schema as an explicit table. Per section (its path in the raw
