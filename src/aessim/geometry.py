@@ -15,10 +15,25 @@ forms each footprint corner on the path's own samples and adds (X, Y) last.
 Rounding to nearest is monotone, so X plus the largest corner x is the
 largest translated corner x: the box of the untranslated corners, shifted by
 (X, Y), gives the per-corner answer bit for bit.
+
+A planner cycle checks all its candidates against one `predict`ion of the
+targets, made on the time grid of the set's longest path. Every family path
+is sampled at the same step from t = 0, so its grid is a prefix of that one
+bit for bit (`pathgen.PathSet` checks it), and indexing the shared
+prediction at a path's check instants gives the numbers a prediction on the
+path's own instants would: the same operands, `X + vx * t` and then
+`+ ref_offset * cos(psi)`, in the same order. The ego side is kept per
+read-only path (`SampledPath.cached`): the check indices, the samples there
+and `ref_offset * cos/sin(psi)`, so an ego centre is still
+`(X + x) + ref_offset * cos(psi)`. A writeable path, such as a monitored
+suffix, takes the same code with a prediction on its own grid and keeps
+nothing. The stages then replay target after target as before: the report
+counts what they resolved up to the first hit.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,69 +205,99 @@ def driveable_area_check(path, space: DriveableSpace, fp: Footprint,
     """True when all four footprint corners, formed on the path's samples and
     translated by (X, Y), lie inside the corridor at every sample, so a path
     reaching past x_end is not driveable. Decided by the corner box (module
-    docstring), which a path with read-only x, y and psi keeps per footprint.
+    docstring), which a read-only path keeps per footprint.
     """
-    box = path.corner_boxes.get(fp)
-    if box is None:
-        box = _corner_box(path, fp)
-        if not any(a.flags.writeable for a in (path.x, path.y, path.psi)):
-            path.corner_boxes[fp] = box
-    x_lo, x_hi, y_lo, y_hi = box
+    x_lo, x_hi, y_lo, y_hi = path.cached(fp, _corner_box, fp)
     return (space.x_start <= X + x_lo and X + x_hi <= space.x_end
             and space.y_right <= Y + y_lo and Y + y_hi <= space.y_left)
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """Targets predicted on a time grid: reference points pos and footprint
+    centres centre, each of shape (2, number of targets, grid) with x
+    first, and each target's circumscribed radius, shape (targets, 1)."""
+
+    pos: np.ndarray
+    centre: np.ndarray
+    radius: np.ndarray
+
+
+def predict(targets, t: np.ndarray) -> Prediction:
+    """Each target at constant speed along its heading at every instant of
+    t: X + vx * t, and that plus ref_offset * cos(psi) for the centre."""
+    rows = [(tg.pose.X, tg.pose.Y, *tg.velocity,
+             tg.footprint.ref_offset * math.cos(tg.pose.psi),
+             tg.footprint.ref_offset * math.sin(tg.pose.psi),
+             tg.footprint.circumscribed_radius) for tg in targets]
+    col = np.array(rows, dtype=float).reshape(-1, 7).T[..., None]
+    pos = col[2:4] * t
+    pos += col[0:2]   # X + vx * t: the sum commutes exactly
+    return Prediction(pos, pos + col[4:6], col[6])
+
+
+def _check_geometry(path, fp: Footprint, dt_check: float) -> tuple:
+    """The path's check instants idx, about dt_check apart and always
+    including the last sample, and its samples there: (idx, [x, y], psi,
+    ref_offset * [cos(psi), sin(psi)])."""
+    n = len(path.t)
+    dt_path = float(path.t[1] - path.t[0]) if n > 1 else dt_check
+    # any stride from n up checks only the first and last samples
+    stride = max(1, round(min(dt_check / max(dt_path, 1e-9), n)))
+    idx = np.arange(0, n, stride)
+    if idx[-1] != n - 1:
+        idx = np.append(idx, n - 1)
+    psi = path.psi[idx]
+    return (idx, np.array([path.x[idx], path.y[idx]]), psi,
+            fp.ref_offset * np.array([np.cos(psi), np.sin(psi)]))
+
+
 def collision_check(path, targets, fp: Footprint, dt_check: float = 0.1,
-                    X: float = 0.0, Y: float = 0.0) -> CollisionReport:
+                    X: float = 0.0, Y: float = 0.0,
+                    pred: Prediction | None = None) -> CollisionReport:
     """Staged collision check of a sampled path, translated by (X, Y),
     against predicted targets.
 
-    Check instants are the path samples subsampled to roughly dt_check. Per
-    instant the circumscribed filter runs first, then the inscribed filter,
-    then the separating-axis test. The check returns at the first hit.
+    pred is the targets' prediction on a grid of which path.t is a prefix
+    (one per planner cycle, module docstring); left out, the targets are
+    predicted on path.t. Per check instant the circumscribed filter runs
+    first, then the inscribed filter, then the separating-axis test, target
+    after target; the check returns at the first hit, and the report counts
+    what the stages resolved up to it.
     """
     report = CollisionReport()
-    times = path.t
-    if len(times) == 0:
+    if len(path.t) == 0 or not targets:
         return report
-    dt_path = float(times[1] - times[0]) if len(times) > 1 else dt_check
-    # any stride from len(times) up checks only the first and last samples
-    stride = max(1, round(min(dt_check / max(dt_path, 1e-9), len(times))))
-    idx = np.arange(0, len(times), stride)
-    if idx[-1] != len(times) - 1:
-        idx = np.append(idx, len(times) - 1)
-    check_t = times[idx]
-
-    c, s = np.cos(path.psi[idx]), np.sin(path.psi[idx])
-    ego_x, ego_y = X + path.x[idx], Y + path.y[idx]
-    ego_cx = ego_x + fp.ref_offset * c
-    ego_cy = ego_y + fp.ref_offset * s
-
-    for target in targets:
-        vx, vy = target.velocity
-        tx = target.pose.X + vx * check_t
-        ty = target.pose.Y + vy * check_t
-        psi, off = target.pose.psi, target.footprint.ref_offset
-        tcx = tx + off * math.cos(psi)
-        tcy = ty + off * math.sin(psi)
-        dist = np.hypot(tcx - ego_cx, tcy - ego_cy)
-
-        rc = fp.circumscribed_radius + target.footprint.circumscribed_radius
-        ri = fp.inscribed_radius + target.footprint.inscribed_radius
-        clear = dist > rc
-        report.resolved_circumscribed += int(clear.sum())
-        for k in np.nonzero(~clear)[0]:
-            if dist[k] < ri:
-                report.resolved_inscribed += 1
-                report.collides = True
-                return report
+    if pred is None:
+        pred = predict(targets, path.t)
+    idx, xy, psi, off = path.cached(("check", fp, dt_check), _check_geometry,
+                                    fp, dt_check)
+    ego = np.array([[X], [Y]]) + xy
+    gap = pred.centre[:, :, idx] - (ego + off)[:, None, :]
+    dist = np.hypot(gap[0], gap[1])
+    # not `dist <= rc`: a NaN distance must reach SAT, never count as clear
+    rows, ks = np.nonzero(~(dist > fp.circumscribed_radius + pred.radius))
+    # near (target, instant) pairs, target after target, instants in order
+    near = rows.tolist()
+    (xa, ya), (xb, yb) = (ego[:, ks].tolist(),
+                          pred.pos[:, rows, idx[ks]].tolist())
+    for i, d, x_a, y_a, psi_a, x_b, y_b in zip(
+            near, dist[rows, ks].tolist(), xa, ya, psi[ks].tolist(), xb, yb):
+        target = targets[i]
+        if d < fp.inscribed_radius + target.footprint.inscribed_radius:
+            report.resolved_inscribed = 1
+        else:
             report.sat_evaluations += 1
-            if sat_check(Pose(float(ego_x[k]), float(ego_y[k]),
-                              float(path.psi[idx[k]])), fp,
-                         Pose(float(tx[k]), float(ty[k]), psi),
-                         target.footprint):
-                report.collides = True
-                return report
+            if not sat_check(Pose(x_a, y_a, psi_a), fp,
+                             Pose(x_b, y_b, target.pose.psi),
+                             target.footprint):
+                continue
+        report.collides = True
+        # the circle filter cleared the other instants of targets 0..i
+        report.resolved_circumscribed = ((i + 1) * len(idx)
+                                         - bisect_right(near, i))
+        return report
+    report.resolved_circumscribed = len(targets) * len(idx) - len(near)
     return report
 
 

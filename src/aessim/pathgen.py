@@ -107,14 +107,26 @@ class SampledPath:
     side: str = "left"
     index: int = 0
     path_id: str = ""
-    # Corner boxes per footprint, kept by the driveable check only while x,
-    # y and psi are read-only; not an init field, so a copy made by
-    # dataclasses.replace starts empty
-    corner_boxes: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    # Values derived from the samples alone (corner boxes, check geometry,
+    # severity), kept by cached() only while every array is read-only; not
+    # an init field, so a copy made by dataclasses.replace starts empty
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def cached(self, key, build, *args):
+        """build(self, *args), kept in memo under key if no array of the
+        path is writeable."""
+        value = self.memo.get(key)
+        if value is None:
+            value = build(self, *args)
+            if not any(a.flags.writeable for a in (self.t, self.x, self.y,
+                                                    self.psi, self.rho,
+                                                    self.v)):
+                self.memo[key] = value
+        return value
 
     @property
     def dt(self) -> float:
@@ -145,11 +157,26 @@ def anchor_path(path: SampledPath, X: float, Y: float) -> SampledPath:
 @dataclass
 class PathSet:
     """The candidates of one side, ordered by curvature magnitude: the kept
-    origin-relative family paths, placed in the road frame at (X, Y)."""
+    origin-relative family paths, placed in the road frame at (X, Y).
+
+    t is the longest path's time grid, and every path's t is a prefix of
+    it, bit for bit, so one target prediction on t serves the whole set.
+    Left out, t is found and the prefixes are checked.
+    """
 
     paths: list[SampledPath]
     X: float = 0.0
     Y: float = 0.0
+    t: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.t is None:
+            self.t = max((p.t for p in self.paths), key=len,
+                         default=np.zeros(0))
+            for p in self.paths:
+                if not np.array_equal(p.t, self.t[:len(p)]):
+                    raise ValueError(
+                        f"path {p.path_id!r} is not on the set's time grid")
 
 
 def _mirror_init(init: EgoState) -> EgoState:
@@ -314,10 +341,11 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
     scale = min(1.0, y_room / y_max)
     if fam.scale != scale.hex():
         fam.paths = _relative_paths(init, cap, tuning, side, scale)
+        fam.t = PathSet(fam.paths).t   # checks the shared grid once
         fam.scale = scale.hex()
     if not fam.paths:
         raise NoFeasiblePath(f"all {side} profiles infeasible")
-    return PathSet(paths=fam.paths, X=init.X, Y=init.Y)
+    return PathSet(fam.paths, init.X, init.Y, fam.t)
 
 
 @dataclass
@@ -326,13 +354,14 @@ class _Family:
 
     reach is (y_max, max x) of the pre-sampled maximum-severity path, or the
     reason no path on this side is feasible; paths are the relative paths
-    for the scale whose float.hex is scale.
+    for the scale whose float.hex is scale, and t is their shared grid.
     """
 
     key: tuple
     reach: tuple[float, float] | str
     scale: str | None = None
     paths: list[SampledPath] = field(default_factory=list)
+    t: np.ndarray | None = None
 
 
 # The last family per side. Between planner cycles before engage the plant
@@ -378,8 +407,9 @@ def _severe_reach(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
 def _relative_paths(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
                     side: str, scale: float) -> list[SampledPath]:
     """The family at one scale, starting at the origin, with read-only
-    arrays: every call on this key returns these paths, and their corner
-    boxes hold only while x, y and psi do."""
+    arrays: every call on this key returns these paths, and what their memo
+    keeps holds only while the arrays do. All are sampled at dt_presample
+    from t = 0, so their grids share a prefix."""
     paths: list[SampledPath] = []
     for n in range(1, tuning.n_tot + 1):
         f = scale * math.sqrt(n / tuning.n_tot)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateGrid
-from .geometry import (DriveableSpace, Footprint, collision_check,
-                       driveable_area_check)
+from .geometry import (DriveableSpace, Footprint, Prediction,
+                       collision_check, driveable_area_check, predict)
 from .pathgen import PathSet, SampledPath, anchor_path, presample_profile
 
 REJECT_NOT_DRIVEABLE = "not_driveable"
@@ -45,43 +45,52 @@ class RankedPath:
         return float((self.Y + self.path.y[-1]) - (self.Y + self.path.y[0]))
 
 
-def severity_cost(path: SampledPath, w: CostWeights) -> float:
-    """Severity from lateral (v^2 rho) and longitudinal (dv/dt) terms."""
-    if len(path) < 2:
-        return 0.0
+def _acceleration_norms(path: SampledPath) -> tuple[float, float]:
+    """Root sums of squares of the lateral (v^2 rho) and longitudinal
+    (dv/dt) accelerations."""
     dt = np.diff(path.t)
     if np.any(dt == 0.0):
         raise DegenerateGrid("repeated timestamps in path grid")
     a_lat = path.v ** 2 * path.rho
     a_lon = np.diff(path.v) / dt
-    return (w.K_ay * math.sqrt(float(np.sum(np.abs(a_lat) ** 2)))
-            + w.K_ax * math.sqrt(float(np.sum(np.abs(a_lon) ** 2))))
+    return (math.sqrt(float(np.sum(np.abs(a_lat) ** 2))),
+            math.sqrt(float(np.sum(np.abs(a_lon) ** 2))))
+
+
+def severity_cost(path: SampledPath, w: CostWeights) -> float:
+    """Severity from lateral (v^2 rho) and longitudinal (dv/dt) terms; a
+    read-only path keeps its acceleration norms."""
+    if len(path) < 2:
+        return 0.0
+    lat, lon = path.cached("severity", _acceleration_norms)
+    return w.K_ay * lat + w.K_ax * lon
 
 
 def proximity_cost(path: SampledPath, targets, w: CostWeights,
-                   X: float = 0.0, Y: float = 0.0) -> float:
-    """Mean over samples of the distance to the nearest target."""
+                   X: float = 0.0, Y: float = 0.0,
+                   pred: Prediction | None = None) -> float:
+    """Mean over samples of the distance to the nearest target. pred is as
+    in geometry.collision_check: the targets on a grid with path.t as its
+    prefix, or left out to predict them on path.t."""
     if not targets:
         return 0.0
-    xs, ys = X + path.x, Y + path.y
-    dmin = np.full(len(path), math.inf)
-    for target in targets:
-        vx, vy = target.velocity
-        d = np.hypot((target.pose.X + vx * path.t) - xs,
-                     (target.pose.Y + vy * path.t) - ys)
-        np.minimum(dmin, d, out=dmin)
-    return w.K_prox * float(np.mean(dmin))
+    if pred is None:
+        pred = predict(targets, path.t)
+    n = len(path)
+    x, y = pred.pos[:, :, :n]
+    d = np.hypot(x - (X + path.x), y - (Y + path.y))
+    return w.K_prox * float(np.mean(d.min(axis=0)))
 
 
 def _rejection(path: SampledPath, targets, space: DriveableSpace,
                fp: Footprint, dt_check: float, X: float = 0.0,
-               Y: float = 0.0) -> str | None:
+               Y: float = 0.0, pred: Prediction | None = None) -> str | None:
     """Why the path translated by (X, Y) is rejected, or None if it is
     clear. The driveable check runs before the collision check, so a path
     failing both reports not_driveable."""
     if not driveable_area_check(path, space, fp, X, Y):
         return REJECT_NOT_DRIVEABLE
-    if collision_check(path, targets, fp, dt_check, X, Y).collides:
+    if collision_check(path, targets, fp, dt_check, X, Y, pred).collides:
         return REJECT_COLLISION
     return None
 
@@ -92,17 +101,19 @@ def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
     """Reject or cost every path of the set; input order is preserved.
 
     The set's paths translated by (path_set.X, path_set.Y) must be in the
-    frame of the space and the target predictions.
+    frame of the space and the target predictions. The targets are
+    predicted once, on the set's shared grid, for every check and cost.
     """
     X, Y = path_set.X, path_set.Y
+    pred = predict(targets, path_set.t)
     ranked: list[RankedPath] = []
     for path in path_set.paths:
-        rejected = _rejection(path, targets, space, fp, dt_check, X, Y)
+        rejected = _rejection(path, targets, space, fp, dt_check, X, Y, pred)
         if rejected is not None:
             ranked.append(RankedPath(path, X, Y, rejected=rejected))
             continue
         sev = severity_cost(path, w)
-        prox = proximity_cost(path, targets, w, X, Y)
+        prox = proximity_cost(path, targets, w, X, Y, pred)
         ranked.append(RankedPath(path, X, Y, severity=sev, proximity=prox,
                                  total=sev + prox))
     return ranked

@@ -31,6 +31,11 @@ from .plant import DT_MAX, U_FLOOR, assert_stable_vehicle
 from .ranking import CostWeights
 
 SCHEMA_VERSION = 1
+# Bounds on the work a scenario may ask for. Each planner cycle builds and
+# checks every path of a side, and a run takes duration / dt_plant plant
+# substeps; beyond these a run would not finish in any useful time.
+MAX_PATHS_PER_SIDE = 100
+MAX_PLANT_SUBSTEPS = 10_000_000
 
 
 @dataclass
@@ -220,6 +225,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
             "planner.sides must be a non-empty list of distinct left/right")
     path_tuning = _config(PathTuning, pl, "planner",
                           rename={"n_paths": "n_tot"})
+    if path_tuning.n_tot > MAX_PATHS_PER_SIDE:
+        raise ConfigError(
+            f"planner.n_paths must be at most {MAX_PATHS_PER_SIDE}")
     weights = _config(CostWeights, _section(raw, "costs"), "costs")
     trigger = _config(TriggerConfig, _section(raw, "trigger"), "trigger")
     controller = _config(ControllerConfig, _section(raw, "control"), "control")
@@ -277,6 +285,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("sim.duration and sim.dt_check must be positive")
     if not 0.0 < sim.dt_plant <= DT_MAX:
         raise ConfigError(f"sim.dt_plant must lie in (0, {DT_MAX}]")
+    if not sim.duration / sim.dt_plant <= MAX_PLANT_SUBSTEPS:
+        raise ConfigError(f"sim.duration/dt_plant must be at most "
+                          f"{MAX_PLANT_SUBSTEPS} plant substeps")
     # with the path-duration check below, this caps a path at
     # (sim.duration + trigger.ttc_horizon) / sim.dt_plant samples
     if path_tuning.dt_presample < sim.dt_plant:

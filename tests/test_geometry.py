@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import reference_corners, reference_driveable
+from conftest import (reference_collision_check, reference_corners,
+                      reference_driveable)
 
 from aessim.capability import (CapabilityScenario, CapabilityTuning, EgoState,
                                lateral_capability)
@@ -11,7 +12,7 @@ from aessim.errors import DegenerateSpeed, NoFeasiblePath
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
                              circumscribed_check, collision_check,
                              driveable_area_check, first_contact_time,
-                             inscribed_check, sat_check)
+                             inscribed_check, predict, sat_check)
 from aessim.pathgen import (PathTuning, SampledPath, anchor_path,
                             generate_path_set)
 
@@ -225,7 +226,7 @@ class TestDriveableEnvelope:
                                                        fp) is want
                         n_clear += clear
                         n_edge += not clear
-                    assert fp in path.corner_boxes
+                    assert fp in path.memo
         assert n_clear > 1000 and n_edge >= 6000
 
     def test_hand_built_paths_get_the_per_sample_answer(self):
@@ -236,13 +237,13 @@ class TestDriveableEnvelope:
                            (straight_path(y=2.0), False)):
             assert reference_driveable(path, space, fp) is want
             assert driveable_area_check(path, space, fp) is want
-            assert not path.corner_boxes
+            assert not path.memo
         path = straight_path(n=37, v=17.3, dt=0.03, y=0.41, psi=0.07)
         for fp in ENVELOPE_FOOTPRINTS:
             for space, _, want in _corridors(path, fp):
                 assert reference_driveable(path, space, fp) is want
                 assert driveable_area_check(path, space, fp) is want
-        assert not path.corner_boxes
+        assert not path.memo
 
     def test_monitored_suffix_gets_the_per_sample_answer(self, ref_params):
         """A monitored suffix of a placed path is checked at X = Y = 0 on
@@ -255,7 +256,7 @@ class TestDriveableEnvelope:
             for space, _, want in _corridors(suffix, fp):
                 assert reference_driveable(suffix, space, fp) is want
                 assert driveable_area_check(suffix, space, fp) is want
-        assert not suffix.corner_boxes
+        assert not suffix.memo
 
 
 class TestCircleFilters:
@@ -470,6 +471,67 @@ class TestCollisionCheck:
                                           ((tx, ty, ang), moved_target))]
         assert math.isfinite(ttc[0]) == base.collides
         assert ttc[1] == pytest.approx(ttc[0], abs=1e-6)
+
+    @pytest.mark.parametrize("pose", [Pose(math.nan, 0.0, 0.0),
+                                      Pose(20.0, math.nan, 0.0),
+                                      Pose(20.0, 0.0, math.nan)])
+    def test_nan_target_pose_collides(self, pose):
+        """A NaN distance fails the circumscribed filter's `dist > rc`, so it
+        reaches SAT, which finds no separating axis: never counted clear."""
+        fp = Footprint(4.5, 1.8, ref_offset=1.35)
+        far = TargetTrack("far", Footprint(0.5, 0.5), Pose(40.0, 9.0, 0.0))
+        nan = TargetTrack("nan", Footprint(0.5, 0.5), pose, 1.0)
+        for targets in ([nan], [far, nan]):
+            report = collision_check(straight_path(), targets, fp)
+            assert report.collides
+            assert report.sat_evaluations == 1
+            assert report == reference_collision_check(straight_path(),
+                                                       targets, fp)
+
+    def test_circle_filter_edge_matches_reference(self, ref_params):
+        """A moving target whose centre passes the sum of circumscribed
+        radii from the ego centre, give or take a few ulps, 1e5 m from the
+        origin: the circle filter must decide on the very bits of the
+        per-target reference, also on a grid shared with a longer path."""
+        rng = np.random.default_rng(99)
+        fp = Footprint(4.5, 1.8, ref_offset=1.35)
+        ps = generate_path_set(
+            EgoState(v_x=20.0),
+            lateral_capability(CapabilityScenario.STEER, ref_params,
+                               EgoState(v_x=20.0), CapabilityTuning()),
+            DriveableSpace(-10.0, 400.0, 6.0, -6.0), PathTuning(n_tot=4),
+            "left")
+        sensitive = 0
+        for _ in range(200):
+            path = ps.paths[int(rng.integers(len(ps.paths)))]
+            k = int(rng.integers(len(path)))
+            X, Y = float(rng.uniform(-1e5, 1e5)), float(rng.uniform(-1e3, 1e3))
+            ex = (X + float(path.x[k])) + fp.ref_offset * math.cos(path.psi[k])
+            ey = (Y + float(path.y[k])) + fp.ref_offset * math.sin(path.psi[k])
+            tfp = Footprint(float(rng.uniform(0.5, 4.0)),
+                            float(rng.uniform(0.5, 2.0)),
+                            float(rng.uniform(-1.0, 1.0)))
+            psi = float(rng.uniform(-3.0, 3.0))
+            speed = float(rng.uniform(1.0, 20.0))
+            rc = fp.circumscribed_radius + tfp.circumscribed_radius
+            theta, tk = float(rng.uniform(-3.0, 3.0)), float(path.t[k])
+            x0 = (ex + rc * math.cos(theta) - tfp.ref_offset * math.cos(psi)
+                  - speed * math.cos(psi) * tk)
+            y0 = (ey + rc * math.sin(theta) - tfp.ref_offset * math.sin(psi)
+                  - speed * math.sin(psi) * tk)
+            seen = set()
+            for n in range(-6, 7):
+                target = TargetTrack("edge", tfp,
+                                     Pose(x0 + n * math.ulp(x0), y0, psi),
+                                     speed)
+                want = reference_collision_check(path, [target], fp, 0.01,
+                                                 X, Y)
+                for pred in (None, predict([target], ps.t)):
+                    assert collision_check(path, [target], fp, 0.01, X, Y,
+                                           pred) == want
+                seen.add(want.resolved_circumscribed)
+            sensitive += len(seen) > 1
+        assert sensitive > 100
 
     def test_filter_statistics_populated(self):
         fp = Footprint(4.5, 1.8, ref_offset=1.35)

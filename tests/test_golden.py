@@ -52,12 +52,21 @@ last, and rounding to nearest is monotone, so the shifted box gives the
 per-corner answer exactly. The shipped and replanning runs are repeated
 with every check compared with the per-sample reference, corners translated
 last, and must reach ranked candidates.
+
+A planner cycle predicts the targets once, on the set's shared time grid,
+and a family path keeps its check instants in its memo. The shipped runs
+whose candidates reach the collision check, and `TRAFFIC_RUN`, are repeated
+with every collision check and proximity cost compared with the per-target
+references (report counters and `float.hex`), and must serve ranked
+candidates' checks from the memo. `TRAFFIC_RUN` is the only run with more
+than one target; its digests were recorded before the shared prediction.
 """
 import hashlib
 
 import pytest
 import yaml
-from conftest import reference_driveable
+from conftest import (reference_collision_check, reference_driveable,
+                      reference_proximity_cost)
 
 from aessim import pathgen, ranking, simloop
 from aessim.pathgen import generate_path_set
@@ -133,6 +142,20 @@ HEADING_RUN = {
     },
 }
 
+# Three 3.25 m lanes, slower cars ahead in both adjacent lanes and a
+# pedestrian walking along the right sidewalk (perfbench's `traffic` case
+# with fixed values). The run stays in monitoring and plans both sides every
+# planner period; candidates collide with the first and with the second car.
+TRAFFIC_RUN = {
+    "outcome": ("no-trigger", "duration reached", None, None),
+    "digests": {
+        "trace": "ebdaa29e9733f1725a0dbbfa8832a60cd01a32df2691764bfb69d43e29269eef",
+        "paths": "068e18c514b2f221407d1dfa6c2714c6fa7b89a86f4f48b4fc6ea57cc0c87488",
+        "summary": "4e9ee229b05cd9fd8c8c6ced7af61479658b193f8ff259e8d9a8d7cba4d8f662",
+        "exact": "1c49a99fc9bf5a4953b82c87e24d0657b2d35dcb4cffa43ce310869ec0b4d9b9",
+    },
+}
+
 REPLAN_RUNS = {
     3.81: {
         "outcome": ("aborted", "replanning failed", 0),
@@ -195,6 +218,40 @@ def _check_replan(scenario_dir, out_dir, stop_time):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artefacts_match_golden_digests(scenario_dir, tmp_path, name):
     _check_shipped(scenario_dir, tmp_path, name)
+
+
+def _traffic_raw(scenario_dir):
+    raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+    raw["name"] = "traffic"
+    lane = 3.25
+    vehicle = {"length": 4.5, "width": 1.8, "ref_offset": 0.0}
+    raw["ego"] = {"X": 0.0, "Y": 0.0, "psi": 0.0, "v_x": 22.0}
+    raw["road"] = {"x_start": -10.0, "x_end": 400.0,
+                   "y_left": 1.5 * lane, "y_right": -1.5 * lane}
+    raw["targets"] = [
+        {"id": "left_car", "type": "vehicle", "footprint": vehicle,
+         "X": 20.0, "Y": lane + 0.1, "psi": 0.0, "speed": 14.8},
+        {"id": "right_car", "type": "vehicle", "footprint": vehicle,
+         "X": 30.0, "Y": -lane - 0.15, "psi": 0.0, "speed": 14.6},
+        {"id": "walker", "type": "vru",
+         "footprint": {"length": 0.5, "width": 0.5, "ref_offset": 0.0},
+         "X": 60.0, "Y": -1.5 * lane - 1.5, "psi": 0.0, "speed": 1.2},
+    ]
+    raw["sim"] = {"duration": 3.0}
+    return raw
+
+
+def _check_traffic(scenario_dir, out_dir):
+    result = run_scenario(parse_scenario(_traffic_raw(scenario_dir)))
+    assert (result.outcome, result.reason,
+            result.summary.get("engage_time"),
+            result.summary.get("engage_path_id")) == TRAFFIC_RUN["outcome"]
+    want = TRAFFIC_RUN["digests"]
+    assert _digests(result, out_dir, want) == want
+
+
+def test_traffic_matches_golden_digests(scenario_dir, tmp_path):
+    _check_traffic(scenario_dir, tmp_path)
 
 
 def _check_long(scenario_dir, out_dir, run):
@@ -285,6 +342,49 @@ def box_decides(monkeypatch):
     monkeypatch.setattr(ranking, "driveable_area_check", checked)
     monkeypatch.setattr(simloop, "rank_paths", ranked)
     yield counts
+
+
+@pytest.fixture
+def memo_serves(monkeypatch):
+    """Every collision check and proximity cost compared with the
+    per-target references; yields the count of ranked candidates' checks
+    served from the family path's memo. A monitored suffix is predicted on
+    its own grid and keeps no memo."""
+    counts = {"served": 0}
+    check, cost = ranking.collision_check, ranking.proximity_cost
+
+    def checked(path, targets, fp, dt_check, X=0.0, Y=0.0, pred=None):
+        key = ("check", fp, dt_check)
+        counts["served"] += key in path.memo
+        got = check(path, targets, fp, dt_check, X, Y, pred)
+        assert got == reference_collision_check(path, targets, fp, dt_check,
+                                                X, Y)
+        assert (key in path.memo) is (pred is not None)
+        return got
+
+    def costed(path, targets, w, X, Y, pred):
+        got = cost(path, targets, w, X, Y, pred)
+        assert got.hex() == reference_proximity_cost(path, targets, w, X,
+                                                     Y).hex()
+        return got
+
+    monkeypatch.setattr(ranking, "collision_check", checked)
+    monkeypatch.setattr(ranking, "proximity_cost", costed)
+    yield counts
+
+
+# empty_road plans nothing, and every blocked_lane candidate leaves the
+# corridor, so neither reaches the collision check
+@pytest.mark.parametrize("name", ["crossing_vru", "replanning", "stalled_car"])
+def test_memo_serves_shipped_candidates(scenario_dir, tmp_path, memo_serves,
+                                        name):
+    _check_shipped(scenario_dir, tmp_path, name)
+    assert memo_serves["served"] > 0
+
+
+def test_memo_serves_traffic_candidates(scenario_dir, tmp_path, memo_serves):
+    _check_traffic(scenario_dir, tmp_path)
+    assert memo_serves["served"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

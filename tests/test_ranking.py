@@ -1,13 +1,18 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import reference_collision_check, reference_proximity_cost
 
+from aessim import ranking
 from aessim.capability import CapabilityRecord, CapabilityScenario, EgoState
-from aessim.errors import DegenerateGrid
-from aessim.geometry import DriveableSpace, Footprint, Pose, TargetTrack
-from aessim.pathgen import (PathTuning, SampledPath, generate_path_set,
-                            presample_profile)
+from aessim.errors import DegenerateGrid, NoFeasiblePath
+from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
+                             collision_check)
+from aessim.pathgen import (PathSet, PathTuning, SampledPath, anchor_path,
+                            generate_path_set, presample_profile)
 from aessim.ranking import (REJECT_COLLISION, REJECT_NOT_DRIVEABLE,
                             CostWeights, RankedPath, monitor_selected,
                             proximity_cost, rank_paths, select_path,
@@ -81,6 +86,16 @@ class TestProximity:
         both = proximity_cost(path, [near, far], w)
         assert both == pytest.approx(proximity_cost(path, [near], w))
 
+    def test_nan_target_proximity_is_nan(self):
+        w = CostWeights(K_prox=1.0)
+        nan = TargetTrack("nan", Footprint(0.5, 0.5), Pose(math.nan, 0.0))
+        far = TargetTrack("far", Footprint(0.5, 0.5), Pose(40.0, 9.0, 0.0))
+        for targets in ([nan], [far, nan], [nan, far]):
+            got = proximity_cost(flat_path(), targets, w)
+            assert math.isnan(got)
+            assert got.hex() == reference_proximity_cost(flat_path(),
+                                                         targets, w).hex()
+
 
 class TestRanking:
     def test_all_collide_rejected(self):
@@ -127,6 +142,130 @@ class TestRanking:
             if a.rejected is None:
                 assert b.total == pytest.approx(3.5 * a.total, rel=1e-12)
         assert select_path(r1).path_id == select_path(r2).path_id
+
+
+def _draws(n=150, seed=314):
+    """(path set, targets, space, fp, weights, dt_check): seeded families at
+    random start points, with 1-4 targets placed near random points of the
+    set's paths."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform
+    fps = (FP, Footprint(4.0, 2.0), Footprint(3.9, 1.7, ref_offset=-0.8),
+           Footprint(0.0, 0.0))
+    while n:
+        v = float(u(10.0, 30.0))
+        braking = bool(rng.integers(2))
+        cap = CapabilityRecord(CapabilityScenario.STEER,
+                               float(u(-6.0, -2.0)) if braking else 0.0,
+                               float(u(0.01, 0.05)), float(u(0.15, 0.4)), v,
+                               t_pb=float(u(0.1, 0.4)) if braking else 0.0)
+        init = EgoState(X=float(u(-1e3, 1e3)), Y=float(u(-20.0, 20.0)),
+                        psi=float(u(-0.03, 0.03)), v_x=v,
+                        yaw_rate=float(u(-0.03, 0.03)))
+        tun = PathTuning(psi_max=float(u(0.1, 0.3)),
+                         n_tot=int(rng.integers(2, 7)),
+                         dt_presample=float(rng.choice([0.01, 0.005])))
+        room = float(u(2.0, 8.0))
+        space = DriveableSpace(init.X - 10.0, init.X + 400.0, init.Y + room,
+                               init.Y - room)
+        try:
+            ps = generate_path_set(init, cap, space, tun,
+                                   ("left", "right")[n % 2])
+        except NoFeasiblePath:
+            continue
+        targets = []
+        for i in range(int(rng.integers(1, 5))):
+            path = ps.paths[int(rng.integers(len(ps.paths)))]
+            k = int(rng.integers(len(path)))
+            psi, speed = float(u(-math.pi, math.pi)), float(u(0.0, 20.0))
+            tau = float(path.t[k])
+            size = (float(u(0.0, 5.0)), float(u(0.0, 2.5)),
+                    float(u(-1.0, 1.0)))
+            targets.append(TargetTrack(
+                f"t{i}", Footprint(*size),
+                Pose(ps.X + float(path.x[k]) - speed * tau * math.cos(psi)
+                     + float(rng.normal(0.0, 2.0)),
+                     ps.Y + float(path.y[k]) - speed * tau * math.sin(psi)
+                     + float(rng.normal(0.0, 2.0)), psi), speed))
+        w = CostWeights(float(u(0.0, 1.0)), float(u(0.0, 1.0)),
+                        float(u(-1.0, 1.0)))
+        dt_check = float(rng.choice([0.02, 0.05, 0.1, 0.25, 1e300]))
+        yield ps, targets, space, fps[n % len(fps)], w, dt_check
+        n -= 1
+
+
+class TestSharedPrediction:
+    """rank_paths predicts the targets once per set, on the longest path's
+    grid. Every check and cost must give the bits of the per-target
+    references, which predict each target on each path's own samples."""
+
+    def test_ranked_sets_match_the_references(self, monkeypatch):
+        seen = Counter()
+        check = ranking.collision_check
+
+        def checked(path, targets, fp, dt_check, X, Y, pred):
+            key = ("check", fp, dt_check)
+            served = key in path.memo
+            got = check(path, targets, fp, dt_check, X, Y, pred)
+            assert got == reference_collision_check(path, targets, fp,
+                                                    dt_check, X, Y)
+            assert key in path.memo   # family paths are read-only
+            seen["served"] += served
+            seen["inscribed"] += got.resolved_inscribed
+            seen["sat"] += got.sat_evaluations
+            if got.collides:
+                first = next(i for i in range(len(targets))
+                             if reference_collision_check(
+                                 path, targets[:i + 1], fp, dt_check, X,
+                                 Y).collides)
+                seen["later_hit"] += first > 0
+            return got
+
+        monkeypatch.setattr(ranking, "collision_check", checked)
+        for ps, targets, space, fp, w, dt_check in _draws():
+            seen[f"targets={len(targets)}"] += 1
+            seen["lengths"] += len({len(p) for p in ps.paths}) > 1
+            # the second pass is served from the memo, with other weights
+            for w in (w, CostWeights(2.0 * w.K_ay, 0.5 * w.K_ax, w.K_prox)):
+                ranked = rank_paths(ps, targets, space, fp, w, dt_check)
+                for r in ranked:
+                    if r.rejected is not None:
+                        continue
+                    seen["survivor"] += 1
+                    want = reference_proximity_cost(r.path, targets, w,
+                                                    ps.X, ps.Y)
+                    assert r.proximity.hex() == want.hex()
+                    fresh = replace(r.path, t=r.path.t.copy())
+                    assert r.severity.hex() == severity_cost(fresh, w).hex()
+                    assert "severity" in r.path.memo and not fresh.memo
+        assert {f"targets={k}" for k in range(1, 5)} <= set(seen)
+        assert min(seen[k] for k in ("served", "inscribed", "sat",
+                                     "later_hit", "lengths", "survivor")) > 0
+
+    def test_suffix_paths_match_the_references(self):
+        """A writeable suffix predicts on its own samples and keeps no
+        memo."""
+        hits = 0
+        for ps, targets, _, fp, w, dt_check in _draws(n=60, seed=2718):
+            for path in ps.paths:
+                placed = anchor_path(path, ps.X, ps.Y)
+                suffix = placed.suffix_from(0.37 * float(path.t[-1]))
+                for p in (placed, suffix):
+                    got = collision_check(p, targets, fp, dt_check)
+                    assert got == reference_collision_check(p, targets, fp,
+                                                            dt_check)
+                    assert (proximity_cost(p, targets, w).hex()
+                            == reference_proximity_cost(p, targets, w).hex())
+                    assert not p.memo
+                    hits += got.collides
+        assert hits > 0
+
+    def test_set_grid_must_be_shared(self):
+        ps, _ = family()
+        assert PathSet(ps.paths).t is ps.t
+        suffix = ps.paths[-1].suffix_from(0.5)
+        with pytest.raises(ValueError, match="time grid"):
+            PathSet([ps.paths[-1], suffix])
 
 
 class TestSelect:
@@ -205,10 +344,10 @@ class TestMonitor:
         ps, space = family()
         path = ps.paths[2]
         assert monitor_selected(path, [], space, FP) is None
-        assert FP in path.corner_boxes
+        assert FP in path.memo
         tau = 1.0
         suffix = path.suffix_from(tau)
-        assert not suffix.corner_boxes
+        assert not suffix.memo
         # only the dropped prefix starts behind x_start
         late_start = DriveableSpace(5.0, space.x_end, space.y_left,
                                     space.y_right)
@@ -221,7 +360,7 @@ class TestMonitor:
                                    space.y_left, space.y_right)
         assert (monitor_selected(suffix, [], early_end, FP)
                 == REJECT_NOT_DRIVEABLE)
-        assert not suffix.corner_boxes
+        assert not suffix.memo
 
     def test_narrowed_space_invalidates(self):
         ps, _ = family()

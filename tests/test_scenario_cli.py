@@ -17,7 +17,8 @@ from aessim.errors import AesError, ConfigError
 from aessim.geometry import DriveableSpace, Footprint, Pose
 from aessim.pathgen import PathTuning
 from aessim.ranking import CostWeights
-from aessim.scenario import (SimSettings, TargetDef, load_scenario,
+from aessim.scenario import (MAX_PATHS_PER_SIDE, MAX_PLANT_SUBSTEPS,
+                             SimSettings, TargetDef, load_scenario,
                              parse_scenario)
 from aessim.simloop import EXIT_CODES, run_scenario
 from aessim.trace import TraceLog, emit_plot_data
@@ -191,6 +192,15 @@ REJECTED_AT_LOAD = {
     # a**2 and b**2 overflow in the stability check: OverflowError
     "vehicle_a_huge": {"vehicle": {"a": 1e155}},
     "vehicle_b_huge": {"vehicle": {"b": 1e155}},
+    # loaded, then the first planner cycle built paths until a 30 s alarm
+    "planner_n_paths_huge": {"planner": {"n_paths": 1e308}},
+    "planner_n_paths_above_bound":
+        {"planner": {"n_paths": MAX_PATHS_PER_SIDE + 1}},
+    # loaded (dt_control/dt_plant = 1e298 is integral), then the first tick
+    # took 1e298 plant substeps
+    "sim_dt_plant_tiny": {"sim": {"dt_plant": 1e-300}},
+    "sim_substeps_above_bound":
+        {"sim": {"duration": MAX_PLANT_SUBSTEPS * 0.001 + 0.01}},
 }
 
 
@@ -229,6 +239,13 @@ class TestRejectedAtLoad:
                                               "y_offset": 0.0}))
         assert (cfg.path_tuning.t_stabilize, cfg.path_tuning.y_offset) \
             == (0.0, 0.0)
+
+    def test_work_bounds_accepted(self):
+        cfg = parse_scenario(minimal(
+            planner={"n_paths": MAX_PATHS_PER_SIDE},
+            sim={"duration": MAX_PLANT_SUBSTEPS * 0.001, "dt_plant": 0.001}))
+        assert cfg.path_tuning.n_tot == MAX_PATHS_PER_SIDE
+        assert cfg.sim.duration / cfg.sim.dt_plant == MAX_PLANT_SUBSTEPS
 
     def test_dt_presample_at_dt_plant_accepted(self):
         cfg = parse_scenario(minimal(planner={"dt_presample": 0.001},
