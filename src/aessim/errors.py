@@ -34,4 +34,7 @@ class PathExhausted(AesError):
 
 
 class NumericalDivergence(AesError):
-    """Plant state left its sanity bounds during integration."""
+    """Plant state left its sanity bounds during integration; `state` is
+    the last plant state that stayed within them."""
+
+    state = None

@@ -2,14 +2,23 @@
 yaw-moment input, longitudinal speed update during pre-braking and kinematic
 global pose integration.
 
+One `plant_step` call integrates the n RK4 substeps of a control tick under
+the tick's command; the loop calls it once per tick. The lateral
+coefficients are kept from one substep to the next while the speed is
+unchanged and recomputed when pre-braking moves it. Every substep is
+checked against the sanity bounds; a divergence raises NumericalDivergence
+carrying the last in-bounds substep's state, so a run that aborts ends
+there, not at the start of its tick.
+
 The RK4 step and the lateral acceleration run on plain Python floats and
 build no numpy arrays. They repeat the float operations of the numpy-matrix
-step they replaced, in the same order, so they return the same bits and
-`trace.csv`, `paths.csv` and `summary.json` stay byte-identical. An
-algebraically equal reordering of the arithmetic breaks this; the tests keep
-the numpy-matrix step as the reference and compare by `float.hex`.
-`_lateral_coeffs` holds the only copy of the lateral-dynamics formulas;
-`lateral_matrices` builds its arrays from it for the pole analysis.
+step they replaced, in the same order and with each substep's state rounded
+through `float`, so they return the same bits and `trace.csv`, `paths.csv`
+and `summary.json` stay byte-identical. An algebraically equal reordering of
+the arithmetic breaks this; the tests keep the numpy-matrix step as the
+reference and compare by `float.hex`. `_lateral_coeffs` holds the only copy
+of the lateral-dynamics formulas; `lateral_matrices` builds its arrays from
+it for the pole analysis.
 """
 from __future__ import annotations
 
@@ -80,22 +89,23 @@ def assert_stable_vehicle(params: VehicleParams, u: float) -> None:
 
 
 def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
-               a_x_cmd: float, dt: float) -> PlantState:
-    """One fixed-step RK4 integration of the plant.
+               a_x_cmd: float, dt: float, n: int = 1) -> PlantState:
+    """n fixed-step RK4 substeps of the plant under one command.
 
     The lateral acceleration is capped at the friction limit inside the
-    derivative (tyre-force saturation guard); the step is flagged when the
-    guard engages. The longitudinal speed follows a_x_cmd and never drops
-    below the floor.
+    derivative (tyre-force saturation guard); the returned state is flagged
+    when the guard engaged in the last substep. The longitudinal speed
+    follows a_x_cmd and never drops below the floor. A substep that leaves
+    the sanity bounds raises NumericalDivergence whose `state` is the last
+    substep's state that stayed in bounds (s itself if the first diverged).
     """
     if not (0.0 < dt <= DT_MAX):
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
-    u = s.u_v
-    a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
     ay_max = params.mu_min * G
     delta, m_ext = cmd.delta_g, cmd.M_z_ext
-    t = s.t + dt
-    saturated = False
+    u_v, v, r, X, Y, psi, t = s.u_v, s.v_v, s.r, s.X, s.Y, s.psi, s.t
+    last_saturated = s.ay_saturated
+    u = None  # the speed the lateral coefficients belong to
 
     def deriv(v, r, psi):
         nonlocal saturated
@@ -113,35 +123,45 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
         try:
             c, sn = math.cos(psi), math.sin(psi)
         except ValueError:  # the stage heading overflowed to inf
-            raise _diverged(t, v, r) from None
+            raise _diverged(t_next, v, r) from None
         return v_dot, r_dot, u * c - v * sn, u * sn + v * c
 
-    # RK4 stages; the heading derivative of a stage is its yaw-rate input
-    v, r, psi = s.v_v, s.r, s.psi
     h = 0.5 * dt
-    v1, r1, x1, y1 = deriv(v, r, psi)
-    r_2 = r + h * r1
-    v2, r2, x2, y2 = deriv(v + h * v1, r_2, psi + h * r)
-    r_3 = r + h * r2
-    v3, r3, x3, y3 = deriv(v + h * v2, r_3, psi + h * r_2)
-    r_4 = r + dt * r3
-    v4, r4, x4, y4 = deriv(v + dt * v3, r_4, psi + dt * r_3)
-
     w = dt / 6.0
-    new = PlantState(
-        u_v=max(U_FLOOR, s.u_v + a_x_cmd * dt),
-        v_v=float(v + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4)),
-        r=float(r + w * (r1 + 2.0 * r2 + 2.0 * r3 + r4)),
-        X=float(s.X + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)),
-        Y=float(s.Y + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)),
-        psi=float(psi + w * (r + 2.0 * r_2 + 2.0 * r_3 + r_4)),
-        t=t,
-        ay_saturated=saturated,
-    )
-    # negated, so that a NaN state fails the bounds too
-    if not (abs(new.v_v) <= V_LAT_LIMIT and abs(new.r) <= YAW_RATE_LIMIT):
-        raise _diverged(new.t, new.v_v, new.r)
-    return new
+    try:
+        for _ in range(n):
+            # the coefficients change with the speed only, i.e. while braking
+            if u_v != u:
+                u = u_v
+                a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
+            t_next = t + dt
+            saturated = False
+            # RK4 stages; the heading derivative of a stage is its yaw-rate
+            # input
+            v1, r1, x1, y1 = deriv(v, r, psi)
+            r_2 = r + h * r1
+            v2, r2, x2, y2 = deriv(v + h * v1, r_2, psi + h * r)
+            r_3 = r + h * r2
+            v3, r3, x3, y3 = deriv(v + h * v2, r_3, psi + h * r_2)
+            r_4 = r + dt * r3
+            v4, r4, x4, y4 = deriv(v + dt * v3, r_4, psi + dt * r_3)
+
+            v_new = float(v + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4))
+            r_new = float(r + w * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
+            # negated, so that a NaN state fails the bounds too
+            if not (abs(v_new) <= V_LAT_LIMIT
+                    and abs(r_new) <= YAW_RATE_LIMIT):
+                raise _diverged(t_next, v_new, r_new)
+            X = float(X + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4))
+            Y = float(Y + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4))
+            psi = float(psi + w * (r + 2.0 * r_2 + 2.0 * r_3 + r_4))
+            u_v = max(U_FLOOR, u_v + a_x_cmd * dt)
+            v, r, t = v_new, r_new, t_next
+            last_saturated = saturated
+    except NumericalDivergence as exc:
+        exc.state = PlantState(u_v, v, r, X, Y, psi, t, last_saturated)
+        raise
+    return PlantState(u_v, v, r, X, Y, psi, t, last_saturated)
 
 
 def _diverged(t: float, v_v: float, r: float) -> NumericalDivergence:

@@ -32,8 +32,9 @@ from .ranking import CostWeights
 
 SCHEMA_VERSION = 1
 # Bounds on the work a scenario may ask for. Each planner cycle builds and
-# checks every path of a side, and a run takes duration / dt_plant plant
-# substeps; beyond these a run would not finish in any useful time.
+# checks every path of a side, a run takes duration / dt_plant plant
+# substeps, and a path may last duration + ttc_horizon; beyond these a run
+# would not finish in any useful time.
 MAX_PATHS_PER_SIDE = 100
 MAX_PLANT_SUBSTEPS = 10_000_000
 
@@ -285,11 +286,13 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("sim.duration and sim.dt_check must be positive")
     if not 0.0 < sim.dt_plant <= DT_MAX:
         raise ConfigError(f"sim.dt_plant must lie in (0, {DT_MAX}]")
-    if not sim.duration / sim.dt_plant <= MAX_PLANT_SUBSTEPS:
-        raise ConfigError(f"sim.duration/dt_plant must be at most "
-                          f"{MAX_PLANT_SUBSTEPS} plant substeps")
-    # with the path-duration check below, this caps a path at
-    # (sim.duration + trigger.ttc_horizon) / sim.dt_plant samples
+    # with the path-duration check below, this caps the run and every
+    # pre-sampled path at MAX_PLANT_SUBSTEPS plant steps
+    if not ((sim.duration + trigger.ttc_horizon) / sim.dt_plant
+            <= MAX_PLANT_SUBSTEPS):
+        raise ConfigError(f"(sim.duration + trigger.ttc_horizon)/dt_plant "
+                          f"must be at most {MAX_PLANT_SUBSTEPS} plant "
+                          f"substeps")
     if path_tuning.dt_presample < sim.dt_plant:
         raise ConfigError("planner.dt_presample must be at least sim.dt_plant")
     for coarse, fine, label in ((sim.dt_control, sim.dt_plant, "dt_control/dt_plant"),

@@ -264,10 +264,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         # advance the plant to the next tick
         if k < n_ticks:
             try:
-                for _ in range(substeps):
-                    plant = plant_step(plant, cmd, params, a_x_cmd,
-                                       cfg.sim.dt_plant)
+                plant = plant_step(plant, cmd, params, a_x_cmd,
+                                   cfg.sim.dt_plant, substeps)
             except NumericalDivergence as exc:
+                # the run ends at the last substep that stayed in bounds
+                plant = exc.state
                 outcome, reason = OUTCOME_ABORTED, str(exc)
                 break
 

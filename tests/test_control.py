@@ -259,8 +259,7 @@ class TestErrorDerivativeOracle:
             log.append((plant.X, plant.Y, plant.psi, err.y_e_dot,
                         err.psi_e_dot, err.psi_e, err.kappa))
             cmd = control_step(err, plant, p, cfg)
-            for _ in range(10):
-                plant = plant_step(plant, cmd, p, 0.0, 0.001)
+            plant = plant_step(plant, cmd, p, 0.0, 0.001, 10)
         X, Y, psi, yds, psids, psis, kappas = map(np.array, zip(*log))
         dt = 0.01
         v_fd = (-np.sin(psi[1:-1]) * (X[2:] - X[:-2])

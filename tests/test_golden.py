@@ -40,6 +40,12 @@ the loop reaches two branches no shipped scenario does: at 3.81 s the
 replan selects no path and the run aborts; at 3.55 s the run replans once
 and still ends in contact.
 
+`DIVERGENCE_RUN` gives shipped `stalled_car` a yaw inertia so small that
+the plant leaves its bounds on the third substep of a tick. The run must
+end at the last substep that stayed in bounds, so `t_end` lies inside the
+tick; a plant that rolled back to the start of the tick would end 2 ms
+earlier and move the `summary` digest.
+
 `pathgen` keeps the last origin-relative path family per side, also from
 one run to the next in a process. The shipped and replanning runs are
 repeated with that memo emptied before every `generate_path_set` call and
@@ -177,6 +183,20 @@ REPLAN_RUNS = {
     },
 }
 
+DIVERGENCE_RUN = {
+    "overrides": {"vehicle": {"I_zz": 5.0}},
+    "outcome": ("aborted",
+                "plant state out of bounds at t=3.023 (v_v=-0.14, r=-6.21)",
+                2.71, "L5"),
+    "t_end": 3.021999999999778,
+    "digests": {
+        "trace": "c6062edf225bddd1cee32026c6f651b6ecff16259dd33b405bd4155dfdca7d16",
+        "paths": "58ec316a4a82a8482d24d900826c5201c2997fc0dfc51d1388a8bfef85344d86",
+        "summary": "f438a7f1cb7cd9efc5ffe2ebc393bf0326b1e3e2cf2a18ed6900740da923ebaf",
+        "exact": "9427a131d65cb7511449fe752b965d7578459f0a5d7bb1243a53055701d31bfe",
+    },
+}
+
 
 def _exact_digest(trace):
     """sha256 of the trace rows and path events at full precision: every
@@ -276,6 +296,38 @@ def test_heading_empty_road_matches_golden_digests(scenario_dir, tmp_path):
 def test_replanning_branches_match_golden_digests(scenario_dir, tmp_path,
                                                   stop_time):
     _check_replan(scenario_dir, tmp_path, stop_time)
+
+
+def test_mid_tick_divergence_matches_golden_digests(scenario_dir, tmp_path):
+    raw = yaml.safe_load((scenario_dir / "stalled_car.yaml").read_text())
+    for section, values in DIVERGENCE_RUN["overrides"].items():
+        raw[section].update(values)
+    result = run_scenario(parse_scenario(raw))
+    assert (result.outcome, result.reason,
+            result.summary.get("engage_time"),
+            result.summary.get("engage_path_id")) == DIVERGENCE_RUN["outcome"]
+    assert result.summary["t_end"] == DIVERGENCE_RUN["t_end"]
+    want = DIVERGENCE_RUN["digests"]
+    assert _digests(result, tmp_path, want) == want
+
+
+# one run that ends avoided and one that runs to its duration
+@pytest.mark.parametrize("name", ["crossing_vru", "empty_road"])
+def test_one_plant_call_per_advanced_tick(scenario_dir, monkeypatch, name):
+    """The loop integrates a tick's substeps in one plant call: every row
+    but the last is followed by exactly one call."""
+    calls = []
+    step = simloop.plant_step
+
+    def counted(*args):
+        calls.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(simloop, "plant_step", counted)
+    result = run_scenario(load_scenario(scenario_dir / f"{name}.yaml"))
+    assert result.outcome in ("avoided", "no-trigger")
+    assert len(calls) == len(result.trace.rows) - 1
+    assert set(calls) == {10}  # dt_control / dt_plant substeps each
 
 
 def _cold_generate(*args, **kwargs):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,7 @@ def make_params(**kw):
 
 
 def run(plant, cmd, params, seconds, dt=0.001, a_x=0.0):
-    for _ in range(int(round(seconds / dt))):
-        plant = plant_step(plant, cmd, params, a_x, dt)
-    return plant
+    return plant_step(plant, cmd, params, a_x, dt, int(round(seconds / dt)))
 
 
 class TestLateralDynamics:
@@ -172,7 +171,9 @@ def numpy_plant_step(s, cmd, params, a_x_cmd, dt):
         X=float(s.X + rk(2)), Y=float(s.Y + rk(3)), psi=float(s.psi + rk(4)),
         t=s.t + dt, ay_saturated=saturated)
     if abs(new.v_v) > V_LAT_LIMIT or abs(new.r) > YAW_RATE_LIMIT:
-        raise NumericalDivergence("out of bounds")
+        raise NumericalDivergence(
+            f"plant state out of bounds at t={new.t:.3f} "
+            f"(v_v={new.v_v:.2f}, r={new.r:.2f})")
     return new
 
 
@@ -245,6 +246,53 @@ class TestScalarPlantBitExact:
         assert n - diverged - saturated > 0.2 * n
         assert floored > 0.02 * n
         assert with_moment > 0.5 * n
+
+    @classmethod
+    def _tick_draw(cls, rng):
+        """A draw for one control tick of 2-12 substeps."""
+        state, cmd, params, a_x, dt = cls._draw(rng)
+        if rng.random() < 0.15:
+            # near the yaw-rate bound with a moment pushing past it, so that
+            # a later substep diverges
+            sign = float(rng.choice([-1.0, 1.0]))
+            state = replace(state, r=sign * float(rng.uniform(4.5, 4.99)))
+            cmd = ControlCommand(delta_g=cmd.delta_g, M_z_ext=np.float64(
+                sign * rng.uniform(1e5, 1e6)))
+        return state, cmd, params, a_x, dt, int(rng.integers(2, 13))
+
+    def test_tick_matches_chained_numpy_steps(self):
+        """plant_step(..., n) returns the bits of n chained reference steps
+        and, on a divergence, the message and last in-bounds state of the
+        chain."""
+        rng = np.random.default_rng(23)
+        n_draws = 4000
+        counts = dict(floored_inside=0, saturation_released=0,
+                      numpy_moment=0, diverged_later=0, diverged_first=0)
+        for _ in range(n_draws):
+            state, cmd, params, a_x, dt, n = self._tick_draw(rng)
+            chain = [state]
+            try:
+                for _ in range(n):
+                    chain.append(numpy_plant_step(chain[-1], cmd, params,
+                                                  a_x, dt))
+            except NumericalDivergence as ref_exc:
+                with pytest.raises(NumericalDivergence) as exc:
+                    plant_step(state, cmd, params, a_x, dt, n)
+                assert str(exc.value) == str(ref_exc)
+                assert state_hex(exc.value.state) == state_hex(chain[-1])
+                counts["diverged_later" if len(chain) > 1
+                       else "diverged_first"] += 1
+                continue
+            got = plant_step(state, cmd, params, a_x, dt, n)
+            assert state_hex(got) == state_hex(chain[-1])
+            # the speed reached the floor before the last substep, so the
+            # coefficients were refreshed and then kept
+            counts["floored_inside"] += (state.u_v > U_FLOOR
+                                         and chain[-2].u_v == U_FLOOR)
+            flags = [s.ay_saturated for s in chain[1:]]
+            counts["saturation_released"] += any(flags) and not flags[-1]
+            counts["numpy_moment"] += isinstance(cmd.M_z_ext, np.float64)
+        assert min(counts.values()) > 0.01 * n_draws, counts
 
     def test_closed_loop_trajectory_matches(self):
         # 3 s of 1 ms steps: a one-ulp difference would compound in X

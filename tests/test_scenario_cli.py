@@ -201,6 +201,11 @@ REJECTED_AT_LOAD = {
     "sim_dt_plant_tiny": {"sim": {"dt_plant": 1e-300}},
     "sim_substeps_above_bound":
         {"sim": {"duration": MAX_PLANT_SUBSTEPS * 0.001 + 0.01}},
+    # with a 1e-9 stabilisation gain the left evasive path lasted 5.2e8 s,
+    # within sim.duration + ttc_horizon, and the first planner cycle would
+    # have pre-sampled about 5e10 samples (parsed, never run)
+    "trigger_ttc_horizon_huge": {"trigger": {"ttc_horizon": 1e308},
+                                 "planner": {"i_sb": 1e-9}},
 }
 
 
@@ -241,11 +246,15 @@ class TestRejectedAtLoad:
             == (0.0, 0.0)
 
     def test_work_bounds_accepted(self):
+        # the run and its last look-ahead take exactly the bound
         cfg = parse_scenario(minimal(
             planner={"n_paths": MAX_PATHS_PER_SIDE},
-            sim={"duration": MAX_PLANT_SUBSTEPS * 0.001, "dt_plant": 0.001}))
+            trigger={"ttc_horizon": 5.0},
+            sim={"duration": MAX_PLANT_SUBSTEPS * 0.001 - 5.0,
+                 "dt_plant": 0.001}))
         assert cfg.path_tuning.n_tot == MAX_PATHS_PER_SIDE
-        assert cfg.sim.duration / cfg.sim.dt_plant == MAX_PLANT_SUBSTEPS
+        assert ((cfg.sim.duration + cfg.trigger.ttc_horizon)
+                / cfg.sim.dt_plant == MAX_PLANT_SUBSTEPS)
 
     def test_dt_presample_at_dt_plant_accepted(self):
         cfg = parse_scenario(minimal(planner={"dt_presample": 0.001},
