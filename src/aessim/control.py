@@ -17,11 +17,9 @@ from enum import Enum
 import numpy as np
 
 from .capability import VehicleParams
-from .errors import PathExhausted, SpeedOutOfRange
+from .errors import PathExhausted
 from .geometry import Pose
 from .pathgen import SampledPath
-
-U_MIN = 1.0  # gains diverge below this speed [m/s]
 
 
 class ControlMode(Enum):
@@ -157,8 +155,6 @@ def steady_state_slip(kappa: float, u: float, delta: float,
 def feedback_gains(params: VehicleParams, u_v: float,
                    cfg: ControllerConfig) -> np.ndarray:
     """Gain matrix (2 x 4): steering row, then moment row, zeroed per mode."""
-    if u_v < U_MIN:
-        raise SpeedOutOfRange(f"u={u_v:.2f} m/s below {U_MIN} m/s")
     c_f, c_r = _signed_stiffness(params)
     args = (u_v, cfg.sigma_1, cfg.sigma_2, params.m, params.I_zz, params.l,
             params.a, params.b, c_f, c_r)

@@ -25,10 +25,6 @@ class DegenerateGrid(AesError):
     """Path sample grid contains repeated timestamps."""
 
 
-class SpeedOutOfRange(AesError):
-    """Controller gains are undefined at the current longitudinal speed."""
-
-
 class PathExhausted(AesError):
     """The match point reached the final path sample; the manoeuvre is over."""
 

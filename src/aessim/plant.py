@@ -10,6 +10,16 @@ checked against the sanity bounds; a divergence raises NumericalDivergence
 carrying the last in-bounds substep's state, so a run that aborts ends
 there, not at the start of its tick.
 
+A substep that returns its start state bit for bit (u_v, v_v, r and psi;
+-0.0 is not 0.0 and NaN equals nothing) is a fixed point, as when cruising
+straight at rest under a zero command. Its increments of X and Y, its new
+state, bounds check and saturation flag depend only on that start state and
+the call's command, a_x_cmd, dt and params, never on X, Y or t. So every
+later substep of the call would compute the same values, and `plant_step`
+skips their RK4 stages and only repeats the increments one substep at a
+time (`X + dX`, `Y + dY`, `t + dt`), which gives the bits of the full
+integration.
+
 The RK4 step and the lateral acceleration run on plain Python floats and
 build no numpy arrays. They repeat the float operations of the numpy-matrix
 step they replaced, in the same order and with each substep's state rounded
@@ -129,7 +139,7 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
     h = 0.5 * dt
     w = dt / 6.0
     try:
-        for _ in range(n):
+        for k in range(n):
             # the coefficients change with the speed only, i.e. while braking
             if u_v != u:
                 u = u_v
@@ -152,12 +162,28 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
             if not (abs(v_new) <= V_LAT_LIMIT
                     and abs(r_new) <= YAW_RATE_LIMIT):
                 raise _diverged(t_next, v_new, r_new)
-            X = float(X + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4))
-            Y = float(Y + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4))
-            psi = float(psi + w * (r + 2.0 * r_2 + 2.0 * r_3 + r_4))
-            u_v = max(U_FLOOR, u_v + a_x_cmd * dt)
-            v, r, t = v_new, r_new, t_next
+            dX = w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+            dY = w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
+            X = float(X + dX)
+            Y = float(Y + dY)
+            psi_new = float(psi + w * (r + 2.0 * r_2 + 2.0 * r_3 + r_4))
+            u_new = max(U_FLOOR, u_v + a_x_cmd * dt)
+            # u_new >= U_FLOOR, so only the other three can be signed zeros
+            fixed = (v_new == v and r_new == r and psi_new == psi
+                     and u_new == u_v
+                     and math.copysign(1.0, v_new) == math.copysign(1.0, v)
+                     and math.copysign(1.0, r_new) == math.copysign(1.0, r)
+                     and math.copysign(1.0, psi_new)
+                     == math.copysign(1.0, psi))
+            u_v, v, r, psi, t = u_new, v_new, r_new, psi_new, t_next
             last_saturated = saturated
+            if fixed:
+                # a fixed point: every later substep repeats its increments
+                for _ in range(n - 1 - k):
+                    X = float(X + dX)
+                    Y = float(Y + dY)
+                    t = t + dt
+                break
     except NumericalDivergence as exc:
         exc.state = PlantState(u_v, v, r, X, Y, psi, t, last_saturated)
         raise

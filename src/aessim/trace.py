@@ -4,7 +4,6 @@ JSON and byte-deterministic for identical runs."""
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from .errors import AesError
@@ -16,8 +15,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".10g")
     return str(value)
 

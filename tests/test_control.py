@@ -10,7 +10,7 @@ from aessim.control import (ControllerConfig, ControlMode, TrackingErrors,
                             path_to_vehicle_frame, steady_state_slip,
                             steering_feedforward_gain, steering_gains,
                             tracking_errors, understeer_gradient)
-from aessim.errors import PathExhausted, SpeedOutOfRange
+from aessim.errors import PathExhausted
 from aessim.geometry import Pose
 from aessim.pathgen import SampledPath
 from aessim.plant import PlantState
@@ -185,10 +185,6 @@ class TestGains:
         k = feedback_gains(p, 20.0, ControllerConfig(
             mode=ControlMode.DIFF_BRAKE_ONLY))
         assert np.all(k[0] == 0.0) and np.any(k[1] != 0.0)
-
-    def test_speed_out_of_range(self):
-        with pytest.raises(SpeedOutOfRange):
-            feedback_gains(make_params(), 0.5, ControllerConfig())
 
 
 class TestControlStep:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aessim import plant
 from aessim.capability import G, VehicleParams
 from aessim.control import ControlCommand, WheelForces
 from aessim.errors import NumericalDivergence
@@ -97,6 +98,27 @@ class TestLateralDynamics:
         p = make_params()
         with pytest.raises(ValueError):
             plant_step(PlantState(u_v=20.0), ControlCommand(), p, 0.0, 0.02)
+
+    @pytest.mark.parametrize("cmd, stages", [
+        (ControlCommand(), 4),
+        (ControlCommand(M_z_ext=1000.0, brakes=WheelForces()), 40)])
+    def test_rest_tick_skips_repeated_substeps(self, monkeypatch, cmd, stages):
+        # each RK4 stage takes one cos; at rest the first substep is a fixed
+        # point and the other nine only repeat its increments
+        class CountingMath:
+            cos_calls = 0
+
+            def cos(self, x):
+                self.cos_calls += 1
+                return math.cos(x)
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+        counting = CountingMath()
+        monkeypatch.setattr(plant, "math", counting)
+        plant_step(PlantState(u_v=20.0), cmd, make_params(), 0.0, 0.001, 10)
+        assert counting.cos_calls == stages
 
 
 class TestPoles:
@@ -293,6 +315,64 @@ class TestScalarPlantBitExact:
             counts["saturation_released"] += any(flags) and not flags[-1]
             counts["numpy_moment"] += isinstance(cmd.M_z_ext, np.float64)
         assert min(counts.values()) > 0.01 * n_draws, counts
+
+    def test_rest_tick_matches_chained_numpy_steps(self):
+        """A tick that starts at rest, where the substeps are fixed points
+        (after the first, if it floors the speed or flips a zero's sign),
+        returns the bits of the chained reference steps."""
+        rng = np.random.default_rng(29)
+        n_draws = 3000
+        counts = dict(held_at_floor=0, floored_inside=0, sign_flipped=0,
+                      numpy_cmd=0, off_axis=0)
+
+        def zero():
+            return (0.0, -0.0)[rng.integers(2)]
+
+        for _ in range(n_draws):
+            state, _, params, _, dt = self._draw(rng)
+            speed = int(rng.integers(3))
+            u_v = (U_FLOOR, U_FLOOR + float(rng.uniform(0.0, 0.01)),
+                   float(rng.uniform(U_FLOOR, 40.0)))[speed]
+            psi = (0.0, -0.0, math.pi / 2, -math.pi / 2,
+                   float(rng.uniform(-math.pi, math.pi)))[rng.integers(5)]
+            X, Y = ((zero(), zero()) if rng.random() < 0.3
+                    else (state.X, state.Y))
+            state = replace(state, u_v=u_v, v_v=zero(), r=zero(), X=X, Y=Y,
+                            psi=psi)
+            numpy_cmd = rng.random() < 0.5
+            wrap = np.float64 if numpy_cmd else float
+            cmd = ControlCommand(delta_g=wrap(zero()), M_z_ext=wrap(zero()))
+            a_x = (-float(rng.uniform(0.0, 12.0)) if rng.random() < 0.6
+                   else zero())
+            n = int(rng.integers(2, 13))
+            chain = [state]
+            for _ in range(n):
+                chain.append(numpy_plant_step(chain[-1], cmd, params, a_x,
+                                              dt))
+            got = plant_step(state, cmd, params, a_x, dt, n)
+            assert state_hex(got) == state_hex(chain[-1])
+            counts["held_at_floor"] += speed == 0 and a_x < 0.0
+            counts["floored_inside"] += (state.u_v > U_FLOOR
+                                         and chain[-2].u_v == U_FLOOR)
+            counts["sign_flipped"] += any(
+                math.copysign(1.0, getattr(state, f))
+                != math.copysign(1.0, getattr(got, f))
+                for f in ("v_v", "r", "Y"))
+            counts["numpy_cmd"] += numpy_cmd
+            counts["off_axis"] += psi not in (0.0, math.pi / 2, -math.pi / 2)
+        assert min(counts.values()) > 0.05 * n_draws, counts
+
+    def test_long_rest_chain_matches(self):
+        # 3000 ticks of zero command at a heading where X and Y both move:
+        # a repeated increment that lost an ulp would compound over them
+        p = make_params()
+        a = b = PlantState(u_v=25.0, psi=0.3)
+        for _ in range(3000):
+            a = plant_step(a, ControlCommand(), p, 0.0, 0.001, 10)
+            for _ in range(10):
+                b = numpy_plant_step(b, ControlCommand(), p, 0.0, 0.001)
+            assert state_hex(a) == state_hex(b)
+        assert a.X > 60.0 and a.Y > 20.0
 
     def test_closed_loop_trajectory_matches(self):
         # 3 s of 1 ms steps: a one-ulp difference would compound in X
