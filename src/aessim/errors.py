@@ -21,10 +21,6 @@ class NoFeasiblePath(AesError):
     """Path-set generation could not produce any usable path."""
 
 
-class DegenerateGrid(AesError):
-    """Path sample grid contains repeated timestamps."""
-
-
 class PathExhausted(AesError):
     """The match point reached the final path sample; the manoeuvre is over."""
 

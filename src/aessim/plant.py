@@ -3,12 +3,12 @@ yaw-moment input, longitudinal speed update during pre-braking and kinematic
 global pose integration.
 
 One `plant_step` call integrates the n RK4 substeps of a control tick under
-the tick's command; the loop calls it once per tick. The lateral
-coefficients are kept from one substep to the next while the speed is
-unchanged and recomputed when pre-braking moves it. Every substep is
-checked against the sanity bounds; a divergence raises NumericalDivergence
-carrying the last in-bounds substep's state, so a run that aborts ends
-there, not at the start of its tick.
+the tick's command, with the lateral coefficients the loop derived for the
+tick's `lateral_acceleration`; they are kept while the speed is unchanged
+and recomputed when pre-braking moves it. Every substep is checked against
+the sanity bounds; a divergence raises NumericalDivergence carrying the
+last in-bounds substep's state, so a run that aborts ends there, not at the
+start of its tick.
 
 A substep that returns its start state bit for bit (u_v, v_v, r and psi;
 -0.0 is not 0.0 and NaN equals nothing) is a fixed point, as when cruising
@@ -99,7 +99,8 @@ def assert_stable_vehicle(params: VehicleParams, u: float) -> None:
 
 
 def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
-               a_x_cmd: float, dt: float, n: int = 1) -> PlantState:
+               a_x_cmd: float, dt: float, n: int = 1, *,
+               coeffs: tuple[float, ...] | None = None) -> PlantState:
     """n fixed-step RK4 substeps of the plant under one command.
 
     The lateral acceleration is capped at the friction limit inside the
@@ -108,6 +109,7 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
     follows a_x_cmd and never drops below the floor. A substep that leaves
     the sanity bounds raises NumericalDivergence whose `state` is the last
     substep's state that stayed in bounds (s itself if the first diverged).
+    coeffs, if given, are `_lateral_coeffs(params, s.u_v)`.
     """
     if not (0.0 < dt <= DT_MAX):
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
@@ -116,6 +118,9 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
     u_v, v, r, X, Y, psi, t = s.u_v, s.v_v, s.r, s.X, s.Y, s.psi, s.t
     last_saturated = s.ay_saturated
     u = None  # the speed the lateral coefficients belong to
+    if coeffs is not None:
+        u = u_v
+        a11, a12, a21, a22, b11, b21, b22 = coeffs
 
     def deriv(v, r, psi):
         nonlocal saturated
@@ -196,8 +201,9 @@ def _diverged(t: float, v_v: float, r: float) -> NumericalDivergence:
 
 
 def lateral_acceleration(s: PlantState, cmd: ControlCommand,
-                         params: VehicleParams) -> float:
+                         params: VehicleParams, *,
+                         coeffs: tuple[float, ...] | None = None) -> float:
     """Instantaneous lateral acceleration v_dot + u * r (unguarded)."""
-    a11, a12, _, _, b11, _, _ = _lateral_coeffs(params, s.u_v)
+    a11, a12, _, _, b11, _, _ = coeffs or _lateral_coeffs(params, s.u_v)
     v_dot = a11 * s.v_v + a12 * s.r + b11 * cmd.delta_g
     return float(v_dot + s.u_v * s.r)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGrid
 from .geometry import (DriveableSpace, Footprint, Prediction,
                        collision_check, driveable_area_check, predict)
 from .pathgen import PathSet, SampledPath, anchor_path, presample_profile
@@ -48,11 +47,8 @@ class RankedPath:
 def _acceleration_norms(path: SampledPath) -> tuple[float, float]:
     """Root sums of squares of the lateral (v^2 rho) and longitudinal
     (dv/dt) accelerations."""
-    dt = np.diff(path.t)
-    if np.any(dt == 0.0):
-        raise DegenerateGrid("repeated timestamps in path grid")
     a_lat = path.v ** 2 * path.rho
-    a_lon = np.diff(path.v) / dt
+    a_lon = np.diff(path.v) / np.diff(path.t)
     return (math.sqrt(float(np.sum(np.abs(a_lat) ** 2))),
             math.sqrt(float(np.sum(np.abs(a_lon) ** 2))))
 

@@ -24,8 +24,8 @@ from .errors import (DegenerateSpeed, NoFeasiblePath, NumericalDivergence,
                      PathExhausted)
 from .geometry import Pose, TargetTrack, sat_check
 from .pathgen import SampledPath, generate_path_set
-from .plant import (PlantState, assert_stable_vehicle, lateral_acceleration,
-                    plant_step)
+from .plant import (PlantState, _lateral_coeffs, assert_stable_vehicle,
+                    lateral_acceleration, plant_step)
 from .ranking import RankedPath, monitor_selected, rank_paths, select_path
 from .scenario import ScenarioConfig
 from .trace import TraceLog
@@ -113,12 +113,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             ranked_all.extend(rank_paths(ps, preds, space, fp, cfg.weights,
                                          cfg.sim.dt_check))
         for r in ranked_all:
-            trace.add_path_event(
-                t=t, kind=kind, side=r.path.side, index=r.path.index,
-                path_id=r.path.path_id,
-                status=r.rejected or "survivor", severity=r.severity,
-                proximity=r.proximity, total=r.total,
-                terminal_y=r.terminal_offset)
+            trace.add_path_event([t, kind, r.path.side, r.path.index,
+                                  r.path.path_id, r.rejected or "survivor",
+                                  r.severity, r.proximity, r.total,
+                                  r.terminal_offset])
         return select_path(ranked_all, dt_ctrl), ranked_all
 
     def plan_candidate(t: float, preds, kind: str) -> None:
@@ -214,41 +212,35 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             except PathExhausted:
                 force_complete = True
 
-        a_y = lateral_acceleration(plant, cmd, params)
+        coeffs = _lateral_coeffs(params, plant.u_v)
+        a_y = lateral_acceleration(plant, cmd, params, coeffs=coeffs)
         max_abs_ay = max(max_abs_ay, abs(a_y))
 
         # ground truth contact check and per-target distances
         collided_with = None
         ego_pose = Pose(plant.X, plant.Y, plant.psi)
         ecx, ecy = fp.center(ego_pose)
-        row = {
-            "t": t, "state": sup.state.value, "X": plant.X, "Y": plant.Y,
-            "psi": plant.psi, "u_v": plant.u_v, "v_v": plant.v_v,
-            "r": plant.r, "a_y": a_y, "ay_sat": plant.ay_saturated,
-            "ttc": ttc, "tte": tte if triggering else None,
-            "trigger": events.trigger.value,
-            "path_id": sup.selected_path.path_id if regulating else None,
-            "y_e": y_e, "psi_e": psi_e, "delta_g": cmd.delta_g,
-            "M_z": cmd.M_z_ext, "F_fl": cmd.brakes.fl, "F_fr": cmd.brakes.fr,
-            "F_rl": cmd.brakes.rl, "F_rr": cmd.brakes.rr,
-        }
+        row = [t, sup.state.value, plant.X, plant.Y, plant.psi, plant.u_v,
+               plant.v_v, plant.r, a_y, plant.ay_saturated, ttc,
+               tte if triggering else None, events.trigger.value,
+               sup.selected_path.path_id if regulating else None, y_e, psi_e,
+               cmd.delta_g, cmd.M_z_ext, cmd.brakes.fl, cmd.brakes.fr,
+               cmd.brakes.rl, cmd.brakes.rr]
+        dists = {}
         for td in cfg.targets:
             tp = td.position_at(t)
             tcx, tcy = td.footprint.center(tp)
-            d = math.hypot(tcx - ecx, tcy - ecy)
+            d = dists[td.track_id] = math.hypot(tcx - ecx, tcy - ecy)
             min_dist[td.track_id] = min(min_dist[td.track_id], d)
-            row[f"dist_{td.track_id}"] = d
-            row[f"X_{td.track_id}"] = tp.X
-            row[f"Y_{td.track_id}"] = tp.Y
+            row += (d, tp.X, tp.Y)
             if (t >= td.appear_time
                     and d <= fp.circumscribed_radius
                     + td.footprint.circumscribed_radius
                     and sat_check(ego_pose, fp, tp, td.footprint)):
                 collided_with = td.track_id
         if engage_info.get("engage_time") == t:
-            engage_info["engage_distances"] = {
-                td.track_id: row[f"dist_{td.track_id}"] for td in cfg.targets}
-        trace.add_row(**row)
+            engage_info["engage_distances"] = dists
+        trace.add_row(row)
 
         if collided_with is not None:
             outcome, reason = OUTCOME_COLLIDED, f"contact with {collided_with}"
@@ -265,7 +257,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if k < n_ticks:
             try:
                 plant = plant_step(plant, cmd, params, a_x_cmd,
-                                   cfg.sim.dt_plant, substeps)
+                                   cfg.sim.dt_plant, substeps, coeffs=coeffs)
             except NumericalDivergence as exc:
                 # the run ends at the last substep that stayed in bounds
                 plant = exc.state

@@ -1,12 +1,23 @@
 """Run trace: per-tick rows, per-cycle path summaries, the machine-readable
 run summary and plot-data emission. All files are plain delimited text or
-JSON and byte-deterministic for identical runs."""
+JSON and byte-deterministic for identical runs.
+
+The CSV writer transposes a block of rows and formats each column at once,
+with the bytes of `_fmt` cell by cell: floats of one bit pattern print once
+and repeat, as equal bits print alike (`==` is not enough: 0.0 == -0.0
+prints 0 and -0); other floats map `_fmt`'s format; only-str, only-None and
+only-bool columns print as `_fmt` would; mixed ones fall back to `_fmt`.
+"""
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import repeat
 from pathlib import Path
 
 from .errors import AesError
+
+BLOCK_ROWS = 512  # rows transposed at once; bounds the columns' memory
 
 
 def _fmt(value) -> str:
@@ -17,6 +28,35 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".10g")
     return str(value)
+
+
+def _format_column(col: tuple):
+    """The cells of one column as `_fmt` prints them."""
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        bits = array("d", col).tobytes()
+        if bits == bits[:8] * len(col):
+            return repeat(format(col[0], ".10g"), len(col))
+        return map("{:.10g}".format, col)
+    if kinds == {str}:
+        return col
+    if kinds == {type(None)}:
+        return repeat("", len(col))
+    if kinds == {bool}:
+        return map(("0", "1").__getitem__, col)
+    return map(_fmt, col)
+
+
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    """The header and a line per row; every row has a cell per column."""
+    with path.open("w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(rows), BLOCK_ROWS):
+            cols = list(zip(*rows[i:i + BLOCK_ROWS], strict=True))
+            if len(cols) != len(header):
+                raise ValueError(f"{len(cols)} cells, not {len(header)}")
+            fh.writelines(",".join(cells) + "\n"
+                          for cells in zip(*map(_format_column, cols)))
 
 
 class TraceLog:
@@ -43,11 +83,13 @@ class TraceLog:
         self.engage_candidates: list[dict] = []
         self.summary: dict = {}
 
-    def add_row(self, **kw) -> None:
-        self.rows.append([kw.get(c) for c in self.columns])
+    def add_row(self, row: list) -> None:
+        """Append one tick's cells, in `columns` order."""
+        self.rows.append(row)
 
-    def add_path_event(self, **kw) -> None:
-        self.path_events.append([kw.get(c) for c in self.PATH_COLUMNS])
+    def add_path_event(self, event: list) -> None:
+        """Append one ranked path's cells, in `PATH_COLUMNS` order."""
+        self.path_events.append(event)
 
     def add_replan_event(self, t: float, reason: str, rho0_path: float,
                          rho0_plant: float) -> None:
@@ -72,36 +114,19 @@ class TraceLog:
                 "y": [float(v) for v in r.Y + p.y[::5]],
             })
 
-    def column_index(self, name: str) -> int:
-        return self.columns.index(name)
-
     # --- serialisation -----------------------------------------------------
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        files = {}
-        trace_path = out / "trace.csv"
-        with trace_path.open("w", newline="\n") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        files["trace"] = trace_path
-
-        paths_path = out / "paths.csv"
-        with paths_path.open("w", newline="\n") as fh:
-            fh.write(",".join(self.PATH_COLUMNS) + "\n")
-            for row in self.path_events:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        files["paths"] = paths_path
-
-        summary_path = out / "summary.json"
-        payload = dict(self.summary)
-        payload["replan_events"] = self.replan_events
-        summary_path.write_text(
+        files = {"trace": out / "trace.csv", "paths": out / "paths.csv",
+                 "summary": out / "summary.json"}
+        _write_csv(files["trace"], self.columns, self.rows)
+        _write_csv(files["paths"], self.PATH_COLUMNS, self.path_events)
+        payload = dict(self.summary, replan_events=self.replan_events)
+        files["summary"].write_text(
             json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
             + "\n")
-        files["summary"] = summary_path
         return files
 
 
@@ -116,36 +141,21 @@ def emit_plot_data(trace: TraceLog, out_dir: str | Path) -> dict[str, Path]:
         raise AesError("cannot emit plot data from an empty trace")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ix = trace.column_index
-    files: dict[str, Path] = {}
-
-    path = out / "planar.csv"
-    with path.open("w", newline="\n") as fh:
-        fh.write("series,label,seq,x,y\n")
-        for i, row in enumerate(trace.rows):
-            fh.write(f"ego,ego,{i},{_fmt(row[ix('X')])},"
-                     f"{_fmt(row[ix('Y')])}\n")
-        for tid in trace.target_ids:
-            for i, row in enumerate(trace.rows):
-                fh.write(f"target,{tid},{i},{_fmt(row[ix('X_' + tid)])},"
-                         f"{_fmt(row[ix('Y_' + tid)])}\n")
-        for cand in trace.engage_candidates:
-            series = ("path_selected" if cand["status"] == "selected"
-                      else "path_" + cand["status"])
-            for i, (x, y) in enumerate(zip(cand["x"], cand["y"])):
-                fh.write(f"{series},{cand['path_id']},{i},{_fmt(x)},"
-                         f"{_fmt(y)}\n")
-    files["planar"] = path
-
+    col = dict(zip(trace.columns, zip(*trace.rows, strict=True)))
+    files = {name: out / f"{name}.csv"
+             for name in ("planar", "timeseries", "actuation")}
+    series = [("ego", "ego", col["X"], col["Y"])]
+    series += [("target", tid, col[f"X_{tid}"], col[f"Y_{tid}"])
+               for tid in trace.target_ids]
+    series += [("path_" + c["status"], c["path_id"], c["x"], c["y"])
+               for c in trace.engage_candidates]
+    planar = [(name, label, i, x, y) for name, label, xs, ys in series
+              for i, (x, y) in enumerate(zip(xs, ys))]
+    _write_csv(files["planar"], ["series", "label", "seq", "x", "y"], planar)
     for name, cols in (
             ("timeseries", ["t", "state", "ttc", "tte", "trigger", "y_e",
                             "psi_e"]),
             ("actuation", ["t", "r", "delta_g", "M_z", "F_fl", "F_fr",
                            "F_rl", "F_rr"])):
-        path = out / f"{name}.csv"
-        with path.open("w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in trace.rows:
-                fh.write(",".join(_fmt(row[ix(c)]) for c in cols) + "\n")
-        files[name] = path
+        _write_csv(files[name], cols, list(zip(*(col[c] for c in cols))))
     return files

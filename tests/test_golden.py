@@ -319,9 +319,9 @@ def test_one_plant_call_per_advanced_tick(scenario_dir, monkeypatch, name):
     calls = []
     step = simloop.plant_step
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[-1])
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(simloop, "plant_step", counted)
     result = run_scenario(load_scenario(scenario_dir / f"{name}.yaml"))

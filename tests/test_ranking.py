@@ -8,7 +8,7 @@ from conftest import reference_collision_check, reference_proximity_cost
 
 from aessim import ranking
 from aessim.capability import CapabilityRecord, CapabilityScenario, EgoState
-from aessim.errors import DegenerateGrid, NoFeasiblePath
+from aessim.errors import NoFeasiblePath
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
                              collision_check)
 from aessim.pathgen import (PathSet, PathTuning, SampledPath, anchor_path,
@@ -59,12 +59,6 @@ class TestSeverity:
         lon = math.sqrt(float(np.sum(
             (np.diff(path.v) / np.diff(path.t)) ** 2)))
         assert got == pytest.approx(0.7 * lat + 0.3 * lon, rel=1e-12)
-
-    def test_degenerate_grid(self):
-        path = flat_path(n=4)
-        path.t = np.array([0.0, 0.1, 0.1, 0.2])
-        with pytest.raises(DegenerateGrid):
-            severity_cost(path, CostWeights())
 
 
 class TestProximity:

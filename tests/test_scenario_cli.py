@@ -21,7 +21,7 @@ from aessim.scenario import (MAX_PATHS_PER_SIDE, MAX_PLANT_SUBSTEPS,
                              SimSettings, TargetDef, load_scenario,
                              parse_scenario)
 from aessim.simloop import EXIT_CODES, run_scenario
-from aessim.trace import TraceLog, emit_plot_data
+from aessim.trace import BLOCK_ROWS, TraceLog, _fmt, emit_plot_data
 
 MINIMAL = {
     "schema_version": 1,
@@ -446,13 +446,13 @@ class TestRunContracts:
     def test_no_target_run_stays_in_standby(self, scenario_dir):
         res = run_scenario(load_scenario(scenario_dir / "empty_road.yaml"))
         assert res.outcome == "no-trigger"
-        states = {row[res.trace.column_index("state")]
+        states = {row[res.trace.columns.index("state")]
                   for row in res.trace.rows}
         assert states == {"standby"}
 
     def test_rate_contract(self, crossing_run):
         res = crossing_run
-        t = [row[res.trace.column_index("t")] for row in res.trace.rows]
+        t = [row[res.trace.columns.index("t")] for row in res.trace.rows]
         assert np.allclose(np.diff(t), 0.01)
         cycle_times = sorted({ev[0] for ev in res.trace.path_events
                               if ev[1] == "plan"})
@@ -463,7 +463,7 @@ class TestRunContracts:
         assert engage_plans == [res.summary["engage_time"]]
 
     def test_engage_preceded_by_warning(self, crossing_run):
-        istate = crossing_run.trace.column_index("state")
+        istate = crossing_run.trace.columns.index("state")
         states = [row[istate] for row in crossing_run.trace.rows]
         first_reg = states.index("in_regulation")
         assert states[first_reg - 1] == "warning"
@@ -476,7 +476,7 @@ class TestRunContracts:
 
     def test_ttc_strictly_decreasing_until_engagement(self, crossing_run):
         tr = crossing_run.trace
-        ittc = tr.column_index("ttc")
+        ittc = tr.columns.index("ttc")
         ttcs = [row[ittc] for row in tr.rows if row[ittc] is not None]
         assert len(ttcs) > 50
         assert all(b < a for a, b in zip(ttcs, ttcs[1:]))
@@ -507,11 +507,10 @@ class TestTraceAndPlots:
     def test_minimal_trace_plot_row_counts(self, tmp_path):
         trace = TraceLog(["tgt"])
         for k in range(2):
-            trace.add_row(t=0.01 * k, state="standby", X=0.0, Y=0.0, psi=0.0,
-                          u_v=20.0, v_v=0.0, r=0.0, a_y=0.0, ay_sat=False,
-                          trigger="none", delta_g=0.0, M_z=0.0, F_fl=0.0,
-                          F_fr=0.0, F_rl=0.0, F_rr=0.0, dist_tgt=5.0,
-                          X_tgt=10.0, Y_tgt=0.0)
+            trace.add_row([0.01 * k, "standby", 0.0, 0.0, 0.0, 20.0, 0.0,
+                           0.0, 0.0, False, None, None, "none", None, None,
+                           None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 10.0,
+                           0.0])
         files = emit_plot_data(trace, tmp_path)
         assert len(files) == 3
         ts = files["timeseries"].read_text().splitlines()
@@ -535,6 +534,90 @@ class TestTraceAndPlots:
         assert "path_selected" in series
         assert any(s.startswith("path_") and s != "path_selected"
                    for s in series)
+
+
+NAN = float("nan")
+INF = float("inf")
+# makers of one column of n cells, cycled over the trace's columns and,
+# from a shift, over the fewer columns of the paths
+COLUMN_CASES = [
+    lambda n: [-0.0] * n,
+    lambda n: [-0.0 if k else 0.0 for k in range(n)],
+    lambda n: [0.0 if k else -0.0 for k in range(n)],
+    lambda n: [None] * n,
+    lambda n: [None if k % 2 else 0.1 * k for k in range(n)],
+    lambda n: [INF] * n,
+    lambda n: [-INF if k % 2 else INF for k in range(n)],
+    lambda n: [NAN] * n,
+    lambda n: [-NAN if k % 2 else NAN for k in range(n)],
+    lambda n: [k % 3 == 0 for k in range(n)],
+    lambda n: [False] * n,
+    lambda n: ["standby"] * n,
+    lambda n: ["monitoring" if k % 2 else "warning" for k in range(n)],
+    lambda n: [0.1] * n,
+    lambda n: [1e-300 * k + 1e22 for k in range(n)],
+    lambda n: [np.float64(0.1 * k) if k % 2 else 0.1 * k for k in range(n)],
+    lambda n: [k for k in range(n)],
+    lambda n: [10**12] * n,
+    lambda n: [1.0 if k % 2 else 1 for k in range(n)],
+]
+
+
+def _rowwise_csv(header, rows):
+    """The reference: every cell through `_fmt` on its own."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row)
+                                   for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _case_rows(n_cols, n_rows, shift):
+    cols = [COLUMN_CASES[(j + shift) % len(COLUMN_CASES)](n_rows)
+            for j in range(n_cols)]
+    return [list(row) for row in zip(*cols)]
+
+
+class TestColumnFormatter:
+    """`TraceLog.write` formats column by column, a block of rows at a
+    time; its bytes must be those of `_fmt` applied cell by cell."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 5, 2 * BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("shift", [0, len(TraceLog.PATH_COLUMNS)])
+    def test_bytes_match_rowwise_fmt(self, tmp_path, n_rows, shift):
+        trace = TraceLog(["a", "b"])
+        for row in _case_rows(len(trace.columns), n_rows, shift):
+            trace.add_row(row)
+        trace.path_events = _case_rows(len(TraceLog.PATH_COLUMNS), n_rows,
+                                       shift)
+        files = trace.write(tmp_path)
+        assert files["trace"].read_bytes() == _rowwise_csv(trace.columns,
+                                                           trace.rows)
+        assert files["paths"].read_bytes() == _rowwise_csv(
+            TraceLog.PATH_COLUMNS, trace.path_events)
+
+    def test_paths_index_column(self, tmp_path):
+        trace = TraceLog([])
+        for k in range(3):
+            trace.add_path_event([0.5, "plan", "left", k, k + 1, "survivor",
+                                  -0.0 if k else 0.0, None, NAN, INF])
+        trace.add_path_event([0.6, "plan", "right", 0, 4, "collision", None,
+                              None, None, None])
+        text = trace.write(tmp_path)["paths"].read_bytes()
+        assert text == _rowwise_csv(TraceLog.PATH_COLUMNS, trace.path_events)
+        assert text.splitlines()[1:] == [
+            b"0.5,plan,left,0,1,survivor,0,,nan,inf",
+            b"0.5,plan,left,1,2,survivor,-0,,nan,inf",
+            b"0.5,plan,left,2,3,survivor,-0,,nan,inf",
+            b"0.6,plan,right,0,4,collision,,,,"]
+
+    @pytest.mark.parametrize("n_full", [0, 1, 3, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_row_of_wrong_length_raises(self, tmp_path, n_full, extra):
+        trace = TraceLog(["a"])
+        for _ in range(n_full):
+            trace.add_row([0.0] * len(trace.columns))
+        trace.add_row([0.0] * (len(trace.columns) + extra))
+        with pytest.raises(ValueError):
+            trace.write(tmp_path)
 
 
 def _paths_csv(cfg, out_dir):
