@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .capability import EgoState
-from .geometry import Footprint, Pose, first_contact_time
+from .geometry import Footprint, Pose, _contact_time, _own_axes
 from .pathgen import CurvatureProfile, SampledPath
 
 logger = logging.getLogger(__name__)
@@ -73,13 +73,18 @@ def compute_ttc(ego: EgoState, targets, fp: Footprint,
     horizon, inf if clear.
 
     The no-action path holds the current speed and heading; the targets move
-    at their predicted constant velocity.
+    at their predicted constant velocity. The minimum of the per-target
+    geometry.first_contact_time, with the ego's corners and their
+    projections on its own axes formed once.
     """
-    pose = Pose(ego.X, ego.Y, ego.psi)
-    vel = (ego.v_x * math.cos(ego.psi), ego.v_x * math.sin(ego.psi))
-    return min((first_contact_time(pose, fp, vel, tr.pose, tr.footprint,
-                                   tr.velocity, horizon) for tr in targets),
-               default=math.inf)
+    ego_axes = _own_axes(Pose(ego.X, ego.Y, ego.psi), fp)
+    vx, vy = ego.v_x * math.cos(ego.psi), ego.v_x * math.sin(ego.psi)
+    times = []
+    for tr in targets:
+        tvx, tvy = tr.velocity
+        times.append(_contact_time(ego_axes, tr.pose, tr.footprint, tvx - vx,
+                                   tvy - vy, horizon))
+    return min(times, default=math.inf)
 
 
 def evaluate_triggers(ttc: float, tte: float, cfg: TriggerConfig) -> Trigger:

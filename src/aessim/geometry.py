@@ -1,6 +1,6 @@
 """Collision geometry: driveable-space containment, the staged
 circumscribed-circle / inscribed-circle / separating-axis collision check
-of a sampled path, and the closed-form first contact time of two
+of sampled paths, and the closed-form first contact time of two
 constant-velocity rectangles.
 
 `sat_check` runs on plain Python floats. It repeats numpy's float
@@ -9,26 +9,37 @@ the array formula it replaced: a corner is `(cx + l*c) - w*s`, projected as
 `x*ax + y*ay`. Any change to an expression here changes the run artefacts;
 `tests/test_golden.py` guards them.
 
-`driveable_area_check` and `collision_check` take a path and the
-translation (X, Y) that places it in the road frame. The driveable check
-forms each footprint corner on the path's own samples and adds (X, Y) last.
-Rounding to nearest is monotone, so X plus the largest corner x is the
-largest translated corner x: the box of the untranslated corners, shifted by
-(X, Y), gives the per-corner answer bit for bit.
+`driveable_area_check` and `check_paths` take paths and the translation
+(X, Y) that places them in the road frame. The driveable check forms each
+footprint corner on the path's own samples and adds (X, Y) last. Rounding to
+nearest is monotone, so X plus the largest corner x is the largest
+translated corner x: the box of the untranslated corners, shifted by (X, Y),
+gives the per-corner answer bit for bit.
 
-A planner cycle checks all its candidates against one `predict`ion of the
-targets, made on the time grid of the set's longest path. Every family path
-is sampled at the same step from t = 0, so its grid is a prefix of that one
-bit for bit (`pathgen.PathSet` checks it), and indexing the shared
-prediction at a path's check instants gives the numbers a prediction on the
-path's own instants would: the same operands, `X + vx * t` and then
-`+ ref_offset * cos(psi)`, in the same order. The ego side is kept per
-read-only path (`SampledPath.cached`): the check indices, the samples there
-and `ref_offset * cos/sin(psi)`, so an ego centre is still
-`(X + x) + ref_offset * cos(psi)`. A writeable path, such as a monitored
-suffix, takes the same code with a prediction on its own grid and keeps
-nothing. The stages then replay target after target as before: the report
-counts what they resolved up to the first hit.
+A planner cycle checks all its candidates in one `check_paths` call against
+one `predict`ion of the targets, made on the time grid of the set's longest
+path. Every family path is sampled at the same step from t = 0, so its grid
+is a prefix of that one bit for bit (`pathgen.PathSet` checks it), and
+indexing the shared prediction at a path's check instants gives the numbers
+a prediction on the path's own instants would: the same operands,
+`X + vx * t` and then `+ ref_offset * cos(psi)`, in the same order. The ego
+side is kept per read-only path (`SampledPath.cached`): the check indices,
+the samples there, `ref_offset * cos/sin(psi)` and `math.cos/sin(psi)`, and
+the concatenation of a set's paths is kept with the family for as long as
+the same paths are checked. A writeable path, such as a monitored suffix,
+takes the same code with a prediction on its own grid and keeps nothing.
+
+The broad phase measures every (target, check instant) pair of every path
+at once; the pairs within the circumscribed circles are near. One
+vectorised separating-axis test then decides all near pairs. It forms the
+corners, axes and projections elementwise with `sat_check`'s operations in
+`sat_check`'s order, IEEE arithmetic rounds each element alike, and the
+max/min of four values and the comparisons are exact, so each pair gets
+`sat_check`'s verdict bit for bit; a NaN anywhere leaves no separating axis
+and counts as contact. A path's first hit is its first near pair, target
+after target and instants in order, inside the inscribed circles or
+overlapping, and its report counts what the staged loop would have resolved
+up to that hit. `collision_check` is the batch of one path.
 """
 from __future__ import annotations
 
@@ -216,89 +227,168 @@ def driveable_area_check(path, space: DriveableSpace, fp: Footprint,
 class Prediction:
     """Targets predicted on a time grid: reference points pos and footprint
     centres centre, each of shape (2, number of targets, grid) with x
-    first, and each target's circumscribed radius, shape (targets, 1)."""
+    first, each target's circumscribed radius, shape (targets, 1), and its
+    box, shape (6, targets): math.cos and math.sin of its heading,
+    ref_offset, half length, half width and inscribed radius."""
 
     pos: np.ndarray
     centre: np.ndarray
     radius: np.ndarray
+    box: np.ndarray
 
 
 def predict(targets, t: np.ndarray) -> Prediction:
     """Each target at constant speed along its heading at every instant of
     t: X + vx * t, and that plus ref_offset * cos(psi) for the centre."""
-    rows = [(tg.pose.X, tg.pose.Y, *tg.velocity,
-             tg.footprint.ref_offset * math.cos(tg.pose.psi),
-             tg.footprint.ref_offset * math.sin(tg.pose.psi),
-             tg.footprint.circumscribed_radius) for tg in targets]
-    col = np.array(rows, dtype=float).reshape(-1, 7).T[..., None]
-    pos = col[2:4] * t
-    pos += col[0:2]   # X + vx * t: the sum commutes exactly
-    return Prediction(pos, pos + col[4:6], col[6])
+    rows = []
+    for tg in targets:
+        fp, c, s = tg.footprint, math.cos(tg.pose.psi), math.sin(tg.pose.psi)
+        rows.append((tg.pose.X, tg.pose.Y, *tg.velocity, fp.ref_offset * c,
+                     fp.ref_offset * s, fp.circumscribed_radius, c, s,
+                     fp.ref_offset, 0.5 * fp.length, 0.5 * fp.width,
+                     fp.inscribed_radius))
+    col = np.array(rows, dtype=float).reshape(-1, 13).T
+    pos = col[2:4, :, None] * t
+    pos += col[0:2, :, None]   # X + vx * t: the sum commutes exactly
+    return Prediction(pos, pos + col[4:6, :, None], col[6, :, None], col[7:])
 
 
 def _check_geometry(path, fp: Footprint, dt_check: float) -> tuple:
     """The path's check instants idx, about dt_check apart and always
-    including the last sample, and its samples there: (idx, [x, y], psi,
-    ref_offset * [cos(psi), sin(psi)])."""
+    including the last sample, and its samples there: (idx, [x, y],
+    ref_offset * [cos(psi), sin(psi)], [math.cos(psi), math.sin(psi)])."""
     n = len(path.t)
     dt_path = float(path.t[1] - path.t[0]) if n > 1 else dt_check
     # any stride from n up checks only the first and last samples
     stride = max(1, round(min(dt_check / max(dt_path, 1e-9), n)))
     idx = np.arange(0, n, stride)
-    if idx[-1] != n - 1:
+    if n and idx[-1] != n - 1:
         idx = np.append(idx, n - 1)
     psi = path.psi[idx]
-    return (idx, np.array([path.x[idx], path.y[idx]]), psi,
-            fp.ref_offset * np.array([np.cos(psi), np.sin(psi)]))
+    headings = psi.tolist()
+    return (idx, np.array([path.x[idx], path.y[idx]]),
+            fp.ref_offset * np.array([np.cos(psi), np.sin(psi)]),
+            np.array([[math.cos(a) for a in headings],
+                      [math.sin(a) for a in headings]]))
 
 
-def collision_check(path, targets, fp: Footprint, dt_check: float = 0.1,
-                    X: float = 0.0, Y: float = 0.0,
-                    pred: Prediction | None = None) -> CollisionReport:
-    """Staged collision check of a sampled path, translated by (X, Y),
-    against predicted targets.
+def _set_geometry(paths, fp: Footprint, dt_check: float) -> tuple:
+    """The paths' check geometry concatenated in path order, with the ego
+    rectangle at each instant as _sat_overlap takes it (math.cos, math.sin,
+    ref_offset, half length, half width), the path number of each instant
+    and each path's number of instants."""
+    parts = [p.cached(("check", fp, dt_check), _check_geometry, fp, dt_check)
+             for p in paths]
+    idx, xy, off, trig = (np.concatenate(a, axis=-1) for a in zip(*parts))
+    counts = [len(part[0]) for part in parts]
+    size = np.repeat([[fp.ref_offset], [0.5 * fp.length], [0.5 * fp.width]],
+                     len(idx), axis=1)
+    return (idx, xy, off, np.concatenate([trig, size]),
+            np.repeat(np.arange(len(paths)), counts), counts)
 
-    pred is the targets' prediction on a grid of which path.t is a prefix
-    (one per planner cycle, module docstring); left out, the targets are
-    predicted on path.t. Per check instant the circumscribed filter runs
-    first, then the inscribed filter, then the separating-axis test, target
-    after target; the check returns at the first hit, and the report counts
-    what the stages resolved up to it.
+
+def _sat_overlap(box: np.ndarray) -> np.ndarray:
+    """sat_check of n rectangle pairs at once. box has shape (7, 2, n): x,
+    y, math.cos and math.sin of the heading, ref_offset, half length and
+    half width of the first and the second rectangle of each pair. Every
+    operation is sat_check's, elementwise and in its order (module
+    docstring)."""
+    x, y, c, s, off, hl, hw = box
+    cx, cy = x + off * c, y + off * s
+    lx, ly = np.array([hl, -hl, -hl, hl]), np.array([hw, hw, -hw, -hw])
+    px, py = (cx + lx * c) - ly * s, (cy + lx * s) + ly * c
+    # each rectangle's edge normals (c, s) and (-s, c), shape (4, 1, 2, n)
+    ax = np.concatenate([c, -s])[:, None, None]
+    ay = np.concatenate([s, c])[:, None, None]
+    proj = px * ax + py * ay     # (axis, corner, rectangle, pair)
+    hi, lo = proj.max(axis=1), proj.min(axis=1)
+    apart = (hi[:, 0] < lo[:, 1]) | (hi[:, 1] < lo[:, 0])
+    return ~apart.any(axis=0)
+
+
+def check_paths(paths, targets, fp: Footprint, dt_check: float = 0.1,
+                X: float = 0.0, Y: float = 0.0, pred: Prediction | None = None,
+                memo: dict | None = None) -> list[CollisionReport]:
+    """Staged collision check of each sampled path, translated by (X, Y),
+    against predicted targets, in one broad and one narrow phase over all
+    paths (module docstring).
+
+    pred is the targets' prediction on a grid of which every path.t is a
+    prefix (one per planner cycle); left out, the targets are predicted on
+    the longest path's grid. memo, if given, keeps the concatenated check
+    geometry of the last read-only paths checked. Each report is the one
+    the staged loop gives: per check instant the circumscribed filter, then
+    the inscribed filter, then the separating-axis test, target after
+    target, up to the path's first hit.
     """
-    report = CollisionReport()
-    if len(path.t) == 0 or not targets:
-        return report
+    if not paths or not targets:
+        return [CollisionReport() for _ in paths]
     if pred is None:
-        pred = predict(targets, path.t)
-    idx, xy, psi, off = path.cached(("check", fp, dt_check), _check_geometry,
-                                    fp, dt_check)
+        pred = predict(targets, max((p.t for p in paths), key=len))
+    key = ("check", fp, dt_check)
+    kept = memo.get(key) if memo is not None else None
+    if (kept is not None and len(kept[0]) == len(paths)
+            and all(a is b for a, b in zip(kept[0], paths))):
+        geometry = kept[1]
+    else:
+        geometry = _set_geometry(paths, fp, dt_check)
+        if memo is not None and all(key in p.memo for p in paths):
+            memo[key] = (list(paths), geometry)
+    idx, xy, off, rect, owner, counts = geometry
+
+    # broad phase: every (target, instant) pair of every path
     ego = np.array([[X], [Y]]) + xy
     gap = pred.centre[:, :, idx] - (ego + off)[:, None, :]
     dist = np.hypot(gap[0], gap[1])
     # not `dist <= rc`: a NaN distance must reach SAT, never count as clear
     rows, ks = np.nonzero(~(dist > fp.circumscribed_radius + pred.radius))
-    # near (target, instant) pairs, target after target, instants in order
-    near = rows.tolist()
-    (xa, ya), (xb, yb) = (ego[:, ks].tolist(),
-                          pred.pos[:, rows, idx[ks]].tolist())
-    for i, d, x_a, y_a, psi_a, x_b, y_b in zip(
-            near, dist[rows, ks].tolist(), xa, ya, psi[ks].tolist(), xb, yb):
-        target = targets[i]
-        if d < fp.inscribed_radius + target.footprint.inscribed_radius:
-            report.resolved_inscribed = 1
+    n_targets = len(targets)
+    if not len(ks):   # the circle filter cleared every pair
+        return [CollisionReport(resolved_circumscribed=n_targets * n_k)
+                for n_k in counts]
+
+    # narrow phase: the inscribed filter and SAT on every near pair
+    tb = pred.box[:, rows]
+    inscribed = dist[rows, ks] < fp.inscribed_radius + tb[5]
+    box = np.empty((7, 2, len(ks)))
+    box[0:2, 0], box[2:7, 0] = ego[:, ks], rect[:, ks]
+    box[0:2, 1], box[2:7, 1] = pred.pos[:, rows, idx[ks]], tb[:5]
+    hit = inscribed | _sat_overlap(box)
+
+    # near pairs path by path, each path's target after target
+    pid = owner[ks]
+    order = np.argsort(pid, kind="stable")
+    near, hits = rows[order].tolist(), hit[order].tolist()
+    ins = inscribed[order].tolist()
+    reports = []
+    start = 0
+    for n_k, n in zip(counts, np.bincount(pid, minlength=len(paths)).tolist()):
+        end = start + n
+        report = CollisionReport()
+        if True in hits[start:end]:
+            h = hits.index(True, start, end)
+            i = near[h]
+            report.collides = True
+            report.resolved_inscribed = int(ins[h])
+            report.sat_evaluations = h - start + 1 - report.resolved_inscribed
+            # the circle filter cleared the other instants of targets 0..i
+            report.resolved_circumscribed = (
+                (i + 1) * n_k - (bisect_right(near, i, start, end) - start))
         else:
-            report.sat_evaluations += 1
-            if not sat_check(Pose(x_a, y_a, psi_a), fp,
-                             Pose(x_b, y_b, target.pose.psi),
-                             target.footprint):
-                continue
-        report.collides = True
-        # the circle filter cleared the other instants of targets 0..i
-        report.resolved_circumscribed = ((i + 1) * len(idx)
-                                         - bisect_right(near, i))
-        return report
-    report.resolved_circumscribed = len(targets) * len(idx) - len(near)
-    return report
+            report.sat_evaluations = n
+            report.resolved_circumscribed = n_targets * n_k - n
+        reports.append(report)
+        start = end
+    return reports
+
+
+def collision_check(path, targets, fp: Footprint, dt_check: float = 0.1,
+                    X: float = 0.0, Y: float = 0.0,
+                    pred: Prediction | None = None) -> CollisionReport:
+    """check_paths of the one path: the staged collision check of a sampled
+    path, translated by (X, Y), against predicted targets; pred left out,
+    the targets are predicted on path.t."""
+    return check_paths([path], targets, fp, dt_check, X, Y, pred)[0]
 
 
 # Widening of each axis gap [m] in first_contact_time, so that rounding in
@@ -319,14 +409,31 @@ def first_contact_time(pose_a: Pose, fp_a: Footprint,
     Collision Detection, 5.5; Eberly, Dynamic Collision Detection using
     Oriented Bounding Boxes).
     """
-    c_a, s_a = math.cos(pose_a.psi), math.sin(pose_a.psi)
+    return _contact_time(_own_axes(pose_a, fp_a), pose_b, fp_b,
+                         vel_b[0] - vel_a[0], vel_b[1] - vel_a[1], horizon)
+
+
+def _own_axes(pose: Pose, fp: Footprint) -> tuple[list, list]:
+    """A rectangle's corners and, for each of its two edge normals (ax,
+    ay), (ax, ay, the corners' projections on it); formed once, they serve
+    every _contact_time against it."""
+    c, s = math.cos(pose.psi), math.sin(pose.psi)
+    corners = _corners(pose, fp, c, s)
+    return corners, [(ax, ay, [x * ax + y * ay for x, y in corners])
+                     for ax, ay in ((c, s), (-s, c))]
+
+
+def _contact_time(a: tuple[list, list], pose_b: Pose, fp_b: Footprint,
+                  rvx: float, rvy: float, horizon: float) -> float:
+    """first_contact_time of rectangle a, given as _own_axes, and b, which
+    moves at (rvx, rvy) relative to a."""
+    ca, axes_a = a
     c_b, s_b = math.cos(pose_b.psi), math.sin(pose_b.psi)
-    ca = _corners(pose_a, fp_a, c_a, s_a)
     cb = _corners(pose_b, fp_b, c_b, s_b)
-    rvx, rvy = vel_b[0] - vel_a[0], vel_b[1] - vel_a[1]
     t_first, t_last = 0.0, horizon
-    for ax, ay in ((c_a, s_a), (-s_a, c_a), (c_b, s_b), (-s_b, c_b)):
-        da = [x * ax + y * ay for x, y in ca]
+    for ax, ay, da in (*axes_a, (c_b, s_b, None), (-s_b, c_b, None)):
+        if da is None:
+            da = [x * ax + y * ay for x, y in ca]
         db = [x * ax + y * ay for x, y in cb]
         # b's projection moves by rate * t: overlap while lo <= rate*t <= hi
         lo = min(da) - max(db) - CONTACT_SLACK

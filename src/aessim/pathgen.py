@@ -161,13 +161,16 @@ class PathSet:
 
     t is the longest path's time grid, and every path's t is a prefix of
     it, bit for bit, so one target prediction on t serves the whole set.
-    Left out, t is found and the prefixes are checked.
+    Left out, t is found and the prefixes are checked. memo keeps what
+    geometry.check_paths derives from the paths; generate_path_set shares
+    one per family, so it lasts across planner cycles.
     """
 
     paths: list[SampledPath]
     X: float = 0.0
     Y: float = 0.0
     t: np.ndarray | None = None
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.t is None:
@@ -345,7 +348,7 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
         fam.scale = scale.hex()
     if not fam.paths:
         raise NoFeasiblePath(f"all {side} profiles infeasible")
-    return PathSet(fam.paths, init.X, init.Y, fam.t)
+    return PathSet(fam.paths, init.X, init.Y, fam.t, fam.memo)
 
 
 @dataclass
@@ -354,7 +357,8 @@ class _Family:
 
     reach is (y_max, max x) of the pre-sampled maximum-severity path, or the
     reason no path on this side is feasible; paths are the relative paths
-    for the scale whose float.hex is scale, and t is their shared grid.
+    for the scale whose float.hex is scale, t is their shared grid, and
+    memo is every PathSet's memo.
     """
 
     key: tuple
@@ -362,6 +366,7 @@ class _Family:
     scale: str | None = None
     paths: list[SampledPath] = field(default_factory=list)
     t: np.ndarray | None = None
+    memo: dict = field(default_factory=dict)
 
 
 # The last family per side. Between planner cycles before engage the plant

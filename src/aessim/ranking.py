@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (DriveableSpace, Footprint, Prediction,
+from .geometry import (DriveableSpace, Footprint, Prediction, check_paths,
                        collision_check, driveable_area_check, predict)
 from .pathgen import PathSet, SampledPath, anchor_path, presample_profile
 
@@ -66,7 +66,7 @@ def proximity_cost(path: SampledPath, targets, w: CostWeights,
                    X: float = 0.0, Y: float = 0.0,
                    pred: Prediction | None = None) -> float:
     """Mean over samples of the distance to the nearest target. pred is as
-    in geometry.collision_check: the targets on a grid with path.t as its
+    in geometry.check_paths: the targets on a grid with path.t as its
     prefix, or left out to predict them on path.t."""
     if not targets:
         return 0.0
@@ -78,40 +78,36 @@ def proximity_cost(path: SampledPath, targets, w: CostWeights,
     return w.K_prox * float(np.mean(d.min(axis=0)))
 
 
-def _rejection(path: SampledPath, targets, space: DriveableSpace,
-               fp: Footprint, dt_check: float, X: float = 0.0,
-               Y: float = 0.0, pred: Prediction | None = None) -> str | None:
-    """Why the path translated by (X, Y) is rejected, or None if it is
-    clear. The driveable check runs before the collision check, so a path
-    failing both reports not_driveable."""
-    if not driveable_area_check(path, space, fp, X, Y):
-        return REJECT_NOT_DRIVEABLE
-    if collision_check(path, targets, fp, dt_check, X, Y, pred).collides:
-        return REJECT_COLLISION
-    return None
-
-
 def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
                fp: Footprint, w: CostWeights,
                dt_check: float = 0.1) -> list[RankedPath]:
     """Reject or cost every path of the set; input order is preserved.
 
     The set's paths translated by (path_set.X, path_set.Y) must be in the
-    frame of the space and the target predictions. The targets are
+    frame of the space and the target predictions. A path failing the
+    driveable check is rejected as not_driveable; the others are checked
+    for collisions in one geometry.check_paths call. The targets are
     predicted once, on the set's shared grid, for every check and cost.
     """
     X, Y = path_set.X, path_set.Y
     pred = predict(targets, path_set.t)
+    driveable = [driveable_area_check(path, space, fp, X, Y)
+                 for path in path_set.paths]
+    candidates = [p for p, ok in zip(path_set.paths, driveable) if ok]
+    reports = iter(check_paths(candidates, targets, fp, dt_check, X, Y, pred,
+                               path_set.memo) if candidates else ())
     ranked: list[RankedPath] = []
-    for path in path_set.paths:
-        rejected = _rejection(path, targets, space, fp, dt_check, X, Y, pred)
-        if rejected is not None:
-            ranked.append(RankedPath(path, X, Y, rejected=rejected))
-            continue
-        sev = severity_cost(path, w)
-        prox = proximity_cost(path, targets, w, X, Y, pred)
-        ranked.append(RankedPath(path, X, Y, severity=sev, proximity=prox,
-                                 total=sev + prox))
+    for path, ok in zip(path_set.paths, driveable):
+        if not ok:
+            ranked.append(RankedPath(path, X, Y,
+                                     rejected=REJECT_NOT_DRIVEABLE))
+        elif next(reports).collides:
+            ranked.append(RankedPath(path, X, Y, rejected=REJECT_COLLISION))
+        else:
+            sev = severity_cost(path, w)
+            prox = proximity_cost(path, targets, w, X, Y, pred)
+            ranked.append(RankedPath(path, X, Y, severity=sev,
+                                     proximity=prox, total=sev + prox))
     return ranked
 
 
@@ -136,5 +132,10 @@ def select_path(ranked: list[RankedPath],
 def monitor_selected(path: SampledPath, targets, space: DriveableSpace,
                      fp: Footprint, dt_check: float = 0.1) -> str | None:
     """Re-check the remaining part of the active path against fresh data:
-    the rejection reason, or None while the path stays valid."""
-    return _rejection(path, targets, space, fp, dt_check)
+    the rejection reason, or None while the path stays valid. The
+    driveable check runs first, so a path failing both is not_driveable."""
+    if not driveable_area_check(path, space, fp):
+        return REJECT_NOT_DRIVEABLE
+    if collision_check(path, targets, fp, dt_check).collides:
+        return REJECT_COLLISION
+    return None

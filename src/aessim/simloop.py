@@ -93,6 +93,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     max_abs_ay = 0.0
     max_abs_ye = 0.0
     min_dist = {td.track_id: math.inf for td in cfg.targets}
+    coeffs_speed = None   # the speed the lateral coefficients belong to
 
     def plan(t: float, preds, kind: str, scenario: CapabilityScenario,
              sides: list[str]) -> tuple[SampledPath | None, list[RankedPath]]:
@@ -212,7 +213,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             except PathExhausted:
                 force_complete = True
 
-        coeffs = _lateral_coeffs(params, plant.u_v)
+        if plant.u_v != coeffs_speed:   # only pre-braking moves it
+            coeffs_speed = plant.u_v
+            coeffs = _lateral_coeffs(params, coeffs_speed)
         a_y = lateral_acceleration(plant, cmd, params, coeffs=coeffs)
         max_abs_ay = max(max_abs_ay, abs(a_y))
 

@@ -9,7 +9,8 @@ from aessim.capability import EgoState
 from aessim.decision import (AesState, SupervisorEvents, SupervisorState,
                              Trigger, TriggerConfig, compute_ttc, compute_tte,
                              evaluate_triggers, step_state_machine)
-from aessim.geometry import Footprint, Pose, TargetTrack, sat_check
+from aessim.geometry import (Footprint, Pose, TargetTrack,
+                             first_contact_time, sat_check)
 from aessim.pathgen import CurvatureProfile, SampledPath
 
 FP = Footprint(4.5, 1.8, ref_offset=1.35)
@@ -94,6 +95,40 @@ class TestTtc:
                 contacts += 1
                 assert first - 1e-3 - 1e-9 <= ttc <= first, off
         assert contacts == 148
+
+    def test_equals_the_per_target_minimum_bit_for_bit(self):
+        """The ego's corners and own-axis projections are formed once per
+        call; the result must be the bits of the minimum over per-target
+        first_contact_time calls."""
+        rng = np.random.default_rng(41)
+        u = rng.uniform
+        finite = 0
+        for _ in range(3000):
+            psi = float(rng.choice([u(-0.5, 0.5), 0.0, -0.0, math.pi / 2]))
+            ego = EgoState(X=float(u(-1e3, 1e3)), Y=float(u(-50.0, 50.0)),
+                           psi=psi, v_x=float(u(1.0, 30.0)))
+            fp = Footprint(float(u(0.0, 5.0)), float(u(0.0, 2.5)),
+                           float(u(-1.5, 1.5)))
+            targets = []
+            for i in range(int(rng.integers(1, 5))):
+                tpsi = float(rng.choice([u(-math.pi, math.pi), 0.0, -0.0,
+                                         psi]))
+                ahead = float(u(0.0, 60.0))
+                targets.append(TargetTrack(
+                    f"t{i}", Footprint(float(u(0.0, 5.0)),
+                                       float(u(0.0, 2.5)),
+                                       float(u(-1.0, 1.0))),
+                    Pose(ego.X + ahead * math.cos(psi) + float(u(-3.0, 3.0)),
+                         ego.Y + ahead * math.sin(psi) + float(u(-3.0, 3.0)),
+                         tpsi), float(u(0.0, 20.0))))
+            vel = (ego.v_x * math.cos(psi), ego.v_x * math.sin(psi))
+            want = min(first_contact_time(Pose(ego.X, ego.Y, psi), fp, vel,
+                                          tr.pose, tr.footprint, tr.velocity,
+                                          4.0) for tr in targets)
+            got = compute_ttc(ego, targets, fp, 4.0)
+            assert got.hex() == want.hex()
+            finite += math.isfinite(got)
+        assert 300 < finite < 2700   # both verdicts well exercised
 
 
 class TestTriggers:

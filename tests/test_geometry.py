@@ -10,9 +10,10 @@ from aessim.capability import (CapabilityScenario, CapabilityTuning, EgoState,
                                lateral_capability)
 from aessim.errors import DegenerateSpeed, NoFeasiblePath
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
-                             circumscribed_check, collision_check,
-                             driveable_area_check, first_contact_time,
-                             inscribed_check, predict, sat_check)
+                             _sat_overlap, check_paths, circumscribed_check,
+                             collision_check, driveable_area_check,
+                             first_contact_time, inscribed_check, predict,
+                             sat_check)
 from aessim.pathgen import (PathTuning, SampledPath, anchor_path,
                             generate_path_set)
 
@@ -367,6 +368,77 @@ class TestScalarKernelsBitExact:
                     assert hit == numpy_sat(pa, a, pb, b)
                     verdicts.add(hit)
         assert verdicts == {True, False}
+
+
+def pair_box(pairs):
+    """The (7, 2, n) array _sat_overlap takes, from ((pose, footprint),
+    (pose, footprint)) pairs, with math.cos/sin as check_paths forms it."""
+    rows = [[(p.X, p.Y, math.cos(p.psi), math.sin(p.psi), fp.ref_offset,
+              0.5 * fp.length, 0.5 * fp.width) for p, fp in pair]
+            for pair in pairs]
+    return np.array(rows, dtype=float).reshape(-1, 2, 7).transpose(2, 1, 0)
+
+
+class TestBatchedSat:
+    """The vectorised narrow phase against scalar sat_check, pair by
+    pair."""
+
+    def test_random_pairs_match_sat_check(self):
+        rng = np.random.default_rng(29)
+        u = rng.uniform
+        pairs = []
+        for _ in range(20000):
+            fps = [Footprint(*(0.0, 0.0, float(u(-1.0, 1.0)))
+                             if rng.random() < 0.1 else
+                             (float(u(0, 5)), float(u(0, 3)),
+                              float(u(-1.5, 1.5)))) for _ in range(2)]
+            psi_a = float(rng.choice([u(-4, 4), 0.0, -0.0, math.pi / 2]))
+            psi_b = float(rng.choice([u(-4, 4), 0.0, -0.0, psi_a]))
+            x, y = u(-1e3, 1e3, 2).tolist()
+            pairs.append(((Pose(x, y, psi_a), fps[0]),
+                          (Pose(x + float(u(-4, 4)), y + float(u(-4, 4)),
+                                psi_b), fps[1])))
+        # exact contact with dyadic sizes at +-0.0 headings, and one ulp off
+        a, b, point = Footprint(4.0, 2.0), Footprint(2.0, 1.0), Footprint(0, 0)
+        for fb, x, y in ((b, 3.0, 0.0), (b, -3.0, 0.25), (b, 0.5, 1.5),
+                         (b, 3.0, 1.5), (point, 2.0, 0.0),
+                         (point, -2.0, 0.25), (point, 0.5, 1.0),
+                         (point, 2.0, -1.0)):
+            for psi_a, psi_b in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+                                 (-0.0, -0.0)):
+                pa = Pose(0.0, 0.0, psi_a)
+                for pb in (Pose(x, y, psi_b),
+                           Pose(math.nextafter(x, 2 * x),
+                                math.nextafter(y, 2 * y), psi_b)):
+                    pairs.append(((pa, a), (pb, fb)))
+        got = _sat_overlap(pair_box(pairs)).tolist()
+        want = [sat_check(pa, fa, pb, fb) for (pa, fa), (pb, fb) in pairs]
+        assert got == want
+        assert 0.2 * len(pairs) < sum(want) < 0.8 * len(pairs)
+        # the exact touches overlap, one ulp apart they do not
+        assert got[-64:] == [True, False] * 32
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("field", ["X", "Y", "psi"])
+    def test_nan_pose_overlaps(self, side, field):
+        """A NaN anywhere leaves no separating axis: contact, never clear,
+        as sat_check finds."""
+        pair = [(Pose(0.0, 0.0, 0.0), Footprint(4.5, 1.8, 1.35)),
+                (Pose(40.0, 9.0, 0.3), Footprint(0.5, 0.5))]
+        pose, fp = pair[side]
+        pair[side] = (replace(pose, **{field: math.nan}), fp)
+        assert _sat_overlap(pair_box([pair])).tolist() == [True]
+        assert sat_check(*pair[0], *pair[1])
+
+    def test_nan_placement_collides_on_every_path(self):
+        fp = Footprint(4.5, 1.8, ref_offset=1.35)
+        far = TargetTrack("far", Footprint(0.5, 0.5), Pose(40.0, 9.0, 0.0))
+        paths = [straight_path(), straight_path(n=31, y=2.0)]
+        reports = check_paths(paths, [far], fp, 0.1, math.nan, 0.0)
+        assert [r.collides for r in reports] == [True, True]
+        assert reports == [reference_collision_check(p, [far], fp, 0.1,
+                                                     math.nan, 0.0)
+                           for p in paths]
 
 
 class TestTargetStep:

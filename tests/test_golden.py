@@ -403,15 +403,27 @@ def memo_serves(monkeypatch):
     served from the family path's memo. A monitored suffix is predicted on
     its own grid and keeps no memo."""
     counts = {"served": 0}
-    check, cost = ranking.collision_check, ranking.proximity_cost
+    batch, check = ranking.check_paths, ranking.collision_check
+    cost = ranking.proximity_cost
 
-    def checked(path, targets, fp, dt_check, X=0.0, Y=0.0, pred=None):
+    def compared(path, targets, fp, dt_check, X, Y, pred, got):
         key = ("check", fp, dt_check)
-        counts["served"] += key in path.memo
-        got = check(path, targets, fp, dt_check, X, Y, pred)
         assert got == reference_collision_check(path, targets, fp, dt_check,
                                                 X, Y)
         assert (key in path.memo) is (pred is not None)
+
+    def batched(paths, targets, fp, dt_check, X=0.0, Y=0.0, pred=None,
+                memo=None):
+        key = ("check", fp, dt_check)
+        counts["served"] += sum(key in path.memo for path in paths)
+        reports = batch(paths, targets, fp, dt_check, X, Y, pred, memo)
+        for path, got in zip(paths, reports, strict=True):
+            compared(path, targets, fp, dt_check, X, Y, pred, got)
+        return reports
+
+    def checked(path, targets, fp, dt_check, X=0.0, Y=0.0, pred=None):
+        got = check(path, targets, fp, dt_check, X, Y, pred)
+        compared(path, targets, fp, dt_check, X, Y, pred, got)
         return got
 
     def costed(path, targets, w, X, Y, pred):
@@ -420,6 +432,7 @@ def memo_serves(monkeypatch):
                                                      Y).hex()
         return got
 
+    monkeypatch.setattr(ranking, "check_paths", batched)
     monkeypatch.setattr(ranking, "collision_check", checked)
     monkeypatch.setattr(ranking, "proximity_cost", costed)
     yield counts

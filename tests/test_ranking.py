@@ -137,6 +137,48 @@ class TestRanking:
                 assert b.total == pytest.approx(3.5 * a.total, rel=1e-12)
         assert select_path(r1).path_id == select_path(r2).path_id
 
+    def test_one_batched_check_per_set(self, monkeypatch):
+        """One check_paths call per set with a driveable candidate, on the
+        driveable ones only; none for a set without."""
+        calls = []
+        check = ranking.check_paths
+
+        def counted(paths, *args):
+            calls.append([p.path_id for p in paths])
+            return check(paths, *args)
+
+        monkeypatch.setattr(ranking, "check_paths", counted)
+        ps, space = family()
+        target = TargetTrack("vru", Footprint(0.5, 0.5),
+                             Pose(70.0, -2.0, math.pi / 2), 1.0)
+        # the left edge at 2.6 m keeps the three mildest of six paths
+        for corridor, n in ((space, 6),
+                            (DriveableSpace(-10, 300, 2.6, -4.0), 3),
+                            (DriveableSpace(-10, 300, 0.5, -0.5), 0)):
+            calls.clear()
+            ranked = rank_paths(ps, [target], corridor, FP, CostWeights())
+            driveable = [r.path.path_id for r in ranked
+                         if r.rejected != REJECT_NOT_DRIVEABLE]
+            assert len(driveable) == n
+            assert calls == ([driveable] if driveable else [])
+
+    def test_set_geometry_kept_for_the_last_subset(self):
+        """The family memo keeps one concatenation per footprint and
+        dt_check, for the paths last checked, and serves it only to the
+        very same paths."""
+        ps, _ = family()
+        target = TargetTrack("vru", Footprint(0.5, 0.5),
+                             Pose(70.0, -2.0, math.pi / 2), 1.0)
+        memo = {}
+        for paths in (ps.paths, ps.paths, ps.paths[1:], ps.paths[:1]):
+            got = ranking.check_paths(paths, [target], FP, 0.1, 3.0, 1.0,
+                                      None, memo)
+            assert got == [reference_collision_check(p, [target], FP, 0.1,
+                                                     3.0, 1.0) for p in paths]
+            (kept, _), = memo.values()
+            assert len(kept) == len(paths)
+            assert all(a is b for a, b in zip(kept, paths))
+
 
 def _draws(n=150, seed=314):
     """(path set, targets, space, fp, weights, dt_check): seeded families at
@@ -195,27 +237,29 @@ class TestSharedPrediction:
 
     def test_ranked_sets_match_the_references(self, monkeypatch):
         seen = Counter()
-        check = ranking.collision_check
+        check = ranking.check_paths
 
-        def checked(path, targets, fp, dt_check, X, Y, pred):
+        def checked(paths, targets, fp, dt_check, X, Y, pred, memo):
             key = ("check", fp, dt_check)
-            served = key in path.memo
-            got = check(path, targets, fp, dt_check, X, Y, pred)
-            assert got == reference_collision_check(path, targets, fp,
-                                                    dt_check, X, Y)
-            assert key in path.memo   # family paths are read-only
-            seen["served"] += served
-            seen["inscribed"] += got.resolved_inscribed
-            seen["sat"] += got.sat_evaluations
-            if got.collides:
-                first = next(i for i in range(len(targets))
-                             if reference_collision_check(
-                                 path, targets[:i + 1], fp, dt_check, X,
-                                 Y).collides)
-                seen["later_hit"] += first > 0
-            return got
+            served = [key in path.memo for path in paths]
+            reports = check(paths, targets, fp, dt_check, X, Y, pred, memo)
+            assert len(reports) == len(paths)
+            for path, got, was_served in zip(paths, reports, served):
+                assert got == reference_collision_check(path, targets, fp,
+                                                        dt_check, X, Y)
+                assert key in path.memo   # family paths are read-only
+                seen["served"] += was_served
+                seen["inscribed"] += got.resolved_inscribed
+                seen["sat"] += got.sat_evaluations
+                if got.collides:
+                    first = next(i for i in range(len(targets))
+                                 if reference_collision_check(
+                                     path, targets[:i + 1], fp, dt_check, X,
+                                     Y).collides)
+                    seen["later_hit"] += first > 0
+            return reports
 
-        monkeypatch.setattr(ranking, "collision_check", checked)
+        monkeypatch.setattr(ranking, "check_paths", checked)
         for ps, targets, space, fp, w, dt_check in _draws():
             seen[f"targets={len(targets)}"] += 1
             seen["lengths"] += len({len(p) for p in ps.paths}) > 1
