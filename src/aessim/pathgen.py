@@ -329,7 +329,7 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
     translate the paths. The origin-relative family is therefore kept from
     the previous call on this side (see _family), and the set holds those
     very paths with the start point (init.X, init.Y); no samples are
-    copied. ranking.select_path places the one selected.
+    copied. ranking.select_path places the one that is executed.
     """
     fam = _family(init, cap, tuning, side)
     if isinstance(fam.reach, str):

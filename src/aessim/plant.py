@@ -13,12 +13,21 @@ start of its tick.
 A substep that returns its start state bit for bit (u_v, v_v, r and psi;
 -0.0 is not 0.0 and NaN equals nothing) is a fixed point, as when cruising
 straight at rest under a zero command. Its increments of X and Y, its new
-state, bounds check and saturation flag depend only on that start state and
-the call's command, a_x_cmd, dt and params, never on X, Y or t. So every
-later substep of the call would compute the same values, and `plant_step`
-skips their RK4 stages and only repeats the increments one substep at a
-time (`X + dX`, `Y + dY`, `t + dt`), which gives the bits of the full
-integration.
+state, bounds check and saturation flag depend only on that start state, the
+command's delta_g and M_z_ext, a_x_cmd, dt and params (the lateral
+coefficients and the friction limit), never on X, Y or t. So every later
+substep would compute the same values: `plant_step` skips their RK4 stages
+and only repeats the increments one substep at a time (`X + dX`, `Y + dY`,
+`t + dt`), which gives the bits of the full integration.
+
+A call that ends at a fixed point records it on the returned state
+(`PlantState.fixed`): its increments and saturation flag, keyed by `params`
+by identity (VehicleParams is frozen, so it fixes the friction limit and,
+with u_v, the coefficients) and by the bits of u_v, v_v, r, psi, delta_g,
+M_z_ext, a_x_cmd and dt; a NaN a_x_cmd keeps no record. A call whose inputs
+have those bits repeats the increments for all n substeps without any RK4
+stage. `dataclasses.replace` drops the record, and a state changed by
+assignment no longer matches it.
 
 The RK4 step and the lateral acceleration run on plain Python floats and
 build no numpy arrays. They repeat the float operations of the numpy-matrix
@@ -33,7 +42,9 @@ it for the pole analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +58,22 @@ U_FLOOR = 1.0         # plant never drops below this speed [m/s]
 DT_MAX = 0.01         # largest integration step the plant accepts [s]
 
 
+# the float inputs of a substep besides params: u_v, v_v, r, psi, delta_g,
+# M_z_ext, a_x_cmd and dt, packed to compare their bits
+_KEY = struct.Struct("8d")
+
+
+class FixedPoint(NamedTuple):
+    """A substep that returned its start state: what it read, and what each
+    repeat of it adds."""
+
+    params: VehicleParams
+    key: bytes          # _KEY of the substep's float inputs
+    dX: float
+    dY: float
+    saturated: bool
+
+
 @dataclass
 class PlantState:
     u_v: float            # longitudinal velocity [m/s]
@@ -57,6 +84,10 @@ class PlantState:
     psi: float = 0.0
     t: float = 0.0
     ay_saturated: bool = False  # lateral-force guard active in the last step
+    # the fixed point that the plant_step call returning this state ended
+    # at, if any
+    fixed: FixedPoint | None = field(default=None, init=False,
+                                     compare=False, repr=False)
 
 
 def _lateral_coeffs(params: VehicleParams, u: float) -> tuple[float, ...]:
@@ -109,42 +140,56 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
     follows a_x_cmd and never drops below the floor. A substep that leaves
     the sanity bounds raises NumericalDivergence whose `state` is the last
     substep's state that stayed in bounds (s itself if the first diverged).
-    coeffs, if given, are `_lateral_coeffs(params, s.u_v)`.
+    coeffs, if given, are `_lateral_coeffs(params, s.u_v)`. A call that ends
+    at a fixed point records it on the returned state, and a call from that
+    state under the same inputs repeats it without RK4 stages.
     """
     if not (0.0 < dt <= DT_MAX):
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
-    ay_max = params.mu_min * G
     delta, m_ext = cmd.delta_g, cmd.M_z_ext
     u_v, v, r, X, Y, psi, t = s.u_v, s.v_v, s.r, s.X, s.Y, s.psi, s.t
     last_saturated = s.ay_saturated
-    u = None  # the speed the lateral coefficients belong to
-    if coeffs is not None:
-        u = u_v
-        a11, a12, a21, a22, b11, b21, b22 = coeffs
+    fixed = s.fixed
+    if (fixed is not None and n > 0 and fixed.params is params
+            and fixed.key == _KEY.pack(u_v, v, r, psi, delta, m_ext, a_x_cmd,
+                                       dt)):
+        # the call starts at its recorded fixed point
+        dX, dY, last_saturated = fixed.dX, fixed.dY, fixed.saturated
+        repeats, integrate = n, 0
+    else:
+        # the RK4 stages run
+        fixed = None
+        repeats, integrate = 0, n
+        ay_max = params.mu_min * G
+        u = None  # the speed the lateral coefficients belong to
+        if coeffs is not None:
+            u = u_v
+            a11, a12, a21, a22, b11, b21, b22 = coeffs
 
-    def deriv(v, r, psi):
-        nonlocal saturated
-        v_dot = a11 * v + a12 * r + b11 * delta
-        r_dot_tire = a21 * v + a22 * r + b21 * delta
-        a_y = v_dot + u * r
-        if abs(a_y) > ay_max:
-            # tyre-force saturation: scale the tyre-generated terms of both
-            # rows so the lateral acceleration caps at the friction limit
-            saturated = True
-            scale = ay_max / abs(a_y)
-            v_dot = scale * a_y - u * r
-            r_dot_tire *= scale
-        r_dot = r_dot_tire + b22 * m_ext
-        try:
-            c, sn = math.cos(psi), math.sin(psi)
-        except ValueError:  # the stage heading overflowed to inf
-            raise _diverged(t_next, v, r) from None
-        return v_dot, r_dot, u * c - v * sn, u * sn + v * c
+        def deriv(v, r, psi):
+            nonlocal saturated
+            v_dot = a11 * v + a12 * r + b11 * delta
+            r_dot_tire = a21 * v + a22 * r + b21 * delta
+            a_y = v_dot + u * r
+            if abs(a_y) > ay_max:
+                # tyre-force saturation: scale the tyre-generated terms of
+                # both rows so the lateral acceleration caps at the friction
+                # limit
+                saturated = True
+                scale = ay_max / abs(a_y)
+                v_dot = scale * a_y - u * r
+                r_dot_tire *= scale
+            r_dot = r_dot_tire + b22 * m_ext
+            try:
+                c, sn = math.cos(psi), math.sin(psi)
+            except ValueError:  # the stage heading overflowed to inf
+                raise _diverged(t_next, v, r) from None
+            return v_dot, r_dot, u * c - v * sn, u * sn + v * c
 
-    h = 0.5 * dt
-    w = dt / 6.0
+        h = 0.5 * dt
+        w = dt / 6.0
     try:
-        for k in range(n):
+        for k in range(integrate):
             # the coefficients change with the speed only, i.e. while braking
             if u_v != u:
                 u = u_v
@@ -174,25 +219,33 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
             psi_new = float(psi + w * (r + 2.0 * r_2 + 2.0 * r_3 + r_4))
             u_new = max(U_FLOOR, u_v + a_x_cmd * dt)
             # u_new >= U_FLOOR, so only the other three can be signed zeros
-            fixed = (v_new == v and r_new == r and psi_new == psi
-                     and u_new == u_v
-                     and math.copysign(1.0, v_new) == math.copysign(1.0, v)
-                     and math.copysign(1.0, r_new) == math.copysign(1.0, r)
-                     and math.copysign(1.0, psi_new)
-                     == math.copysign(1.0, psi))
+            at_rest = (v_new == v and r_new == r and psi_new == psi
+                       and u_new == u_v
+                       and math.copysign(1.0, v_new) == math.copysign(1.0, v)
+                       and math.copysign(1.0, r_new) == math.copysign(1.0, r)
+                       and math.copysign(1.0, psi_new)
+                       == math.copysign(1.0, psi))
             u_v, v, r, psi, t = u_new, v_new, r_new, psi_new, t_next
             last_saturated = saturated
-            if fixed:
-                # a fixed point: every later substep repeats its increments
-                for _ in range(n - 1 - k):
-                    X = float(X + dX)
-                    Y = float(Y + dY)
-                    t = t + dt
+            if at_rest:
+                # every later substep repeats this one's increments
+                dX, dY = float(dX), float(dY)
+                if a_x_cmd == a_x_cmd:  # a NaN matches nothing: no record
+                    fixed = FixedPoint(params, _KEY.pack(
+                        u_v, v, r, psi, delta, m_ext, a_x_cmd, dt), dX, dY,
+                        saturated)
+                repeats = integrate - 1 - k
                 break
     except NumericalDivergence as exc:
         exc.state = PlantState(u_v, v, r, X, Y, psi, t, last_saturated)
         raise
-    return PlantState(u_v, v, r, X, Y, psi, t, last_saturated)
+    for _ in range(repeats):
+        X = X + dX
+        Y = Y + dY
+        t = t + dt
+    out = PlantState(u_v, v, r, X, Y, psi, t, last_saturated)
+    out.fixed = fixed
+    return out
 
 
 def _diverged(t: float, v_v: float, r: float) -> NumericalDivergence:

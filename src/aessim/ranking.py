@@ -111,17 +111,20 @@ def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
     return ranked
 
 
+def best_survivor(ranked: list[RankedPath]) -> RankedPath | None:
+    """Lowest-cost survivor, or None; ties break toward lower severity, then
+    lower path index."""
+    return min((r for r in ranked if r.rejected is None),
+               key=lambda r: (r.total, r.severity, r.path.index), default=None)
+
+
 def select_path(ranked: list[RankedPath],
                 dt_fine: float = 0.01) -> SampledPath | None:
-    """Lowest-cost survivor, resampled to the fine control grid and placed
-    at its (X, Y) in fresh arrays.
-
-    Ties break toward lower severity, then lower path index.
-    """
-    survivors = [r for r in ranked if r.rejected is None]
-    if not survivors:
+    """The best survivor, resampled to the fine control grid and placed at
+    its (X, Y) in fresh arrays."""
+    best = best_survivor(ranked)
+    if best is None:
         return None
-    best = min(survivors, key=lambda r: (r.total, r.severity, r.path.index))
     path = best.path
     if path.profile is not None and abs(path.dt - dt_fine) > 1e-12:
         path = replace(presample_profile(path.profile, dt_fine),

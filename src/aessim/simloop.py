@@ -12,7 +12,7 @@ the only record of the manoeuvre; a new selected path re-anchors tracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .capability import CapabilityScenario, EgoState, lateral_capability
 from .control import (ControlCommand, control_step, path_to_vehicle_frame,
@@ -26,7 +26,8 @@ from .geometry import Pose, TargetTrack, sat_check
 from .pathgen import SampledPath, generate_path_set
 from .plant import (PlantState, _lateral_coeffs, assert_stable_vehicle,
                     lateral_acceleration, plant_step)
-from .ranking import RankedPath, monitor_selected, rank_paths, select_path
+from .ranking import (RankedPath, best_survivor, monitor_selected, rank_paths,
+                      select_path)
 from .scenario import ScenarioConfig
 from .trace import TraceLog
 
@@ -55,11 +56,15 @@ class RunResult:
         return EXIT_CODES[self.outcome]
 
 
-def _predictions(cfg: ScenarioConfig, t: float) -> list[TargetTrack]:
-    """Constant-velocity predictions from the current true target states."""
-    return [TargetTrack(td.track_id, td.footprint, td.position_at(t),
-                        td.speed_at(t))
-            for td in cfg.targets if t >= td.appear_time]
+_NO_TRIGGER = Trigger.NONE.value
+
+
+def _predictions(cfg: ScenarioConfig, t: float,
+                 poses: list[Pose]) -> list[TargetTrack]:
+    """Constant-velocity predictions from the current true target poses,
+    one per target of cfg, for the targets that have appeared."""
+    return [TargetTrack(td.track_id, td.footprint, tp, td.speed_at(t))
+            for td, tp in zip(cfg.targets, poses) if t >= td.appear_time]
 
 
 def _ego_state(plant: PlantState) -> EgoState:
@@ -94,37 +99,41 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     max_abs_ye = 0.0
     min_dist = {td.track_id: math.inf for td in cfg.targets}
     coeffs_speed = None   # the speed the lateral coefficients belong to
+    idle = ControlCommand()  # the command of a tick out of regulation
 
     def plan(t: float, preds, kind: str, scenario: CapabilityScenario,
-             sides: list[str]) -> tuple[SampledPath | None, list[RankedPath]]:
-        """Capability, path sets on the given sides, ranking and selection;
-        every ranked path is logged as a path event of this kind."""
+             sides: list[str]) -> SampledPath | None:
+        """Capability, path sets on the given sides and ranking, kept as
+        last_ranked, and the best survivor's family path; every ranked path
+        is logged as a path event of this kind. Only a path that becomes
+        the selected path is resampled and placed, by select_path."""
+        nonlocal last_ranked
+        last_ranked = []
         try:
             cap = lateral_capability(scenario, params, _ego_state(plant),
                                      cfg.cap_tuning)
         except DegenerateSpeed:
-            return None, []
-        ranked_all: list[RankedPath] = []
+            return None
         for side in sides:
             try:
                 ps = generate_path_set(_ego_state(plant), cap, space,
                                        cfg.path_tuning, side)
             except NoFeasiblePath:
                 continue
-            ranked_all.extend(rank_paths(ps, preds, space, fp, cfg.weights,
-                                         cfg.sim.dt_check))
-        for r in ranked_all:
+            last_ranked.extend(rank_paths(ps, preds, space, fp, cfg.weights,
+                                          cfg.sim.dt_check))
+        for r in last_ranked:
             trace.add_path_event([t, kind, r.path.side, r.path.index,
                                   r.path.path_id, r.rejected or "survivor",
                                   r.severity, r.proximity, r.total,
                                   r.terminal_offset])
-        return select_path(ranked_all, dt_ctrl), ranked_all
+        best = best_survivor(last_ranked)
+        return None if best is None else best.path
 
     def plan_candidate(t: float, preds, kind: str) -> None:
         """Plan a fresh candidate with its time-to-evade."""
-        nonlocal candidate, last_ranked, tte
-        candidate, last_ranked = plan(t, preds, kind, cfg.cap_scenario,
-                                      cfg.sides)
+        nonlocal candidate, tte
+        candidate = plan(t, preds, kind, cfg.cap_scenario, cfg.sides)
         tte = (None if candidate is None
                else compute_tte(candidate.profile, cfg.trigger))
 
@@ -133,9 +142,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         return (Trigger.NONE if candidate is None
                 else evaluate_triggers(ttc, tte, cfg.trigger))
 
+    state_value = sup.state.value
     for k in range(n_ticks + 1):
         t = k * dt_ctrl
-        preds = _predictions(cfg, t)
+        poses = [td.position_at(t) for td in cfg.targets]
+        preds = _predictions(cfg, t, poses)
         planner_tick = (k % planner_every == 0)
         events = SupervisorEvents(targets_present=bool(preds))
         ttc = None
@@ -168,9 +179,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                                             space, fp, cfg.sim.dt_check)
                 if rejected is not None:
                     events.path_valid = False
-                    replanned, _ = plan(t, preds, "replan",
-                                        cfg.cap_scenario.without_prebraking,
-                                        [path.side])
+                    replanned = plan(t, preds, "replan",
+                                     cfg.cap_scenario.without_prebraking,
+                                     [path.side])
                     events.replanned_path = replanned
                     if replanned is not None:
                         trace.add_replan_event(
@@ -182,8 +193,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         sup = step_state_machine(sup, events)
         regulating = sup.state is AesState.IN_REGULATION
 
-        # a new selected path, at engage or replan, re-anchors tracking
+        # a new selected path, at engage or replan, is the best of the plan
+        # just made: it is placed in the road frame and re-anchors tracking
         if regulating and sup.selected_path is not prev.selected_path:
+            sup = replace(sup, selected_path=select_path(last_ranked,
+                                                         dt_ctrl))
             anchor, force_complete = t, False
             if prev.state is not AesState.IN_REGULATION:
                 cap = sup.selected_path.profile.capability
@@ -195,9 +209,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     "engage_speed": plant.u_v,
                 }
                 trace.snapshot_candidates(last_ranked, sup.selected_path)
+        if sup is not prev:
+            state_value = sup.state.value
 
         # control and actuation for this tick
-        cmd = ControlCommand()
+        cmd = idle
         a_x_cmd = 0.0
         y_e = psi_e = None
         if regulating:
@@ -221,17 +237,19 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
         # ground truth contact check and per-target distances
         collided_with = None
-        ego_pose = Pose(plant.X, plant.Y, plant.psi)
-        ecx, ecy = fp.center(ego_pose)
-        row = [t, sup.state.value, plant.X, plant.Y, plant.psi, plant.u_v,
+        row = [t, state_value, plant.X, plant.Y, plant.psi, plant.u_v,
                plant.v_v, plant.r, a_y, plant.ay_saturated, ttc,
-               tte if triggering else None, events.trigger.value,
+               tte if triggering else None,
+               events.trigger.value if triggering else _NO_TRIGGER,
                sup.selected_path.path_id if regulating else None, y_e, psi_e,
                cmd.delta_g, cmd.M_z_ext, cmd.brakes.fl, cmd.brakes.fr,
                cmd.brakes.rl, cmd.brakes.rr]
         dists = {}
-        for td in cfg.targets:
-            tp = td.position_at(t)
+        if poses:
+            # the ego centre with Footprint.center's arithmetic
+            ecx = plant.X + fp.ref_offset * math.cos(plant.psi)
+            ecy = plant.Y + fp.ref_offset * math.sin(plant.psi)
+        for td, tp in zip(cfg.targets, poses):
             tcx, tcy = td.footprint.center(tp)
             d = dists[td.track_id] = math.hypot(tcx - ecx, tcy - ecy)
             min_dist[td.track_id] = min(min_dist[td.track_id], d)
@@ -239,7 +257,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             if (t >= td.appear_time
                     and d <= fp.circumscribed_radius
                     + td.footprint.circumscribed_radius
-                    and sat_check(ego_pose, fp, tp, td.footprint)):
+                    and sat_check(Pose(plant.X, plant.Y, plant.psi), fp, tp,
+                                  td.footprint)):
                 collided_with = td.track_id
         if engage_info.get("engage_time") == t:
             engage_info["engage_distances"] = dists

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aessim import plant
 from aessim.capability import EgoState, VehicleParams
 from aessim.geometry import CollisionReport, Pose, sat_check
 
@@ -25,6 +26,25 @@ def ego20() -> EgoState:
 @pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return SCENARIO_DIR
+
+
+@pytest.fixture
+def plant_cos(monkeypatch):
+    """Counts the math.cos calls of aessim.plant in `calls`: each RK4 stage
+    of a plant substep makes exactly one."""
+    class CountingMath:
+        calls = 0
+
+        def cos(self, x):
+            self.calls += 1
+            return math.cos(x)
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+    counting = CountingMath()
+    monkeypatch.setattr(plant, "math", counting)
+    return counting
 
 
 def reference_corners(path, fp, X=0.0, Y=0.0) -> list:

@@ -330,6 +330,14 @@ def test_one_plant_call_per_advanced_tick(scenario_dir, monkeypatch, name):
     assert set(calls) == {10}  # dt_control / dt_plant substeps each
 
 
+def test_rk4_stages_run_on_the_first_tick_only(scenario_dir, plant_cos):
+    """Shipped empty_road rests from its first substep on: every later tick
+    starts at the plant's carried fixed point and runs no RK4 stage."""
+    result = run_scenario(load_scenario(scenario_dir / "empty_road.yaml"))
+    assert len(result.trace.rows) == 301  # 3 s of 10 ms ticks
+    assert plant_cos.calls == 4  # the four stages of the first substep
+
+
 def _cold_generate(*args, **kwargs):
     pathgen._families.clear()
     return generate_path_set(*args, **kwargs)

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aessim import plant
 from aessim.capability import G, VehicleParams
 from aessim.control import ControlCommand, WheelForces
 from aessim.errors import NumericalDivergence
@@ -102,23 +101,28 @@ class TestLateralDynamics:
     @pytest.mark.parametrize("cmd, stages", [
         (ControlCommand(), 4),
         (ControlCommand(M_z_ext=1000.0, brakes=WheelForces()), 40)])
-    def test_rest_tick_skips_repeated_substeps(self, monkeypatch, cmd, stages):
-        # each RK4 stage takes one cos; at rest the first substep is a fixed
-        # point and the other nine only repeat its increments
-        class CountingMath:
-            cos_calls = 0
-
-            def cos(self, x):
-                self.cos_calls += 1
-                return math.cos(x)
-
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-        counting = CountingMath()
-        monkeypatch.setattr(plant, "math", counting)
+    def test_rest_tick_skips_repeated_substeps(self, plant_cos, cmd, stages):
+        # at rest the first substep is a fixed point and the other nine only
+        # repeat its increments
         plant_step(PlantState(u_v=20.0), cmd, make_params(), 0.0, 0.001, 10)
-        assert counting.cos_calls == stages
+        assert plant_cos.calls == stages
+
+    def test_carried_fixed_point_skips_every_stage(self, plant_cos):
+        p = make_params()
+        out = plant_step(PlantState(u_v=20.0), ControlCommand(), p, 0.0,
+                         0.001, 10)
+        plant_step(out, ControlCommand(), p, 0.0, 0.001, 10)
+        assert plant_cos.calls == 4
+
+    def test_nan_command_keeps_no_fixed_point(self, plant_cos):
+        # braking held at the floor is a fixed point, but a NaN a_x_cmd
+        # matches nothing, not even itself
+        p = make_params()
+        out = plant_step(PlantState(u_v=U_FLOOR), ControlCommand(), p,
+                         math.nan, 0.001, 10)
+        assert out.fixed is None and out.u_v == U_FLOOR
+        plant_step(out, ControlCommand(), p, math.nan, 0.001, 10)
+        assert plant_cos.calls == 8
 
 
 class TestPoles:
@@ -363,16 +367,61 @@ class TestScalarPlantBitExact:
         assert min(counts.values()) > 0.05 * n_draws, counts
 
     def test_long_rest_chain_matches(self):
-        # 3000 ticks of zero command at a heading where X and Y both move:
-        # a repeated increment that lost an ulp would compound over them
+        # 3000 ticks at rest at a heading where X and Y both move: a repeated
+        # increment that lost an ulp would compound over them. Mid-chain the
+        # command, a_x_cmd, dt and params switch, each time to inputs that a
+        # carried fixed point must not match: -0.0 steering, braking held at
+        # the floor, a smaller dt, equal-valued and then other params
         p = make_params()
+        phases = [
+            (1000, ControlCommand(), 0.0, 0.001, p),
+            (300, ControlCommand(delta_g=-0.0), 0.0, 0.001, p),
+            (400, ControlCommand(), -8.0, 0.001, p),
+            (300, ControlCommand(), -8.0, 0.0005, p),
+            (500, ControlCommand(), -8.0, 0.0005, make_params()),
+            (500, ControlCommand(), -8.0, 0.0005, make_params(mu_f=0.5)),
+        ]
         a = b = PlantState(u_v=25.0, psi=0.3)
-        for _ in range(3000):
-            a = plant_step(a, ControlCommand(), p, 0.0, 0.001, 10)
-            for _ in range(10):
-                b = numpy_plant_step(b, ControlCommand(), p, 0.0, 0.001)
-            assert state_hex(a) == state_hex(b)
-        assert a.X > 60.0 and a.Y > 20.0
+        carried = 0
+        for ticks, cmd, a_x, dt, params in phases:
+            for _ in range(ticks):
+                carried += a.fixed is not None
+                a = plant_step(a, cmd, params, a_x, dt, 10)
+                for _ in range(10):
+                    b = numpy_plant_step(b, cmd, params, a_x, dt)
+                assert state_hex(a) == state_hex(b)
+        assert a.u_v == U_FLOOR and a.X > 60.0 and a.Y > 20.0
+        # braking stops reuse only until the floor
+        assert carried > 2600
+
+    @pytest.mark.parametrize("field, value", [
+        ("u_v", 20.0), ("v_v", 0.1), ("v_v", -0.0), ("r", 0.05), ("r", -0.0),
+        ("psi", 0.5), ("psi", -0.3)])
+    @pytest.mark.parametrize("how", ["replace", "assign"])
+    def test_changed_carried_state_is_integrated(self, field, value, how):
+        # a state that carries a fixed point, changed afterwards, gets the
+        # bits of the reference integration, never the stale increments
+        p = make_params()
+        carried = plant_step(PlantState(u_v=25.0, psi=0.3), ControlCommand(),
+                             p, 0.0, 0.001, 10)
+        assert carried.fixed is not None
+        if how == "replace":
+            s = replace(carried, **{field: value})
+        else:
+            s = carried
+            setattr(s, field, value)
+        ref = s
+        for _ in range(10):
+            ref = numpy_plant_step(ref, ControlCommand(), p, 0.0, 0.001)
+        got = plant_step(s, ControlCommand(), p, 0.0, 0.001, 10)
+        assert state_hex(got) == state_hex(ref)
+
+    def test_equality_and_repr_ignore_the_fixed_point(self):
+        s = plant_step(PlantState(u_v=25.0, psi=0.3), ControlCommand(),
+                       make_params(), 0.0, 0.001, 10)
+        bare = replace(s)
+        assert s.fixed is not None and bare.fixed is None
+        assert s == bare and repr(s) == repr(bare)
 
     def test_closed_loop_trajectory_matches(self):
         # 3 s of 1 ms steps: a one-ulp difference would compound in X
