@@ -314,8 +314,8 @@ def presample_profile(profile: CurvatureProfile, dt: float) -> SampledPath:
 
 
 def generate_path_set(init: EgoState, cap: CapabilityRecord,
-                      space: DriveableSpace, tuning: PathTuning,
-                      side: str = "left") -> PathSet:
+                      space: DriveableSpace, tuning: PathTuning, side: str,
+                      families: dict[str, _Family]) -> PathSet:
     """Family of n_tot paths scaled to the corridor extent on one side.
 
     The maximum-severity profile is built and pre-sampled; when its terminal
@@ -326,12 +326,13 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
 
     The family's shape depends only on the side, psi, v_x, yaw_rate, the
     capability record and the tuning; X and Y only set the corridor room and
-    translate the paths. The origin-relative family is therefore kept from
-    the previous call on this side (see _family), and the set holds those
-    very paths with the start point (init.X, init.Y); no samples are
-    copied. ranking.select_path places the one that is executed.
+    translate the paths. families, which the caller owns, keeps the last
+    origin-relative family per side and is reused while its key holds; the
+    set holds those very paths with the start point (init.X, init.Y), and
+    no samples are copied. A fresh {} builds the family cold.
+    ranking.select_path places the one that is executed.
     """
-    fam = _family(init, cap, tuning, side)
+    fam = _family(init, cap, tuning, side, families)
     if isinstance(fam.reach, str):
         raise NoFeasiblePath(fam.reach)
     y_max, x_max = fam.reach
@@ -369,10 +370,9 @@ class _Family:
     memo: dict = field(default_factory=dict)
 
 
-# The last family per side. Between planner cycles before engage the plant
-# gets no input, so psi, v_x and yaw_rate keep their bits and only X moves;
-# one family per side catches those repeats and keeps the memo to two.
-_families: dict[str, _Family] = {}
+# A memo keeps the last family per side. Between planner cycles before
+# engage the plant gets no input, so psi, v_x and yaw_rate keep their bits
+# and only X moves; one family per side catches those repeats.
 _CAP_FIELDS = tuple(f.name for f in fields(CapabilityRecord))
 _TUNING_FIELDS = tuple(f.name for f in fields(PathTuning))
 
@@ -383,14 +383,14 @@ def _bits(value):
 
 
 def _family(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
-            side: str) -> _Family:
+            side: str, families: dict[str, _Family]) -> _Family:
     key = (_bits(init.psi), _bits(init.v_x), _bits(init.yaw_rate),
            *(_bits(getattr(cap, name)) for name in _CAP_FIELDS),
            *(_bits(getattr(tuning, name)) for name in _TUNING_FIELDS))
-    fam = _families.get(side)
+    fam = families.get(side)
     if fam is None or fam.key != key:
         fam = _Family(key, _severe_reach(init, cap, tuning, side))
-        _families[side] = fam
+        families[side] = fam
     return fam
 
 

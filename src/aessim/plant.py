@@ -130,8 +130,7 @@ def assert_stable_vehicle(params: VehicleParams, u: float) -> None:
 
 
 def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
-               a_x_cmd: float, dt: float, n: int = 1, *,
-               coeffs: tuple[float, ...] | None = None) -> PlantState:
+               a_x_cmd: float, dt: float, n: int = 1) -> PlantState:
     """n fixed-step RK4 substeps of the plant under one command.
 
     The lateral acceleration is capped at the friction limit inside the
@@ -140,9 +139,9 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
     follows a_x_cmd and never drops below the floor. A substep that leaves
     the sanity bounds raises NumericalDivergence whose `state` is the last
     substep's state that stayed in bounds (s itself if the first diverged).
-    coeffs, if given, are `_lateral_coeffs(params, s.u_v)`. A call that ends
-    at a fixed point records it on the returned state, and a call from that
-    state under the same inputs repeats it without RK4 stages.
+    A call that ends at a fixed point records it on the returned state, and
+    a call from that state under the same inputs repeats it without RK4
+    stages.
     """
     if not (0.0 < dt <= DT_MAX):
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
@@ -162,9 +161,6 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
         repeats, integrate = 0, n
         ay_max = params.mu_min * G
         u = None  # the speed the lateral coefficients belong to
-        if coeffs is not None:
-            u = u_v
-            a11, a12, a21, a22, b11, b21, b22 = coeffs
 
         def deriv(v, r, psi):
             nonlocal saturated

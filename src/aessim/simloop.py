@@ -8,6 +8,8 @@ planner cycle replans; once in regulation, track the supervisor's selected
 path, re-check its remainder each planner cycle, and replan from the
 current state on its side when the check rejects it. The supervisor state is
 the only record of the manoeuvre; a new selected path re-anchors tracking.
+plan_cycle is the planning entry point; it writes no trace, and the loop
+logs the PlanCycle it returns and derives the TTE from it.
 """
 from __future__ import annotations
 
@@ -44,6 +46,15 @@ EXIT_CODES = {
 }
 
 
+@dataclass(frozen=True)
+class PlanCycle:
+    """One planner cycle: every ranked path, in side order, and the best
+    survivor's family path, or None."""
+
+    ranked: tuple[RankedPath, ...] = ()
+    best: SampledPath | None = None
+
+
 @dataclass
 class RunResult:
     outcome: str
@@ -72,6 +83,39 @@ def _ego_state(plant: PlantState) -> EgoState:
                     yaw_rate=plant.r)
 
 
+def plan_cycle(ego: EgoState, preds: list[TargetTrack], cfg: ScenarioConfig,
+               scenario: CapabilityScenario, sides: list[str],
+               families: dict) -> PlanCycle:
+    """Capability, path sets on the given sides and ranking from ego, with
+    families as generate_path_set's memo. Only a path that becomes the
+    selected path is resampled and placed, by select_path."""
+    try:
+        cap = lateral_capability(scenario, cfg.vehicle, ego, cfg.cap_tuning)
+    except DegenerateSpeed:
+        return PlanCycle()
+    ranked = []
+    for side in sides:
+        try:
+            ps = generate_path_set(ego, cap, cfg.road, cfg.path_tuning, side,
+                                   families)
+        except NoFeasiblePath:
+            continue
+        ranked += rank_paths(ps, preds, cfg.road, cfg.footprint, cfg.weights,
+                             cfg.sim.dt_check)
+    best = best_survivor(ranked)
+    return PlanCycle(tuple(ranked), None if best is None else best.path)
+
+
+def _log_paths(trace: TraceLog, t: float, kind: str,
+               cycle: PlanCycle) -> None:
+    """Every ranked path of the cycle as a path event of this kind."""
+    for r in cycle.ranked:
+        trace.add_path_event([t, kind, r.path.side, r.path.index,
+                              r.path.path_id, r.rejected or "survivor",
+                              r.severity, r.proximity, r.total,
+                              r.terminal_offset])
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Run one scenario to completion and return the outcome and trace."""
     params, fp = cfg.vehicle, cfg.footprint
@@ -88,9 +132,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     planner_every = round(cfg.sim.planner_period / dt_ctrl)
     n_ticks = round(cfg.sim.duration / dt_ctrl)
 
-    candidate: SampledPath | None = None
-    last_ranked: list[RankedPath] = []
-    tte: float | None = None
+    families: dict = {}   # generate_path_set's family memo, for this run
+    cycle = PlanCycle()   # the last plan; select_path picks from it
+    tte: float | None = None   # of cycle's best, while triggering
     anchor = brake_until = a_x_min = 0.0  # set at engage
     force_complete = False
     outcome = None
@@ -100,47 +144,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     min_dist = {td.track_id: math.inf for td in cfg.targets}
     coeffs_speed = None   # the speed the lateral coefficients belong to
     idle = ControlCommand()  # the command of a tick out of regulation
-
-    def plan(t: float, preds, kind: str, scenario: CapabilityScenario,
-             sides: list[str]) -> SampledPath | None:
-        """Capability, path sets on the given sides and ranking, kept as
-        last_ranked, and the best survivor's family path; every ranked path
-        is logged as a path event of this kind. Only a path that becomes
-        the selected path is resampled and placed, by select_path."""
-        nonlocal last_ranked
-        last_ranked = []
-        try:
-            cap = lateral_capability(scenario, params, _ego_state(plant),
-                                     cfg.cap_tuning)
-        except DegenerateSpeed:
-            return None
-        for side in sides:
-            try:
-                ps = generate_path_set(_ego_state(plant), cap, space,
-                                       cfg.path_tuning, side)
-            except NoFeasiblePath:
-                continue
-            last_ranked.extend(rank_paths(ps, preds, space, fp, cfg.weights,
-                                          cfg.sim.dt_check))
-        for r in last_ranked:
-            trace.add_path_event([t, kind, r.path.side, r.path.index,
-                                  r.path.path_id, r.rejected or "survivor",
-                                  r.severity, r.proximity, r.total,
-                                  r.terminal_offset])
-        best = best_survivor(last_ranked)
-        return None if best is None else best.path
-
-    def plan_candidate(t: float, preds, kind: str) -> None:
-        """Plan a fresh candidate with its time-to-evade."""
-        nonlocal candidate, tte
-        candidate = plan(t, preds, kind, cfg.cap_scenario, cfg.sides)
-        tte = (None if candidate is None
-               else compute_tte(candidate.profile, cfg.trigger))
-
-    def weigh(ttc: float) -> Trigger:
-        """The TTC against the candidate's time-to-evade."""
-        return (Trigger.NONE if candidate is None
-                else evaluate_triggers(ttc, tte, cfg.trigger))
 
     state_value = sup.state.value
     for k in range(n_ticks + 1):
@@ -157,16 +160,22 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if triggering:
             ttc = compute_ttc(_ego_state(plant), preds, fp,
                               cfg.trigger.ttc_horizon)
-            if planner_tick:
-                plan_candidate(t, preds, "plan")
-            events.trigger = weigh(ttc)
-            if (events.trigger is Trigger.ENGAGE and not planner_tick
-                    and sup.state is AesState.WARNING):
-                # regenerate at the engage tick so the executed path starts
-                # exactly at the current vehicle state
-                plan_candidate(t, preds, "engage_plan")
-                events.trigger = weigh(ttc)
-            events.candidate_path = candidate
+            if not planner_tick:
+                events.trigger = (Trigger.NONE if tte is None else
+                                  evaluate_triggers(ttc, tte, cfg.trigger))
+            if planner_tick or (events.trigger is Trigger.ENGAGE
+                                and sup.state is AesState.WARNING):
+                # off the planner period, regenerate at the engage tick so
+                # the executed path starts exactly at the current state
+                cycle = plan_cycle(_ego_state(plant), preds, cfg,
+                                   cfg.cap_scenario, cfg.sides, families)
+                _log_paths(trace, t, "plan" if planner_tick else
+                           "engage_plan", cycle)
+                tte = (None if cycle.best is None
+                       else compute_tte(cycle.best.profile, cfg.trigger))
+                events.trigger = (Trigger.NONE if tte is None else
+                                  evaluate_triggers(ttc, tte, cfg.trigger))
+            events.candidate_path = cycle.best
 
         # regulation: monitor the selected path, replan from it when invalid
         if sup.state is AesState.IN_REGULATION:
@@ -179,14 +188,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                                             space, fp, cfg.sim.dt_check)
                 if rejected is not None:
                     events.path_valid = False
-                    replanned = plan(t, preds, "replan",
-                                     cfg.cap_scenario.without_prebraking,
-                                     [path.side])
-                    events.replanned_path = replanned
-                    if replanned is not None:
+                    cycle = plan_cycle(_ego_state(plant), preds, cfg,
+                                       cfg.cap_scenario.without_prebraking,
+                                       [path.side], families)
+                    _log_paths(trace, t, "replan", cycle)
+                    events.replanned_path = cycle.best
+                    if cycle.best is not None:
                         trace.add_replan_event(
                             t, rejected,
-                            rho0_path=float(replanned.profile.rhos[0]),
+                            rho0_path=float(cycle.best.profile.rhos[0]),
                             rho0_plant=plant.r / plant.u_v)
 
         prev = sup
@@ -196,7 +206,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         # a new selected path, at engage or replan, is the best of the plan
         # just made: it is placed in the road frame and re-anchors tracking
         if regulating and sup.selected_path is not prev.selected_path:
-            sup = replace(sup, selected_path=select_path(last_ranked,
+            sup = replace(sup, selected_path=select_path(cycle.ranked,
                                                          dt_ctrl))
             anchor, force_complete = t, False
             if prev.state is not AesState.IN_REGULATION:
@@ -208,7 +218,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     "engage_side": sup.selected_path.side,
                     "engage_speed": plant.u_v,
                 }
-                trace.snapshot_candidates(last_ranked, sup.selected_path)
+                trace.snapshot_candidates(cycle.ranked, sup.selected_path)
         if sup is not prev:
             state_value = sup.state.value
 
@@ -279,7 +289,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if k < n_ticks:
             try:
                 plant = plant_step(plant, cmd, params, a_x_cmd,
-                                   cfg.sim.dt_plant, substeps, coeffs=coeffs)
+                                   cfg.sim.dt_plant, substeps)
             except NumericalDivergence as exc:
                 # the run ends at the last substep that stayed in bounds
                 plant = exc.state

@@ -307,7 +307,7 @@ class TestCriterion6PathProperties:
                 ly = presample_profile(left, 0.01).y
                 ry = presample_profile(right, 0.01).y
                 assert float(np.max(np.abs(ly + ry))) < 1e-12
-                ps = generate_path_set(init, cap, wide, tun, "left")
+                ps = generate_path_set(init, cap, wide, tun, "left", {})
                 offsets = [abs(p.terminal_offset) for p in ps.paths]
                 assert all(b2 > a2 for a2, b2 in zip(offsets, offsets[1:]))
                 families += 1

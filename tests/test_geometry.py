@@ -172,12 +172,14 @@ def _placed_families(params):
                          dt_presample=float(rng.choice([0.01, 0.0025])))
         room = float(rng.uniform(1.5, 6.0))
         side = ("left", "right")[k // 6 % 2]
+        families = {}
         for X in (init.X, float(rng.uniform(-1e5, 1e5))):
             moved = replace(init, X=X)
             space = DriveableSpace(X - 10.0, X + 400.0, moved.Y + room,
                                    moved.Y - room)
             try:
-                yield generate_path_set(moved, cap, space, tun, side)
+                yield generate_path_set(moved, cap, space, tun, side,
+                                        families)
             except NoFeasiblePath:
                 continue
 
@@ -572,7 +574,7 @@ class TestCollisionCheck:
             lateral_capability(CapabilityScenario.STEER, ref_params,
                                EgoState(v_x=20.0), CapabilityTuning()),
             DriveableSpace(-10.0, 400.0, 6.0, -6.0), PathTuning(n_tot=4),
-            "left")
+            "left", {})
         sensitive = 0
         for _ in range(200):
             path = ps.paths[int(rng.integers(len(ps.paths)))]

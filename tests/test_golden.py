@@ -46,10 +46,10 @@ end at the last substep that stayed in bounds, so `t_end` lies inside the
 tick; a plant that rolled back to the start of the tick would end 2 ms
 earlier and move the `summary` digest.
 
-`pathgen` keeps the last origin-relative path family per side, also from
-one run to the next in a process. The shipped and replanning runs are
-repeated with that memo emptied before every `generate_path_set` call and
-must hit the same digests.
+A run keeps the last origin-relative path family per side in a memo of its
+own, which `simloop.plan_cycle` passes to `generate_path_set`. The shipped
+and replanning runs are repeated with a fresh memo passed to every
+`generate_path_set` call and must hit the same digests.
 
 A candidate is a kept family path plus the cycle's start point (X, Y), and
 the driveable check decides it from the family path's corner box: each
@@ -74,10 +74,10 @@ import yaml
 from conftest import (reference_collision_check, reference_driveable,
                       reference_proximity_cost)
 
-from aessim import pathgen, ranking, simloop
+from aessim import ranking, simloop
 from aessim.pathgen import generate_path_set
 from aessim.scenario import load_scenario, parse_scenario
-from aessim.simloop import run_scenario
+from aessim.simloop import plan_cycle, run_scenario
 
 GOLDEN = {
     "blocked_lane": {
@@ -338,9 +338,8 @@ def test_rk4_stages_run_on_the_first_tick_only(scenario_dir, plant_cos):
     assert plant_cos.calls == 4  # the four stages of the first substep
 
 
-def _cold_generate(*args, **kwargs):
-    pathgen._families.clear()
-    return generate_path_set(*args, **kwargs)
+def _cold_generate(init, cap, space, tuning, side, families):
+    return generate_path_set(init, cap, space, tuning, side, {})
 
 
 @pytest.fixture
@@ -363,8 +362,8 @@ def test_cold_path_families_match_replanning_digests(scenario_dir, tmp_path,
 def test_runs_in_one_process_match_their_cold_runs(scenario_dir, tmp_path,
                                                    monkeypatch):
     """crossing_vru, then with another t_stabilize, then again: each run
-    engages from the initial ego state, which the previous run's last plans
-    left in the memo under the other tuning."""
+    engages from the same initial ego state under the other tuning than the
+    run before, and shares no planner state with it."""
     raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
     slow = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
     slow["planner"]["t_stabilize"] = 0.6
@@ -381,6 +380,72 @@ def test_runs_in_one_process_match_their_cold_runs(scenario_dir, tmp_path,
             for i, config in enumerate((raw, slow, raw))]
     assert warm == cold
     assert cold[0] != cold[1]
+
+
+def _recorded_cycles(monkeypatch):
+    """Patches simloop.plan_cycle to record each call's arguments and
+    result; returns the list they are appended to."""
+    calls = []
+
+    def recorded(*args):
+        cycle = plan_cycle(*args)
+        calls.append((args, cycle))
+        return cycle
+
+    monkeypatch.setattr(simloop, "plan_cycle", recorded)
+    return calls
+
+
+def _ranked_key(cycle):
+    """A cycle's ranked paths by id, rejection, costs and start point, every
+    float by float.hex, and its best path's id."""
+    def bits(value):
+        return value.hex() if isinstance(value, float) else value
+    return ([(r.path.side, r.path.path_id, r.rejected, bits(r.severity),
+              bits(r.proximity), bits(r.total), bits(r.X), bits(r.Y))
+             for r in cycle.ranked],
+            None if cycle.best is None else cycle.best.path_id)
+
+
+def _trace_state(trace):
+    return (len(trace.rows), list(trace.path_events),
+            list(trace.replan_events), list(trace.engage_candidates),
+            dict(trace.summary))
+
+
+@pytest.mark.parametrize("stop_time", sorted(REPLAN_RUNS))
+def test_plan_cycle_has_no_side_effects(scenario_dir, monkeypatch,
+                                        stop_time):
+    """Every planner cycle of a replanning branch, run again after the run
+    with the run's memo and with a fresh one, gives the run's ranked list
+    and leaves the run's trace as it was."""
+    calls = _recorded_cycles(monkeypatch)
+    raw = yaml.safe_load((scenario_dir / "replanning.yaml").read_text())
+    raw["targets"][0]["maneuver"]["time"] = stop_time
+    trace = run_scenario(parse_scenario(raw)).trace
+    before = _trace_state(trace)
+    assert any(args[4] != args[2].sides for args, _ in calls)  # a replan
+    for args, cycle in calls:
+        *inputs, families = args
+        want = _ranked_key(cycle)
+        assert _ranked_key(plan_cycle(*inputs, families)) == want
+        assert _ranked_key(plan_cycle(*inputs, {})) == want
+    assert _trace_state(trace) == before
+
+
+def test_runs_share_no_family_paths(scenario_dir, monkeypatch):
+    """Two runs of one scenario in a process plan from memos of their own:
+    no family path of the first run is ranked in the second."""
+    calls = _recorded_cycles(monkeypatch)
+    cfg = load_scenario(scenario_dir / "crossing_vru.yaml")
+    paths = []
+    for _ in range(2):
+        calls.clear()
+        run_scenario(cfg)
+        assert len({id(args[5]) for args, _ in calls}) == 1
+        paths.append([r.path for _, cycle in calls for r in cycle.ranked])
+    first = {id(path) for path in paths[0]}
+    assert paths[1] and not any(id(path) in first for path in paths[1])
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from aessim import pathgen
 from aessim.capability import (CapabilityRecord, CapabilityScenario,
                                CapabilityTuning, EgoState, lateral_capability)
 from aessim.errors import InfeasibleProfile, NoFeasiblePath
@@ -169,7 +168,8 @@ class TestPathSet:
     def test_scale_factors(self):
         cap = make_cap(rho_max=0.0245)
         tun = PathTuning(psi_max=0.2, n_tot=4)
-        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left")
+        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left",
+                               {})
         assert len(ps.paths) == 4
         scale = family_scale(ps, cap)
         for path in ps.paths:
@@ -185,7 +185,8 @@ class TestPathSet:
     def test_reference_family_stays_inside(self):
         cap = make_cap(rho_max=0.0245)
         tun = PathTuning(psi_max=0.2, n_tot=6)
-        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left")
+        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left",
+                               {})
         for path in ps.paths:
             assert abs(path.terminal_offset) <= 3.25 + 1e-6
 
@@ -193,19 +194,21 @@ class TestPathSet:
         cap = make_cap(rho_max=0.05)
         tun = PathTuning(psi_max=0.35, n_tot=6)
         wide = generate_path_set(rest_init(), cap, self.corridor(8.0, -8.0),
-                                 tun, "left")
+                                 tun, "left", {})
         y_severe = abs(presample_profile(
             build_max_severity_profile(rest_init(), cap, tun, "left"),
             tun.dt_presample).terminal_offset)
         narrow_space = self.corridor(0.5 * y_severe, -0.5 * y_severe)
-        narrow = generate_path_set(rest_init(), cap, narrow_space, tun, "left")
+        narrow = generate_path_set(rest_init(), cap, narrow_space, tun, "left",
+                                   {})
         assert family_scale(narrow, cap) == pytest.approx(0.5)
         assert family_scale(wide, cap) == pytest.approx(1.0)
 
     def test_monotone_family(self):
         cap = make_cap(rho_max=0.0245)
         tun = PathTuning(psi_max=0.2, n_tot=6)
-        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left")
+        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left",
+                               {})
         offsets = [abs(p.terminal_offset) for p in ps.paths]
         assert all(b > a for a, b in zip(offsets, offsets[1:]))
 
@@ -225,7 +228,7 @@ class TestPathSet:
         tun = PathTuning(psi_max=0.2, min_lateral_clearance=1.0)
         with pytest.raises(NoFeasiblePath):
             generate_path_set(rest_init(), cap, self.corridor(0.5, -3.25),
-                              tun, "left")
+                              tun, "left", {})
 
     def test_anchoring(self):
         cap = make_cap(rho_max=0.0245)
@@ -233,7 +236,7 @@ class TestPathSet:
         init = EgoState(X=15.0, Y=-2.0, v_x=20.0)
         ps = generate_path_set(init, cap,
                                DriveableSpace(0, 300, 3.0, -6.0),
-                               tun, "left")
+                               tun, "left", {})
         assert (ps.X, ps.Y) == (15.0, -2.0)
         for path in ps.paths:
             assert (path.x[0], path.y[0]) == (0.0, 0.0)
@@ -249,7 +252,8 @@ class TestReplan:
         cap = make_cap(rho_max=0.0245)
         tun = PathTuning(psi_max=0.2)
         a = build_max_severity_profile(rest_init(), cap, tun, "left")
-        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left")
+        ps = generate_path_set(rest_init(), cap, self.corridor(), tun, "left",
+                               {})
         b = ps.paths[-1].profile  # outermost path carries the full budget
         assert np.max(np.abs(a.times - b.times)) < 1e-12
         assert np.max(np.abs(a.rhos - b.rhos)) < 1e-12
@@ -259,15 +263,15 @@ class TestReplan:
         tun = PathTuning(psi_max=0.2)
         mid = EgoState(v_x=20.0, psi=0.2)
         with pytest.raises(NoFeasiblePath):
-            generate_path_set(mid, cap, self.corridor(), tun, "left")
-        ps = generate_path_set(mid, cap, self.corridor(), tun, "right")
+            generate_path_set(mid, cap, self.corridor(), tun, "left", {})
+        ps = generate_path_set(mid, cap, self.corridor(), tun, "right", {})
         assert len(ps.paths) >= 1
 
     def test_initial_curvature_continuity(self):
         cap = make_cap(rho_max=0.0245)
         tun = PathTuning(psi_max=0.25)
         mid = EgoState(v_x=20.0, psi=0.05, yaw_rate=0.3, Y=0.4)
-        ps = generate_path_set(mid, cap, self.corridor(), tun, "left")
+        ps = generate_path_set(mid, cap, self.corridor(), tun, "left", {})
         for path in ps.paths:
             assert path.profile.rhos[0] == pytest.approx(0.3 / 20.0, abs=1e-15)
             assert path.rho[0] == pytest.approx(0.3 / 20.0, abs=1e-12)
@@ -305,14 +309,12 @@ class TestInvariantSuite:
 MEMO_SPACE = DriveableSpace(-10.0, 300.0, 3.25, -3.25)
 
 
-def _outcome(args, side, cold):
-    """generate_path_set's result for (init, cap, tuning) in MEMO_SPACE, or
-    the NoFeasiblePath message; with cold the memo is emptied first."""
+def _outcome(args, side, families):
+    """generate_path_set's result for (init, cap, tuning) in MEMO_SPACE with
+    this family memo, or the NoFeasiblePath message; a fresh {} is cold."""
     init, cap, tun = args
-    if cold:
-        pathgen._families.clear()
     try:
-        return generate_path_set(init, cap, MEMO_SPACE, tun, side)
+        return generate_path_set(init, cap, MEMO_SPACE, tun, side, families)
     except NoFeasiblePath as exc:
         return str(exc)
 
@@ -377,11 +379,13 @@ def _memo_variants():
 
 
 class TestFamilyMemo:
-    """generate_path_set keeps the last origin-relative family per side;
-    a warm call must return exactly what a cold one does."""
+    """generate_path_set keeps the last origin-relative family per side in
+    the memo it is given; a warm call must return exactly what a cold one
+    does."""
 
     def test_warm_equals_cold_on_seeded_draws(self):
         rng = np.random.default_rng(77)
+        families = {}
         scenarios = list(CapabilityScenario)
         for _ in range(60):
             v = float(rng.uniform(8.0, 30.0))
@@ -410,20 +414,21 @@ class TestFamilyMemo:
             for moved in (init, replace(init, X=init.X + 2.0),
                           replace(init, Y=init.Y + 0.4)):
                 args = (moved, cap, tun)
-                warm = _outcome(args, side, cold=False)
-                _assert_identical(warm, _outcome(args, side, cold=True))
+                warm = _outcome(args, side, families)
+                _assert_identical(warm, _outcome(args, side, {}))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("warm_args, args", _memo_variants())
     def test_every_key_field_misses(self, side, warm_args, args):
-        _outcome(warm_args, side, cold=True)
-        stale = pathgen._families[side]
-        warm = _outcome(args, side, cold=False)
-        assert pathgen._families[side] is not stale
-        _assert_identical(warm, _outcome(args, side, cold=True))
+        families = {}
+        _outcome(warm_args, side, families)
+        stale = families[side]
+        warm = _outcome(args, side, families)
+        assert families[side] is not stale
+        _assert_identical(warm, _outcome(args, side, {}))
 
     def test_shared_arrays_are_read_only(self):
-        path = _outcome(_memo_base(), "left", cold=True).paths[0]
+        path = _outcome(_memo_base(), "left", {}).paths[0]
         for arr in (path.t, path.x, path.y, path.psi, path.rho, path.v,
                     path.profile.times, path.profile.rhos,
                     path.profile.vels):
@@ -434,9 +439,10 @@ class TestFamilyMemo:
         """A memo hit copies no samples: the set holds the family's own
         paths and the call's start point."""
         init, cap, tun = _memo_base()
-        first = _outcome((init, cap, tun), "left", cold=True)
+        families = {}
+        first = _outcome((init, cap, tun), "left", families)
         moved = replace(init, X=init.X + 7.5)
-        second = _outcome((moved, cap, tun), "left", cold=False)
+        second = _outcome((moved, cap, tun), "left", families)
         assert len(second.paths) == len(first.paths) > 0
         assert all(p is q for p, q in zip(second.paths, first.paths))
         assert (first.X, first.Y) == (init.X, init.Y)
@@ -447,10 +453,11 @@ class TestFamilyMemo:
 
     def test_one_family_per_side(self):
         init, cap, tun = _memo_base()
+        families = {}
         for k in range(12):
             side = ("left", "right")[k % 2]
             _outcome((replace(init, v_x=init.v_x + k), cap, tun), side,
-                     cold=False)
-            assert set(pathgen._families) <= {"left", "right"}
-            for fam in pathgen._families.values():
+                     families)
+            assert set(families) <= {"left", "right"}
+            for fam in families.values():
                 assert len(fam.paths) <= tun.n_tot

@@ -31,7 +31,8 @@ def family(space=None, n_tot=6, targets=False):
     cap = CapabilityRecord(CapabilityScenario.STEER, 0.0, 0.0245, 0.25, 20.0)
     tun = PathTuning(psi_max=0.2, n_tot=n_tot)
     space = space or DriveableSpace(-10, 300, 4.0, -4.0)
-    return generate_path_set(EgoState(v_x=20.0), cap, space, tun, "left"), space
+    ps = generate_path_set(EgoState(v_x=20.0), cap, space, tun, "left", {})
+    return ps, space
 
 
 class TestSeverity:
@@ -206,7 +207,7 @@ def _draws(n=150, seed=314):
                                init.Y - room)
         try:
             ps = generate_path_set(init, cap, space, tun,
-                                   ("left", "right")[n % 2])
+                                   ("left", "right")[n % 2], {})
         except NoFeasiblePath:
             continue
         targets = []
@@ -337,7 +338,7 @@ class TestSelect:
                            (EgoState(X=-3.3, Y=1.1, v_x=20.0), "right"),
                            (EgoState(v_x=20.0), "left")):
             ps = generate_path_set(init, cap, space, PathTuning(psi_max=0.2),
-                                   side)
+                                   side, {})
             best = rank_paths(ps, [], space, FP, CostWeights())[0]
             placed = select_path([best], dt_fine)
             assert all(placed is not p for p in ps.paths)

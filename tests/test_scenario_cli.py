@@ -758,3 +758,53 @@ class TestBenchmarkInputs:
         for mod, name in tracer.TIMED:
             assert rec.stats[f"{mod}.{name}"].calls > 0, f"{mod}.{name}"
         assert rec.stats["trace.write"].calls == 1
+
+    def test_layer_call_counts(self, scenario_dir):
+        """Every layer is called as often as LAYER_CALLS records, through
+        the bindings that perfbench/tracer.py wraps: a layer call moved to
+        a site the tracer does not reach reads as a lower count here."""
+        tracer = _perfbench_module(scenario_dir, "tracer")
+        configs = {name: load_scenario(scenario_dir / f"{name}.yaml")
+                   for name in ("blocked_lane", "crossing_vru", "empty_road",
+                                "replanning", "stalled_car")}
+        for stop_time in (3.55, 3.81):
+            raw = yaml.safe_load(
+                (scenario_dir / "replanning.yaml").read_text())
+            raw["targets"][0]["maneuver"]["time"] = stop_time
+            configs[f"replanning@{stop_time}"] = parse_scenario(
+                raw, default_name="replanning")
+        got = {}
+        for name, cfg in configs.items():
+            rec = tracer.Recorder(tracer.binding_sites())
+            with rec.installed():
+                run_scenario(cfg)
+            got[name] = tuple(rec.stats[key].calls for key in LAYERS)
+        assert got == LAYER_CALLS
+
+
+# Per-layer call counts of the shipped scenarios and the two replanning
+# branches of tests/test_golden.py (the pedestrian stops at 3.55 or 3.81 s)
+LAYERS = ("capability.lateral_capability", "pathgen.generate_path_set",
+          "ranking.rank_paths", "ranking.select_path",
+          "ranking.monitor_selected", "geometry.driveable_area_check",
+          "geometry.collision_check", "geometry.sat_check",
+          "decision.compute_ttc", "decision.compute_tte",
+          "decision.evaluate_triggers", "decision.step_state_machine",
+          "control.path_to_vehicle_frame", "control.tracking_errors",
+          "control.control_step", "plant.plant_step",
+          "plant.lateral_acceleration")
+LAYER_CALLS = {
+    "blocked_lane": (38, 76, 76, 0, 0, 456, 0, 2, 381, 0, 0, 382, 0, 0, 0,
+                     381, 382),
+    "crossing_vru": (33, 66, 66, 1, 18, 414, 18, 25, 324, 33, 316, 503, 178,
+                     178, 178, 502, 503),
+    "empty_road": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 301, 0, 0, 0, 300, 301),
+    "replanning": (34, 67, 67, 2, 19, 418, 19, 24, 324, 33, 316, 519, 194,
+                   194, 194, 518, 519),
+    "stalled_car": (28, 56, 56, 1, 21, 357, 21, 21, 271, 28, 263, 485, 213,
+                    213, 213, 484, 485),
+    "replanning@3.55": (34, 67, 67, 2, 7, 408, 7, 14, 324, 33, 316, 395, 71,
+                        71, 71, 394, 395),
+    "replanning@3.81": (34, 67, 67, 1, 7, 407, 7, 10, 324, 33, 316, 391, 66,
+                        66, 66, 390, 391),
+}
