@@ -45,10 +45,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(path: Path) -> Path:
+    """path, made a directory before any run; ConfigError if it cannot be."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {path}: {exc}") from exc
+    return path
+
+
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
+    out_dir = _out_dir(args.out or Path("out") / cfg.name)
     result = run_scenario(cfg)
-    out_dir = args.out or Path("out") / cfg.name
     files = result.trace.write(out_dir)
     if args.plot:
         files.update(emit_plot_data(result.trace, out_dir))
@@ -89,11 +98,12 @@ def _cmd_sweep(args) -> int:
                             "name": f"{base.name}_{args.param}_{label}"})
             for value, label in zip(args.values, labels)]
     out_root = args.out or Path("out") / f"sweep_{args.param.replace('.', '_')}"
+    out_dirs = [_out_dir(out_root / label) for label in labels]
     worst = 0
     print(f"sweep {args.param}: {len(args.values)} values")
-    for label, cfg in zip(labels, cfgs):
+    for label, cfg, out_dir in zip(labels, cfgs, out_dirs):
         result = run_scenario(cfg)
-        result.trace.write(out_root / label)
+        result.trace.write(out_dir)
         engage = result.summary.get("engage_ttc")
         print(f"  {args.param}={label}: outcome={result.outcome}"
               + (f" engage_ttc={engage:.3f}" if engage is not None else ""))

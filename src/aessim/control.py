@@ -52,9 +52,6 @@ class TrackingErrors:
     psi_e_dot: float  # [rad/s]
     kappa: float      # path curvature at the match point [1/m]
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.y_e, self.y_e_dot, self.psi_e, self.psi_e_dot])
-
 
 @dataclass
 class WheelForces:
@@ -231,8 +228,7 @@ def control_step(err: TrackingErrors, plant, params: VehicleParams,
     delta_ref = 0.0 if cfg.mode is ControlMode.DIFF_BRAKE_ONLY else d_ff
     psi_ref = steady_state_slip(err.kappa, plant.u_v, delta_ref,
                                 params) / plant.u_v
-    e = err.vector()
-    e[2] -= psi_ref
+    e = np.array([err.y_e, err.y_e_dot, err.psi_e - psi_ref, err.psi_e_dot])
 
     if cfg.mode is ControlMode.DIFF_BRAKE_ONLY:
         delta_cmd = 0.0

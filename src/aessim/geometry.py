@@ -96,7 +96,7 @@ class Footprint:
 
 def _corners(pose: Pose, fp: Footprint, c: float,
              s: float) -> list[tuple[float, float]]:
-    """Footprint corners counter-clockwise; c, s are cos/sin of pose.psi."""
+    """Footprint corners counter-clockwise; c, s are cos/sin of the heading."""
     cx = pose.X + fp.ref_offset * c
     cy = pose.Y + fp.ref_offset * s
     hl, hw = 0.5 * fp.length, 0.5 * fp.width
@@ -200,14 +200,9 @@ def sat_check(pose_a: Pose, fp_a: Footprint,
 def _corner_box(path, fp: Footprint) -> tuple[float, float, float, float]:
     """(x_lo, x_hi, y_lo, y_hi): the box of every footprint corner at every
     sample, formed on the path's own samples."""
-    c, s = np.cos(path.psi), np.sin(path.psi)
-    cx = path.x + fp.ref_offset * c
-    cy = path.y + fp.ref_offset * s
-    hl, hw = 0.5 * fp.length, 0.5 * fp.width
-    corners = [(cx + dx * c - dy * s, cy + dx * s + dy * c)
-               for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
-    xs = np.concatenate([x for x, _ in corners])
-    ys = np.concatenate([y for _, y in corners])
+    corners = _corners(Pose(path.x, path.y), fp, np.cos(path.psi),
+                       np.sin(path.psi))
+    xs, ys = (np.concatenate(v) for v in zip(*corners))
     return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
 
 
@@ -382,13 +377,11 @@ def check_paths(paths, targets, fp: Footprint, dt_check: float = 0.1,
     return reports
 
 
-def collision_check(path, targets, fp: Footprint, dt_check: float = 0.1,
-                    X: float = 0.0, Y: float = 0.0,
-                    pred: Prediction | None = None) -> CollisionReport:
+def collision_check(path, targets, fp: Footprint,
+                    dt_check: float = 0.1) -> CollisionReport:
     """check_paths of the one path: the staged collision check of a sampled
-    path, translated by (X, Y), against predicted targets; pred left out,
-    the targets are predicted on path.t."""
-    return check_paths([path], targets, fp, dt_check, X, Y, pred)[0]
+    path against targets predicted on path.t."""
+    return check_paths([path], targets, fp, dt_check)[0]
 
 
 # Widening of each axis gap [m] in first_contact_time, so that rounding in

@@ -182,11 +182,6 @@ class PathSet:
                         f"path {p.path_id!r} is not on the set's time grid")
 
 
-def _mirror_init(init: EgoState) -> EgoState:
-    return EgoState(X=init.X, Y=init.Y, psi=-init.psi, v_x=init.v_x,
-                    a_x=init.a_x, yaw_rate=-init.yaw_rate)
-
-
 def build_max_severity_profile(init: EgoState, cap: CapabilityRecord,
                                tuning: PathTuning,
                                direction: str = "left") -> CurvatureProfile:
@@ -200,7 +195,7 @@ def build_max_severity_profile(init: EgoState, cap: CapabilityRecord,
         raise ValueError("direction must be 'left' or 'right'")
     if direction == "right":
         times, rhos, vels, psi0 = _build_canonical(
-            _mirror_init(init), cap,
+            replace(init, psi=-init.psi, yaw_rate=-init.yaw_rate), cap,
             replace(tuning, rho_road=-tuning.rho_road))
         rhos, psi0 = -rhos, -psi0
     else:
@@ -378,7 +373,7 @@ _TUNING_FIELDS = tuple(f.name for f in fields(PathTuning))
 
 
 def _bits(value):
-    """Floats by bit pattern: 0.0 == -0.0, and _mirror_init makes -0.0."""
+    """Floats by bit pattern: 0.0 == -0.0, and mirroring makes -0.0."""
     return value.hex() if isinstance(value, float) else value
 
 

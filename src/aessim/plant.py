@@ -3,12 +3,12 @@ yaw-moment input, longitudinal speed update during pre-braking and kinematic
 global pose integration.
 
 One `plant_step` call integrates the n RK4 substeps of a control tick under
-the tick's command, with the lateral coefficients the loop derived for the
-tick's `lateral_acceleration`; they are kept while the speed is unchanged
-and recomputed when pre-braking moves it. Every substep is checked against
-the sanity bounds; a divergence raises NumericalDivergence carrying the
-last in-bounds substep's state, so a run that aborts ends there, not at the
-start of its tick.
+the tick's command. It derives the lateral coefficients itself, keeps them
+while the speed is unchanged and recomputes them when pre-braking moves it;
+the loop derives its own for `lateral_acceleration` alike. Every substep is
+checked against the sanity bounds; a divergence raises NumericalDivergence
+carrying the last in-bounds substep's state, so a run that aborts ends
+there, not at the start of its tick.
 
 A substep that returns its start state bit for bit (u_v, v_v, r and psi;
 -0.0 is not 0.0 and NaN equals nothing) is a fixed point, as when cruising
@@ -37,7 +37,7 @@ and `summary.json` stay byte-identical. An algebraically equal reordering of
 the arithmetic breaks this; the tests keep the numpy-matrix step as the
 reference and compare by `float.hex`. `_lateral_coeffs` holds the only copy
 of the lateral-dynamics formulas; `lateral_matrices` builds its arrays from
-it for the pole analysis.
+it for the pole check.
 """
 from __future__ import annotations
 
@@ -113,15 +113,9 @@ def lateral_matrices(params: VehicleParams,
             np.array([[b11, 0.0], [b21, b22]]))
 
 
-def vehicle_poles(params: VehicleParams, u: float) -> np.ndarray:
-    """Open-loop poles of the lateral dynamics at speed u."""
-    A, _ = lateral_matrices(params, u)
-    return np.linalg.eigvals(A)
-
-
 def assert_stable_vehicle(params: VehicleParams, u: float) -> None:
     try:
-        poles = vehicle_poles(params, u)
+        poles = np.linalg.eigvals(lateral_matrices(params, u)[0])
     except OverflowError as exc:  # a**2 or b**2 beyond the float range
         raise ValueError(f"vehicle model overflows at u={u:.1f} m/s") from exc
     if np.any(poles.real >= 0):
@@ -250,9 +244,8 @@ def _diverged(t: float, v_v: float, r: float) -> NumericalDivergence:
 
 
 def lateral_acceleration(s: PlantState, cmd: ControlCommand,
-                         params: VehicleParams, *,
-                         coeffs: tuple[float, ...] | None = None) -> float:
-    """Instantaneous lateral acceleration v_dot + u * r (unguarded)."""
-    a11, a12, _, _, b11, _, _ = coeffs or _lateral_coeffs(params, s.u_v)
+                         coeffs: tuple[float, ...]) -> float:
+    """Lateral acceleration v_dot + u * r (unguarded); coeffs at s.u_v."""
+    a11, a12, _, _, b11, _, _ = coeffs
     v_dot = a11 * s.v_v + a12 * s.r + b11 * cmd.delta_g
     return float(v_dot + s.u_v * s.r)

@@ -62,16 +62,13 @@ def severity_cost(path: SampledPath, w: CostWeights) -> float:
     return w.K_ay * lat + w.K_ax * lon
 
 
-def proximity_cost(path: SampledPath, targets, w: CostWeights,
-                   X: float = 0.0, Y: float = 0.0,
-                   pred: Prediction | None = None) -> float:
-    """Mean over samples of the distance to the nearest target. pred is as
-    in geometry.check_paths: the targets on a grid with path.t as its
-    prefix, or left out to predict them on path.t."""
+def proximity_cost(path: SampledPath, targets, w: CostWeights, X: float,
+                   Y: float, pred: Prediction) -> float:
+    """Mean over samples of the distance from the path translated by (X, Y)
+    to the nearest target; pred holds the targets on a grid with path.t as
+    its prefix, as in geometry.check_paths."""
     if not targets:
         return 0.0
-    if pred is None:
-        pred = predict(targets, path.t)
     n = len(path)
     x, y = pred.pos[:, :, :n]
     d = np.hypot(x - (X + path.x), y - (Y + path.y))

@@ -201,6 +201,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, found {version!r}")
     name = str(raw.pop("name", default_name))
+    # the default output directory is out/<name>
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"name must be one path component, found {name!r}")
 
     veh = _section(raw, "vehicle", required=True)
     fp = _config(Footprint, _section(veh, "footprint")

@@ -110,10 +110,10 @@ def _log_paths(trace: TraceLog, t: float, kind: str,
                cycle: PlanCycle) -> None:
     """Every ranked path of the cycle as a path event of this kind."""
     for r in cycle.ranked:
-        trace.add_path_event([t, kind, r.path.side, r.path.index,
-                              r.path.path_id, r.rejected or "survivor",
-                              r.severity, r.proximity, r.total,
-                              r.terminal_offset])
+        trace.path_events.append([t, kind, r.path.side, r.path.index,
+                                  r.path.path_id, r.rejected or "survivor",
+                                  r.severity, r.proximity, r.total,
+                                  r.terminal_offset])
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -194,10 +194,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     _log_paths(trace, t, "replan", cycle)
                     events.replanned_path = cycle.best
                     if cycle.best is not None:
-                        trace.add_replan_event(
-                            t, rejected,
-                            rho0_path=float(cycle.best.profile.rhos[0]),
-                            rho0_plant=plant.r / plant.u_v)
+                        trace.replan_events.append({
+                            "t": float(t), "reason": rejected,
+                            "rho0_path": float(cycle.best.profile.rhos[0]),
+                            "rho0_plant": float(plant.r / plant.u_v)})
 
         prev = sup
         sup = step_state_machine(sup, events)
@@ -242,7 +242,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if plant.u_v != coeffs_speed:   # only pre-braking moves it
             coeffs_speed = plant.u_v
             coeffs = _lateral_coeffs(params, coeffs_speed)
-        a_y = lateral_acceleration(plant, cmd, params, coeffs=coeffs)
+        a_y = lateral_acceleration(plant, cmd, coeffs)
         max_abs_ay = max(max_abs_ay, abs(a_y))
 
         # ground truth contact check and per-target distances
@@ -272,7 +272,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 collided_with = td.track_id
         if engage_info.get("engage_time") == t:
             engage_info["engage_distances"] = dists
-        trace.add_row(row)
+        trace.rows.append(row)
 
         if collided_with is not None:
             outcome, reason = OUTCOME_COLLIDED, f"contact with {collided_with}"

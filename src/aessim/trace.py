@@ -77,26 +77,11 @@ class TraceLog:
         self.columns = list(self.BASE_COLUMNS)
         for tid in self.target_ids:
             self.columns += [f"dist_{tid}", f"X_{tid}", f"Y_{tid}"]
-        self.rows: list[list] = []
-        self.path_events: list[list] = []
+        self.rows: list[list] = []         # a tick's cells in columns order
+        self.path_events: list[list] = []  # cells in PATH_COLUMNS order
         self.replan_events: list[dict] = []
         self.engage_candidates: list[dict] = []
         self.summary: dict = {}
-
-    def add_row(self, row: list) -> None:
-        """Append one tick's cells, in `columns` order."""
-        self.rows.append(row)
-
-    def add_path_event(self, event: list) -> None:
-        """Append one ranked path's cells, in `PATH_COLUMNS` order."""
-        self.path_events.append(event)
-
-    def add_replan_event(self, t: float, reason: str, rho0_path: float,
-                         rho0_plant: float) -> None:
-        self.replan_events.append({
-            "t": float(t), "reason": reason, "rho0_path": float(rho0_path),
-            "rho0_plant": float(rho0_plant),
-        })
 
     def snapshot_candidates(self, ranked, selected) -> None:
         """Keep decimated polylines of the path set active at engagement,

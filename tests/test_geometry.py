@@ -601,8 +601,8 @@ class TestCollisionCheck:
                 want = reference_collision_check(path, [target], fp, 0.01,
                                                  X, Y)
                 for pred in (None, predict([target], ps.t)):
-                    assert collision_check(path, [target], fp, 0.01, X, Y,
-                                           pred) == want
+                    assert check_paths([path], [target], fp, 0.01, X, Y,
+                                       pred)[0] == want
                 seen.add(want.resolved_circumscribed)
             sensitive += len(seen) > 1
         assert sensitive > 100

@@ -494,9 +494,9 @@ def memo_serves(monkeypatch):
             compared(path, targets, fp, dt_check, X, Y, pred, got)
         return reports
 
-    def checked(path, targets, fp, dt_check, X=0.0, Y=0.0, pred=None):
-        got = check(path, targets, fp, dt_check, X, Y, pred)
-        compared(path, targets, fp, dt_check, X, Y, pred, got)
+    def checked(path, targets, fp, dt_check):
+        got = check(path, targets, fp, dt_check)
+        compared(path, targets, fp, dt_check, 0.0, 0.0, None, got)
         return got
 
     def costed(path, targets, w, X, Y, pred):

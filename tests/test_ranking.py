@@ -10,7 +10,7 @@ from aessim import ranking
 from aessim.capability import CapabilityRecord, CapabilityScenario, EgoState
 from aessim.errors import NoFeasiblePath
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
-                             collision_check)
+                             collision_check, predict)
 from aessim.pathgen import (PathSet, PathTuning, SampledPath, anchor_path,
                             generate_path_set, presample_profile)
 from aessim.ranking import (REJECT_COLLISION, REJECT_NOT_DRIVEABLE,
@@ -19,6 +19,13 @@ from aessim.ranking import (REJECT_COLLISION, REJECT_NOT_DRIVEABLE,
                             severity_cost)
 
 FP = Footprint(4.5, 1.8, ref_offset=1.35)
+
+
+def own_grid_cost(path, targets, w):
+    """proximity_cost of the untranslated path, with the targets predicted
+    on path.t."""
+    return proximity_cost(path, targets, w, 0.0, 0.0,
+                          predict(targets, path.t))
 
 
 def flat_path(n=51, v=20.0, dt=0.1, rho=0.0, y=0.0):
@@ -68,25 +75,25 @@ class TestProximity:
         # travels alongside the path, 5 m to its left
         target = TargetTrack("a", Footprint(0.5, 0.5), Pose(0.0, 5.0), 20.0)
         w = CostWeights(K_prox=2.0)
-        assert proximity_cost(path, [target], w) == pytest.approx(10.0)
+        assert own_grid_cost(path, [target], w) == pytest.approx(10.0)
 
     def test_no_targets(self):
-        assert proximity_cost(flat_path(), [], CostWeights(K_prox=2.0)) == 0.0
+        assert own_grid_cost(flat_path(), [], CostWeights(K_prox=2.0)) == 0.0
 
     def test_min_dominance(self):
         path = flat_path(n=11, dt=0.1)
         near = TargetTrack("near", Footprint(0.5, 0.5), Pose(0.0, 3.0), 20.0)
         far = TargetTrack("far", Footprint(0.5, 0.5), Pose(0.0, 9.0), 20.0)
         w = CostWeights(K_prox=1.0)
-        both = proximity_cost(path, [near, far], w)
-        assert both == pytest.approx(proximity_cost(path, [near], w))
+        both = own_grid_cost(path, [near, far], w)
+        assert both == pytest.approx(own_grid_cost(path, [near], w))
 
     def test_nan_target_proximity_is_nan(self):
         w = CostWeights(K_prox=1.0)
         nan = TargetTrack("nan", Footprint(0.5, 0.5), Pose(math.nan, 0.0))
         far = TargetTrack("far", Footprint(0.5, 0.5), Pose(40.0, 9.0, 0.0))
         for targets in ([nan], [far, nan], [nan, far]):
-            got = proximity_cost(flat_path(), targets, w)
+            got = own_grid_cost(flat_path(), targets, w)
             assert math.isnan(got)
             assert got.hex() == reference_proximity_cost(flat_path(),
                                                          targets, w).hex()
@@ -293,7 +300,7 @@ class TestSharedPrediction:
                     got = collision_check(p, targets, fp, dt_check)
                     assert got == reference_collision_check(p, targets, fp,
                                                             dt_check)
-                    assert (proximity_cost(p, targets, w).hex()
+                    assert (own_grid_cost(p, targets, w).hex()
                             == reference_proximity_cost(p, targets, w).hex())
                     assert not p.memo
                     hits += got.collides

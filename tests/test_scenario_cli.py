@@ -1,4 +1,5 @@
 import copy
+import importlib
 import importlib.util
 import json
 import math
@@ -9,18 +10,21 @@ import numpy as np
 import pytest
 import yaml
 
+from aessim import cli
 from aessim.capability import CapabilityTuning, EgoState, VehicleParams
 from aessim.cli import main
 from aessim.control import ControllerConfig
 from aessim.decision import TriggerConfig
-from aessim.errors import AesError, ConfigError
+from aessim.errors import (AesError, ConfigError, DegenerateSpeed,
+                           InfeasibleProfile, NoFeasiblePath,
+                           NumericalDivergence, PathExhausted)
 from aessim.geometry import DriveableSpace, Footprint, Pose
 from aessim.pathgen import PathTuning
 from aessim.ranking import CostWeights
 from aessim.scenario import (MAX_PATHS_PER_SIDE, MAX_PLANT_SUBSTEPS,
                              SimSettings, TargetDef, load_scenario,
                              parse_scenario)
-from aessim.simloop import EXIT_CODES, run_scenario
+from aessim.simloop import EXIT_CODES, RunResult, run_scenario
 from aessim.trace import BLOCK_ROWS, TraceLog, _fmt, emit_plot_data
 
 MINIMAL = {
@@ -97,6 +101,15 @@ class TestConfig:
             parse_scenario(minimal(targets=[target]))
         target["id"] = "left_car-1 (stalled)"
         parse_scenario(minimal(targets=[target]))
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "/x", "a/b", "a\\b",
+                                      "a\0b"])
+    def test_name_that_is_not_one_path_component_rejected(self, name):
+        # the default output directory is out/<name>: an absolute name
+        # wrote outside out/, ".." into the working directory
+        with pytest.raises(ConfigError, match="name"):
+            parse_scenario(minimal(name=name))
+        parse_scenario(minimal(name="crossing_vru-2 (wet)"))
 
     def test_target_type_ignored_unknown_target_key_rejected(self):
         target = {"id": "a", "footprint": {"length": 1, "width": 1}, "X": 5,
@@ -507,10 +520,10 @@ class TestTraceAndPlots:
     def test_minimal_trace_plot_row_counts(self, tmp_path):
         trace = TraceLog(["tgt"])
         for k in range(2):
-            trace.add_row([0.01 * k, "standby", 0.0, 0.0, 0.0, 20.0, 0.0,
-                           0.0, 0.0, False, None, None, "none", None, None,
-                           None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 10.0,
-                           0.0])
+            trace.rows.append([0.01 * k, "standby", 0.0, 0.0, 0.0, 20.0,
+                               0.0, 0.0, 0.0, False, None, None, "none", None,
+                               None, None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0,
+                               10.0, 0.0])
         files = emit_plot_data(trace, tmp_path)
         assert len(files) == 3
         ts = files["timeseries"].read_text().splitlines()
@@ -585,7 +598,7 @@ class TestColumnFormatter:
     def test_bytes_match_rowwise_fmt(self, tmp_path, n_rows, shift):
         trace = TraceLog(["a", "b"])
         for row in _case_rows(len(trace.columns), n_rows, shift):
-            trace.add_row(row)
+            trace.rows.append(row)
         trace.path_events = _case_rows(len(TraceLog.PATH_COLUMNS), n_rows,
                                        shift)
         files = trace.write(tmp_path)
@@ -597,10 +610,11 @@ class TestColumnFormatter:
     def test_paths_index_column(self, tmp_path):
         trace = TraceLog([])
         for k in range(3):
-            trace.add_path_event([0.5, "plan", "left", k, k + 1, "survivor",
-                                  -0.0 if k else 0.0, None, NAN, INF])
-        trace.add_path_event([0.6, "plan", "right", 0, 4, "collision", None,
-                              None, None, None])
+            trace.path_events.append([0.5, "plan", "left", k, k + 1,
+                                      "survivor", -0.0 if k else 0.0, None,
+                                      NAN, INF])
+        trace.path_events.append([0.6, "plan", "right", 0, 4, "collision",
+                                  None, None, None, None])
         text = trace.write(tmp_path)["paths"].read_bytes()
         assert text == _rowwise_csv(TraceLog.PATH_COLUMNS, trace.path_events)
         assert text.splitlines()[1:] == [
@@ -614,8 +628,8 @@ class TestColumnFormatter:
     def test_row_of_wrong_length_raises(self, tmp_path, n_full, extra):
         trace = TraceLog(["a"])
         for _ in range(n_full):
-            trace.add_row([0.0] * len(trace.columns))
-        trace.add_row([0.0] * (len(trace.columns) + extra))
+            trace.rows.append([0.0] * len(trace.columns))
+        trace.rows.append([0.0] * (len(trace.columns) + extra))
         with pytest.raises(ValueError):
             trace.write(tmp_path)
 
@@ -648,6 +662,23 @@ class TestCli:
         rc = main(["run", str(scenario_dir / "blocked_lane.yaml"),
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--param", "trigger.tte_reduction", "--values",
+                  "0.5", "0.8"]])
+    def test_out_that_cannot_be_a_directory(self, scenario_dir, tmp_path,
+                                            monkeypatch, capsys, command):
+        # used to run the whole scenario first, then die in TraceLog.write
+        # with a FileExistsError traceback and exit 1, as if it collided
+        in_the_way = tmp_path / "file"
+        in_the_way.write_text("")
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario", runs.append)
+        rc = main([command[0], str(scenario_dir / "crossing_vru.yaml"),
+                   *command[1:], "--out", str(in_the_way)])
+        assert rc == 3
+        assert "cannot write to" in capsys.readouterr().err
+        assert runs == []
 
     def test_sweep(self, scenario_dir, tmp_path, capsys):
         rc = main(["sweep", str(scenario_dir / "empty_road.yaml"),
@@ -712,6 +743,44 @@ class TestCli:
         assert want.cap_tuning.t_pb == 0.3
         swept = (tmp_path / "out" / "0.3" / "paths.csv").read_text()
         assert swept == _paths_csv(want, tmp_path / "want")
+
+
+class TestInRunErrors:
+    """No AesError escapes run_scenario: an error raised mid-run at the
+    binding that raises it in production ends in a RunResult whose outcome
+    has an exit code."""
+
+    @pytest.mark.parametrize("site, error", [
+        ("simloop.plant_step", NumericalDivergence),
+        ("simloop.lateral_capability", DegenerateSpeed),
+        ("simloop.generate_path_set", NoFeasiblePath),
+        ("simloop.tracking_errors", PathExhausted),
+        ("pathgen.build_max_severity_profile", InfeasibleProfile),
+    ])
+    def test_error_ends_in_an_outcome(self, scenario_dir, monkeypatch, site,
+                                      error):
+        cfg = load_scenario(scenario_dir / "crossing_vru.yaml")
+        module, name = site.split(".")
+        owner = importlib.import_module(f"aessim.{module}")
+        original = getattr(owner, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            # the first two calls run, so the error comes mid-run
+            calls.append(args)
+            if len(calls) <= 2:
+                return original(*args, **kwargs)
+            exc = error(f"injected into {site}")
+            if error is NumericalDivergence:
+                exc.state = args[0]   # the plant state that stayed in bounds
+            raise exc
+
+        monkeypatch.setattr(owner, name, failing)
+        result = run_scenario(cfg)
+        assert len(calls) > 2
+        assert isinstance(result, RunResult)
+        assert result.outcome in EXIT_CODES
+        assert result.summary["outcome"] == result.outcome
 
 
 def _perfbench_module(scenario_dir, name):
