@@ -16,35 +16,35 @@ nearest is monotone, so X plus the largest corner x is the largest
 translated corner x: the box of the untranslated corners, shifted by (X, Y),
 gives the per-corner answer bit for bit.
 
-A planner cycle checks all its candidates in one `check_paths` call against
-one `predict`ion of the targets, made on the time grid of the set's longest
-path. Every family path is sampled at the same step from t = 0, so its grid
-is a prefix of that one bit for bit (`pathgen.PathSet` checks it), and
-indexing the shared prediction at a path's check instants gives the numbers
-a prediction on the path's own instants would: the same operands,
-`X + vx * t` and then `+ ref_offset * cos(psi)`, in the same order. The ego
-side is kept per read-only path (`SampledPath.cached`): the check indices,
-the samples there, `ref_offset * cos/sin(psi)` and `math.cos/sin(psi)`, and
-the concatenation of a set's paths is kept with the family for as long as
-the same paths are checked. A writeable path, such as a monitored suffix,
-takes the same code with a prediction on its own grid and keeps nothing.
+Two entry points share one broad and one narrow phase. `check_paths`
+decides: a planner cycle checks all its candidates in one call against one
+`predict`ion of the targets, made on the time grid of the set's longest
+path, and gets one verdict per path. Every family path is sampled at the
+same step from t = 0, so its grid is a prefix of that one bit for bit
+(`pathgen.PathSet` checks it), and indexing the shared prediction at a
+path's check instants gives the numbers a prediction on the path's own
+instants would: the same operands, `X + vx * t` and then
+`+ ref_offset * cos(psi)`, in the same order. `collision_check` explains:
+the monitor checks its one path, predicted on the path's own grid, and gets
+a `CollisionReport` with what each stage resolved. A read-only path keeps
+its check instants and its stacked samples there (`SampledPath.cached`);
+a writeable one, such as a monitored suffix, keeps nothing.
 
-The broad phase measures every (target, check instant) pair of every path
-at once; the pairs within the circumscribed circles are near. One
-vectorised separating-axis test then decides all near pairs. It forms the
-corners, axes and projections elementwise with `sat_check`'s operations in
+The broad phase measures every (target, check instant) pair at once; the
+pairs within the circumscribed circles are near. One vectorised
+separating-axis test then decides all near pairs. It forms the corners,
+axes and projections elementwise with `sat_check`'s operations in
 `sat_check`'s order, IEEE arithmetic rounds each element alike, and the
 max/min of four values and the comparisons are exact, so each pair gets
 `sat_check`'s verdict bit for bit; a NaN anywhere leaves no separating axis
-and counts as contact. A path's first hit is its first near pair, target
-after target and instants in order, inside the inscribed circles or
-overlapping, and its report counts what the staged loop would have resolved
-up to that hit. `collision_check` is the batch of one path.
+and counts as contact. A path collides when one of its near pairs is inside
+the inscribed circles or overlaps. The near pairs come target after target,
+instants in order, which is the staged loop's order, so a report counts
+what that loop resolves up to the path's first hit.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,8 +250,9 @@ def predict(targets, t: np.ndarray) -> Prediction:
 
 def _check_geometry(path, fp: Footprint, dt_check: float) -> tuple:
     """The path's check instants idx, about dt_check apart and always
-    including the last sample, and its samples there: (idx, [x, y],
-    ref_offset * [cos(psi), sin(psi)], [math.cos(psi), math.sin(psi)])."""
+    including the last sample, and its samples there stacked as the rows x,
+    y, ref_offset * cos(psi), ref_offset * sin(psi), math.cos(psi) and
+    math.sin(psi)."""
     n = len(path.t)
     dt_path = float(path.t[1] - path.t[0]) if n > 1 else dt_check
     # any stride from n up checks only the first and last samples
@@ -261,25 +262,11 @@ def _check_geometry(path, fp: Footprint, dt_check: float) -> tuple:
         idx = np.append(idx, n - 1)
     psi = path.psi[idx]
     headings = psi.tolist()
-    return (idx, np.array([path.x[idx], path.y[idx]]),
-            fp.ref_offset * np.array([np.cos(psi), np.sin(psi)]),
-            np.array([[math.cos(a) for a in headings],
-                      [math.sin(a) for a in headings]]))
-
-
-def _set_geometry(paths, fp: Footprint, dt_check: float) -> tuple:
-    """The paths' check geometry concatenated in path order, with the ego
-    rectangle at each instant as _sat_overlap takes it (math.cos, math.sin,
-    ref_offset, half length, half width), the path number of each instant
-    and each path's number of instants."""
-    parts = [p.cached(("check", fp, dt_check), _check_geometry, fp, dt_check)
-             for p in paths]
-    idx, xy, off, trig = (np.concatenate(a, axis=-1) for a in zip(*parts))
-    counts = [len(part[0]) for part in parts]
-    size = np.repeat([[fp.ref_offset], [0.5 * fp.length], [0.5 * fp.width]],
-                     len(idx), axis=1)
-    return (idx, xy, off, np.concatenate([trig, size]),
-            np.repeat(np.arange(len(paths)), counts), counts)
+    return idx, np.array([path.x[idx], path.y[idx],
+                          fp.ref_offset * np.cos(psi),
+                          fp.ref_offset * np.sin(psi),
+                          [math.cos(a) for a in headings],
+                          [math.sin(a) for a in headings]])
 
 
 def _sat_overlap(box: np.ndarray) -> np.ndarray:
@@ -301,87 +288,76 @@ def _sat_overlap(box: np.ndarray) -> np.ndarray:
     return ~apart.any(axis=0)
 
 
+def _near_pairs(idx: np.ndarray, samples: np.ndarray, fp: Footprint,
+                X: float, Y: float, pred: Prediction) -> tuple:
+    """The broad and the narrow phase at the check instants idx of pred's
+    grid, with the ego samples there as _check_geometry stacks them,
+    translated by (X, Y). Returns the near pairs' targets and instants,
+    target after target and instants in order, whether each is inside the
+    inscribed circles, and whether each is a contact."""
+    ego = np.array([[X], [Y]]) + samples[0:2]
+    gap = pred.centre[:, :, idx] - (ego + samples[2:4])[:, None, :]
+    dist = np.hypot(gap[0], gap[1])
+    # not `dist <= rc`: a NaN distance must reach SAT, never count as clear
+    rows, ks = np.nonzero(~(dist > fp.circumscribed_radius + pred.radius))
+    tb = pred.box[:, rows]
+    inscribed = dist[rows, ks] < fp.inscribed_radius + tb[5]
+    if not len(ks):   # the circle filter cleared every pair
+        return rows, ks, inscribed, inscribed
+    box = np.empty((7, 2, len(ks)))
+    box[0:2, 0], box[2:4, 0] = ego[:, ks], samples[4:6, ks]
+    box[4:7, 0] = [[fp.ref_offset], [0.5 * fp.length], [0.5 * fp.width]]
+    box[0:2, 1], box[2:7, 1] = pred.pos[:, rows, idx[ks]], tb[:5]
+    return rows, ks, inscribed, inscribed | _sat_overlap(box)
+
+
 def check_paths(paths, targets, fp: Footprint, dt_check: float = 0.1,
-                X: float = 0.0, Y: float = 0.0, pred: Prediction | None = None,
-                memo: dict | None = None) -> list[CollisionReport]:
-    """Staged collision check of each sampled path, translated by (X, Y),
-    against predicted targets, in one broad and one narrow phase over all
+                X: float = 0.0, Y: float = 0.0,
+                pred: Prediction | None = None) -> list[bool]:
+    """Whether each sampled path, translated by (X, Y), collides with the
+    predicted targets, decided in one broad and one narrow phase over all
     paths (module docstring).
 
     pred is the targets' prediction on a grid of which every path.t is a
     prefix (one per planner cycle); left out, the targets are predicted on
-    the longest path's grid. memo, if given, keeps the concatenated check
-    geometry of the last read-only paths checked. Each report is the one
-    the staged loop gives: per check instant the circumscribed filter, then
-    the inscribed filter, then the separating-axis test, target after
-    target, up to the path's first hit.
+    the longest path's grid. Each verdict is collision_check's.
     """
     if not paths or not targets:
-        return [CollisionReport() for _ in paths]
+        return [False] * len(paths)
     if pred is None:
         pred = predict(targets, max((p.t for p in paths), key=len))
-    key = ("check", fp, dt_check)
-    kept = memo.get(key) if memo is not None else None
-    if (kept is not None and len(kept[0]) == len(paths)
-            and all(a is b for a, b in zip(kept[0], paths))):
-        geometry = kept[1]
-    else:
-        geometry = _set_geometry(paths, fp, dt_check)
-        if memo is not None and all(key in p.memo for p in paths):
-            memo[key] = (list(paths), geometry)
-    idx, xy, off, rect, owner, counts = geometry
-
-    # broad phase: every (target, instant) pair of every path
-    ego = np.array([[X], [Y]]) + xy
-    gap = pred.centre[:, :, idx] - (ego + off)[:, None, :]
-    dist = np.hypot(gap[0], gap[1])
-    # not `dist <= rc`: a NaN distance must reach SAT, never count as clear
-    rows, ks = np.nonzero(~(dist > fp.circumscribed_radius + pred.radius))
-    n_targets = len(targets)
-    if not len(ks):   # the circle filter cleared every pair
-        return [CollisionReport(resolved_circumscribed=n_targets * n_k)
-                for n_k in counts]
-
-    # narrow phase: the inscribed filter and SAT on every near pair
-    tb = pred.box[:, rows]
-    inscribed = dist[rows, ks] < fp.inscribed_radius + tb[5]
-    box = np.empty((7, 2, len(ks)))
-    box[0:2, 0], box[2:7, 0] = ego[:, ks], rect[:, ks]
-    box[0:2, 1], box[2:7, 1] = pred.pos[:, rows, idx[ks]], tb[:5]
-    hit = inscribed | _sat_overlap(box)
-
-    # near pairs path by path, each path's target after target
-    pid = owner[ks]
-    order = np.argsort(pid, kind="stable")
-    near, hits = rows[order].tolist(), hit[order].tolist()
-    ins = inscribed[order].tolist()
-    reports = []
-    start = 0
-    for n_k, n in zip(counts, np.bincount(pid, minlength=len(paths)).tolist()):
-        end = start + n
-        report = CollisionReport()
-        if True in hits[start:end]:
-            h = hits.index(True, start, end)
-            i = near[h]
-            report.collides = True
-            report.resolved_inscribed = int(ins[h])
-            report.sat_evaluations = h - start + 1 - report.resolved_inscribed
-            # the circle filter cleared the other instants of targets 0..i
-            report.resolved_circumscribed = (
-                (i + 1) * n_k - (bisect_right(near, i, start, end) - start))
-        else:
-            report.sat_evaluations = n
-            report.resolved_circumscribed = n_targets * n_k - n
-        reports.append(report)
-        start = end
-    return reports
+    parts = [p.cached(("check", fp, dt_check), _check_geometry, fp, dt_check)
+             for p in paths]
+    idx, samples = (np.concatenate(a, axis=-1) for a in zip(*parts))
+    _, ks, _, hit = _near_pairs(idx, samples, fp, X, Y, pred)
+    ends = np.cumsum([len(part[0]) for part in parts])
+    collides = np.zeros(len(paths), dtype=bool)
+    collides[np.searchsorted(ends, ks[hit], side="right")] = True
+    return collides.tolist()
 
 
 def collision_check(path, targets, fp: Footprint,
                     dt_check: float = 0.1) -> CollisionReport:
-    """check_paths of the one path: the staged collision check of a sampled
-    path against targets predicted on path.t."""
-    return check_paths([path], targets, fp, dt_check)[0]
+    """The staged collision check of a sampled path against targets
+    predicted on path.t: per check instant the circumscribed filter, then
+    the inscribed filter, then the separating-axis test, target after
+    target, up to the first hit, with what each stage resolved."""
+    if not targets:
+        return CollisionReport()
+    idx, samples = path.cached(("check", fp, dt_check), _check_geometry, fp,
+                               dt_check)
+    rows, ks, inscribed, hit = _near_pairs(idx, samples, fp, 0.0, 0.0,
+                                           predict(targets, path.t))
+    n_k, n = len(idx), len(ks)
+    if not hit.any():
+        return CollisionReport(False, len(targets) * n_k - n, 0, n)
+    h = int(hit.argmax())
+    i = int(rows[h])
+    ins = int(inscribed[h])
+    # the circle filter cleared the other instants of targets 0..i
+    return CollisionReport(
+        True, (i + 1) * n_k - int(np.searchsorted(rows, i, side="right")),
+        ins, h + 1 - ins)
 
 
 # Widening of each axis gap [m] in first_contact_time, so that rounding in

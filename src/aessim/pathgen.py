@@ -161,16 +161,15 @@ class PathSet:
 
     t is the longest path's time grid, and every path's t is a prefix of
     it, bit for bit, so one target prediction on t serves the whole set.
-    Left out, t is found and the prefixes are checked. memo keeps what
-    geometry.check_paths derives from the paths; generate_path_set shares
-    one per family, so it lasts across planner cycles.
+    Left out, t is found and the prefixes are checked. What the checks
+    derive from a family path is kept by the path itself
+    (SampledPath.cached), so it lasts across planner cycles.
     """
 
     paths: list[SampledPath]
     X: float = 0.0
     Y: float = 0.0
     t: np.ndarray | None = None
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.t is None:
@@ -216,7 +215,7 @@ def _build_canonical(init: EgoState, cap: CapabilityRecord, tuning: PathTuning
 
     # initiation: pre-braking for the capability's time (0 unless it brakes)
     t1 = cap.t_pb
-    v1 = v0 + cap.a_x_min * t1
+    v1 = cap.v_x_evasion
     rho1 = v0 * rho0 / v1 + rho_road if t1 > 0 else rho0
     psi_tot1 = 0.5 * (t1 * rho0 * v0 + t1 * rho1 * v1)
 
@@ -344,7 +343,7 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
         fam.scale = scale.hex()
     if not fam.paths:
         raise NoFeasiblePath(f"all {side} profiles infeasible")
-    return PathSet(fam.paths, init.X, init.Y, fam.t, fam.memo)
+    return PathSet(fam.paths, init.X, init.Y, fam.t)
 
 
 @dataclass
@@ -353,8 +352,7 @@ class _Family:
 
     reach is (y_max, max x) of the pre-sampled maximum-severity path, or the
     reason no path on this side is feasible; paths are the relative paths
-    for the scale whose float.hex is scale, t is their shared grid, and
-    memo is every PathSet's memo.
+    for the scale whose float.hex is scale, and t is their shared grid.
     """
 
     key: tuple
@@ -362,7 +360,6 @@ class _Family:
     scale: str | None = None
     paths: list[SampledPath] = field(default_factory=list)
     t: np.ndarray | None = None
-    memo: dict = field(default_factory=dict)
 
 
 # A memo keeps the last family per side. Between planner cycles before

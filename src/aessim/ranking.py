@@ -91,14 +91,14 @@ def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
     driveable = [driveable_area_check(path, space, fp, X, Y)
                  for path in path_set.paths]
     candidates = [p for p, ok in zip(path_set.paths, driveable) if ok]
-    reports = iter(check_paths(candidates, targets, fp, dt_check, X, Y, pred,
-                               path_set.memo) if candidates else ())
+    collides = iter(check_paths(candidates, targets, fp, dt_check, X, Y,
+                                pred) if candidates else ())
     ranked: list[RankedPath] = []
     for path, ok in zip(path_set.paths, driveable):
         if not ok:
             ranked.append(RankedPath(path, X, Y,
                                      rejected=REJECT_NOT_DRIVEABLE))
-        elif next(reports).collides:
+        elif next(collides):
             ranked.append(RankedPath(path, X, Y, rejected=REJECT_COLLISION))
         else:
             sev = severity_cost(path, w)

@@ -128,6 +128,12 @@ def _num(value, label: str, allow_inf: bool = False,
     return number
 
 
+def _str(value, label: str) -> str:
+    if not isinstance(value, str):  # str(None) would read as "None"
+        raise ConfigError(f"'{label}' must be a string, found {value!r}")
+    return value
+
+
 def _config(cls, section: dict, name: str, skip: tuple[str, ...] = (),
             rename: dict[str, str] | None = None,
             required: tuple[str, ...] = (), **given):
@@ -200,7 +206,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, found {version!r}")
-    name = str(raw.pop("name", default_name))
+    name = _str(raw.pop("name", default_name), "name")
     # the default output directory is out/<name>
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"name must be one path component, found {name!r}")
@@ -249,17 +255,17 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    targets_raw = raw.pop("targets", []) or []
-    if not isinstance(targets_raw, list):
-        raise ConfigError("targets must be a list")
+    targets_raw = raw.pop("targets", None)
+    if not isinstance(targets_raw, (list, type(None))):
+        raise ConfigError(f"targets must be a list, found {targets_raw!r}")
     targets: list[TargetDef] = []
     seen: set[str] = set()
-    for i, entry in enumerate(targets_raw):
+    for i, entry in enumerate(targets_raw or []):
         label = f"targets[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{label} must be a mapping")
         entry = dict(entry)
-        tid = str(entry.pop("id", f"target{i}"))
+        tid = _str(entry.pop("id", f"target{i}"), f"{label}.id")
         if any(c in tid for c in ",\n\r"):  # ids name CSV columns
             raise ConfigError(f"{label}.id must not contain ',' or a "
                               f"line break, found {tid!r}")

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from conftest import (reference_collision_check, reference_corners,
                       reference_driveable)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aessim.capability import (CapabilityScenario, CapabilityTuning, EgoState,
                                lateral_capability)
@@ -436,11 +438,10 @@ class TestBatchedSat:
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
         far = TargetTrack("far", Footprint(0.5, 0.5), Pose(40.0, 9.0, 0.0))
         paths = [straight_path(), straight_path(n=31, y=2.0)]
-        reports = check_paths(paths, [far], fp, 0.1, math.nan, 0.0)
-        assert [r.collides for r in reports] == [True, True]
-        assert reports == [reference_collision_check(p, [far], fp, 0.1,
-                                                     math.nan, 0.0)
-                           for p in paths]
+        assert check_paths(paths, [far], fp, 0.1, math.nan, 0.0) == [True,
+                                                                     True]
+        assert all(reference_collision_check(p, [far], fp, 0.1, math.nan,
+                                             0.0).collides for p in paths)
 
 
 class TestTargetStep:
@@ -602,7 +603,11 @@ class TestCollisionCheck:
                                                  X, Y)
                 for pred in (None, predict([target], ps.t)):
                     assert check_paths([path], [target], fp, 0.01, X, Y,
-                                       pred)[0] == want
+                                       pred) == [want.collides]
+                # the placed path carries X + x and Y + y, the bits the
+                # translated check forms
+                assert collision_check(anchor_path(path, X, Y), [target], fp,
+                                       0.01) == want
                 seen.add(want.resolved_circumscribed)
             sensitive += len(seen) > 1
         assert sensitive > 100
@@ -613,6 +618,67 @@ class TestCollisionCheck:
         report = collision_check(straight_path(), [target], fp)
         assert report.resolved_circumscribed > 0
         assert report.sat_evaluations + report.resolved_inscribed >= 1
+
+
+@st.composite
+def checked_sets(draw):
+    """(paths, targets, footprint, dt_check, X, Y): 1-4 read-only curved
+    paths of 1-80 samples on prefixes of one 0.05 s grid, 1-3 targets each
+    placed within 2 m of a sample of a path translated by (X, Y), and that
+    translation, (0, 0) about half the time."""
+    def num(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    dt = 0.05
+    paths = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 80))
+        t = dt * np.arange(n)
+        v, rho = num(5.0, 30.0), num(-0.05, 0.05)
+        psi = num(-0.3, 0.3) + rho * v * t
+        x, y = (np.concatenate([[0.0], np.cumsum(f(psi[1:]) * v * dt)])
+                for f in (np.cos, np.sin))
+        path = SampledPath(t, x, y, psi, np.full(n, rho), np.full(n, v))
+        for a in (path.t, path.x, path.y, path.psi, path.rho, path.v):
+            a.flags.writeable = False
+        paths.append(path)
+    X, Y = draw(st.one_of(st.just((0.0, 0.0)),
+                          st.tuples(st.floats(-1e3, 1e3),
+                                    st.floats(-1e3, 1e3))))
+    targets = []
+    for i in range(draw(st.integers(1, 3))):
+        path = paths[draw(st.integers(0, len(paths) - 1))]
+        k = draw(st.integers(0, len(path) - 1))
+        psi, speed, tau = num(-math.pi, math.pi), num(0.0, 20.0), path.t[k]
+        targets.append(TargetTrack(
+            f"t{i}", Footprint(num(0.0, 5.0), num(0.0, 2.5), num(-1.0, 1.0)),
+            Pose(X + float(path.x[k]) - speed * tau * math.cos(psi)
+                 + num(-2.0, 2.0),
+                 Y + float(path.y[k]) - speed * tau * math.sin(psi)
+                 + num(-2.0, 2.0), psi), speed))
+    fp = draw(st.sampled_from([Footprint(4.5, 1.8, 1.35), Footprint(4.0, 2.0),
+                               Footprint(3.9, 1.7, -0.8)]))
+    return paths, targets, fp, draw(st.sampled_from([0.05, 0.1, 0.25])), X, Y
+
+
+class TestBatchAgreesWithSingleCheck:
+    """check_paths decides a mixed-length batch at once and collision_check
+    explains one path; both must agree with the per-target reference."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None,
+              database=None)
+    @given(checked_sets())
+    def test_verdicts_and_reports_match_the_reference(self, case):
+        paths, targets, fp, dt_check, X, Y = case
+        collides = check_paths(paths, targets, fp, dt_check, X, Y)
+        assert collides == [reference_collision_check(
+            p, targets, fp, dt_check, X, Y).collides for p in paths]
+        if X == Y == 0.0:
+            for path, verdict in zip(paths, collides):
+                report = collision_check(path, targets, fp, dt_check)
+                assert report == reference_collision_check(path, targets, fp,
+                                                           dt_check)
+                assert report.collides is verdict
 
 
 class TestFirstContactTime:

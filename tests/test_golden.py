@@ -63,9 +63,10 @@ A planner cycle predicts the targets once, on the set's shared time grid,
 and a family path keeps its check instants in its memo. The shipped runs
 whose candidates reach the collision check, and `TRAFFIC_RUN`, are repeated
 with every collision check and proximity cost compared with the per-target
-references (report counters and `float.hex`), and must serve ranked
-candidates' checks from the memo. `TRAFFIC_RUN` is the only run with more
-than one target; its digests were recorded before the shared prediction.
+references (verdicts, the monitor's report counters and `float.hex`), and
+must serve ranked candidates' checks from the memo. `TRAFFIC_RUN` is the
+only run with more than one target; its digests were recorded before the
+shared prediction.
 """
 import hashlib
 
@@ -479,24 +480,20 @@ def memo_serves(monkeypatch):
     batch, check = ranking.check_paths, ranking.collision_check
     cost = ranking.proximity_cost
 
-    def compared(path, targets, fp, dt_check, X, Y, pred, got):
-        key = ("check", fp, dt_check)
-        assert got == reference_collision_check(path, targets, fp, dt_check,
-                                                X, Y)
-        assert (key in path.memo) is (pred is not None)
-
-    def batched(paths, targets, fp, dt_check, X=0.0, Y=0.0, pred=None,
-                memo=None):
+    def batched(paths, targets, fp, dt_check, X=0.0, Y=0.0, pred=None):
         key = ("check", fp, dt_check)
         counts["served"] += sum(key in path.memo for path in paths)
-        reports = batch(paths, targets, fp, dt_check, X, Y, pred, memo)
-        for path, got in zip(paths, reports, strict=True):
-            compared(path, targets, fp, dt_check, X, Y, pred, got)
-        return reports
+        collides = batch(paths, targets, fp, dt_check, X, Y, pred)
+        for path, got in zip(paths, collides, strict=True):
+            assert got is reference_collision_check(path, targets, fp,
+                                                    dt_check, X, Y).collides
+            assert key in path.memo
+        return collides
 
     def checked(path, targets, fp, dt_check):
         got = check(path, targets, fp, dt_check)
-        compared(path, targets, fp, dt_check, 0.0, 0.0, None, got)
+        assert got == reference_collision_check(path, targets, fp, dt_check)
+        assert ("check", fp, dt_check) not in path.memo
         return got
 
     def costed(path, targets, w, X, Y, pred):

@@ -170,23 +170,6 @@ class TestRanking:
             assert len(driveable) == n
             assert calls == ([driveable] if driveable else [])
 
-    def test_set_geometry_kept_for_the_last_subset(self):
-        """The family memo keeps one concatenation per footprint and
-        dt_check, for the paths last checked, and serves it only to the
-        very same paths."""
-        ps, _ = family()
-        target = TargetTrack("vru", Footprint(0.5, 0.5),
-                             Pose(70.0, -2.0, math.pi / 2), 1.0)
-        memo = {}
-        for paths in (ps.paths, ps.paths, ps.paths[1:], ps.paths[:1]):
-            got = ranking.check_paths(paths, [target], FP, 0.1, 3.0, 1.0,
-                                      None, memo)
-            assert got == [reference_collision_check(p, [target], FP, 0.1,
-                                                     3.0, 1.0) for p in paths]
-            (kept, _), = memo.values()
-            assert len(kept) == len(paths)
-            assert all(a is b for a, b in zip(kept, paths))
-
 
 def _draws(n=150, seed=314):
     """(path set, targets, space, fp, weights, dt_check): seeded families at
@@ -247,25 +230,28 @@ class TestSharedPrediction:
         seen = Counter()
         check = ranking.check_paths
 
-        def checked(paths, targets, fp, dt_check, X, Y, pred, memo):
+        def checked(paths, targets, fp, dt_check, X, Y, pred):
             key = ("check", fp, dt_check)
             served = [key in path.memo for path in paths]
-            reports = check(paths, targets, fp, dt_check, X, Y, pred, memo)
-            assert len(reports) == len(paths)
-            for path, got, was_served in zip(paths, reports, served):
-                assert got == reference_collision_check(path, targets, fp,
-                                                        dt_check, X, Y)
+            collides = check(paths, targets, fp, dt_check, X, Y, pred)
+            assert len(collides) == len(paths)
+            for path, got, was_served in zip(paths, collides, served):
+                want = reference_collision_check(path, targets, fp, dt_check,
+                                                 X, Y)
+                assert got is want.collides
+                assert collision_check(anchor_path(path, X, Y), targets, fp,
+                                       dt_check) == want
                 assert key in path.memo   # family paths are read-only
                 seen["served"] += was_served
-                seen["inscribed"] += got.resolved_inscribed
-                seen["sat"] += got.sat_evaluations
-                if got.collides:
+                seen["inscribed"] += want.resolved_inscribed
+                seen["sat"] += want.sat_evaluations
+                if got:
                     first = next(i for i in range(len(targets))
                                  if reference_collision_check(
                                      path, targets[:i + 1], fp, dt_check, X,
                                      Y).collides)
                     seen["later_hit"] += first > 0
-            return reports
+            return collides
 
         monkeypatch.setattr(ranking, "check_paths", checked)
         for ps, targets, space, fp, w, dt_check in _draws():

@@ -222,6 +222,22 @@ REJECTED_AT_LOAD = {
 }
 
 
+# Values of the wrong YAML type. Each loaded quietly: a falsy
+# `targets` as no targets, a null or list `name` as "None" or "['a']" (the
+# output directory out/None), a null target id as the track "None", which
+# named the dist_None column.
+WRONG_TYPE = {
+    "targets_false": {"targets": False},
+    "targets_zero": {"targets": 0},
+    "targets_empty_string": {"targets": ""},
+    "targets_empty_mapping": {"targets": {}},
+    "name_null": {"name": None},
+    "name_list": {"name": ["a"]},
+    "target_id_null": {"targets": [{"id": None, "X": 5, "Y": 0,
+                                    "footprint": {"length": 1, "width": 1}}]},
+}
+
+
 class TestRejectedAtLoad:
     @staticmethod
     def _raw(scenario_dir, case):
@@ -241,6 +257,18 @@ class TestRejectedAtLoad:
         path.write_text(yaml.safe_dump(self._raw(scenario_dir, case)))
         assert main(["validate", str(path)]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPE))
+    def test_wrong_yaml_type_exits_3(self, tmp_path, capsys, case):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(minimal(**WRONG_TYPE[case])))
+        with pytest.raises(ConfigError):
+            load_scenario(path)
+        assert main(["validate", str(path)]) == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_null_targets_accepted(self):
+        assert parse_scenario(minimal(targets=None)).targets == []
 
     def test_documented_inf_still_accepted(self):
         raw = minimal(capability={"a_y_threshold": "inf"},
