@@ -115,17 +115,13 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "validate": _cmd_validate,
+                "sweep": _cmd_sweep}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR_EXIT
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -74,8 +74,8 @@ def compute_ttc(ego: EgoState, targets, fp: Footprint,
 
     The no-action path holds the current speed and heading; the targets move
     at their predicted constant velocity. The minimum of the per-target
-    geometry.first_contact_time, with the ego's corners and their
-    projections on its own axes formed once.
+    geometry.first_contact_time, with the ego's axes formed once; its broad
+    phase clears a car in the next lane before forming the car's corners.
     """
     ego_axes = _own_axes(Pose(ego.X, ego.Y, ego.psi), fp)
     vx, vy = ego.v_x * math.cos(ego.psi), ego.v_x * math.sin(ego.psi)

@@ -41,6 +41,10 @@ and counts as contact. A path collides when one of its near pairs is inside
 the inscribed circles or overlaps. The near pairs come target after target,
 instants in order, which is the staged loop's order, so a report counts
 what that loop resolves up to the path's first hit.
+
+The contact time is inf, before the second rectangle's corners are formed,
+when its projection swept over the horizon stays clear of the first one's
+on one of that one's axes by a margin scaled to the coordinates.
 """
 from __future__ import annotations
 
@@ -363,6 +367,7 @@ def collision_check(path, targets, fp: Footprint,
 # Widening of each axis gap [m] in first_contact_time, so that rounding in
 # the interval arithmetic cannot lose a touch that sat_check sees.
 CONTACT_SLACK = 1e-9
+BROAD_MARGIN_REL = 2.0 ** -40   # relative part of _contact_time's margin
 
 
 def first_contact_time(pose_a: Pose, fp_a: Footprint,
@@ -376,38 +381,65 @@ def first_contact_time(pose_a: Pose, fp_a: Footprint,
     separating axes the projections overlap over an interval linear in t;
     contact starts where all four intervals first hold (Ericson, Real-Time
     Collision Detection, 5.5; Eberly, Dynamic Collision Detection using
-    Oriented Bounding Boxes).
+    Oriented Bounding Boxes). Its broad phase changes no result.
     """
     return _contact_time(_own_axes(pose_a, fp_a), pose_b, fp_b,
                          vel_b[0] - vel_a[0], vel_b[1] - vel_a[1], horizon)
 
 
-def _own_axes(pose: Pose, fp: Footprint) -> tuple[list, list]:
-    """A rectangle's corners and, for each of its two edge normals (ax,
-    ay), (ax, ay, the corners' projections on it); formed once, they serve
-    every _contact_time against it."""
+def _own_axes(pose: Pose, fp: Footprint) -> tuple[list, list, float]:
+    """Corners, per-normal (ax, ay, min, max projection) and margin scale."""
     c, s = math.cos(pose.psi), math.sin(pose.psi)
     corners = _corners(pose, fp, c, s)
-    return corners, [(ax, ay, [x * ax + y * ay for x, y in corners])
-                     for ax, ay in ((c, s), (-s, c))]
+    axes = []
+    for ax, ay in ((c, s), (-s, c)):
+        d = [x * ax + y * ay for x, y in corners]
+        axes.append((ax, ay, min(d), max(d)))
+    return corners, axes, 2.0 * (abs(pose.X) + abs(pose.Y) + abs(
+        fp.ref_offset) + 0.5 * fp.length + 0.5 * fp.width)
 
 
-def _contact_time(a: tuple[list, list], pose_b: Pose, fp_b: Footprint,
+def _contact_time(a: tuple[list, list, float], pose_b: Pose, fp_b: Footprint,
                   rvx: float, rvy: float, horizon: float) -> float:
     """first_contact_time of rectangle a, given as _own_axes, and b, which
-    moves at (rvx, rvy) relative to a."""
-    ca, axes_a = a
+    moves at (rvx, rvy) relative to a. Broad phase: on a's axis (ax, ay), b
+    spans mid +- hl*|c_b*ax + s_b*ay| + hw*|c_b*ay - s_b*ax| and sweeps
+    rate*horizon; beyond a's corners by more than the margin, it is inf.
+    S = 2*(|X| + |Y| + |ref_offset| + hl + hw) of a + 4*(the same) of b +
+    2*(|rvx| + |rvy|)*horizon bounds every value either test forms, so
+    their rounded ends differ by < 2**-47 * S; the margin, CONTACT_SLACK +
+    2**-40 * S, covers that and the exact test's slack, and keeps its
+    quotient gap/rate off [0, horizon] by about 2**-39 * horizon. It is inf
+    for an infinite S or a horizon below 2**-1000 s (the quotient could
+    underflow), and a NaN fails every comparison. Else the exact test
+    decides, reusing b's cos/sin and the rates: the same bits."""
+    ca, axes_a, scale_a = a
     c_b, s_b = math.cos(pose_b.psi), math.sin(pose_b.psi)
+    off, hl, hw = fp_b.ref_offset, 0.5 * fp_b.length, 0.5 * fp_b.width
+    margin = CONTACT_SLACK + BROAD_MARGIN_REL * (
+        scale_a + 4.0 * (abs(pose_b.X) + abs(pose_b.Y) + abs(off) + hl + hw)
+        + 2.0 * (abs(rvx) + abs(rvy)) * horizon
+    ) if horizon >= 2.0 ** -1000 else math.inf
+    bx, by = pose_b.X + off * c_b, pose_b.Y + off * s_b
+    axes = []
+    for ax, ay, a_lo, a_hi in axes_a:
+        rate, mid = rvx * ax + rvy * ay, bx * ax + by * ay
+        ext = hl * abs(c_b * ax + s_b * ay) + hw * abs(c_b * ay - s_b * ax)
+        if (mid - ext + min(rate * horizon, 0.0) > a_hi + margin
+                or mid + ext + max(rate * horizon, 0.0) < a_lo - margin):
+            return math.inf
+        axes.append((ax, ay, rate, a_lo, a_hi))
     cb = _corners(pose_b, fp_b, c_b, s_b)
     t_first, t_last = 0.0, horizon
-    for ax, ay, da in (*axes_a, (c_b, s_b, None), (-s_b, c_b, None)):
-        if da is None:
+    for ax, ay, rate, a_lo, a_hi in (*axes, (c_b, s_b, None, 0, 0),
+                                     (-s_b, c_b, None, 0, 0)):
+        if rate is None:
             da = [x * ax + y * ay for x, y in ca]
+            rate, a_lo, a_hi = rvx * ax + rvy * ay, min(da), max(da)
         db = [x * ax + y * ay for x, y in cb]
         # b's projection moves by rate * t: overlap while lo <= rate*t <= hi
-        lo = min(da) - max(db) - CONTACT_SLACK
-        hi = max(da) - min(db) + CONTACT_SLACK
-        rate = rvx * ax + rvy * ay
+        lo = a_lo - max(db) - CONTACT_SLACK
+        hi = a_hi - min(db) + CONTACT_SLACK
         if rate == 0.0:
             if lo > 0.0 or hi < 0.0:
                 return math.inf

@@ -156,8 +156,8 @@ def anchor_path(path: SampledPath, X: float, Y: float) -> SampledPath:
 
 @dataclass
 class PathSet:
-    """The candidates of one side, ordered by curvature magnitude: the kept
-    origin-relative family paths, placed in the road frame at (X, Y).
+    """The candidates of one side, ordered by curvature magnitude, or of
+    all sides (union): kept family paths, placed in the road frame at (X, Y).
 
     t is the longest path's time grid, and every path's t is a prefix of
     it, bit for bit, so one target prediction on t serves the whole set.
@@ -173,12 +173,21 @@ class PathSet:
 
     def __post_init__(self) -> None:
         if self.t is None:
-            self.t = max((p.t for p in self.paths), key=len,
-                         default=np.zeros(0))
-            for p in self.paths:
-                if not np.array_equal(p.t, self.t[:len(p)]):
-                    raise ValueError(
-                        f"path {p.path_id!r} is not on the set's time grid")
+            self.t = _shared_grid([p.t for p in self.paths])
+
+    @classmethod
+    def union(cls, sets: list[PathSet], X: float, Y: float) -> PathSet:
+        """The sets' paths in order, each set's grid checked once."""
+        return cls([p for ps in sets for p in ps.paths], X, Y,
+                   _shared_grid([ps.t for ps in sets]))
+
+
+def _shared_grid(grids: list[np.ndarray]) -> np.ndarray:
+    """The longest grid; ValueError unless each is a prefix of it."""
+    t = max(grids, key=len, default=np.zeros(0))
+    if not all(np.array_equal(g, t[:len(g)]) for g in grids):
+        raise ValueError("a grid is not a prefix of the shared time grid")
+    return t
 
 
 def build_max_severity_profile(init: EgoState, cap: CapabilityRecord,

@@ -84,7 +84,7 @@ def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
     frame of the space and the target predictions. A path failing the
     driveable check is rejected as not_driveable; the others are checked
     for collisions in one geometry.check_paths call. The targets are
-    predicted once, on the set's shared grid, for every check and cost.
+    predicted once per set (a planner cycle's union of sides), on its grid.
     """
     X, Y = path_set.X, path_set.Y
     pred = predict(targets, path_set.t)

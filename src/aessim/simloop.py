@@ -25,7 +25,7 @@ from .decision import (AesState, SupervisorEvents, SupervisorState, Trigger,
 from .errors import (DegenerateSpeed, NoFeasiblePath, NumericalDivergence,
                      PathExhausted)
 from .geometry import Pose, TargetTrack, sat_check
-from .pathgen import SampledPath, generate_path_set
+from .pathgen import PathSet, SampledPath, generate_path_set
 from .plant import (PlantState, _lateral_coeffs, assert_stable_vehicle,
                     lateral_acceleration, plant_step)
 from .ranking import (RankedPath, best_survivor, monitor_selected, rank_paths,
@@ -86,22 +86,22 @@ def _ego_state(plant: PlantState) -> EgoState:
 def plan_cycle(ego: EgoState, preds: list[TargetTrack], cfg: ScenarioConfig,
                scenario: CapabilityScenario, sides: list[str],
                families: dict) -> PlanCycle:
-    """Capability, path sets on the given sides and ranking from ego, with
-    families as generate_path_set's memo. Only a path that becomes the
+    """Capability, path sets on the given sides and one ranking of their
+    union from ego, with families as generate_path_set's memo. Only the
     selected path is resampled and placed, by select_path."""
     try:
         cap = lateral_capability(scenario, cfg.vehicle, ego, cfg.cap_tuning)
     except DegenerateSpeed:
         return PlanCycle()
-    ranked = []
+    sets = []
     for side in sides:
         try:
-            ps = generate_path_set(ego, cap, cfg.road, cfg.path_tuning, side,
-                                   families)
+            sets.append(generate_path_set(ego, cap, cfg.road,
+                                          cfg.path_tuning, side, families))
         except NoFeasiblePath:
             continue
-        ranked += rank_paths(ps, preds, cfg.road, cfg.footprint, cfg.weights,
-                             cfg.sim.dt_check)
+    ranked = rank_paths(PathSet.union(sets, ego.X, ego.Y), preds, cfg.road,
+                        cfg.footprint, cfg.weights, cfg.sim.dt_check)
     best = best_survivor(ranked)
     return PlanCycle(tuple(ranked), None if best is None else best.path)
 

@@ -1,12 +1,15 @@
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aessim import plant
+from aessim import geometry, plant
 from aessim.capability import EgoState, VehicleParams
-from aessim.geometry import CollisionReport, Pose, sat_check
+from aessim.geometry import (CONTACT_SLACK, CollisionReport, Pose, _corners,
+                             sat_check)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -26,6 +29,31 @@ def ego20() -> EgoState:
 @pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return SCENARIO_DIR
+
+
+def perfbench_module(scenario_dir, name):
+    """A script of perfbench/ imported by path (perfbench is a directory of
+    scripts, not a package)."""
+    path = scenario_dir.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def formed_corners(monkeypatch) -> list:
+    """The footprints whose corners aessim.geometry forms, in call order."""
+    formed = []
+    corners = geometry._corners
+
+    def counted(pose, fp, c, s):
+        formed.append(fp)
+        return corners(pose, fp, c, s)
+
+    monkeypatch.setattr(geometry, "_corners", counted)
+    return formed
 
 
 @pytest.fixture
@@ -128,3 +156,45 @@ def reference_proximity_cost(path, targets, w, X=0.0, Y=0.0) -> float:
                      (target.pose.Y + vy * path.t) - ys)
         np.minimum(dmin, d, out=dmin)
     return w.K_prox * float(np.mean(dmin))
+
+
+def reference_contact_time(pose_a, fp_a, pose_b, fp_b, rvx, rvy,
+                           horizon) -> float:
+    """first_contact_time of a and of b moving at (rvx, rvy) relative to
+    a, by the four-axis interval test alone, with no broad phase
+    (reference)."""
+    c_a, s_a = math.cos(pose_a.psi), math.sin(pose_a.psi)
+    ca = _corners(pose_a, fp_a, c_a, s_a)
+    axes_a = [(ax, ay, [x * ax + y * ay for x, y in ca])
+              for ax, ay in ((c_a, s_a), (-s_a, c_a))]
+    c_b, s_b = math.cos(pose_b.psi), math.sin(pose_b.psi)
+    cb = _corners(pose_b, fp_b, c_b, s_b)
+    t_first, t_last = 0.0, horizon
+    for ax, ay, da in (*axes_a, (c_b, s_b, None), (-s_b, c_b, None)):
+        if da is None:
+            da = [x * ax + y * ay for x, y in ca]
+        db = [x * ax + y * ay for x, y in cb]
+        lo = min(da) - max(db) - CONTACT_SLACK
+        hi = max(da) - min(db) + CONTACT_SLACK
+        rate = rvx * ax + rvy * ay
+        if rate == 0.0:
+            if lo > 0.0 or hi < 0.0:
+                return math.inf
+            continue
+        t0, t1 = lo / rate, hi / rate
+        if rate < 0.0:
+            t0, t1 = t1, t0
+        t_first, t_last = max(t_first, t0), min(t_last, t1)
+        if t_first > t_last:
+            return math.inf
+    return t_first
+
+
+def reference_ttc(ego, targets, fp, horizon) -> float:
+    """compute_ttc by reference_contact_time (reference)."""
+    pose = Pose(ego.X, ego.Y, ego.psi)
+    vx, vy = ego.v_x * math.cos(ego.psi), ego.v_x * math.sin(ego.psi)
+    return min((reference_contact_time(pose, fp, tr.pose, tr.footprint,
+                                       tr.velocity[0] - vx,
+                                       tr.velocity[1] - vy, horizon)
+                for tr in targets), default=math.inf)

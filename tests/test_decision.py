@@ -130,6 +130,20 @@ class TestTtc:
             finite += math.isfinite(got)
         assert 300 < finite < 2700   # both verdicts well exercised
 
+    def test_traffic_scene_forms_only_the_ego_corners(self, formed_corners):
+        """With cars 3.25 m to each side and a walker on the sidewalk, all
+        parallel to the ego, the broad phase clears every target on the
+        ego's lateral axis: no target's corners are formed."""
+        car = Footprint(4.5, 1.8)
+        targets = [
+            TargetTrack("left_car", car, Pose(20.0, 3.25, 0.0), 14.8),
+            TargetTrack("right_car", car, Pose(30.0, -3.25, 0.0), 14.6),
+            TargetTrack("walker", Footprint(0.5, 0.5),
+                        Pose(60.0, -6.375, 0.0), 1.2)]
+        ego = EgoState(X=0.0, Y=0.0, psi=0.0, v_x=22.0)
+        assert compute_ttc(ego, targets, FP, 5.0) == math.inf
+        assert formed_corners == [FP]
+
 
 class TestTriggers:
     CFG = TriggerConfig(t_margin=0.2, t_warning=0.3, tte_reduction=0.0)

@@ -1,21 +1,23 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import (reference_collision_check, reference_corners,
-                      reference_driveable)
+from conftest import (reference_collision_check, reference_contact_time,
+                      reference_corners, reference_driveable, reference_ttc)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aessim.capability import (CapabilityScenario, CapabilityTuning, EgoState,
                                lateral_capability)
+from aessim.decision import compute_ttc
 from aessim.errors import DegenerateSpeed, NoFeasiblePath
-from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
-                             _sat_overlap, check_paths, circumscribed_check,
-                             collision_check, driveable_area_check,
-                             first_contact_time, inscribed_check, predict,
-                             sat_check)
+from aessim.geometry import (CONTACT_SLACK, DriveableSpace, Footprint, Pose,
+                             TargetTrack, _sat_overlap, check_paths,
+                             circumscribed_check, collision_check,
+                             driveable_area_check, first_contact_time,
+                             inscribed_check, predict, sat_check)
 from aessim.pathgen import (PathTuning, SampledPath, anchor_path,
                             generate_path_set)
 
@@ -697,10 +699,12 @@ class TestFirstContactTime:
         return gap
 
     def test_random_pairs_against_dense_oracle(self):
+        """Each pair at the origin and under a common translation of
+        1e6 m."""
         rng = np.random.default_rng(11)
         horizon = 3.0
         t = 1e-3 * np.arange(3001)
-        contacts = finite = 0
+        contacts, finite = Counter(), Counter()
         for _ in range(400):
             fps = [Footprint(0.0, 0.0) if rng.random() < 0.15 else
                    Footprint(float(rng.uniform(0.3, 5.0)),
@@ -716,29 +720,178 @@ class TestFirstContactTime:
             # b passes a's reference point at t_meet, missed by up to 3 m
             t_meet = float(rng.uniform(0.0, horizon))
             mx, my = rng.uniform(-3.0, 3.0, 2).tolist()
-            pa = Pose(0.0, 0.0, psis[0])
-            pb = Pose((vax - vbx) * t_meet + mx, (vay - vby) * t_meet + my,
-                      psis[1])
-            ttc = first_contact_time(pa, fps[0], (vax, vay), pb, fps[1],
-                                     (vbx, vby), horizon)
+            for shift in (0.0, 1e6):
+                pa = Pose(shift, shift, psis[0])
+                pb = Pose(shift + ((vax - vbx) * t_meet + mx),
+                          shift + ((vay - vby) * t_meet + my), psis[1])
+                ttc = first_contact_time(pa, fps[0], (vax, vay), pb, fps[1],
+                                         (vbx, vby), horizon)
 
-            def poses(tk):
-                return (Pose(vax * tk, vay * tk, pa.psi),
-                        Pose(pb.X + vbx * tk, pb.Y + vby * tk, pb.psi))
+                def poses(tk):
+                    return (Pose(pa.X + vax * tk, pa.Y + vay * tk, pa.psi),
+                            Pose(pb.X + vbx * tk, pb.Y + vby * tk, pb.psi))
 
-            # the oracle runs SAT only where the bounding circles meet
-            (cax, cay), (cbx, cby) = fps[0].center(pa), fps[1].center(pb)
-            rc = fps[0].circumscribed_radius + fps[1].circumscribed_radius
-            near = np.hypot(cbx - cax + (vbx - vax) * t,
-                            cby - cay + (vby - vay) * t) <= rc + 1e-6
-            first = next((tk for tk in t[near].tolist()
-                          if sat_check(poses(tk)[0], fps[0], poses(tk)[1],
-                                       fps[1])), None)
-            if first is not None:
-                contacts += 1
-                assert ttc <= first   # no oracle contact is missed
-            if math.isfinite(ttc):
-                finite += 1
-                pa_t, pb_t = poses(ttc)
-                assert self._axis_gap(pa_t, fps[0], pb_t, fps[1]) <= 1e-6
-        assert 100 < contacts <= finite < 400
+                # the oracle runs SAT only where the bounding circles meet
+                (cax, cay), (cbx, cby) = fps[0].center(pa), fps[1].center(pb)
+                rc = fps[0].circumscribed_radius + fps[1].circumscribed_radius
+                near = np.hypot(cbx - cax + (vbx - vax) * t,
+                                cby - cay + (vby - vay) * t) <= rc + 1e-6
+                first = next((tk for tk in t[near].tolist()
+                              if sat_check(poses(tk)[0], fps[0],
+                                           poses(tk)[1], fps[1])), None)
+                if first is not None:
+                    contacts[shift] += 1
+                    assert ttc <= first   # no oracle contact is missed
+                if math.isfinite(ttc):
+                    finite[shift] += 1
+                    pa_t, pb_t = poses(ttc)
+                    assert self._axis_gap(pa_t, fps[0], pb_t, fps[1]) <= 1e-6
+        for shift in (0.0, 1e6):
+            assert 100 < contacts[shift] <= finite[shift] < 400
+
+
+def _broad_margin(pa, fa, pb, fb, rvx, rvy, horizon):
+    """The broad phase's margin, CONTACT_SLACK + 2**-40 * S, as
+    geometry._contact_time states it."""
+    def size(pose, fp):
+        return (abs(pose.X) + abs(pose.Y) + abs(fp.ref_offset)
+                + 0.5 * fp.length + 0.5 * fp.width)
+    return CONTACT_SLACK + 2.0 ** -40 * (
+        2.0 * size(pa, fa) + 4.0 * size(pb, fb)
+        + 2.0 * (abs(rvx) + abs(rvy)) * horizon)
+
+
+class TestBroadPhase:
+    """The broad phase in front of the contact time returns inf only where
+    the exact four-axis test does: every contact time keeps the bits of
+    the reference, which has no broad phase, at every translation."""
+
+    SHIFTS = (0.0, 1e6, 1e9, 1e12)
+    HORIZON = 5.0
+
+    @staticmethod
+    def _scene(rng, shift):
+        """An ego and 1-4 targets: cars in the next lanes with equal or
+        signed-zero headings, crossing, static and zero-size targets, and
+        now and then a NaN in a pose or a speed."""
+        u = rng.uniform
+        psi = float(rng.choice([0.0, -0.0, u(-0.3, 0.3)]))
+        ego = EgoState(X=shift + float(u(-50.0, 50.0)),
+                       Y=shift + float(u(-5.0, 5.0)), psi=psi,
+                       v_x=float(u(5.0, 25.0)))
+        fp = Footprint(float(u(3.5, 5.0)), float(u(1.6, 2.1)),
+                       float(u(-1.5, 1.5)))
+        targets = []
+        for i in range(int(rng.integers(1, 5))):
+            kind = int(rng.integers(5))
+            ahead, side = float(u(-20.0, 60.0)), float(u(-7.0, 7.0))
+            size = Footprint(float(u(0.3, 5.0)), float(u(0.3, 2.2)),
+                             float(u(-1.0, 1.0)))
+            speed = float(u(0.0, 25.0))
+            heading = float(rng.choice([psi, 0.0, -0.0]))
+            if kind == 0:    # a car in the next lane
+                side = float(rng.choice([-1.0, 1.0])) * float(u(3.0, 3.5))
+                size, speed = Footprint(4.5, 1.8), float(u(10.0, 20.0))
+            elif kind == 1:  # crossing
+                heading = float(u(-math.pi, math.pi))
+            elif kind == 2:  # static
+                speed = 0.0
+            elif kind == 3:  # zero size
+                size = Footprint(0.0, 0.0)
+            targets.append(TargetTrack(f"t{i}", size, Pose(
+                ego.X + ahead * math.cos(psi) - side * math.sin(psi),
+                ego.Y + ahead * math.sin(psi) + side * math.cos(psi),
+                heading), speed))
+        if rng.random() < 0.1:
+            i = int(rng.integers(len(targets)))
+            field = str(rng.choice(["X", "Y", "psi", "speed", "ego"]))
+            tr = targets[i]
+            if field == "speed":
+                targets[i] = replace(tr, speed=math.nan)
+            elif field == "ego":
+                ego = replace(ego, **{str(rng.choice(["X", "psi", "v_x"])):
+                                      math.nan})
+            else:
+                targets[i] = replace(tr, pose=replace(tr.pose,
+                                                      **{field: math.nan}))
+        return ego, fp, targets
+
+    def test_scenes_keep_their_bits(self, formed_corners):
+        rng = np.random.default_rng(5)
+        seen = Counter()
+        for shift in self.SHIFTS:
+            for _ in range(150):
+                ego, fp, targets = self._scene(rng, shift)
+                pose = Pose(ego.X, ego.Y, ego.psi)
+                vel = (ego.v_x * math.cos(ego.psi),
+                       ego.v_x * math.sin(ego.psi))
+                for tr in targets:
+                    formed_corners.clear()
+                    got = first_contact_time(pose, fp, vel, tr.pose,
+                                             tr.footprint, tr.velocity,
+                                             self.HORIZON)
+                    broad = len(formed_corners) == 1
+                    want = reference_contact_time(
+                        pose, fp, tr.pose, tr.footprint,
+                        tr.velocity[0] - vel[0], tr.velocity[1] - vel[1],
+                        self.HORIZON)
+                    assert got.hex() == want.hex()
+                    seen[shift, "broad" if broad else
+                         "finite" if math.isfinite(got) else "exact"] += 1
+                    seen["nan"] += math.isnan(got + ego.X + tr.pose.X
+                                              + tr.pose.psi + tr.speed)
+                got = compute_ttc(ego, targets, fp, self.HORIZON)
+                assert got.hex() == reference_ttc(ego, targets, fp,
+                                                  self.HORIZON).hex()
+        for shift in self.SHIFTS:
+            assert min(seen[shift, k] for k in ("broad", "finite")) > 0
+        assert seen[0.0, "exact"] > 0 and seen["nan"] > 0
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_gaps_near_the_margin_keep_their_bits(self, formed_corners,
+                                                  shift):
+        """b approaches a along one of a's axes and, swept over the
+        horizon, stops k margins short of it: the broad phase decides
+        exactly when k > 1, and the exact test finds contact for k < 0."""
+        rng = np.random.default_rng(7)
+        u = rng.uniform
+        h = self.HORIZON
+        finite = 0
+        for _ in range(40):
+            fa = Footprint(float(u(3.5, 5.0)), float(u(1.6, 2.1)))
+            fb = Footprint(float(u(0.0, 5.0)), float(u(0.0, 2.2)))
+            pa = Pose(shift, -shift, float(rng.choice([0.0, -0.0])))
+            lateral = bool(rng.integers(2))
+            sign = float(rng.choice([-1.0, 1.0]))   # b beyond either end
+            speed = float(u(0.0, 10.0))
+            half, other = 0.5 * (fa.width + fb.width), 0.5 * (fa.length
+                                                              + fb.length)
+            if not lateral:
+                half, other = other, half
+            along = float(u(-0.4, 0.4)) * other   # overlap on the other axis
+            psi_b = float(rng.choice([0.0, -0.0]))
+
+            def placed(gap):
+                if lateral:
+                    return (Pose(pa.X + along, pa.Y + gap, psi_b),
+                            (0.0, -sign * speed))
+                return (Pose(pa.X + gap, pa.Y + along, psi_b),
+                        (-sign * speed, 0.0))
+
+            margin = _broad_margin(pa, fa,
+                                   placed(sign * (half + speed * h))[0], fb,
+                                   speed, 0.0, h)
+            for k in (-2.0, -0.5, 0.0, 0.5, 0.9, 1.1, 2.0, 4.0):
+                reach = half + speed * h + k * margin
+                if reach <= 0.0:   # b would start on a's other side
+                    continue
+                pb, rv = placed(sign * reach)
+                formed_corners.clear()
+                got = first_contact_time(pa, fa, (0.0, 0.0), pb, fb, rv, h)
+                assert got.hex() == reference_contact_time(
+                    pa, fa, pb, fb, *rv, h).hex()
+                assert (len(formed_corners) == 1) is (k > 1.0)
+                if k < 0.0:
+                    assert got <= h
+                    finite += 1
+        assert finite > 0

@@ -67,18 +67,24 @@ references (verdicts, the monitor's report counters and `float.hex`), and
 must serve ranked candidates' checks from the memo. `TRAFFIC_RUN` is the
 only run with more than one target; its digests were recorded before the
 shared prediction.
+
+A planner cycle ranks the union of its sides in one call. Every cycle of
+the shipped and replanning runs, and of the first seed-1 `traffic` case of
+the benchmark, must rank as its sides ranked one at a time do.
 """
 import hashlib
 
 import pytest
 import yaml
-from conftest import (reference_collision_check, reference_driveable,
+from conftest import (perfbench_module, reference_collision_check,
+                      reference_driveable,
                       reference_proximity_cost)
 
 from aessim import ranking, simloop
 from aessim.pathgen import generate_path_set
 from aessim.scenario import load_scenario, parse_scenario
-from aessim.simloop import plan_cycle, run_scenario
+from aessim.ranking import rank_paths
+from aessim.simloop import PlanCycle, plan_cycle, run_scenario
 
 GOLDEN = {
     "blocked_lane": {
@@ -534,3 +540,52 @@ def test_box_decides_replanning_candidates(scenario_dir, tmp_path,
                                            box_decides, stop_time):
     _check_replan(scenario_dir, tmp_path, stop_time)
     assert box_decides["candidates"] > 0
+
+
+def _one_pass_config(scenario_dir, name):
+    if name == "traffic":
+        workloads = perfbench_module(scenario_dir, "workloads")
+        return parse_scenario(
+            workloads.generate("traffic", 1, scenario_dir)[0].raw)
+    if name.startswith("replanning@"):
+        raw = yaml.safe_load((scenario_dir / "replanning.yaml").read_text())
+        raw["targets"][0]["maneuver"]["time"] = float(name.split("@")[1])
+        return parse_scenario(raw, default_name="replanning")
+    return load_scenario(scenario_dir / f"{name}.yaml")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + [
+    f"replanning@{stop_time}" for stop_time in sorted(REPLAN_RUNS)]
+    + ["traffic"])
+def test_one_ranking_pass_matches_the_per_side_passes(scenario_dir,
+                                                      monkeypatch, name):
+    """plan_cycle ranks every side's set in one rank_paths call. Each
+    side's set ranked on its own, on its own grid, must give the same
+    paths in the same order, the same rejections and the bits of every
+    cost."""
+    cycles, sets = [], []
+    generate = simloop.generate_path_set
+
+    def generated(*args):
+        sets.append(generate(*args))
+        return sets[-1]
+
+    def planned(ego, preds, cfg, *rest):
+        sets.clear()
+        cycle = plan_cycle(ego, preds, cfg, *rest)
+        cycles.append((list(sets), preds, cfg, cycle))
+        return cycle
+
+    monkeypatch.setattr(simloop, "generate_path_set", generated)
+    monkeypatch.setattr(simloop, "plan_cycle", planned)
+    run_scenario(_one_pass_config(scenario_dir, name))
+    for side_sets, preds, cfg, cycle in cycles:
+        want = tuple(r for ps in side_sets
+                     for r in rank_paths(ps, preds, cfg.road, cfg.footprint,
+                                         cfg.weights, cfg.sim.dt_check))
+        assert len(want) == len(cycle.ranked)
+        assert all(a.path is b.path for a, b in zip(want, cycle.ranked))
+        assert _ranked_key(PlanCycle(want, cycle.best)) == _ranked_key(cycle)
+    # every run but empty_road has cycles that join two sides
+    assert (name == "empty_road") is not any(len(side_sets) == 2
+                                             for side_sets, *_ in cycles)

@@ -299,6 +299,29 @@ class TestSharedPrediction:
         with pytest.raises(ValueError, match="time grid"):
             PathSet([ps.paths[-1], suffix])
 
+    def test_union_joins_sides_on_the_longest_grid(self):
+        """A planner cycle's union keeps every side's paths in side order
+        on the longest side's grid, and refuses a set whose grid is not a
+        prefix of it."""
+        cap = CapabilityRecord(CapabilityScenario.STEER, 0.0, 0.0245, 0.25,
+                               20.0)
+        space = DriveableSpace(-10, 300, 4.0, -4.0)
+        init = EgoState(X=12.5, Y=-0.25, v_x=20.0)
+        left = generate_path_set(init, cap, space, PathTuning(), "left", {})
+        right = generate_path_set(init, cap, space, PathTuning(n_tot=3),
+                                  "right", {})
+        short = PathSet(left.paths[:2])
+        joined = PathSet.union([short, right], init.X, init.Y)
+        assert joined.paths == short.paths + right.paths
+        assert (joined.X, joined.Y) == (init.X, init.Y)
+        longest = max(short.t, right.t, key=len)
+        assert joined.t is longest and len(short.t) != len(right.t)
+        off_grid = PathSet([left.paths[-1].suffix_from(0.5)])
+        for sets in ([left, off_grid], [off_grid, left]):
+            with pytest.raises(ValueError, match="time grid"):
+                PathSet.union(sets, init.X, init.Y)
+        assert PathSet.union([], 0.0, 0.0).paths == []
+
 
 class TestSelect:
     def test_single_survivor(self):

@@ -1,14 +1,13 @@
 import copy
 import importlib
-import importlib.util
 import json
 import math
-import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
+from conftest import perfbench_module
 
 from aessim import cli
 from aessim.capability import CapabilityTuning, EgoState, VehicleParams
@@ -811,21 +810,10 @@ class TestInRunErrors:
         assert result.summary["outcome"] == result.outcome
 
 
-def _perfbench_module(scenario_dir, name):
-    """A script of perfbench/ imported by path (perfbench is a directory of
-    scripts, not a package)."""
-    path = scenario_dir.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def bench_workloads(scenario_dir):
     """The benchmark's case generator, perfbench/workloads.py."""
-    return _perfbench_module(scenario_dir, "workloads")
+    return perfbench_module(scenario_dir, "workloads")
 
 
 class TestBenchmarkInputs:
@@ -847,7 +835,7 @@ class TestBenchmarkInputs:
         renamed or bypassed function would leave its per-layer metrics at
         zero, so every span must be entered by a shipped run."""
         from aessim import scenario, simloop
-        tracer = _perfbench_module(scenario_dir, "tracer")
+        tracer = perfbench_module(scenario_dir, "tracer")
         rec = tracer.Recorder(tracer.binding_sites())
         with rec.installed():
             cfg = scenario.load_scenario(scenario_dir / "crossing_vru.yaml")
@@ -860,7 +848,7 @@ class TestBenchmarkInputs:
         """Every layer is called as often as LAYER_CALLS records, through
         the bindings that perfbench/tracer.py wraps: a layer call moved to
         a site the tracer does not reach reads as a lower count here."""
-        tracer = _perfbench_module(scenario_dir, "tracer")
+        tracer = perfbench_module(scenario_dir, "tracer")
         configs = {name: load_scenario(scenario_dir / f"{name}.yaml")
                    for name in ("blocked_lane", "crossing_vru", "empty_road",
                                 "replanning", "stalled_car")}
@@ -881,6 +869,8 @@ class TestBenchmarkInputs:
 
 # Per-layer call counts of the shipped scenarios and the two replanning
 # branches of tests/test_golden.py (the pedestrian stops at 3.55 or 3.81 s)
+# ranking.rank_paths runs once per planner cycle, on the union of its sides,
+# so its count is the capability.lateral_capability count.
 LAYERS = ("capability.lateral_capability", "pathgen.generate_path_set",
           "ranking.rank_paths", "ranking.select_path",
           "ranking.monitor_selected", "geometry.driveable_area_check",
@@ -891,17 +881,17 @@ LAYERS = ("capability.lateral_capability", "pathgen.generate_path_set",
           "control.control_step", "plant.plant_step",
           "plant.lateral_acceleration")
 LAYER_CALLS = {
-    "blocked_lane": (38, 76, 76, 0, 0, 456, 0, 2, 381, 0, 0, 382, 0, 0, 0,
+    "blocked_lane": (38, 76, 38, 0, 0, 456, 0, 2, 381, 0, 0, 382, 0, 0, 0,
                      381, 382),
-    "crossing_vru": (33, 66, 66, 1, 18, 414, 18, 25, 324, 33, 316, 503, 178,
+    "crossing_vru": (33, 66, 33, 1, 18, 414, 18, 25, 324, 33, 316, 503, 178,
                      178, 178, 502, 503),
     "empty_road": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 301, 0, 0, 0, 300, 301),
-    "replanning": (34, 67, 67, 2, 19, 418, 19, 24, 324, 33, 316, 519, 194,
+    "replanning": (34, 67, 34, 2, 19, 418, 19, 24, 324, 33, 316, 519, 194,
                    194, 194, 518, 519),
-    "stalled_car": (28, 56, 56, 1, 21, 357, 21, 21, 271, 28, 263, 485, 213,
+    "stalled_car": (28, 56, 28, 1, 21, 357, 21, 21, 271, 28, 263, 485, 213,
                     213, 213, 484, 485),
-    "replanning@3.55": (34, 67, 67, 2, 7, 408, 7, 14, 324, 33, 316, 395, 71,
+    "replanning@3.55": (34, 67, 34, 2, 7, 408, 7, 14, 324, 33, 316, 395, 71,
                         71, 71, 394, 395),
-    "replanning@3.81": (34, 67, 67, 1, 7, 407, 7, 10, 324, 33, 316, 391, 66,
+    "replanning@3.81": (34, 67, 34, 1, 7, 407, 7, 10, 324, 33, 316, 391, 66,
                         66, 66, 390, 391),
 }
