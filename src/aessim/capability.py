@@ -43,6 +43,8 @@ class VehicleParams:
             raise ValueError("brake effectiveness factors must lie in [0, 1]")
         if self.mu_f < 0 or self.mu_r < 0:
             raise ValueError("friction coefficients must be non-negative")
+        if self.delta_max < 0:
+            raise ValueError("delta_max must be non-negative")
 
     @property
     def l(self) -> float:

@@ -42,6 +42,8 @@ class ControllerConfig:
             raise ValueError("closed-loop poles must have negative real part")
         if self.i_f < 0 or self.i_r < 0 or abs(self.i_f + self.i_r - 1.0) > 1e-9:
             raise ValueError("brake split factors must be >= 0 and sum to 1")
+        if self.brake_force_max < 0:
+            raise ValueError("brake_force_max must be non-negative")
 
 
 @dataclass

@@ -18,10 +18,10 @@ gives the per-corner answer bit for bit.
 
 Two entry points share one broad and one narrow phase. `check_paths`
 decides: a planner cycle checks all its candidates in one call against one
-`predict`ion of the targets, made on the time grid of the set's longest
-path, and gets one verdict per path. Every family path is sampled at the
-same step from t = 0, so its grid is a prefix of that one bit for bit
-(`pathgen.PathSet` checks it), and indexing the shared prediction at a
+`predict`ion of the targets, made on the time grid of the cycle's
+longest path, and gets one verdict per path. Every family path is sampled
+at the same step from t = 0 (`pathgen.presample_profile`), so its grid is
+a prefix of that one bit for bit, and indexing the shared prediction at a
 path's check instants gives the numbers a prediction on the path's own
 instants would: the same operands, `X + vx * t` and then
 `+ ref_offset * cos(psi)`, in the same order. `collision_check` explains:

@@ -93,8 +93,9 @@ class SampledPath:
     """Time-gridded path samples.
 
     A family path from generate_path_set starts at the origin and keeps
-    read-only arrays; a planner cycle's candidate is such a path plus the
-    cycle's start point (X, Y), and anchor_path places a path there.
+    read-only arrays. A planner cycle (simloop.PlanCycle) holds its start
+    point (X, Y) once: its checks take the family paths with that
+    translation, and anchor_path places the executed one there.
     """
 
     t: np.ndarray
@@ -154,40 +155,14 @@ def anchor_path(path: SampledPath, X: float, Y: float) -> SampledPath:
     return replace(path, x=X + path.x, y=Y + path.y, psi=path.psi + 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathSet:
-    """The candidates of one side, ordered by curvature magnitude, or of
-    all sides (union): kept family paths, placed in the road frame at (X, Y).
+    """One side's kept family paths, ordered by curvature magnitude, each
+    starting at the origin; a planner cycle places them at its start point.
+    What the checks derive from a family path is kept by the path itself
+    (SampledPath.cached), so it lasts across planner cycles."""
 
-    t is the longest path's time grid, and every path's t is a prefix of
-    it, bit for bit, so one target prediction on t serves the whole set.
-    Left out, t is found and the prefixes are checked. What the checks
-    derive from a family path is kept by the path itself
-    (SampledPath.cached), so it lasts across planner cycles.
-    """
-
-    paths: list[SampledPath]
-    X: float = 0.0
-    Y: float = 0.0
-    t: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.t is None:
-            self.t = _shared_grid([p.t for p in self.paths])
-
-    @classmethod
-    def union(cls, sets: list[PathSet], X: float, Y: float) -> PathSet:
-        """The sets' paths in order, each set's grid checked once."""
-        return cls([p for ps in sets for p in ps.paths], X, Y,
-                   _shared_grid([ps.t for ps in sets]))
-
-
-def _shared_grid(grids: list[np.ndarray]) -> np.ndarray:
-    """The longest grid; ValueError unless each is a prefix of it."""
-    t = max(grids, key=len, default=np.zeros(0))
-    if not all(np.array_equal(g, t[:len(g)]) for g in grids):
-        raise ValueError("a grid is not a prefix of the shared time grid")
-    return t
+    paths: tuple[SampledPath, ...]
 
 
 def build_max_severity_profile(init: EgoState, cap: CapabilityRecord,
@@ -295,11 +270,16 @@ def presample_profile(profile: CurvatureProfile, dt: float) -> SampledPath:
 
     psi(k) = psi(k-1) + rho(k) v(k) dt, y(k) = y(k-1) + sin(psi(k)) v(k) dt,
     and x(k) = x(k-1) + cos(psi(k)) v(k) dt for the longitudinal coordinate.
+
+    A profile starts at t0 = 0, so t(k) is dt * k: the grids of any two
+    paths sampled at one dt, on either side and replans included, agree
+    bit for bit on their common prefix, and one target prediction on the
+    longest grid serves them all (ranking.rank_paths).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = max(1, math.ceil(profile.duration / dt - 1e-12))
-    t = profile.times[0] + dt * np.arange(n + 1)
+    t = dt * np.arange(n + 1)
     rho = np.interp(t, profile.times, profile.rhos)
     v = np.interp(t, profile.times, profile.vels)
     psi = np.empty_like(t)
@@ -328,12 +308,11 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
     state, whose curvature and heading the new paths start from.
 
     The family's shape depends only on the side, psi, v_x, yaw_rate, the
-    capability record and the tuning; X and Y only set the corridor room and
-    translate the paths. families, which the caller owns, keeps the last
-    origin-relative family per side and is reused while its key holds; the
-    set holds those very paths with the start point (init.X, init.Y), and
-    no samples are copied. A fresh {} builds the family cold.
-    ranking.select_path places the one that is executed.
+    capability record and the tuning; X and Y only set the corridor room,
+    and the paths start at the origin. families, which the caller owns,
+    keeps the last family per side and returns its set while its key
+    holds, so a hit copies and builds nothing. A fresh {} builds the family
+    cold. ranking.select_path places the one that is executed.
     """
     fam = _family(init, cap, tuning, side, families)
     if isinstance(fam.reach, str):
@@ -347,12 +326,11 @@ def generate_path_set(init: EgoState, cap: CapabilityRecord,
 
     scale = min(1.0, y_room / y_max)
     if fam.scale != scale.hex():
-        fam.paths = _relative_paths(init, cap, tuning, side, scale)
-        fam.t = PathSet(fam.paths).t   # checks the shared grid once
+        fam.path_set = PathSet(_relative_paths(init, cap, tuning, side, scale))
         fam.scale = scale.hex()
-    if not fam.paths:
+    if not fam.path_set.paths:
         raise NoFeasiblePath(f"all {side} profiles infeasible")
-    return PathSet(fam.paths, init.X, init.Y, fam.t)
+    return fam.path_set
 
 
 @dataclass
@@ -360,15 +338,14 @@ class _Family:
     """Origin-relative path family of one side for one key.
 
     reach is (y_max, max x) of the pre-sampled maximum-severity path, or the
-    reason no path on this side is feasible; paths are the relative paths
-    for the scale whose float.hex is scale, and t is their shared grid.
+    reason no path on this side is feasible; path_set holds the paths for
+    the scale whose float.hex is scale.
     """
 
     key: tuple
     reach: tuple[float, float] | str
     scale: str | None = None
-    paths: list[SampledPath] = field(default_factory=list)
-    t: np.ndarray | None = None
+    path_set: PathSet | None = None
 
 
 # A memo keeps the last family per side. Between planner cycles before
@@ -411,11 +388,10 @@ def _severe_reach(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
 
 
 def _relative_paths(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
-                    side: str, scale: float) -> list[SampledPath]:
+                    side: str, scale: float) -> tuple[SampledPath, ...]:
     """The family at one scale, starting at the origin, with read-only
     arrays: every call on this key returns these paths, and what their memo
-    keeps holds only while the arrays do. All are sampled at dt_presample
-    from t = 0, so their grids share a prefix."""
+    keeps holds only while the arrays do."""
     paths: list[SampledPath] = []
     for n in range(1, tuning.n_tot + 1):
         f = scale * math.sqrt(n / tuning.n_tot)
@@ -434,4 +410,4 @@ def _relative_paths(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
                     prof_n.times, prof_n.rhos, prof_n.vels):
             arr.flags.writeable = False
         paths.append(path)
-    return paths
+    return tuple(paths)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import (DriveableSpace, Footprint, Prediction, check_paths,
                        collision_check, driveable_area_check, predict)
-from .pathgen import PathSet, SampledPath, anchor_path, presample_profile
+from .pathgen import SampledPath, anchor_path, presample_profile
 
 REJECT_NOT_DRIVEABLE = "not_driveable"
 REJECT_COLLISION = "collision"
@@ -31,17 +31,10 @@ class CostWeights:
 @dataclass
 class RankedPath:
     path: SampledPath
-    X: float = 0.0      # the candidate is the path translated by (X, Y)
-    Y: float = 0.0
     rejected: str | None = None
     severity: float | None = None   # costs of a survivor only
     proximity: float | None = None
     total: float | None = None
-
-    @property
-    def terminal_offset(self) -> float:
-        """Lateral deviation of the placed final sample from the start."""
-        return float((self.Y + self.path.y[-1]) - (self.Y + self.path.y[0]))
 
 
 def _acceleration_norms(path: SampledPath) -> tuple[float, float]:
@@ -75,36 +68,36 @@ def proximity_cost(path: SampledPath, targets, w: CostWeights, X: float,
     return w.K_prox * float(np.mean(d.min(axis=0)))
 
 
-def rank_paths(path_set: PathSet, targets, space: DriveableSpace,
-               fp: Footprint, w: CostWeights,
-               dt_check: float = 0.1) -> list[RankedPath]:
-    """Reject or cost every path of the set; input order is preserved.
+def rank_paths(paths, targets, space: DriveableSpace, fp: Footprint,
+               w: CostWeights, dt_check: float = 0.1, X: float = 0.0,
+               Y: float = 0.0) -> list[RankedPath]:
+    """Reject or cost every path; input order is preserved.
 
-    The set's paths translated by (path_set.X, path_set.Y) must be in the
-    frame of the space and the target predictions. A path failing the
-    driveable check is rejected as not_driveable; the others are checked
-    for collisions in one geometry.check_paths call. The targets are
-    predicted once per set (a planner cycle's union of sides), on its grid.
+    The paths translated by (X, Y) must be in the frame of the space and
+    the target predictions. A path failing the driveable check is rejected
+    as not_driveable; the others are checked for collisions in one
+    geometry.check_paths call. The targets are predicted once, on the
+    longest path's grid, of which every family path's grid is a prefix
+    (pathgen.presample_profile).
     """
-    X, Y = path_set.X, path_set.Y
-    pred = predict(targets, path_set.t)
+    pred = predict(targets, max((p.t for p in paths), key=len,
+                                default=np.zeros(0)))
     driveable = [driveable_area_check(path, space, fp, X, Y)
-                 for path in path_set.paths]
-    candidates = [p for p, ok in zip(path_set.paths, driveable) if ok]
+                 for path in paths]
+    candidates = [p for p, ok in zip(paths, driveable) if ok]
     collides = iter(check_paths(candidates, targets, fp, dt_check, X, Y,
                                 pred) if candidates else ())
     ranked: list[RankedPath] = []
-    for path, ok in zip(path_set.paths, driveable):
+    for path, ok in zip(paths, driveable):
         if not ok:
-            ranked.append(RankedPath(path, X, Y,
-                                     rejected=REJECT_NOT_DRIVEABLE))
+            ranked.append(RankedPath(path, rejected=REJECT_NOT_DRIVEABLE))
         elif next(collides):
-            ranked.append(RankedPath(path, X, Y, rejected=REJECT_COLLISION))
+            ranked.append(RankedPath(path, rejected=REJECT_COLLISION))
         else:
             sev = severity_cost(path, w)
             prox = proximity_cost(path, targets, w, X, Y, pred)
-            ranked.append(RankedPath(path, X, Y, severity=sev,
-                                     proximity=prox, total=sev + prox))
+            ranked.append(RankedPath(path, severity=sev, proximity=prox,
+                                     total=sev + prox))
     return ranked
 
 
@@ -115,18 +108,14 @@ def best_survivor(ranked: list[RankedPath]) -> RankedPath | None:
                key=lambda r: (r.total, r.severity, r.path.index), default=None)
 
 
-def select_path(ranked: list[RankedPath],
-                dt_fine: float = 0.01) -> SampledPath | None:
-    """The best survivor, resampled to the fine control grid and placed at
-    its (X, Y) in fresh arrays."""
-    best = best_survivor(ranked)
-    if best is None:
-        return None
-    path = best.path
+def select_path(path: SampledPath, X: float, Y: float,
+                dt_fine: float = 0.01) -> SampledPath:
+    """The path, resampled to the fine control grid and placed at (X, Y)
+    in fresh arrays."""
     if path.profile is not None and abs(path.dt - dt_fine) > 1e-12:
         path = replace(presample_profile(path.profile, dt_fine),
                        index=path.index, path_id=path.path_id)
-    return anchor_path(path, best.X, best.Y)
+    return anchor_path(path, X, Y)
 
 
 def monitor_selected(path: SampledPath, targets, space: DriveableSpace,

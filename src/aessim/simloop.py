@@ -25,7 +25,7 @@ from .decision import (AesState, SupervisorEvents, SupervisorState, Trigger,
 from .errors import (DegenerateSpeed, NoFeasiblePath, NumericalDivergence,
                      PathExhausted)
 from .geometry import Pose, TargetTrack, sat_check
-from .pathgen import PathSet, SampledPath, generate_path_set
+from .pathgen import SampledPath, generate_path_set
 from .plant import (PlantState, _lateral_coeffs, assert_stable_vehicle,
                     lateral_acceleration, plant_step)
 from .ranking import (RankedPath, best_survivor, monitor_selected, rank_paths,
@@ -48,9 +48,12 @@ EXIT_CODES = {
 
 @dataclass(frozen=True)
 class PlanCycle:
-    """One planner cycle: every ranked path, in side order, and the best
+    """One planner cycle: its start point (X, Y), which places every family
+    path it ranked, those ranked paths in side order, and the best
     survivor's family path, or None."""
 
+    X: float
+    Y: float
     ranked: tuple[RankedPath, ...] = ()
     best: SampledPath | None = None
 
@@ -86,34 +89,38 @@ def _ego_state(plant: PlantState) -> EgoState:
 def plan_cycle(ego: EgoState, preds: list[TargetTrack], cfg: ScenarioConfig,
                scenario: CapabilityScenario, sides: list[str],
                families: dict) -> PlanCycle:
-    """Capability, path sets on the given sides and one ranking of their
-    union from ego, with families as generate_path_set's memo. Only the
-    selected path is resampled and placed, by select_path."""
+    """Capability, path sets on the given sides and one ranking of all
+    their paths from ego, with families as generate_path_set's memo. Only
+    the selected path is resampled and placed, by select_path."""
     try:
         cap = lateral_capability(scenario, cfg.vehicle, ego, cfg.cap_tuning)
     except DegenerateSpeed:
-        return PlanCycle()
-    sets = []
+        return PlanCycle(ego.X, ego.Y)
+    paths: list[SampledPath] = []
     for side in sides:
         try:
-            sets.append(generate_path_set(ego, cap, cfg.road,
-                                          cfg.path_tuning, side, families))
+            paths += generate_path_set(ego, cap, cfg.road, cfg.path_tuning,
+                                       side, families).paths
         except NoFeasiblePath:
             continue
-    ranked = rank_paths(PathSet.union(sets, ego.X, ego.Y), preds, cfg.road,
-                        cfg.footprint, cfg.weights, cfg.sim.dt_check)
+    ranked = rank_paths(paths, preds, cfg.road, cfg.footprint, cfg.weights,
+                        cfg.sim.dt_check, ego.X, ego.Y)
     best = best_survivor(ranked)
-    return PlanCycle(tuple(ranked), None if best is None else best.path)
+    return PlanCycle(ego.X, ego.Y, tuple(ranked),
+                     None if best is None else best.path)
 
 
 def _log_paths(trace: TraceLog, t: float, kind: str,
                cycle: PlanCycle) -> None:
-    """Every ranked path of the cycle as a path event of this kind."""
+    """Every ranked path of the cycle as a path event of this kind, with
+    the lateral offset of its placed final sample from its start."""
+    Y = cycle.Y
     for r in cycle.ranked:
-        trace.path_events.append([t, kind, r.path.side, r.path.index,
-                                  r.path.path_id, r.rejected or "survivor",
-                                  r.severity, r.proximity, r.total,
-                                  r.terminal_offset])
+        p = r.path
+        trace.path_events.append([t, kind, p.side, p.index, p.path_id,
+                                  r.rejected or "survivor", r.severity,
+                                  r.proximity, r.total,
+                                  float((Y + p.y[-1]) - (Y + p.y[0]))])
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -133,7 +140,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     n_ticks = round(cfg.sim.duration / dt_ctrl)
 
     families: dict = {}   # generate_path_set's family memo, for this run
-    cycle = PlanCycle()   # the last plan; select_path picks from it
+    cycle = PlanCycle(plant.X, plant.Y)   # the last plan, none yet
     tte: float | None = None   # of cycle's best, while triggering
     anchor = brake_until = a_x_min = 0.0  # set at engage
     force_complete = False
@@ -206,8 +213,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         # a new selected path, at engage or replan, is the best of the plan
         # just made: it is placed in the road frame and re-anchors tracking
         if regulating and sup.selected_path is not prev.selected_path:
-            sup = replace(sup, selected_path=select_path(cycle.ranked,
-                                                         dt_ctrl))
+            sup = replace(sup, selected_path=select_path(
+                cycle.best, cycle.X, cycle.Y, dt_ctrl))
             anchor, force_complete = t, False
             if prev.state is not AesState.IN_REGULATION:
                 cap = sup.selected_path.profile.capability
@@ -218,7 +225,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     "engage_side": sup.selected_path.side,
                     "engage_speed": plant.u_v,
                 }
-                trace.snapshot_candidates(cycle.ranked, sup.selected_path)
+                trace.snapshot_candidates(cycle)
         if sup is not prev:
             state_value = sup.state.value
 
@@ -262,10 +269,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         for td, tp in zip(cfg.targets, poses):
             tcx, tcy = td.footprint.center(tp)
             d = dists[td.track_id] = math.hypot(tcx - ecx, tcy - ecy)
-            min_dist[td.track_id] = min(min_dist[td.track_id], d)
             row += (d, tp.X, tp.Y)
-            if (t >= td.appear_time
-                    and d <= fp.circumscribed_radius
+            if t < td.appear_time:   # not there yet: no distance, no contact
+                continue
+            min_dist[td.track_id] = min(min_dist[td.track_id], d)
+            if (d <= fp.circumscribed_radius
                     + td.footprint.circumscribed_radius
                     and sat_check(Pose(plant.X, plant.Y, plant.psi), fp, tp,
                                   td.footprint)):

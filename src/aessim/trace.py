@@ -83,21 +83,17 @@ class TraceLog:
         self.engage_candidates: list[dict] = []
         self.summary: dict = {}
 
-    def snapshot_candidates(self, ranked, selected) -> None:
-        """Keep decimated polylines of the path set active at engagement,
-        marking the survivor the selected path was resampled from."""
-        self.engage_candidates = []
-        chosen = (selected.path_id, selected.side)
-        for r in ranked:
-            p = r.path
-            status = r.rejected or ("selected" if (p.path_id, p.side) == chosen
-                                    else "survivor")
-            self.engage_candidates.append({
-                "path_id": p.path_id,
-                "status": status,
-                "x": [float(v) for v in r.X + p.x[::5]],
-                "y": [float(v) for v in r.Y + p.y[::5]],
-            })
+    def snapshot_candidates(self, cycle) -> None:
+        """Keep decimated polylines of the planner cycle active at
+        engagement, placed at its start point, marking its best survivor,
+        which the selected path was resampled from."""
+        self.engage_candidates = [{
+            "path_id": r.path.path_id,
+            "status": r.rejected or ("selected" if r.path is cycle.best
+                                     else "survivor"),
+            "x": [float(v) for v in cycle.X + r.path.x[::5]],
+            "y": [float(v) for v in cycle.Y + r.path.y[::5]],
+        } for r in cycle.ranked]
 
     # --- serialisation -----------------------------------------------------
 

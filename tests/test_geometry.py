@@ -156,8 +156,8 @@ ENVELOPE_FOOTPRINTS = (Footprint(4.5, 1.8, ref_offset=1.35),
 
 
 def _placed_families(params):
-    """Seeded path sets: every capability scenario, both sides, each family
-    at two start points up to |X| = 1e5 m."""
+    """Seeded (path set, X, Y): every capability scenario, both sides, each
+    family at two start points (X, Y) up to |X| = 1e5 m."""
     rng = np.random.default_rng(4242)
     for k in range(24):
         v = float(rng.uniform(10.0, 30.0))
@@ -182,8 +182,8 @@ def _placed_families(params):
             space = DriveableSpace(X - 10.0, X + 400.0, moved.Y + room,
                                    moved.Y - room)
             try:
-                yield generate_path_set(moved, cap, space, tun, side,
-                                        families)
+                yield (generate_path_set(moved, cap, space, tun, side,
+                                         families), X, moved.Y)
             except NoFeasiblePath:
                 continue
 
@@ -217,17 +217,16 @@ class TestDriveableEnvelope:
 
     def test_box_matches_per_sample_test(self, ref_params):
         n_clear = n_edge = 0
-        for ps in _placed_families(ref_params):
+        for ps, X, Y in _placed_families(ref_params):
             for path in ps.paths:
                 assert not path.x.flags.writeable
                 for fp in ENVELOPE_FOOTPRINTS:
-                    placed = anchor_path(path, ps.X, ps.Y)
-                    for space, clear, want in _corridors(path, fp, ps.X,
-                                                         ps.Y):
-                        assert reference_driveable(path, space, fp, ps.X,
-                                                   ps.Y) is want
-                        assert driveable_area_check(path, space, fp, ps.X,
-                                                    ps.Y) is want
+                    placed = anchor_path(path, X, Y)
+                    for space, clear, want in _corridors(path, fp, X, Y):
+                        assert reference_driveable(path, space, fp, X,
+                                                   Y) is want
+                        assert driveable_area_check(path, space, fp, X,
+                                                    Y) is want
                         if clear:  # the placed path's samples agree here
                             assert reference_driveable(placed, space,
                                                        fp) is want
@@ -255,9 +254,10 @@ class TestDriveableEnvelope:
     def test_monitored_suffix_gets_the_per_sample_answer(self, ref_params):
         """A monitored suffix of a placed path is checked at X = Y = 0 on
         its own samples."""
-        ps = next(ps for ps in _placed_families(ref_params) if ps.X != 0.0)
+        ps, X, Y = next(placed for placed in _placed_families(ref_params)
+                        if placed[1] != 0.0)
         path = ps.paths[len(ps.paths) // 2]
-        suffix = anchor_path(path, ps.X, ps.Y).suffix_from(0.5 * path.t[-1])
+        suffix = anchor_path(path, X, Y).suffix_from(0.5 * path.t[-1])
         assert 0 < len(suffix) < len(path)
         for fp in ENVELOPE_FOOTPRINTS:
             for space, _, want in _corridors(suffix, fp):
@@ -578,6 +578,7 @@ class TestCollisionCheck:
                                EgoState(v_x=20.0), CapabilityTuning()),
             DriveableSpace(-10.0, 400.0, 6.0, -6.0), PathTuning(n_tot=4),
             "left", {})
+        longest = max((p.t for p in ps.paths), key=len)
         sensitive = 0
         for _ in range(200):
             path = ps.paths[int(rng.integers(len(ps.paths)))]
@@ -603,7 +604,7 @@ class TestCollisionCheck:
                                      speed)
                 want = reference_collision_check(path, [target], fp, 0.01,
                                                  X, Y)
-                for pred in (None, predict([target], ps.t)):
+                for pred in (None, predict([target], longest)):
                     assert check_paths([path], [target], fp, 0.01, X, Y,
                                        pred) == [want.collides]
                 # the placed path carries X + x and Y + y, the bits the

@@ -404,13 +404,13 @@ def _recorded_cycles(monkeypatch):
 
 
 def _ranked_key(cycle):
-    """A cycle's ranked paths by id, rejection, costs and start point, every
-    float by float.hex, and its best path's id."""
+    """A cycle's start point and its ranked paths by id, rejection and
+    costs, every float by float.hex, and its best path's id."""
     def bits(value):
         return value.hex() if isinstance(value, float) else value
-    return ([(r.path.side, r.path.path_id, r.rejected, bits(r.severity),
-              bits(r.proximity), bits(r.total), bits(r.X), bits(r.Y))
-             for r in cycle.ranked],
+    return (bits(cycle.X), bits(cycle.Y),
+            [(r.path.side, r.path.path_id, r.rejected, bits(r.severity),
+              bits(r.proximity), bits(r.total)) for r in cycle.ranked],
             None if cycle.best is None else cycle.best.path_id)
 
 
@@ -467,9 +467,9 @@ def box_decides(monkeypatch):
         assert got is reference_driveable(path, space, fp, X, Y)
         return got
 
-    def ranked(path_set, targets, space, fp, *args):
-        counts["candidates"] += len(path_set.paths)
-        return rank(path_set, targets, space, fp, *args)
+    def ranked(paths, targets, space, fp, *args):
+        counts["candidates"] += len(paths)
+        return rank(paths, targets, space, fp, *args)
 
     monkeypatch.setattr(ranking, "driveable_area_check", checked)
     monkeypatch.setattr(simloop, "rank_paths", ranked)
@@ -581,11 +581,13 @@ def test_one_ranking_pass_matches_the_per_side_passes(scenario_dir,
     run_scenario(_one_pass_config(scenario_dir, name))
     for side_sets, preds, cfg, cycle in cycles:
         want = tuple(r for ps in side_sets
-                     for r in rank_paths(ps, preds, cfg.road, cfg.footprint,
-                                         cfg.weights, cfg.sim.dt_check))
+                     for r in rank_paths(ps.paths, preds, cfg.road,
+                                         cfg.footprint, cfg.weights,
+                                         cfg.sim.dt_check, cycle.X, cycle.Y))
         assert len(want) == len(cycle.ranked)
         assert all(a.path is b.path for a, b in zip(want, cycle.ranked))
-        assert _ranked_key(PlanCycle(want, cycle.best)) == _ranked_key(cycle)
+        assert (_ranked_key(PlanCycle(cycle.X, cycle.Y, want, cycle.best))
+                == _ranked_key(cycle))
     # every run but empty_road has cycles that join two sides
     assert (name == "empty_road") is not any(len(side_sets) == 2
                                              for side_sets, *_ in cycles)

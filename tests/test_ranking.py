@@ -11,12 +11,12 @@ from aessim.capability import CapabilityRecord, CapabilityScenario, EgoState
 from aessim.errors import NoFeasiblePath
 from aessim.geometry import (DriveableSpace, Footprint, Pose, TargetTrack,
                              collision_check, predict)
-from aessim.pathgen import (PathSet, PathTuning, SampledPath, anchor_path,
+from aessim.pathgen import (PathTuning, SampledPath, anchor_path,
                             generate_path_set, presample_profile)
 from aessim.ranking import (REJECT_COLLISION, REJECT_NOT_DRIVEABLE,
-                            CostWeights, RankedPath, monitor_selected,
-                            proximity_cost, rank_paths, select_path,
-                            severity_cost)
+                            CostWeights, RankedPath, best_survivor,
+                            monitor_selected, proximity_cost, rank_paths,
+                            select_path, severity_cost)
 
 FP = Footprint(4.5, 1.8, ref_offset=1.35)
 
@@ -105,13 +105,13 @@ class TestRanking:
         # a wall of targets across the corridor, inside every path's reach
         targets = [TargetTrack(f"w{i}", Footprint(4.0, 4.0), Pose(25.0, y, 0.0))
                    for i, y in enumerate(np.arange(-4.0, 5.0, 2.0))]
-        ranked = rank_paths(ps, targets, space, FP, CostWeights())
+        ranked = rank_paths(ps.paths, targets, space, FP, CostWeights())
         assert all(r.rejected is not None for r in ranked)
-        assert select_path(ranked) is None
+        assert best_survivor(ranked) is None
 
     def test_obstacle_free_costs_monotone(self):
         ps, space = family()
-        ranked = rank_paths(ps, [], space, FP,
+        ranked = rank_paths(ps.paths, [], space, FP,
                             CostWeights(K_ay=1.0, K_ax=1.0, K_prox=0.0))
         assert all(r.rejected is None for r in ranked)
         totals = [r.total for r in ranked]
@@ -124,12 +124,12 @@ class TestRanking:
         ps, _ = family()
         narrow = DriveableSpace(-10, 300, 0.5, -0.5)
         blocker = TargetTrack("blk", Footprint(4.5, 1.8), Pose(40.0, 0.0, 0.0))
-        ranked = rank_paths(ps, [blocker], narrow, FP, CostWeights())
+        ranked = rank_paths(ps.paths, [blocker], narrow, FP, CostWeights())
         assert all(r.rejected == REJECT_NOT_DRIVEABLE for r in ranked)
 
     def test_order_preserved(self):
         ps, space = family()
-        ranked = rank_paths(ps, [], space, FP, CostWeights())
+        ranked = rank_paths(ps.paths, [], space, FP, CostWeights())
         assert [r.path.index for r in ranked] == [p.index for p in ps.paths]
 
     def test_weight_scaling_preserves_argmin(self):
@@ -137,13 +137,14 @@ class TestRanking:
         target = TargetTrack("vru", Footprint(0.5, 0.5),
                              Pose(70.0, -2.0, math.pi / 2), 1.0)
         w = CostWeights(K_ay=0.3, K_ax=0.2, K_prox=-0.5)
-        r1 = rank_paths(ps, [target], space, FP, w)
-        r2 = rank_paths(ps, [target], space, FP,
+        r1 = rank_paths(ps.paths, [target], space, FP, w)
+        r2 = rank_paths(ps.paths, [target], space, FP,
                         CostWeights(3.5 * w.K_ay, 3.5 * w.K_ax, 3.5 * w.K_prox))
         for a, b in zip(r1, r2):
             if a.rejected is None:
                 assert b.total == pytest.approx(3.5 * a.total, rel=1e-12)
-        assert select_path(r1).path_id == select_path(r2).path_id
+        assert (best_survivor(r1).path.path_id
+                == best_survivor(r2).path.path_id)
 
     def test_one_batched_check_per_set(self, monkeypatch):
         """One check_paths call per set with a driveable candidate, on the
@@ -164,7 +165,8 @@ class TestRanking:
                             (DriveableSpace(-10, 300, 2.6, -4.0), 3),
                             (DriveableSpace(-10, 300, 0.5, -0.5), 0)):
             calls.clear()
-            ranked = rank_paths(ps, [target], corridor, FP, CostWeights())
+            ranked = rank_paths(ps.paths, [target], corridor, FP,
+                                CostWeights())
             driveable = [r.path.path_id for r in ranked
                          if r.rejected != REJECT_NOT_DRIVEABLE]
             assert len(driveable) == n
@@ -172,9 +174,9 @@ class TestRanking:
 
 
 def _draws(n=150, seed=314):
-    """(path set, targets, space, fp, weights, dt_check): seeded families at
-    random start points, with 1-4 targets placed near random points of the
-    set's paths."""
+    """(path set, (X, Y), targets, space, fp, weights, dt_check): seeded
+    families at random start points (X, Y), with 1-4 targets placed near
+    random points of the set's paths."""
     rng = np.random.default_rng(seed)
     u = rng.uniform
     fps = (FP, Footprint(4.0, 2.0), Footprint(3.9, 1.7, ref_offset=-0.8),
@@ -210,19 +212,20 @@ def _draws(n=150, seed=314):
                     float(u(-1.0, 1.0)))
             targets.append(TargetTrack(
                 f"t{i}", Footprint(*size),
-                Pose(ps.X + float(path.x[k]) - speed * tau * math.cos(psi)
+                Pose(init.X + float(path.x[k]) - speed * tau * math.cos(psi)
                      + float(rng.normal(0.0, 2.0)),
-                     ps.Y + float(path.y[k]) - speed * tau * math.sin(psi)
+                     init.Y + float(path.y[k]) - speed * tau * math.sin(psi)
                      + float(rng.normal(0.0, 2.0)), psi), speed))
         w = CostWeights(float(u(0.0, 1.0)), float(u(0.0, 1.0)),
                         float(u(-1.0, 1.0)))
         dt_check = float(rng.choice([0.02, 0.05, 0.1, 0.25, 1e300]))
-        yield ps, targets, space, fps[n % len(fps)], w, dt_check
+        yield (ps, (init.X, init.Y), targets, space, fps[n % len(fps)], w,
+               dt_check)
         n -= 1
 
 
 class TestSharedPrediction:
-    """rank_paths predicts the targets once per set, on the longest path's
+    """rank_paths predicts the targets once per call, on the longest path's
     grid. Every check and cost must give the bits of the per-target
     references, which predict each target on each path's own samples."""
 
@@ -254,18 +257,19 @@ class TestSharedPrediction:
             return collides
 
         monkeypatch.setattr(ranking, "check_paths", checked)
-        for ps, targets, space, fp, w, dt_check in _draws():
+        for ps, (X, Y), targets, space, fp, w, dt_check in _draws():
             seen[f"targets={len(targets)}"] += 1
             seen["lengths"] += len({len(p) for p in ps.paths}) > 1
             # the second pass is served from the memo, with other weights
             for w in (w, CostWeights(2.0 * w.K_ay, 0.5 * w.K_ax, w.K_prox)):
-                ranked = rank_paths(ps, targets, space, fp, w, dt_check)
+                ranked = rank_paths(ps.paths, targets, space, fp, w,
+                                    dt_check, X, Y)
                 for r in ranked:
                     if r.rejected is not None:
                         continue
                     seen["survivor"] += 1
-                    want = reference_proximity_cost(r.path, targets, w,
-                                                    ps.X, ps.Y)
+                    want = reference_proximity_cost(r.path, targets, w, X,
+                                                    Y)
                     assert r.proximity.hex() == want.hex()
                     fresh = replace(r.path, t=r.path.t.copy())
                     assert r.severity.hex() == severity_cost(fresh, w).hex()
@@ -278,9 +282,10 @@ class TestSharedPrediction:
         """A writeable suffix predicts on its own samples and keeps no
         memo."""
         hits = 0
-        for ps, targets, _, fp, w, dt_check in _draws(n=60, seed=2718):
+        for ps, (X, Y), targets, _, fp, w, dt_check in _draws(n=60,
+                                                               seed=2718):
             for path in ps.paths:
-                placed = anchor_path(path, ps.X, ps.Y)
+                placed = anchor_path(path, X, Y)
                 suffix = placed.suffix_from(0.37 * float(path.t[-1]))
                 for p in (placed, suffix):
                     got = collision_check(p, targets, fp, dt_check)
@@ -292,35 +297,39 @@ class TestSharedPrediction:
                     hits += got.collides
         assert hits > 0
 
-    def test_set_grid_must_be_shared(self):
-        ps, _ = family()
-        assert PathSet(ps.paths).t is ps.t
-        suffix = ps.paths[-1].suffix_from(0.5)
-        with pytest.raises(ValueError, match="time grid"):
-            PathSet([ps.paths[-1], suffix])
-
-    def test_union_joins_sides_on_the_longest_grid(self):
-        """A planner cycle's union keeps every side's paths in side order
-        on the longest side's grid, and refuses a set whose grid is not a
-        prefix of it."""
-        cap = CapabilityRecord(CapabilityScenario.STEER, 0.0, 0.0245, 0.25,
-                               20.0)
-        space = DriveableSpace(-10, 300, 4.0, -4.0)
-        init = EgoState(X=12.5, Y=-0.25, v_x=20.0)
-        left = generate_path_set(init, cap, space, PathTuning(), "left", {})
-        right = generate_path_set(init, cap, space, PathTuning(n_tot=3),
-                                  "right", {})
-        short = PathSet(left.paths[:2])
-        joined = PathSet.union([short, right], init.X, init.Y)
-        assert joined.paths == short.paths + right.paths
-        assert (joined.X, joined.Y) == (init.X, init.Y)
-        longest = max(short.t, right.t, key=len)
-        assert joined.t is longest and len(short.t) != len(right.t)
-        off_grid = PathSet([left.paths[-1].suffix_from(0.5)])
-        for sets in ([left, off_grid], [off_grid, left]):
-            with pytest.raises(ValueError, match="time grid"):
-                PathSet.union(sets, init.X, init.Y)
-        assert PathSet.union([], 0.0, 0.0).paths == []
+    def test_family_grids_are_multiples_of_the_step(self):
+        """The shared prediction rests on every family path's grid being
+        0.0 + dt_presample * k bit for bit: on both sides, from rest and
+        from seeded mid-manoeuvre replan states, at several steps."""
+        rng = np.random.default_rng(1618)
+        space = DriveableSpace(-2e3, 2e3, 30.0, -30.0)
+        grids = set()
+        for k in range(40):
+            v = float(rng.uniform(8.0, 30.0))
+            braking = k % 3 == 0
+            cap = CapabilityRecord(
+                CapabilityScenario.STEER, -6.0 if braking else 0.0,
+                float(rng.uniform(0.01, 0.05)), float(rng.uniform(0.15, 0.4)),
+                0.8 * v if braking else v, t_pb=0.3 if braking else 0.0)
+            init = (EgoState(v_x=v) if k < 4 else EgoState(
+                X=float(rng.uniform(-1e3, 1e3)), Y=float(rng.uniform(-5, 5)),
+                psi=float(rng.uniform(-0.15, 0.15)), v_x=v,
+                yaw_rate=float(rng.uniform(-0.4, 0.4))))
+            dt = (0.01, 0.005, 0.0025, 0.02, 0.003, 0.007)[k % 6]
+            tun = PathTuning(psi_max=float(rng.uniform(0.2, 0.4)),
+                             n_tot=int(rng.integers(1, 7)), dt_presample=dt,
+                             y_offset=float(rng.choice([0.0, 0.4])))
+            for side in ("left", "right"):
+                try:
+                    ps = generate_path_set(init, cap, space, tun, side, {})
+                except NoFeasiblePath:
+                    continue
+                for path in ps.paths:
+                    want = 0.0 + dt * np.arange(len(path.t))
+                    assert path.t.tobytes() == want.tobytes()
+                    grids.add((side, dt, len(path.t)))
+        assert {side for side, *_ in grids} == {"left", "right"}
+        assert len({dt for _, dt, _ in grids}) == 6 and len(grids) > 100
 
 
 class TestSelect:
@@ -329,22 +338,22 @@ class TestSelect:
         ranked = [RankedPath(path=p, rejected=REJECT_COLLISION)
                   for p in ps.paths[:-1]]
         ranked.append(RankedPath(path=ps.paths[-1], severity=1.0, total=1.0))
-        assert select_path(ranked).index == ps.paths[-1].index
+        assert best_survivor(ranked).path.index == ps.paths[-1].index
 
     def test_tie_breaks(self):
         ps, _ = family()
         a = RankedPath(path=ps.paths[0], severity=2.0, proximity=-1.0, total=1.0)
         b = RankedPath(path=ps.paths[1], severity=1.5, proximity=-0.5, total=1.0)
-        assert select_path([a, b]).index == ps.paths[1].index
+        assert best_survivor([a, b]).path.index == ps.paths[1].index
         c = RankedPath(path=ps.paths[2], severity=1.5, proximity=-0.5, total=1.0)
-        assert select_path([b, c]).index == ps.paths[1].index
+        assert best_survivor([b, c]).path.index == ps.paths[1].index
 
     def test_empty(self):
-        assert select_path([]) is None
+        assert best_survivor([]) is None
 
     @pytest.mark.parametrize("dt_fine", [0.01, 0.005])
     def test_places_a_fresh_path(self, dt_fine):
-        """The selected path is placed at the set's start point in fresh
+        """The selected path is placed at the cycle's start point in fresh
         arrays, bit for bit as a frame of heading 0 places it."""
         cap = CapabilityRecord(CapabilityScenario.STEER, 0.0, 0.0245, 0.25,
                                20.0)
@@ -355,8 +364,9 @@ class TestSelect:
                            (EgoState(v_x=20.0), "left")):
             ps = generate_path_set(init, cap, space, PathTuning(psi_max=0.2),
                                    side, {})
-            best = rank_paths(ps, [], space, FP, CostWeights())[0]
-            placed = select_path([best], dt_fine)
+            best = rank_paths(ps.paths, [], space, FP, CostWeights(), 0.1,
+                              init.X, init.Y)[0]
+            placed = select_path(best.path, init.X, init.Y, dt_fine)
             assert all(placed is not p for p in ps.paths)
             assert placed.x.flags.writeable and placed.psi.flags.writeable
             assert (placed.path_id, placed.index, placed.side) \
@@ -373,8 +383,7 @@ class TestSelect:
 
     def test_resamples_to_fine_grid(self):
         ps, _ = family()
-        ranked = [RankedPath(path=ps.paths[2], severity=1.0, total=1.0)]
-        fine = select_path(ranked, dt_fine=0.005)
+        fine = select_path(ps.paths[2], 0.0, 0.0, dt_fine=0.005)
         assert fine.dt == pytest.approx(0.005)
         assert fine.x[0] == pytest.approx(ps.paths[2].x[0])
         assert fine.path_id == ps.paths[2].path_id

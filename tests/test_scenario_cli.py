@@ -218,6 +218,15 @@ REJECTED_AT_LOAD = {
     # have pre-sampled about 5e10 samples (parsed, never run)
     "trigger_ttc_horizon_huge": {"trigger": {"ttc_horizon": 1e308},
                                  "planner": {"i_sb": 1e-9}},
+    # capability planned with |delta_max|, the controller's clamp pinned
+    # the steering angle at +0.15 and the run collided
+    "vehicle_delta_max_negative": {"vehicle": {"delta_max": -0.15}},
+    # -1 N wheel forces in trace.csv, and the run still "avoided"
+    "control_brake_force_max_negative": {"control": {"brake_force_max": -1.0}},
+    # not a whole number of control ticks: 0.004 s ran one tick (t_end 0)
+    # and 8.005 s ran as 8.00 s
+    "sim_duration_below_dt_control": {"sim": {"duration": 0.004}},
+    "sim_duration_not_whole_ticks": {"sim": {"duration": 8.005}},
 }
 
 
@@ -295,6 +304,11 @@ class TestRejectedAtLoad:
         assert cfg.path_tuning.n_tot == MAX_PATHS_PER_SIDE
         assert ((cfg.sim.duration + cfg.trigger.ttc_horizon)
                 / cfg.sim.dt_plant == MAX_PLANT_SUBSTEPS)
+        # a whole number of ticks that float division puts 2e-9 off it
+        cfg = parse_scenario(minimal(sim={"duration": 9994.996,
+                                          "dt_plant": 0.001,
+                                          "dt_control": 0.001}))
+        assert cfg.sim.duration / cfg.sim.dt_control == 9994995.999999998
 
     def test_dt_presample_at_dt_plant_accepted(self):
         cfg = parse_scenario(minimal(planner={"dt_presample": 0.001},
@@ -527,6 +541,18 @@ class TestRunContracts:
                 if ev[0] == t_eng and ev[2] == "right"
                 and ev[5] == "survivor"]
         assert rows
+
+    def test_min_distance_counts_from_appearance(self, scenario_dir):
+        """A static target that appears long after the ego passed its spot
+        was never near: min_distance covers only the ticks it is there."""
+        raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+        raw["targets"][0].update(X=40.0, Y=0.0, speed=0.0, appear_time=6.0)
+        res = run_scenario(parse_scenario(raw))
+        assert res.outcome == "no-trigger"
+        it, idist = (res.trace.columns.index(c) for c in ("t", "dist_vru"))
+        present = [row[idist] for row in res.trace.rows if row[it] >= 6.0]
+        assert len(present) == 201
+        assert res.summary["min_distance"]["vru"] == min(present) > 50.0
 
     def test_narrowed_space_fails(self, scenario_dir):
         res = run_scenario(load_scenario(scenario_dir / "blocked_lane.yaml"))
