@@ -331,6 +331,60 @@ class TestSharedPrediction:
         assert {side for side, *_ in grids} == {"left", "right"}
         assert len({dt for _, dt, _ in grids}) == 6 and len(grids) > 100
 
+    def test_set_grid_must_be_shared(self):
+        """Both sides' sets from one start point share one grid: every
+        path's grid is a prefix of the longest path's, which a suffix's
+        grid is not."""
+        cap = CapabilityRecord(CapabilityScenario.STEER, 0.0, 0.0245, 0.25,
+                               20.0)
+        space = DriveableSpace(-10, 300, 4.0, -4.0)
+        init = EgoState(X=12.5, Y=-0.25, v_x=20.0)
+        paths = [p for side, n_tot in (("left", 6), ("right", 3))
+                 for p in generate_path_set(init, cap, space,
+                                            PathTuning(n_tot=n_tot), side,
+                                            {}).paths]
+        longest = max((p.t for p in paths), key=len)
+        assert len({len(p.t) for p in paths}) > 1
+        for p in paths:
+            assert p.t.tobytes() == longest[:len(p.t)].tobytes()
+        suffix = paths[-1].suffix_from(0.5)
+        assert suffix.t.tobytes() != longest[:len(suffix.t)].tobytes()
+
+    def test_union_joins_sides_on_the_longest_grid(self, scenario_dir,
+                                                   monkeypatch):
+        """A planner cycle ranks every side's paths in side order, at its
+        start point, with the targets predicted once on the longest
+        path's grid."""
+        from aessim import simloop
+        from aessim.scenario import load_scenario
+        cfg = load_scenario(scenario_dir / "crossing_vru.yaml")
+        sets, grids = [], []
+        generate, pred = simloop.generate_path_set, ranking.predict
+
+        def generated(*args):
+            sets.append(generate(*args))
+            return sets[-1]
+
+        def predicted(targets, t):
+            grids.append(t)
+            return pred(targets, t)
+
+        monkeypatch.setattr(simloop, "generate_path_set", generated)
+        monkeypatch.setattr(ranking, "predict", predicted)
+        ego = EgoState(X=12.5, Y=-0.25, v_x=cfg.ego.v_x)
+        preds = [TargetTrack(td.track_id, td.footprint, td.pose, td.speed)
+                 for td in cfg.targets]
+        cycle = simloop.plan_cycle(ego, preds, cfg, CapabilityScenario.STEER,
+                                   ["left", "right"], {})
+        assert [ps.paths[0].side for ps in sets] == ["left", "right"]
+        assert ([r.path for r in cycle.ranked]
+                == [p for ps in sets for p in ps.paths])
+        assert (cycle.X, cycle.Y) == (ego.X, ego.Y)
+        assert len({len(p.t) for ps in sets for p in ps.paths}) > 1
+        assert grids == [max((p.t for ps in sets for p in ps.paths),
+                             key=len)]
+        assert grids[0] is max((r.path.t for r in cycle.ranked), key=len)
+
 
 class TestSelect:
     def test_single_survivor(self):
