@@ -1,6 +1,7 @@
 """Triggering and supervisory control: time-to-evade, time-to-collision,
 the warning/engage inequalities and the state machine that owns the
-manoeuvre lifecycle."""
+manoeuvre lifecycle. The time-to-collision of the no-action path is one
+call of the contact-time kernel, geometry.earliest_contact_time."""
 from __future__ import annotations
 
 import logging
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .capability import EgoState
-from .geometry import Footprint, Pose, _contact_time, _own_axes
+from .geometry import Footprint, earliest_contact_time
 from .pathgen import CurvatureProfile, SampledPath
 
 logger = logging.getLogger(__name__)
@@ -73,18 +74,20 @@ def compute_ttc(ego: EgoState, targets, fp: Footprint,
     horizon, inf if clear.
 
     The no-action path holds the current speed and heading; the targets move
-    at their predicted constant velocity. The minimum of the per-target
-    geometry.first_contact_time, with the ego's axes formed once; its broad
-    phase clears a car in the next lane before forming the car's corners.
+    at their predicted constant velocity. It is the least per-target
+    geometry.first_contact_time, by geometry.earliest_contact_time: each
+    heading's cos/sin is formed once, for the velocity and the rectangle
+    alike, and a car in the next lane is cleared before its corners are.
     """
-    ego_axes = _own_axes(Pose(ego.X, ego.Y, ego.psi), fp)
-    vx, vy = ego.v_x * math.cos(ego.psi), ego.v_x * math.sin(ego.psi)
-    times = []
+    c, s = math.cos(ego.psi), math.sin(ego.psi)
+    others = []
     for tr in targets:
-        tvx, tvy = tr.velocity
-        times.append(_contact_time(ego_axes, tr.pose, tr.footprint, tvx - vx,
-                                   tvy - vy, horizon))
-    return min(times, default=math.inf)
+        pose = tr.pose
+        c_b, s_b = math.cos(pose.psi), math.sin(pose.psi)
+        others.append((pose, tr.footprint, c_b, s_b, tr.speed * c_b,
+                       tr.speed * s_b))
+    return earliest_contact_time(ego, fp, c, s, (ego.v_x * c, ego.v_x * s),
+                                 others, horizon)
 
 
 def evaluate_triggers(ttc: float, tte: float, cfg: TriggerConfig) -> Trigger:

@@ -42,9 +42,11 @@ the inscribed circles or overlaps. The near pairs come target after target,
 instants in order, which is the staged loop's order, so a report counts
 what that loop resolves up to the path's first hit.
 
-The contact time is inf, before the second rectangle's corners are formed,
-when its projection swept over the horizon stays clear of the first one's
-on one of that one's axes by a margin scaled to the coordinates.
+`earliest_contact_time` is the one contact-time kernel, for
+`first_contact_time` and the no-action TTC alike. A contact time is inf,
+before the other rectangle's corners are formed, when its projection swept
+over the horizon stays clear of the first one's on one of the first one's
+axes, the lateral one first, by a margin scaled to the coordinates.
 """
 from __future__ import annotations
 
@@ -99,13 +101,16 @@ class Footprint:
 
 
 def _corners(pose: Pose, fp: Footprint, c: float,
-             s: float) -> list[tuple[float, float]]:
+             s: float) -> tuple[tuple[float, float], ...]:
     """Footprint corners counter-clockwise; c, s are cos/sin of the heading."""
     cx = pose.X + fp.ref_offset * c
     cy = pose.Y + fp.ref_offset * s
     hl, hw = 0.5 * fp.length, 0.5 * fp.width
-    return [((cx + lx * c) - ly * s, (cy + lx * s) + ly * c)
-            for lx, ly in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+    nl, nw = -hl, -hw
+    return (((cx + hl * c) - hw * s, (cy + hl * s) + hw * c),
+            ((cx + nl * c) - hw * s, (cy + nl * s) + hw * c),
+            ((cx + nl * c) - nw * s, (cy + nl * s) + nw * c),
+            ((cx + hl * c) - nw * s, (cy + hl * s) + nw * c))
 
 
 @dataclass(frozen=True)
@@ -367,7 +372,7 @@ def collision_check(path, targets, fp: Footprint,
 # Widening of each axis gap [m] in first_contact_time, so that rounding in
 # the interval arithmetic cannot lose a touch that sat_check sees.
 CONTACT_SLACK = 1e-9
-BROAD_MARGIN_REL = 2.0 ** -40   # relative part of _contact_time's margin
+BROAD_MARGIN_REL = 2.0 ** -40   # relative part of the broad phase's margin
 
 
 def first_contact_time(pose_a: Pose, fp_a: Footprint,
@@ -383,71 +388,105 @@ def first_contact_time(pose_a: Pose, fp_a: Footprint,
     Collision Detection, 5.5; Eberly, Dynamic Collision Detection using
     Oriented Bounding Boxes). Its broad phase changes no result.
     """
-    return _contact_time(_own_axes(pose_a, fp_a), pose_b, fp_b,
-                         vel_b[0] - vel_a[0], vel_b[1] - vel_a[1], horizon)
+    return earliest_contact_time(
+        pose_a, fp_a, math.cos(pose_a.psi), math.sin(pose_a.psi), vel_a,
+        ((pose_b, fp_b, math.cos(pose_b.psi), math.sin(pose_b.psi), *vel_b),),
+        horizon)
 
 
-def _own_axes(pose: Pose, fp: Footprint) -> tuple[list, list, float]:
-    """Corners, per-normal (ax, ay, min, max projection) and margin scale."""
-    c, s = math.cos(pose.psi), math.sin(pose.psi)
-    corners = _corners(pose, fp, c, s)
-    axes = []
-    for ax, ay in ((c, s), (-s, c)):
-        d = [x * ax + y * ay for x, y in corners]
-        axes.append((ax, ay, min(d), max(d)))
-    return corners, axes, 2.0 * (abs(pose.X) + abs(pose.Y) + abs(
-        fp.ref_offset) + 0.5 * fp.length + 0.5 * fp.width)
+def earliest_contact_time(pose_a, fp_a: Footprint, c_a: float, s_a: float,
+                          vel_a: tuple[float, float], others,
+                          horizon: float) -> float:
+    """The least first_contact_time of rectangle a and each rectangle b of
+    others, given as (pose, footprint, cos, sin, vx, vy); a's pose needs
+    only .X and .Y, and c_a, s_a are its heading's cos/sin. inf when none
+    touches a within the horizon.
 
-
-def _contact_time(a: tuple[list, list, float], pose_b: Pose, fp_b: Footprint,
-                  rvx: float, rvy: float, horizon: float) -> float:
-    """first_contact_time of rectangle a, given as _own_axes, and b, which
-    moves at (rvx, rvy) relative to a. Broad phase: on a's axis (ax, ay), b
-    spans mid +- hl*|c_b*ax + s_b*ay| + hw*|c_b*ay - s_b*ax| and sweeps
-    rate*horizon; beyond a's corners by more than the margin, it is inf.
-    S = 2*(|X| + |Y| + |ref_offset| + hl + hw) of a + 4*(the same) of b +
-    2*(|rvx| + |rvy|)*horizon bounds every value either test forms, so
-    their rounded ends differ by < 2**-47 * S; the margin, CONTACT_SLACK +
-    2**-40 * S, covers that and the exact test's slack, and keeps its
-    quotient gap/rate off [0, horizon] by about 2**-39 * horizon. It is inf
-    for an infinite S or a horizon below 2**-1000 s (the quotient could
-    underflow), and a NaN fails every comparison. Else the exact test
-    decides, reusing b's cos/sin and the rates: the same bits."""
-    ca, axes_a, scale_a = a
-    c_b, s_b = math.cos(pose_b.psi), math.sin(pose_b.psi)
-    off, hl, hw = fp_b.ref_offset, 0.5 * fp_b.length, 0.5 * fp_b.width
-    margin = CONTACT_SLACK + BROAD_MARGIN_REL * (
-        scale_a + 4.0 * (abs(pose_b.X) + abs(pose_b.Y) + abs(off) + hl + hw)
-        + 2.0 * (abs(rvx) + abs(rvy)) * horizon
-    ) if horizon >= 2.0 ** -1000 else math.inf
-    bx, by = pose_b.X + off * c_b, pose_b.Y + off * s_b
-    axes = []
-    for ax, ay, a_lo, a_hi in axes_a:
-        rate, mid = rvx * ax + rvy * ay, bx * ax + by * ay
-        ext = hl * abs(c_b * ax + s_b * ay) + hw * abs(c_b * ay - s_b * ax)
-        if (mid - ext + min(rate * horizon, 0.0) > a_hi + margin
-                or mid + ext + max(rate * horizon, 0.0) < a_lo - margin):
-            return math.inf
-        axes.append((ax, ay, rate, a_lo, a_hi))
-    cb = _corners(pose_b, fp_b, c_b, s_b)
-    t_first, t_last = 0.0, horizon
-    for ax, ay, rate, a_lo, a_hi in (*axes, (c_b, s_b, None, 0, 0),
-                                     (-s_b, c_b, None, 0, 0)):
-        if rate is None:
-            da = [x * ax + y * ay for x, y in ca]
-            rate, a_lo, a_hi = rvx * ax + rvy * ay, min(da), max(da)
-        db = [x * ax + y * ay for x, y in cb]
-        # b's projection moves by rate * t: overlap while lo <= rate*t <= hi
-        lo = a_lo - max(db) - CONTACT_SLACK
-        hi = a_hi - min(db) + CONTACT_SLACK
-        if rate == 0.0:
-            if lo > 0.0 or hi < 0.0:
-                return math.inf
+    a's corners and its own-axis intervals are formed once. Broad phase:
+    on a's axis (ax, ay), b spans mid +- hl*|c_b*ax + s_b*ay| +
+    hw*|c_b*ay - s_b*ax| and sweeps rate*horizon; beyond a's corners by
+    more than the margin, b is clear. The lateral axis goes first: it clears
+    a car in the next lane. S = 2*(|X| + |Y| + |ref_offset| + hl + hw) of a
+    + 4*(the same) of b + 2*(|rvx| + |rvy|)*horizon bounds every value
+    either test forms, so their rounded ends differ by < 2**-47 * S; the
+    margin, CONTACT_SLACK + 2**-40 * S, covers that and the exact test's
+    slack, and keeps its quotient gap/rate off [0, horizon] by about
+    2**-39 * horizon. It is inf for an infinite S or a horizon below
+    2**-1000 s (the quotient could underflow), and a NaN fails every
+    comparison. Else the exact test decides, reusing b's cos/sin and the
+    rates: the same bits.
+    """
+    vx_a, vy_a = vel_a
+    ns_a = -s_a
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = _corners(pose_a, fp_a, c_a, s_a)
+    p0, p1, p2, p3 = (x0 * c_a + y0 * s_a, x1 * c_a + y1 * s_a,
+                      x2 * c_a + y2 * s_a, x3 * c_a + y3 * s_a)
+    lon_lo, lon_hi = min(p0, p1, p2, p3), max(p0, p1, p2, p3)
+    p0, p1, p2, p3 = (x0 * ns_a + y0 * c_a, x1 * ns_a + y1 * c_a,
+                      x2 * ns_a + y2 * c_a, x3 * ns_a + y3 * c_a)
+    lat_lo, lat_hi = min(p0, p1, p2, p3), max(p0, p1, p2, p3)
+    scale_a = 2.0 * (abs(pose_a.X) + abs(pose_a.Y) + abs(fp_a.ref_offset)
+                     + 0.5 * fp_a.length + 0.5 * fp_a.width)
+    best = math.inf
+    for pose_b, fp_b, c_b, s_b, vx_b, vy_b in others:
+        rvx, rvy = vx_b - vx_a, vy_b - vy_a
+        off, hl, hw = fp_b.ref_offset, 0.5 * fp_b.length, 0.5 * fp_b.width
+        X, Y = pose_b.X, pose_b.Y
+        margin = CONTACT_SLACK + BROAD_MARGIN_REL * (
+            scale_a + 4.0 * (abs(X) + abs(Y) + abs(off) + hl + hw)
+            + 2.0 * (abs(rvx) + abs(rvy)) * horizon
+        ) if horizon >= 2.0 ** -1000 else math.inf
+        bx, by = X + off * c_b, Y + off * s_b
+        # broad phase on the lateral axis (ns_a, c_a), then on (c_a, s_a);
+        # the sweep's lower end is min(sweep, 0.0), its upper max(sweep, 0.0)
+        rate_y, mid = rvx * ns_a + rvy * c_a, bx * ns_a + by * c_a
+        ext = (hl * abs(c_b * ns_a + s_b * c_a)
+               + hw * abs(c_b * c_a - s_b * ns_a))
+        sweep = rate_y * horizon
+        if (mid - ext + (0.0 if sweep > 0.0 else sweep) > lat_hi + margin
+                or mid + ext + (0.0 if sweep < 0.0 else sweep)
+                < lat_lo - margin):
             continue
-        t0, t1 = lo / rate, hi / rate
-        if rate < 0.0:
-            t0, t1 = t1, t0
-        t_first, t_last = max(t_first, t0), min(t_last, t1)
-        if t_first > t_last:
-            return math.inf
-    return t_first
+        rate_x, mid = rvx * c_a + rvy * s_a, bx * c_a + by * s_a
+        ext = (hl * abs(c_b * c_a + s_b * s_a)
+               + hw * abs(c_b * s_a - s_b * c_a))
+        sweep = rate_x * horizon
+        if (mid - ext + (0.0 if sweep > 0.0 else sweep) > lon_hi + margin
+                or mid + ext + (0.0 if sweep < 0.0 else sweep)
+                < lon_lo - margin):
+            continue
+        # the exact test on a's axes, then on b's
+        (u0, w0), (u1, w1), (u2, w2), (u3, w3) = _corners(
+            pose_b, fp_b, c_b, s_b)
+        t_first, t_last = 0.0, horizon
+        for ax, ay, rate, a_lo, a_hi in (
+                (c_a, s_a, rate_x, lon_lo, lon_hi),
+                (ns_a, c_a, rate_y, lat_lo, lat_hi),
+                (c_b, s_b, None, 0.0, 0.0), (-s_b, c_b, None, 0.0, 0.0)):
+            if rate is None:
+                p0, p1, p2, p3 = (x0 * ax + y0 * ay, x1 * ax + y1 * ay,
+                                  x2 * ax + y2 * ay, x3 * ax + y3 * ay)
+                rate = rvx * ax + rvy * ay
+                a_lo, a_hi = min(p0, p1, p2, p3), max(p0, p1, p2, p3)
+            p0, p1, p2, p3 = (u0 * ax + w0 * ay, u1 * ax + w1 * ay,
+                              u2 * ax + w2 * ay, u3 * ax + w3 * ay)
+            # b's projection moves by rate*t: overlap while lo <= rate*t <= hi
+            lo = a_lo - max(p0, p1, p2, p3) - CONTACT_SLACK
+            hi = a_hi - min(p0, p1, p2, p3) + CONTACT_SLACK
+            if rate == 0.0:
+                if lo > 0.0 or hi < 0.0:
+                    break
+                continue
+            t0, t1 = lo / rate, hi / rate
+            if rate < 0.0:
+                t0, t1 = t1, t0
+            if t0 > t_first:
+                t_first = t0
+            if t1 < t_last:
+                t_last = t1
+            if t_first > t_last:
+                break
+        else:
+            if t_first < best:
+                best = t_first
+    return best

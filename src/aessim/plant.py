@@ -30,14 +30,17 @@ stage. `dataclasses.replace` drops the record, and a state changed by
 assignment no longer matches it.
 
 The RK4 step and the lateral acceleration run on plain Python floats and
-build no numpy arrays. They repeat the float operations of the numpy-matrix
-step they replaced, in the same order and with each substep's state rounded
-through `float`, so they return the same bits and `trace.csv`, `paths.csv`
-and `summary.json` stay byte-identical. An algebraically equal reordering of
-the arithmetic breaks this; the tests keep the numpy-matrix step as the
-reference and compare by `float.hex`. `_lateral_coeffs` holds the only copy
-of the lateral-dynamics formulas; `lateral_matrices` builds its arrays from
-it for the pole check.
+build no numpy arrays. The four RK4 stages are written out in the substep's
+body, with no derivative function: each makes one `math.cos` and one
+`math.sin`, and a stage heading that overflows raises the divergence with
+that stage's lateral velocity and yaw-rate inputs. They repeat the float
+operations of the numpy-matrix step they replaced, in the same order and
+with each substep's state rounded through `float`, so they return the same
+bits and `trace.csv`, `paths.csv` and `summary.json` stay byte-identical.
+An algebraically equal reordering of the arithmetic breaks this; the tests
+keep the numpy-matrix step as the reference and compare by `float.hex`.
+`_lateral_coeffs` holds the only copy of the lateral-dynamics formulas;
+`lateral_matrices` builds its arrays from it for the pole check.
 """
 from __future__ import annotations
 
@@ -127,8 +130,8 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
                a_x_cmd: float, dt: float, n: int = 1) -> PlantState:
     """n fixed-step RK4 substeps of the plant under one command.
 
-    The lateral acceleration is capped at the friction limit inside the
-    derivative (tyre-force saturation guard); the returned state is flagged
+    The lateral acceleration is capped at the friction limit inside each
+    RK4 stage (tyre-force saturation guard); the returned state is flagged
     when the guard engaged in the last substep. The longitudinal speed
     follows a_x_cmd and never drops below the floor. A substep that leaves
     the sanity bounds raises NumericalDivergence whose `state` is the last
@@ -155,27 +158,6 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
         repeats, integrate = 0, n
         ay_max = params.mu_min * G
         u = None  # the speed the lateral coefficients belong to
-
-        def deriv(v, r, psi):
-            nonlocal saturated
-            v_dot = a11 * v + a12 * r + b11 * delta
-            r_dot_tire = a21 * v + a22 * r + b21 * delta
-            a_y = v_dot + u * r
-            if abs(a_y) > ay_max:
-                # tyre-force saturation: scale the tyre-generated terms of
-                # both rows so the lateral acceleration caps at the friction
-                # limit
-                saturated = True
-                scale = ay_max / abs(a_y)
-                v_dot = scale * a_y - u * r
-                r_dot_tire *= scale
-            r_dot = r_dot_tire + b22 * m_ext
-            try:
-                c, sn = math.cos(psi), math.sin(psi)
-            except ValueError:  # the stage heading overflowed to inf
-                raise _diverged(t_next, v, r) from None
-            return v_dot, r_dot, u * c - v * sn, u * sn + v * c
-
         h = 0.5 * dt
         w = dt / 6.0
     try:
@@ -186,15 +168,70 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
                 a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
             t_next = t + dt
             saturated = False
-            # RK4 stages; the heading derivative of a stage is its yaw-rate
-            # input
-            v1, r1, x1, y1 = deriv(v, r, psi)
-            r_2 = r + h * r1
-            v2, r2, x2, y2 = deriv(v + h * v1, r_2, psi + h * r)
-            r_3 = r + h * r2
-            v3, r3, x3, y3 = deriv(v + h * v2, r_3, psi + h * r_2)
-            r_4 = r + dt * r3
-            v4, r4, x4, y4 = deriv(v + dt * v3, r_4, psi + dt * r_3)
+            # RK4 stages at their inputs (sv, sr, heading): v_dot and r_dot, with
+            # the tyre terms scaled at saturation so that the lateral
+            # acceleration caps at the friction limit, and the road-frame
+            # velocity. A stage's heading derivative is its yaw-rate input.
+            try:
+                sv, sr = v, r
+                v1 = a11 * sv + a12 * sr + b11 * delta
+                r1 = a21 * sv + a22 * sr + b21 * delta
+                a_y = v1 + u * sr
+                if abs(a_y) > ay_max:
+                    saturated = True
+                    scale = ay_max / abs(a_y)
+                    v1 = scale * a_y - u * sr
+                    r1 *= scale
+                r1 = r1 + b22 * m_ext
+                c, sn = math.cos(psi), math.sin(psi)
+                x1, y1 = u * c - sv * sn, u * sn + sv * c
+
+                sv, sr = v + h * v1, r + h * r1
+                r_2 = sr
+                v2 = a11 * sv + a12 * sr + b11 * delta
+                r2 = a21 * sv + a22 * sr + b21 * delta
+                a_y = v2 + u * sr
+                if abs(a_y) > ay_max:
+                    saturated = True
+                    scale = ay_max / abs(a_y)
+                    v2 = scale * a_y - u * sr
+                    r2 *= scale
+                r2 = r2 + b22 * m_ext
+                sp = psi + h * r
+                c, sn = math.cos(sp), math.sin(sp)
+                x2, y2 = u * c - sv * sn, u * sn + sv * c
+
+                sv, sr = v + h * v2, r + h * r2
+                r_3 = sr
+                v3 = a11 * sv + a12 * sr + b11 * delta
+                r3 = a21 * sv + a22 * sr + b21 * delta
+                a_y = v3 + u * sr
+                if abs(a_y) > ay_max:
+                    saturated = True
+                    scale = ay_max / abs(a_y)
+                    v3 = scale * a_y - u * sr
+                    r3 *= scale
+                r3 = r3 + b22 * m_ext
+                sp = psi + h * r_2
+                c, sn = math.cos(sp), math.sin(sp)
+                x3, y3 = u * c - sv * sn, u * sn + sv * c
+
+                sv, sr = v + dt * v3, r + dt * r3
+                r_4 = sr
+                v4 = a11 * sv + a12 * sr + b11 * delta
+                r4 = a21 * sv + a22 * sr + b21 * delta
+                a_y = v4 + u * sr
+                if abs(a_y) > ay_max:
+                    saturated = True
+                    scale = ay_max / abs(a_y)
+                    v4 = scale * a_y - u * sr
+                    r4 *= scale
+                r4 = r4 + b22 * m_ext
+                sp = psi + dt * r_3
+                c, sn = math.cos(sp), math.sin(sp)
+                x4, y4 = u * c - sv * sn, u * sn + sv * c
+            except ValueError:  # the stage heading overflowed to inf
+                raise _diverged(t_next, sv, sr) from None
 
             v_new = float(v + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4))
             r_new = float(r + w * (r1 + 2.0 * r2 + 2.0 * r3 + r4))

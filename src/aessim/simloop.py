@@ -268,10 +268,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             ecy = plant.Y + fp.ref_offset * math.sin(plant.psi)
         for td, tp in zip(cfg.targets, poses):
             tcx, tcy = td.footprint.center(tp)
-            d = dists[td.track_id] = math.hypot(tcx - ecx, tcy - ecy)
+            d = math.hypot(tcx - ecx, tcy - ecy)
             row += (d, tp.X, tp.Y)
             if t < td.appear_time:   # not there yet: no distance, no contact
                 continue
+            dists[td.track_id] = d
             min_dist[td.track_id] = min(min_dist[td.track_id], d)
             if (d <= fp.circumscribed_radius
                     + td.footprint.circumscribed_radius

@@ -69,15 +69,20 @@ class TestLateralDynamics:
         with pytest.raises(NumericalDivergence):
             run(PlantState(u_v=20.0), cmd, p, 5.0)
 
-    @pytest.mark.parametrize("I_zz", [1e-300, 5e-324])
-    def test_divergence_guard_catches_overflow_and_nan(self, I_zz):
-        # 1e-300: a stage heading overflows and math.cos(inf) raised
-        # ValueError; 5e-324: 1/I_zz is inf and inf * 0 makes the state NaN,
-        # which passed the bounds as written with ">"
+    @pytest.mark.parametrize("I_zz, v_v", [(1e-300, "inf"), (5e-324, "nan")],
+                             ids=["1e-300", "5e-324"])
+    def test_divergence_guard_catches_overflow_and_nan(self, I_zz, v_v):
+        # 1e-300: a stage heading overflows, math.cos(inf) raises ValueError
+        # and the message reports that stage's inputs; 5e-324: 1/I_zz is inf
+        # and inf * 0 makes the state NaN, which passed the bounds as written
+        # with ">"
         p = make_params(I_zz=I_zz)
-        with pytest.raises(NumericalDivergence,
-                           match=r"plant state out of bounds at t=\d"):
-            run(PlantState(u_v=20.0), ControlCommand(delta_g=0.01), p, 1.0)
+        start = PlantState(u_v=20.0)
+        with pytest.raises(NumericalDivergence) as info:
+            run(start, ControlCommand(delta_g=0.01), p, 1.0)
+        assert str(info.value) == ("plant state out of bounds at t=0.001 "
+                                   f"(v_v={v_v}, r=nan)")
+        assert info.value.state == start
 
     def test_lateral_force_guard_flags(self):
         p = make_params(mu_f=0.3, mu_r=0.3)

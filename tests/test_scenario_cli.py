@@ -554,6 +554,18 @@ class TestRunContracts:
         assert len(present) == 201
         assert res.summary["min_distance"]["vru"] == min(present) > 50.0
 
+    def test_engage_distances_list_only_present_targets(self, scenario_dir):
+        """A target that appears after the engage tick has no engage
+        distance, as it has no min_distance."""
+        raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+        raw["targets"].append(dict(
+            raw["targets"][0], id="late", X=150.0, Y=-4.0, psi=0.0,
+            speed=0.0, appear_time=7.0))
+        res = run_scenario(parse_scenario(raw))
+        assert res.summary["engage_time"] < 7.0
+        assert res.summary["min_distance"]["late"] is None
+        assert list(res.summary["engage_distances"]) == ["vru"]
+
     def test_narrowed_space_fails(self, scenario_dir):
         res = run_scenario(load_scenario(scenario_dir / "blocked_lane.yaml"))
         assert res.outcome in ("collided", "aborted")
