@@ -110,6 +110,9 @@ class CapabilityTuning:
     def __post_init__(self) -> None:
         if self.t_pb < 0:
             raise ValueError("t_pb must be non-negative")
+        # 0 means no lateral authority; the planner takes abs(rho_max)
+        if self.a_y_threshold < 0:
+            raise ValueError("a_y_threshold must be non-negative")
         if self.rho_dot_max <= 0:
             raise ValueError("rho_dot_max must be positive")
         if self.v_min < 0:

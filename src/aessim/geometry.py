@@ -247,10 +247,11 @@ def predict(targets, t: np.ndarray) -> Prediction:
     rows = []
     for tg in targets:
         fp, c, s = tg.footprint, math.cos(tg.pose.psi), math.sin(tg.pose.psi)
-        rows.append((tg.pose.X, tg.pose.Y, *tg.velocity, fp.ref_offset * c,
-                     fp.ref_offset * s, fp.circumscribed_radius, c, s,
-                     fp.ref_offset, 0.5 * fp.length, 0.5 * fp.width,
-                     fp.inscribed_radius))
+        # tg.speed * c and * s are the bits of tg.velocity
+        rows.append((tg.pose.X, tg.pose.Y, tg.speed * c, tg.speed * s,
+                     fp.ref_offset * c, fp.ref_offset * s,
+                     fp.circumscribed_radius, c, s, fp.ref_offset,
+                     0.5 * fp.length, 0.5 * fp.width, fp.inscribed_radius))
     col = np.array(rows, dtype=float).reshape(-1, 13).T
     pos = col[2:4, :, None] * t
     pos += col[0:2, :, None]   # X + vx * t: the sum commutes exactly

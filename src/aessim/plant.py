@@ -30,13 +30,14 @@ stage. `dataclasses.replace` drops the record, and a state changed by
 assignment no longer matches it.
 
 The RK4 step and the lateral acceleration run on plain Python floats and
-build no numpy arrays. The four RK4 stages are written out in the substep's
-body, with no derivative function: each makes one `math.cos` and one
-`math.sin`, and a stage heading that overflows raises the divergence with
-that stage's lateral velocity and yaw-rate inputs. They repeat the float
-operations of the numpy-matrix step they replaced, in the same order and
-with each substep's state rounded through `float`, so they return the same
-bits and `trace.csv`, `paths.csv` and `summary.json` stay byte-identical.
+build no numpy arrays. One stage body, with no derivative function, runs
+the four RK4 stages: each makes one `math.cos` and one `math.sin`, and a
+stage heading that overflows raises the divergence with that stage's
+lateral velocity and yaw-rate inputs. The step repeats the float
+operations of the numpy-matrix step it replaced, in the same order (the
+stage sums start at -0.0, the identity of IEEE addition) and with each
+substep's state rounded through `float`, so it returns the same bits and
+`trace.csv`, `paths.csv` and `summary.json` stay byte-identical.
 An algebraically equal reordering of the arithmetic breaks this; the tests
 keep the numpy-matrix step as the reference and compare by `float.hex`.
 `_lateral_coeffs` holds the only copy of the lateral-dynamics formulas;
@@ -160,6 +161,8 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
         u = None  # the speed the lateral coefficients belong to
         h = 0.5 * dt
         w = dt / 6.0
+        # each RK4 stage's weight in the sums and step to the next stage
+        stages = ((1.0, h), (2.0, h), (2.0, dt), (1.0, 0.0))
     try:
         for k in range(integrate):
             # the coefficients change with the speed only, i.e. while braking
@@ -168,82 +171,45 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
                 a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
             t_next = t + dt
             saturated = False
-            # RK4 stages at their inputs (sv, sr, heading): v_dot and r_dot, with
+            # RK4 stages at their inputs (sv, sr, sp): v_dot and r_dot, with
             # the tyre terms scaled at saturation so that the lateral
             # acceleration caps at the friction limit, and the road-frame
             # velocity. A stage's heading derivative is its yaw-rate input.
+            # Each weighted sum starts at -0.0, the identity of IEEE
+            # addition, so it holds the bits of k1 + 2*k2 + 2*k3 + k4.
+            sv, sr, sp = v, r, psi
+            v_sum = r_sum = x_sum = y_sum = psi_sum = -0.0
             try:
-                sv, sr = v, r
-                v1 = a11 * sv + a12 * sr + b11 * delta
-                r1 = a21 * sv + a22 * sr + b21 * delta
-                a_y = v1 + u * sr
-                if abs(a_y) > ay_max:
-                    saturated = True
-                    scale = ay_max / abs(a_y)
-                    v1 = scale * a_y - u * sr
-                    r1 *= scale
-                r1 = r1 + b22 * m_ext
-                c, sn = math.cos(psi), math.sin(psi)
-                x1, y1 = u * c - sv * sn, u * sn + sv * c
-
-                sv, sr = v + h * v1, r + h * r1
-                r_2 = sr
-                v2 = a11 * sv + a12 * sr + b11 * delta
-                r2 = a21 * sv + a22 * sr + b21 * delta
-                a_y = v2 + u * sr
-                if abs(a_y) > ay_max:
-                    saturated = True
-                    scale = ay_max / abs(a_y)
-                    v2 = scale * a_y - u * sr
-                    r2 *= scale
-                r2 = r2 + b22 * m_ext
-                sp = psi + h * r
-                c, sn = math.cos(sp), math.sin(sp)
-                x2, y2 = u * c - sv * sn, u * sn + sv * c
-
-                sv, sr = v + h * v2, r + h * r2
-                r_3 = sr
-                v3 = a11 * sv + a12 * sr + b11 * delta
-                r3 = a21 * sv + a22 * sr + b21 * delta
-                a_y = v3 + u * sr
-                if abs(a_y) > ay_max:
-                    saturated = True
-                    scale = ay_max / abs(a_y)
-                    v3 = scale * a_y - u * sr
-                    r3 *= scale
-                r3 = r3 + b22 * m_ext
-                sp = psi + h * r_2
-                c, sn = math.cos(sp), math.sin(sp)
-                x3, y3 = u * c - sv * sn, u * sn + sv * c
-
-                sv, sr = v + dt * v3, r + dt * r3
-                r_4 = sr
-                v4 = a11 * sv + a12 * sr + b11 * delta
-                r4 = a21 * sv + a22 * sr + b21 * delta
-                a_y = v4 + u * sr
-                if abs(a_y) > ay_max:
-                    saturated = True
-                    scale = ay_max / abs(a_y)
-                    v4 = scale * a_y - u * sr
-                    r4 *= scale
-                r4 = r4 + b22 * m_ext
-                sp = psi + dt * r_3
-                c, sn = math.cos(sp), math.sin(sp)
-                x4, y4 = u * c - sv * sn, u * sn + sv * c
+                for weight, step in stages:
+                    kv = a11 * sv + a12 * sr + b11 * delta
+                    kr = a21 * sv + a22 * sr + b21 * delta
+                    a_y = kv + u * sr
+                    if abs(a_y) > ay_max:
+                        saturated = True
+                        scale = ay_max / abs(a_y)
+                        kv = scale * a_y - u * sr
+                        kr *= scale
+                    kr = kr + b22 * m_ext
+                    c, sn = math.cos(sp), math.sin(sp)
+                    v_sum = v_sum + weight * kv
+                    r_sum = r_sum + weight * kr
+                    x_sum = x_sum + weight * (u * c - sv * sn)
+                    y_sum = y_sum + weight * (u * sn + sv * c)
+                    psi_sum = psi_sum + weight * sr
+                    sv, sr, sp = v + step * kv, r + step * kr, psi + step * sr
             except ValueError:  # the stage heading overflowed to inf
                 raise _diverged(t_next, sv, sr) from None
 
-            v_new = float(v + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4))
-            r_new = float(r + w * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
+            v_new = float(v + w * v_sum)
+            r_new = float(r + w * r_sum)
             # negated, so that a NaN state fails the bounds too
             if not (abs(v_new) <= V_LAT_LIMIT
                     and abs(r_new) <= YAW_RATE_LIMIT):
                 raise _diverged(t_next, v_new, r_new)
-            dX = w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
-            dY = w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
+            dX, dY = w * x_sum, w * y_sum
             X = float(X + dX)
             Y = float(Y + dY)
-            psi_new = float(psi + w * (r + 2.0 * r_2 + 2.0 * r_3 + r_4))
+            psi_new = float(psi + w * psi_sum)
             u_new = max(U_FLOOR, u_v + a_x_cmd * dt)
             # u_new >= U_FLOOR, so only the other three can be signed zeros
             at_rest = (v_new == v and r_new == r and psi_new == psi

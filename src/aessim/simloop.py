@@ -263,9 +263,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                cmd.brakes.rl, cmd.brakes.rr]
         dists = {}
         if poses:
-            # the ego centre with Footprint.center's arithmetic
-            ecx = plant.X + fp.ref_offset * math.cos(plant.psi)
-            ecy = plant.Y + fp.ref_offset * math.sin(plant.psi)
+            ecx, ecy = fp.center(plant)  # reads only X, Y and psi
         for td, tp in zip(cfg.targets, poses):
             tcx, tcy = td.footprint.center(tp)
             d = math.hypot(tcx - ecx, tcy - ecy)

@@ -56,10 +56,9 @@ def formed_corners(monkeypatch) -> list:
     return formed
 
 
-@pytest.fixture
-def plant_cos(monkeypatch):
-    """Counts the math.cos calls of aessim.plant in `calls`: each RK4 stage
-    of a plant substep makes exactly one."""
+def _count_cos(monkeypatch, module):
+    """Replaces the math of module by one that counts its cos calls in
+    `calls`."""
     class CountingMath:
         calls = 0
 
@@ -71,8 +70,21 @@ def plant_cos(monkeypatch):
             return getattr(math, name)
 
     counting = CountingMath()
-    monkeypatch.setattr(plant, "math", counting)
+    monkeypatch.setattr(module, "math", counting)
     return counting
+
+
+@pytest.fixture
+def plant_cos(monkeypatch):
+    """Counts the math.cos calls of aessim.plant in `calls`: each RK4 stage
+    of a plant substep makes exactly one."""
+    return _count_cos(monkeypatch, plant)
+
+
+@pytest.fixture
+def geometry_cos(monkeypatch):
+    """Counts the math.cos calls of aessim.geometry in `calls`."""
+    return _count_cos(monkeypatch, geometry)
 
 
 def reference_corners(path, fp, X=0.0, Y=0.0) -> list:

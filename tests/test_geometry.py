@@ -470,6 +470,19 @@ class TestTargetStep:
             assert pose.Y == -2.0 + 3.0 * math.sin(0.25) * t
             assert pose.psi == 0.25
 
+    def test_predict_forms_each_heading_once(self, geometry_cos):
+        """One cos per target: the velocity reuses the row's cos and sin,
+        with the bits of TargetTrack.velocity."""
+        targets = [TargetTrack(f"t{i}", Footprint(0.5, 0.5),
+                               Pose(1.0, -2.0, 0.25 * i), 3.0)
+                   for i in range(3)]
+        pred = predict(targets, np.array([0.0, 1.3]))
+        assert geometry_cos.calls == 3
+        for i, tg in enumerate(targets):
+            vx, vy = tg.velocity
+            assert pred.pos[:, i, 1].tolist() == [1.0 + vx * 1.3,
+                                                  -2.0 + vy * 1.3]
+
 
 class TestCollisionCheck:
     def test_no_targets(self):

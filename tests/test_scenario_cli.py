@@ -167,6 +167,9 @@ REJECTED_AT_LOAD = {
     # a negative rate "math domain error" mid-run
     "capability_rho_dot_max_zero": {"capability": {"rho_dot_max": 0.0}},
     "capability_rho_dot_max_negative": {"capability": {"rho_dot_max": -0.1}},
+    # the planner took abs(rho_max): -9.6 engaged R2 at 3.24 s as +9.6 does
+    "capability_a_y_threshold_negative":
+        {"capability": {"a_y_threshold": -9.6}},
     # no look-ahead: the run never engaged and ended collided
     "trigger_ttc_horizon_zero": {"trigger": {"ttc_horizon": 0.0}},
     "trigger_ttc_horizon_negative": {"trigger": {"ttc_horizon": -1.0}},
