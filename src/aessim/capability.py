@@ -1,8 +1,9 @@
 """Vehicle capability estimation: braking deceleration and curvature limits.
 
-The lateral limits come from steady-state cornering relations of the single
-track model, evaluated for six actuation combinations (with/without
-pre-braking, steering and differential braking) and saturated by the
+The braking limit rests on the static axle loads; the lateral limits come
+from steady-state cornering relations of the single track model at the
+evasion's start speed, for six actuation combinations (with/without
+pre-braking, steering and differential braking), saturated by the
 friction and comfort-threshold curvature bounds.
 """
 from __future__ import annotations
@@ -23,7 +24,6 @@ class VehicleParams:
     m: float            # mass [kg]
     a: float            # CG to front axle [m]
     b: float            # CG to rear axle [m]
-    h_cog: float        # CG height [m]
     w: float            # track width [m]
     C_f: float          # front axle cornering stiffness [N/rad]
     C_r: float          # rear axle cornering stiffness [N/rad]
@@ -64,7 +64,6 @@ class EgoState:
     Y: float = 0.0
     psi: float = 0.0       # heading relative to the road [rad]
     v_x: float = 1.0       # longitudinal speed [m/s], > 0 while planning
-    a_x: float = 0.0       # current longitudinal acceleration [m/s^2]
     yaw_rate: float = 0.0  # [rad/s]
 
 
@@ -131,19 +130,12 @@ class CapabilityRecord:
     t_pb: float = 0.0     # pre-braking time, 0 unless the scenario brakes [s]
 
 
-def axle_normal_forces(params: VehicleParams, a_x: float) -> tuple[float, float]:
-    """Front/rear axle normal forces including longitudinal load transfer."""
+def longitudinal_capability(params: VehicleParams) -> float:
+    """Maximum braking deceleration a_x_min <= 0 [m/s^2] on static loads."""
     l = params.l
     static = params.m * G
-    transfer = params.h_cog / l * params.m * a_x
-    f_front = params.a / l * static - transfer
-    f_rear = params.b / l * static + transfer
-    return f_front, f_rear
-
-
-def longitudinal_capability(params: VehicleParams, state: EgoState) -> float:
-    """Maximum braking deceleration a_x_min <= 0 [m/s^2]."""
-    f_front, f_rear = axle_normal_forces(params, state.a_x)
+    f_front = params.a / l * static
+    f_rear = params.b / l * static
     f_x_min = -params.mu_f * f_front * params.S_f - params.mu_r * f_rear * params.S_r
     return f_x_min / params.m
 
@@ -185,8 +177,8 @@ def prebraking_speed(a_x_min: float, t_b: float, v_x0: float) -> float:
 
 
 def lateral_capability(scenario: CapabilityScenario, params: VehicleParams,
-                       state: EgoState, tuning: CapabilityTuning) -> CapabilityRecord:
-    """Capability record for one actuation scenario.
+                       v_x: float, tuning: CapabilityTuning) -> CapabilityRecord:
+    """Capability record for one actuation scenario at ego speed v_x.
 
     The record carries the pre-braking time the path and the braking window
     use: tuning.t_pb when the scenario pre-brakes, else 0. Raises
@@ -195,14 +187,14 @@ def lateral_capability(scenario: CapabilityScenario, params: VehicleParams,
     """
     if scenario.pre_braking:
         t_pb = tuning.t_pb
-        a_x_min = longitudinal_capability(params, state)
-        v_evade = prebraking_speed(a_x_min, t_pb, state.v_x)
+        a_x_min = longitudinal_capability(params)
+        v_evade = prebraking_speed(a_x_min, t_pb, v_x)
         if v_evade <= tuning.v_min:
             raise DegenerateSpeed(
                 f"pre-braking for {t_pb} s leaves {v_evade:.3f} m/s")
     else:
         t_pb = a_x_min = 0.0
-        v_evade = state.v_x
+        v_evade = v_x
 
     raw = 0.0
     if scenario.steering:

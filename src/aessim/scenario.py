@@ -247,9 +247,11 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("road bounds are inverted")
 
     ego = _config(EgoState, _section(raw, "ego", required=True), "ego",
-                  skip=("a_x", "yaw_rate"), required=("v_x",))
+                  skip=("yaw_rate",), required=("v_x",))
     if ego.v_x < U_FLOOR:  # the plant would speed a slower ego up to it
         raise ConfigError(f"ego.v_x must be at least {U_FLOOR} m/s")
+    if not -math.pi < ego.psi <= math.pi:  # read against the road
+        raise ConfigError(f"ego.psi must lie in (-pi, pi], found {ego.psi!r}")
     try:
         assert_stable_vehicle(vehicle, ego.v_x)
     except ValueError as exc:
@@ -285,6 +287,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
                 maneuver[f"maneuver_{key}"] = _num(man.pop(key),
                                                    f"{label}.maneuver.{key}")
             _no_leftovers(man, f"{label}.maneuver")
+            if maneuver["maneuver_time"] < 0:  # would move the t = 0 pose
+                raise ConfigError(f"'{label}.maneuver.time' must be "
+                                  f"non-negative")
         pose = _config(Pose, {k: entry.pop(k) for k in ("X", "Y", "psi")
                               if k in entry}, label, required=("X", "Y"))
         targets.append(_config(TargetDef, entry, label, track_id=tid,
@@ -336,7 +341,7 @@ def _check_path_duration(cfg: ScenarioConfig) -> None:
     trigger.ttc_horizon, the span of the run and of its last TTC.
     """
     try:
-        cap = lateral_capability(cfg.cap_scenario, cfg.vehicle, cfg.ego,
+        cap = lateral_capability(cfg.cap_scenario, cfg.vehicle, cfg.ego.v_x,
                                  cfg.cap_tuning)
     except DegenerateSpeed:
         return  # the planner plans nothing from this state

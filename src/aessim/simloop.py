@@ -93,7 +93,7 @@ def plan_cycle(ego: EgoState, preds: list[TargetTrack], cfg: ScenarioConfig,
     their paths from ego, with families as generate_path_set's memo. Only
     the selected path is resampled and placed, by select_path."""
     try:
-        cap = lateral_capability(scenario, cfg.vehicle, ego, cfg.cap_tuning)
+        cap = lateral_capability(scenario, cfg.vehicle, ego.v_x, cfg.cap_tuning)
     except DegenerateSpeed:
         return PlanCycle(ego.X, ego.Y)
     paths: list[SampledPath] = []

@@ -17,7 +17,7 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 @pytest.fixture
 def ref_params() -> VehicleParams:
     """Mid-size vehicle used throughout the numeric examples."""
-    return VehicleParams(m=2000.0, a=1.4, b=1.6, h_cog=0.55, w=1.6,
+    return VehicleParams(m=2000.0, a=1.4, b=1.6, w=1.6,
                          C_f=1.0e5, C_r=1.0e5, I_zz=3500.0, delta_max=0.1)
 
 

@@ -97,7 +97,7 @@ class TestCriterion4PolePlacement:
             c_f = float(rng.uniform(5e4, 1.5e5))
             c_r = c_f * float(rng.uniform(1.0, 1.5))
             params = VehicleParams(
-                m=float(rng.uniform(1000, 2500)), a=a, b=b, h_cog=0.5,
+                m=float(rng.uniform(1000, 2500)), a=a, b=b,
                 w=1.6, C_f=c_f, C_r=c_r,
                 I_zz=float(rng.uniform(1500, 5000)))
             u = float(rng.uniform(5.0, 40.0))
@@ -337,7 +337,7 @@ class TestCriterion7ReplanningClosure:
 class TestCriterion8FresnelConvergence:
     def test_halving_dt_presample(self, scenario_dir):
         cfg = load_scenario(scenario_dir / "crossing_vru.yaml")
-        cap = lateral_capability(cfg.cap_scenario, cfg.vehicle, cfg.ego,
+        cap = lateral_capability(cfg.cap_scenario, cfg.vehicle, cfg.ego.v_x,
                                  cfg.cap_tuning)
         prof = build_max_severity_profile(cfg.ego, cap, cfg.path_tuning,
                                           "right")

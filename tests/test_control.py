@@ -17,7 +17,7 @@ from aessim.plant import PlantState
 
 
 def make_params(**kw):
-    base = dict(m=2000.0, a=1.4, b=1.6, h_cog=0.55, w=1.6, C_f=1e5, C_r=1e5,
+    base = dict(m=2000.0, a=1.4, b=1.6, w=1.6, C_f=1e5, C_r=1e5,
                 I_zz=3500.0, delta_max=0.3)
     base.update(kw)
     return VehicleParams(**base)

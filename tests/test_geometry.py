@@ -169,7 +169,7 @@ def _placed_families(params):
                                   rho_dot_max=float(rng.uniform(0.1, 0.4)))
         try:
             cap = lateral_capability(list(CapabilityScenario)[k % 6], params,
-                                     init, tuning)
+                                     v, tuning)
         except DegenerateSpeed:
             continue
         tun = PathTuning(psi_max=float(rng.uniform(0.1, 0.3)), n_tot=3,
@@ -587,8 +587,8 @@ class TestCollisionCheck:
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
         ps = generate_path_set(
             EgoState(v_x=20.0),
-            lateral_capability(CapabilityScenario.STEER, ref_params,
-                               EgoState(v_x=20.0), CapabilityTuning()),
+            lateral_capability(CapabilityScenario.STEER, ref_params, 20.0,
+                               CapabilityTuning()),
             DriveableSpace(-10.0, 400.0, 6.0, -6.0), PathTuning(n_tot=4),
             "left", {})
         longest = max((p.t for p in ps.paths), key=len)

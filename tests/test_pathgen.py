@@ -97,8 +97,8 @@ class TestBreakpoints:
         assert np.all(prof.vels[1:] == prof.vels[1])
 
     def test_no_prebraking_for_steer_only_rows(self, ref_params):
-        cap = lateral_capability(CapabilityScenario.STEER, ref_params,
-                                 rest_init(), CapabilityTuning(t_pb=0.3))
+        cap = lateral_capability(CapabilityScenario.STEER, ref_params, 20.0,
+                                 CapabilityTuning(t_pb=0.3))
         assert cap.t_pb == 0.0
         prof = build_max_severity_profile(rest_init(), cap,
                                           PathTuning(psi_max=0.2))

@@ -28,7 +28,7 @@ from aessim.trace import BLOCK_ROWS, TraceLog, _fmt, emit_plot_data
 
 MINIMAL = {
     "schema_version": 1,
-    "vehicle": {"m": 2000.0, "a": 1.4, "b": 1.6, "h_cog": 0.55, "w": 1.6,
+    "vehicle": {"m": 2000.0, "a": 1.4, "b": 1.6, "w": 1.6,
                 "C_f": 1e5, "C_r": 1e5, "I_zz": 3500.0},
     "road": {"x_start": -10.0, "x_end": 150.0, "y_left": 3.25,
              "y_right": -3.25},
@@ -230,6 +230,12 @@ REJECTED_AT_LOAD = {
     # and 8.005 s ran as 8.00 s
     "sim_duration_below_dt_control": {"sim": {"duration": 0.004}},
     "sim_duration_not_whole_ticks": {"sim": {"duration": 8.005}},
+    # the CG height fed a load transfer of an acceleration no run sets; the
+    # key is unknown
+    "vehicle_h_cog": {"vehicle": {"h_cog": 0.55}},
+    # the planner reads psi against the road: 2*pi, the pose of psi 0,
+    # never engaged and collided, where 0 avoids to the right at 3.24 s
+    "ego_psi_two_pi": {"ego": {"psi": 2 * math.pi}, "sim": {"duration": 20.0}},
 }
 
 
@@ -261,6 +267,26 @@ class TestRejectedAtLoad:
     def test_parse_raises_config_error(self, scenario_dir, case):
         with pytest.raises(ConfigError):
             parse_scenario(self._raw(scenario_dir, case))
+
+    def test_negative_maneuver_time(self, scenario_dir):
+        # -1.0 loaded and placed the pedestrian at Y = -4.9 at t = 0, not
+        # at the configured -4.0; the run ended no-trigger, not avoided
+        raw = yaml.safe_load((scenario_dir / "replanning.yaml").read_text())
+        raw["targets"][0]["maneuver"]["time"] = -1.0
+        with pytest.raises(ConfigError, match=r"targets\[0\]\.maneuver\.time"):
+            parse_scenario(raw)
+        raw["targets"][0]["maneuver"]["time"] = 0.0
+        assert parse_scenario(raw).targets[0].maneuver_time == 0.0
+
+    @pytest.mark.parametrize("psi, loads", [(math.pi, True),
+                                            (-math.pi, False)])
+    def test_ego_psi_range(self, psi, loads):
+        raw = minimal(ego={"v_x": 20.0, "psi": psi}, sim={"duration": 4.0})
+        if loads:
+            assert parse_scenario(raw).ego.psi == psi
+        else:
+            with pytest.raises(ConfigError, match="ego.psi"):
+                parse_scenario(raw)
 
     @pytest.mark.parametrize("case", sorted(REJECTED_AT_LOAD))
     def test_validate_exits_3(self, scenario_dir, tmp_path, capsys, case):
@@ -349,7 +375,7 @@ class TestExtremeValues:
         keys = [k for k in _numeric_keys(base) if len(k) > 1]
         assert {("vehicle", "C_f"), ("control", "brake_force_max"),
                 ("targets", 0, "footprint", "ref_offset")} <= set(keys)
-        assert len(keys) == 61
+        assert len(keys) == 60
         failures = []
         for key in keys:
             for value in self.EXTREMES:
@@ -399,10 +425,10 @@ class TestExtremeValues:
 # as unknown, so a new field cannot become a YAML key unnoticed.
 SCHEMA = {
     ("vehicle",): (
-        {"m": 2000.0, "a": 1.4, "b": 1.6, "h_cog": 0.55, "w": 1.6,
+        {"m": 2000.0, "a": 1.4, "b": 1.6, "w": 1.6,
          "C_f": 1e5, "C_r": 1e5, "I_zz": 3500.0, "mu_f": 1.0, "mu_r": 1.0,
          "S_f": 1.0, "S_r": 1.0, "delta_max": 0.1, "footprint": None},
-        {"m", "a", "b", "h_cog", "w", "C_f", "C_r", "I_zz"},
+        {"m", "a", "b", "w", "C_f", "C_r", "I_zz"},
         (VehicleParams,), {"g"}),
     ("vehicle", "footprint"): (
         {"length": 4.5, "width": 1.8, "ref_offset": 1.35},
