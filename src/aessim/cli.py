@@ -54,13 +54,23 @@ def _out_dir(path: Path) -> Path:
     return path
 
 
+def _write(trace, out_dir: Path, plot: bool = False) -> dict[str, Path]:
+    """The run's artefacts (and plot files) in out_dir; ConfigError if they
+    cannot be written."""
+    try:
+        files = trace.write(out_dir)
+        if plot:
+            files.update(emit_plot_data(trace, out_dir))
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
+    return files
+
+
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     out_dir = _out_dir(args.out or Path("out") / cfg.name)
     result = run_scenario(cfg)
-    files = result.trace.write(out_dir)
-    if args.plot:
-        files.update(emit_plot_data(result.trace, out_dir))
+    files = _write(result.trace, out_dir, args.plot)
     print(f"{cfg.name}: outcome={result.outcome} reason='{result.reason}'")
     if "engage_ttc" in result.summary:
         print(f"  engaged at t={result.summary['engage_time']:.2f}s "
@@ -103,7 +113,7 @@ def _cmd_sweep(args) -> int:
     print(f"sweep {args.param}: {len(args.values)} values")
     for label, cfg, out_dir in zip(labels, cfgs, out_dirs):
         result = run_scenario(cfg)
-        result.trace.write(out_dir)
+        _write(result.trace, out_dir)
         engage = result.summary.get("engage_ttc")
         print(f"  {args.param}={label}: outcome={result.outcome}"
               + (f" engage_ttc={engage:.3f}" if engage is not None else ""))

@@ -7,6 +7,12 @@ with the bytes of `_fmt` cell by cell: floats of one bit pattern print once
 and repeat, as equal bits print alike (`==` is not enough: 0.0 == -0.0
 prints 0 and -0); other floats map `_fmt`'s format; only-str, only-None and
 only-bool columns print as `_fmt` would; mixed ones fall back to `_fmt`.
+
+Every artefact is created as a new file, never truncated in place: on ext4,
+truncating a file that holds data waits tens of ms for its writeback. So a
+hard link to an earlier artefact, or an open handle on one, keeps its bytes;
+a symlink at an artefact path is replaced, not followed; and rewriting an
+artefact needs the right to unlink it.
 """
 from __future__ import annotations
 
@@ -47,9 +53,15 @@ def _format_column(col: tuple):
     return map(_fmt, col)
 
 
+def _create(path: Path):
+    """path as a new text file open for writing, replacing any file there."""
+    path.unlink(missing_ok=True)
+    return path.open("x", newline="\n")
+
+
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
     """The header and a line per row; every row has a cell per column."""
-    with path.open("w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(rows), BLOCK_ROWS):
             cols = list(zip(*rows[i:i + BLOCK_ROWS], strict=True))
@@ -105,9 +117,9 @@ class TraceLog:
         _write_csv(files["trace"], self.columns, self.rows)
         _write_csv(files["paths"], self.PATH_COLUMNS, self.path_events)
         payload = dict(self.summary, replan_events=self.replan_events)
-        files["summary"].write_text(
-            json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
-            + "\n")
+        with _create(files["summary"]) as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True,
+                                allow_nan=True) + "\n")
         return files
 
 

@@ -2,6 +2,7 @@ import copy
 import importlib
 import json
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -627,6 +628,28 @@ class TestTraceAndPlots:
         assert sum(1 for line in planar if line.startswith("ego,")) == 2
         assert sum(1 for line in planar if line.startswith("target,")) == 2
 
+    def test_artefacts_created_anew(self, scenario_dir, crossing_run,
+                                    tmp_path):
+        # each artefact used to be truncated and rewritten in place, which
+        # on ext4 waits for the writeback of the old bytes
+        def write(trace, out_dir):
+            return {**trace.write(out_dir), **emit_plot_data(trace, out_dir)}
+
+        first = write(crossing_run.trace, tmp_path / "out")
+        assert len(first) == 6
+        links = {}
+        for name, path in first.items():
+            links[name] = tmp_path / f"link_{name}"
+            os.link(path, links[name])
+        first_bytes = {name: p.read_bytes() for name, p in first.items()}
+        other = run_scenario(load_scenario(scenario_dir / "empty_road.yaml"))
+        second = write(other.trace, tmp_path / "out")
+        fresh = write(other.trace, tmp_path / "fresh")
+        for name, path in second.items():
+            assert links[name].read_bytes() == first_bytes[name], name
+            assert path.read_bytes() == fresh[name].read_bytes(), name
+            assert path.read_bytes() != first_bytes[name], name
+
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(AesError):
             emit_plot_data(TraceLog([]), tmp_path)
@@ -773,6 +796,33 @@ class TestCli:
         assert rc == 3
         assert "cannot write to" in capsys.readouterr().err
         assert runs == []
+
+    @pytest.mark.parametrize("in_the_way,plot", [("trace.csv", []),
+                                                 ("planar.csv", ["--plot"])])
+    def test_run_artefact_that_cannot_be_written(self, scenario_dir,
+                                                 tmp_path, capsys,
+                                                 in_the_way, plot):
+        # used to end in an IsADirectoryError traceback after the run
+        (tmp_path / in_the_way).mkdir()
+        rc = main(["run", str(scenario_dir / "empty_road.yaml"),
+                   "--out", str(tmp_path), *plot])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: cannot write to {tmp_path}")
+
+    def test_sweep_artefact_that_cannot_be_written(self, scenario_dir,
+                                                   tmp_path, capsys):
+        (tmp_path / "0.8" / "summary.json").mkdir(parents=True)
+        rc = main(["sweep", str(scenario_dir / "empty_road.yaml"),
+                   "--param", "trigger.tte_reduction",
+                   "--values", "0.5", "0.8", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: cannot write to "
+                                 f"{tmp_path / '0.8'}")
+        assert (tmp_path / "0.5" / "summary.json").is_file()
 
     def test_sweep(self, scenario_dir, tmp_path, capsys):
         rc = main(["sweep", str(scenario_dir / "empty_road.yaml"),
