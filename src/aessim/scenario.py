@@ -25,7 +25,7 @@ from .capability import (CapabilityScenario, CapabilityTuning, EgoState,
 from .control import ControllerConfig
 from .decision import TriggerConfig
 from .errors import ConfigError, DegenerateSpeed, InfeasibleProfile
-from .geometry import DriveableSpace, Footprint, Pose
+from .geometry import DriveableSpace, Footprint, Pose, TargetTrack
 from .pathgen import PathTuning, build_max_severity_profile
 from .plant import DT_MAX, U_FLOOR, assert_stable_vehicle
 from .ranking import CostWeights
@@ -51,20 +51,19 @@ class TargetDef:
     maneuver_time: float | None = None   # optional speed change instant [s]
     maneuver_speed: float | None = None  # speed after the change [m/s]
 
-    def position_at(self, t: float) -> Pose:
-        """True pose at simulation time t (piecewise constant velocity)."""
+    def track_at(self, t: float) -> TargetTrack:
+        """True pose and speed at simulation time t (piecewise constant
+        velocity)."""
         c, s = math.cos(self.pose.psi), math.sin(self.pose.psi)
         if self.maneuver_time is None or t <= self.maneuver_time:
-            d = self.speed * t
+            speed, d = self.speed, self.speed * t
         else:
+            speed = self.maneuver_speed
             d = (self.speed * self.maneuver_time
                  + self.maneuver_speed * (t - self.maneuver_time))
-        return Pose(self.pose.X + d * c, self.pose.Y + d * s, self.pose.psi)
-
-    def speed_at(self, t: float) -> float:
-        if self.maneuver_time is not None and t > self.maneuver_time:
-            return self.maneuver_speed
-        return self.speed
+        return TargetTrack(self.track_id, self.footprint,
+                           Pose(self.pose.X + d * c, self.pose.Y + d * s,
+                                self.pose.psi), speed)
 
 
 @dataclass
@@ -203,7 +202,7 @@ def read_raw(path: Path) -> dict:
 def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
     raw = dict(raw)
     version = raw.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, found {version!r}")
     name = _str(raw.pop("name", default_name), "name")

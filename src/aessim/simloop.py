@@ -8,8 +8,12 @@ planner cycle replans; once in regulation, track the supervisor's selected
 path, re-check its remainder each planner cycle, and replan from the
 current state on its side when the check rejects it. The supervisor state is
 the only record of the manoeuvre; a new selected path re-anchors tracking.
+Each tick opens with one pass over the targets: a target's true track at
+the tick gives its trace cells and, once it has appeared, its prediction,
+its distance and the ground-truth contact that ends a run as collided.
 plan_cycle is the planning entry point; it writes no trace, and the loop
-logs the PlanCycle it returns and derives the TTE from it.
+logs the PlanCycle it returns with TraceLog.log_cycle and derives the TTE
+from it.
 """
 from __future__ import annotations
 
@@ -73,14 +77,6 @@ class RunResult:
 _NO_TRIGGER = Trigger.NONE.value
 
 
-def _predictions(cfg: ScenarioConfig, t: float,
-                 poses: list[Pose]) -> list[TargetTrack]:
-    """Constant-velocity predictions from the current true target poses,
-    one per target of cfg, for the targets that have appeared."""
-    return [TargetTrack(td.track_id, td.footprint, tp, td.speed_at(t))
-            for td, tp in zip(cfg.targets, poses) if t >= td.appear_time]
-
-
 def _ego_state(plant: PlantState) -> EgoState:
     return EgoState(X=plant.X, Y=plant.Y, psi=plant.psi, v_x=plant.u_v,
                     yaw_rate=plant.r)
@@ -108,19 +104,6 @@ def plan_cycle(ego: EgoState, preds: list[TargetTrack], cfg: ScenarioConfig,
     best = best_survivor(ranked)
     return PlanCycle(ego.X, ego.Y, tuple(ranked),
                      None if best is None else best.path)
-
-
-def _log_paths(trace: TraceLog, t: float, kind: str,
-               cycle: PlanCycle) -> None:
-    """Every ranked path of the cycle as a path event of this kind, with
-    the lateral offset of its placed final sample from its start."""
-    Y = cycle.Y
-    for r in cycle.ranked:
-        p = r.path
-        trace.path_events.append([t, kind, p.side, p.index, p.path_id,
-                                  r.rejected or "survivor", r.severity,
-                                  r.proximity, r.total,
-                                  float((Y + p.y[-1]) - (Y + p.y[0]))])
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -155,8 +138,28 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     state_value = sup.state.value
     for k in range(n_ticks + 1):
         t = k * dt_ctrl
-        poses = [td.position_at(t) for td in cfg.targets]
-        preds = _predictions(cfg, t, poses)
+        # one pass over the targets: each one's true track and trace cells,
+        # and for one that has appeared its prediction, distance and contact
+        cells, preds, dists = [], [], {}
+        collided_with = None
+        if cfg.targets:
+            ecx, ecy = fp.center(plant)  # reads only X, Y and psi
+        for td in cfg.targets:
+            track = td.track_at(t)
+            tp = track.pose
+            tcx, tcy = td.footprint.center(tp)
+            d = math.hypot(tcx - ecx, tcy - ecy)
+            cells += (d, tp.X, tp.Y)
+            if t < td.appear_time:   # not there yet: nothing but the cells
+                continue
+            preds.append(track)
+            dists[td.track_id] = d
+            min_dist[td.track_id] = min(min_dist[td.track_id], d)
+            if (d <= fp.circumscribed_radius
+                    + td.footprint.circumscribed_radius
+                    and sat_check(Pose(plant.X, plant.Y, plant.psi), fp, tp,
+                                  td.footprint)):
+                collided_with = td.track_id
         planner_tick = (k % planner_every == 0)
         events = SupervisorEvents(targets_present=bool(preds))
         ttc = None
@@ -176,8 +179,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 # the executed path starts exactly at the current state
                 cycle = plan_cycle(_ego_state(plant), preds, cfg,
                                    cfg.cap_scenario, cfg.sides, families)
-                _log_paths(trace, t, "plan" if planner_tick else
-                           "engage_plan", cycle)
+                trace.log_cycle(t, "plan" if planner_tick else "engage_plan",
+                                cycle)
                 tte = (None if cycle.best is None
                        else compute_tte(cycle.best.profile, cfg.trigger))
                 events.trigger = (Trigger.NONE if tte is None else
@@ -198,7 +201,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     cycle = plan_cycle(_ego_state(plant), preds, cfg,
                                        cfg.cap_scenario.without_prebraking,
                                        [path.side], families)
-                    _log_paths(trace, t, "replan", cycle)
+                    trace.log_cycle(t, "replan", cycle)
                     events.replanned_path = cycle.best
                     if cycle.best is not None:
                         trace.replan_events.append({
@@ -223,7 +226,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     "engage_time": t, "engage_ttc": ttc, "engage_tte": tte,
                     "engage_path_id": sup.selected_path.path_id,
                     "engage_side": sup.selected_path.side,
-                    "engage_speed": plant.u_v,
+                    "engage_speed": plant.u_v, "engage_distances": dists,
                 }
                 trace.snapshot_candidates(cycle)
         if sup is not prev:
@@ -252,34 +255,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         a_y = lateral_acceleration(plant, cmd, coeffs)
         max_abs_ay = max(max_abs_ay, abs(a_y))
 
-        # ground truth contact check and per-target distances
-        collided_with = None
-        row = [t, state_value, plant.X, plant.Y, plant.psi, plant.u_v,
-               plant.v_v, plant.r, a_y, plant.ay_saturated, ttc,
-               tte if triggering else None,
-               events.trigger.value if triggering else _NO_TRIGGER,
-               sup.selected_path.path_id if regulating else None, y_e, psi_e,
-               cmd.delta_g, cmd.M_z_ext, cmd.brakes.fl, cmd.brakes.fr,
-               cmd.brakes.rl, cmd.brakes.rr]
-        dists = {}
-        if poses:
-            ecx, ecy = fp.center(plant)  # reads only X, Y and psi
-        for td, tp in zip(cfg.targets, poses):
-            tcx, tcy = td.footprint.center(tp)
-            d = math.hypot(tcx - ecx, tcy - ecy)
-            row += (d, tp.X, tp.Y)
-            if t < td.appear_time:   # not there yet: no distance, no contact
-                continue
-            dists[td.track_id] = d
-            min_dist[td.track_id] = min(min_dist[td.track_id], d)
-            if (d <= fp.circumscribed_radius
-                    + td.footprint.circumscribed_radius
-                    and sat_check(Pose(plant.X, plant.Y, plant.psi), fp, tp,
-                                  td.footprint)):
-                collided_with = td.track_id
-        if engage_info.get("engage_time") == t:
-            engage_info["engage_distances"] = dists
-        trace.rows.append(row)
+        trace.rows.append([
+            t, state_value, plant.X, plant.Y, plant.psi, plant.u_v,
+            plant.v_v, plant.r, a_y, plant.ay_saturated, ttc,
+            tte if triggering else None,
+            events.trigger.value if triggering else _NO_TRIGGER,
+            sup.selected_path.path_id if regulating else None, y_e, psi_e,
+            cmd.delta_g, cmd.M_z_ext, cmd.brakes.fl, cmd.brakes.fr,
+            cmd.brakes.rl, cmd.brakes.rr, *cells])
 
         if collided_with is not None:
             outcome, reason = OUTCOME_COLLIDED, f"contact with {collided_with}"

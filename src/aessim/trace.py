@@ -95,6 +95,18 @@ class TraceLog:
         self.engage_candidates: list[dict] = []
         self.summary: dict = {}
 
+    def log_cycle(self, t: float, kind: str, cycle) -> None:
+        """Every ranked path of the planner cycle as a path event of this
+        kind, with the lateral offset of its placed final sample from its
+        start."""
+        Y = cycle.Y
+        for r in cycle.ranked:
+            p = r.path
+            self.path_events.append([t, kind, p.side, p.index, p.path_id,
+                                     r.rejected or "survivor", r.severity,
+                                     r.proximity, r.total,
+                                     float((Y + p.y[-1]) - (Y + p.y[0]))])
+
     def snapshot_candidates(self, cycle) -> None:
         """Keep decimated polylines of the planner cycle active at
         engagement, placed at its start point, marking its best survivor,

@@ -74,6 +74,8 @@ class TestConfig:
     def test_bad_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
             parse_scenario(minimal(schema_version=2))
+        with pytest.raises(ConfigError, match="schema_version"):
+            parse_scenario(minimal(schema_version=True))  # True == 1
 
     def test_inverted_road(self):
         raw = minimal()
@@ -134,10 +136,10 @@ class TestConfig:
         cfg = load_scenario(scenario_dir / "replanning.yaml")
         td = cfg.targets[0]
         assert td.maneuver_time == pytest.approx(3.74)
-        assert td.speed_at(0.0) == 1.0
-        assert td.speed_at(4.0) == pytest.approx(0.1)
-        p_before = td.position_at(td.maneuver_time)
-        p_after = td.position_at(td.maneuver_time + 1.0)
+        assert td.track_at(0.0).speed == 1.0
+        assert td.track_at(4.0).speed == pytest.approx(0.1)
+        p_before = td.track_at(td.maneuver_time).pose
+        p_after = td.track_at(td.maneuver_time + 1.0).pose
         assert p_after.Y - p_before.Y == pytest.approx(0.1, abs=1e-12)
 
 
@@ -583,6 +585,18 @@ class TestRunContracts:
         present = [row[idist] for row in res.trace.rows if row[it] >= 6.0]
         assert len(present) == 201
         assert res.summary["min_distance"]["vru"] == min(present) > 50.0
+
+    def test_contact_on_the_appear_tick(self, scenario_dir):
+        """A static target that appears on top of the ego collides on its
+        first tick: one tick earlier it is 0.2 m ahead yet not there."""
+        raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
+        raw["targets"][0].update(X=21.35, Y=0.0, speed=0.0, appear_time=1.0)
+        res = run_scenario(parse_scenario(raw))
+        assert res.outcome == "collided"
+        assert res.summary["t_end"] == pytest.approx(1.0)
+        it, idist = (res.trace.columns.index(c) for c in ("t", "dist_vru"))
+        assert res.trace.rows[-1][it] == pytest.approx(1.0)
+        assert res.trace.rows[-2][idist] == pytest.approx(0.2)
 
     def test_engage_distances_list_only_present_targets(self, scenario_dir):
         """A target that appears after the engage tick has no engage
