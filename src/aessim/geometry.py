@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,11 +83,12 @@ class Footprint:
         if self.length < 0 or self.width < 0:
             raise ValueError("footprint dimensions must be non-negative")
 
-    @property
+    # formed once per footprint; dataclasses.replace makes a new one
+    @cached_property
     def circumscribed_radius(self) -> float:
         return 0.5 * math.hypot(self.length, self.width)
 
-    @property
+    @cached_property
     def inscribed_radius(self) -> float:
         return 0.5 * min(self.length, self.width)
 
@@ -279,6 +281,13 @@ def _check_geometry(path, fp: Footprint, dt_check: float) -> tuple:
                           [math.sin(a) for a in headings]])
 
 
+# The signs of the corners' half length and half width, in _corners' order;
+# multiplying by +-1.0 is exact, so the corners are sat_check's
+_ALONG = np.array([1.0, -1.0, -1.0, 1.0])[:, None, None]
+_ACROSS = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+_ALONG.flags.writeable = _ACROSS.flags.writeable = False
+
+
 def _sat_overlap(box: np.ndarray) -> np.ndarray:
     """sat_check of n rectangle pairs at once. box has shape (7, 2, n): x,
     y, math.cos and math.sin of the heading, ref_offset, half length and
@@ -287,15 +296,16 @@ def _sat_overlap(box: np.ndarray) -> np.ndarray:
     docstring)."""
     x, y, c, s, off, hl, hw = box
     cx, cy = x + off * c, y + off * s
-    lx, ly = np.array([hl, -hl, -hl, hl]), np.array([hw, hw, -hw, -hw])
+    lx, ly = _ALONG * hl, _ACROSS * hw
     px, py = (cx + lx * c) - ly * s, (cy + lx * s) + ly * c
     # each rectangle's edge normals (c, s) and (-s, c), shape (4, 1, 2, n)
     ax = np.concatenate([c, -s])[:, None, None]
     ay = np.concatenate([s, c])[:, None, None]
     proj = px * ax + py * ay     # (axis, corner, rectangle, pair)
-    hi, lo = proj.max(axis=1), proj.min(axis=1)
-    apart = (hi[:, 0] < lo[:, 1]) | (hi[:, 1] < lo[:, 0])
-    return ~apart.any(axis=0)
+    hi = np.maximum.reduce(proj, axis=1)
+    lo = np.minimum.reduce(proj, axis=1)
+    # apart: on some axis one rectangle ends below the other's start
+    return ~np.logical_or.reduce(hi < lo[:, ::-1], axis=(0, 1))
 
 
 def _near_pairs(idx: np.ndarray, samples: np.ndarray, fp: Footprint,

@@ -12,7 +12,9 @@ accumulated heading so the path ends parallel to the road.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -342,7 +344,7 @@ class _Family:
     the scale whose float.hex is scale.
     """
 
-    key: tuple
+    key: bytes
     reach: tuple[float, float] | str
     scale: str | None = None
     path_set: PathSet | None = None
@@ -350,21 +352,20 @@ class _Family:
 
 # A memo keeps the last family per side. Between planner cycles before
 # engage the plant gets no input, so psi, v_x and yaw_rate keep their bits
-# and only X moves; one family per side catches those repeats.
-_CAP_FIELDS = tuple(f.name for f in fields(CapabilityRecord))
-_TUNING_FIELDS = tuple(f.name for f in fields(PathTuning))
-
-
-def _bits(value):
-    """Floats by bit pattern: 0.0 == -0.0, and mirroring makes -0.0."""
-    return value.hex() if isinstance(value, float) else value
+# and only X moves; one family per side catches those repeats. The key packs
+# those three, every capability field and every tuning field as doubles:
+# equal bytes are equal bits, so 0.0 and -0.0 (mirroring makes -0.0)
+# differ, and the integer fields, far below 2**53, pack exactly.
+_CAP_VALUES = attrgetter(*(f.name for f in fields(CapabilityRecord)))
+_TUNING_VALUES = attrgetter(*(f.name for f in fields(PathTuning)))
+_FAMILY_KEY = struct.Struct(
+    f"{3 + len(fields(CapabilityRecord)) + len(fields(PathTuning))}d")
 
 
 def _family(init: EgoState, cap: CapabilityRecord, tuning: PathTuning,
             side: str, families: dict[str, _Family]) -> _Family:
-    key = (_bits(init.psi), _bits(init.v_x), _bits(init.yaw_rate),
-           *(_bits(getattr(cap, name)) for name in _CAP_FIELDS),
-           *(_bits(getattr(tuning, name)) for name in _TUNING_FIELDS))
+    key = _FAMILY_KEY.pack(init.psi, init.v_x, init.yaw_rate,
+                           *_CAP_VALUES(cap), *_TUNING_VALUES(tuning))
     fam = families.get(side)
     if fam is None or fam.key != key:
         fam = _Family(key, _severe_reach(init, cap, tuning, side))

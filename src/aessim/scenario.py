@@ -6,10 +6,10 @@ a section are the fields of the config dataclass it builds (see _config);
 an absent optional key takes the field's default. Every number must be
 finite, except `capability.a_y_threshold` and
 `control.brake_force_max`, where inf means no limit. A scenario that would
-fail or run wrongly because of its settings (non-finite numbers, a zero
-check step, a vehicle model unstable at the initial speed, an evasive path
-that outlasts the run) is rejected here with ConfigError rather than
-mid-run.
+fail or run wrongly because of its settings (non-finite numbers, a scene
+larger than MAX_SCENE, a zero check step, a vehicle model unstable at the
+initial speed, an evasive path that outlasts the run) is rejected here with
+ConfigError rather than mid-run.
 """
 from __future__ import annotations
 
@@ -37,6 +37,15 @@ SCHEMA_VERSION = 1
 # would not finish in any useful time.
 MAX_PATHS_PER_SIDE = 100
 MAX_PLANT_SUBSTEPS = 10_000_000
+# Bound on the size of a scene: every position [m] and speed [m/s] it sets,
+# ego and targets alike, lies within +-MAX_SCENE. A run and its look-ahead
+# last at most sim.duration + trigger.ttc_horizon <= MAX_PLANT_SUBSTEPS *
+# DT_MAX = 1e5 s, and so does a path (the path-duration check), so every
+# position a run reaches or predicts lies within 1e9 + 1e9 * 2e5 = 2e14 m:
+# distances stay below 1e15 m, and their sum over a path's at most 1e7
+# samples below 1e22, far inside the float range. A target X of 1.7e308 or
+# a speed of 1e308 wrote inf to trace.csv and paths.csv.
+MAX_SCENE = 1e9
 
 
 @dataclass
@@ -319,6 +328,17 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> ScenarioConfig:
                 or abs(ratio - round(ratio)) > 1e-9 * ratio):
             raise ConfigError(f"{label} must be an integer multiple")
     _no_leftovers(raw, "scenario")
+    scene = [("ego.X", ego.X), ("ego.Y", ego.Y), ("ego.v_x", ego.v_x)]
+    for i, td in enumerate(targets):
+        label = f"targets[{i}]"
+        scene += [(f"{label}.X", td.pose.X), (f"{label}.Y", td.pose.Y),
+                  (f"{label}.speed", td.speed)]
+        if td.maneuver_speed is not None:
+            scene.append((f"{label}.maneuver.speed", td.maneuver_speed))
+    for label, value in scene:
+        if not abs(value) <= MAX_SCENE:
+            raise ConfigError(f"'{label}' must lie within +-{MAX_SCENE:g}, "
+                              f"found {value!r}")
 
     cfg = ScenarioConfig(
         name=name, vehicle=vehicle, footprint=fp, cap_scenario=cap_scenario,

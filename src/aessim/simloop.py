@@ -134,6 +134,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     min_dist = {td.track_id: math.inf for td in cfg.targets}
     coeffs_speed = None   # the speed the lateral coefficients belong to
     idle = ControlCommand()  # the command of a tick out of regulation
+    # the events of a tick with no target present: the supervisor is in
+    # standby (a target never disappears), where no branch writes them
+    quiet = SupervisorEvents()
+    # what the run holds constant per target: its footprint centre's offset
+    # from its reference point (its heading never turns) and its contact
+    # radius with the ego
+    targets = [(td, td.footprint.ref_offset * math.cos(td.pose.psi),
+                td.footprint.ref_offset * math.sin(td.pose.psi),
+                fp.circumscribed_radius + td.footprint.circumscribed_radius)
+               for td in cfg.targets]
 
     state_value = sup.state.value
     for k in range(n_ticks + 1):
@@ -142,34 +152,31 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         # and for one that has appeared its prediction, distance and contact
         cells, preds, dists = [], [], {}
         collided_with = None
-        if cfg.targets:
+        if targets:
             ecx, ecy = fp.center(plant)  # reads only X, Y and psi
-        for td in cfg.targets:
+        for td, ox, oy, reach in targets:
             track = td.track_at(t)
             tp = track.pose
-            tcx, tcy = td.footprint.center(tp)
-            d = math.hypot(tcx - ecx, tcy - ecy)
+            d = math.hypot((tp.X + ox) - ecx, (tp.Y + oy) - ecy)
             cells += (d, tp.X, tp.Y)
             if t < td.appear_time:   # not there yet: nothing but the cells
                 continue
             preds.append(track)
             dists[td.track_id] = d
             min_dist[td.track_id] = min(min_dist[td.track_id], d)
-            if (d <= fp.circumscribed_radius
-                    + td.footprint.circumscribed_radius
-                    and sat_check(Pose(plant.X, plant.Y, plant.psi), fp, tp,
-                                  td.footprint)):
+            if d <= reach and sat_check(Pose(plant.X, plant.Y, plant.psi),
+                                        fp, tp, td.footprint):
                 collided_with = td.track_id
         planner_tick = (k % planner_every == 0)
-        events = SupervisorEvents(targets_present=bool(preds))
+        events = SupervisorEvents(targets_present=True) if preds else quiet
         ttc = None
         triggering = sup.state in (AesState.MONITORING, AesState.WARNING)
 
         # trigger: TTC of the no-action path against the candidate's TTE;
         # a run monitors only with targets present, and none disappears
         if triggering:
-            ttc = compute_ttc(_ego_state(plant), preds, fp,
-                              cfg.trigger.ttc_horizon)
+            ego = _ego_state(plant)
+            ttc = compute_ttc(ego, preds, fp, cfg.trigger.ttc_horizon)
             if not planner_tick:
                 events.trigger = (Trigger.NONE if tte is None else
                                   evaluate_triggers(ttc, tte, cfg.trigger))
@@ -177,8 +184,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                                 and sup.state is AesState.WARNING):
                 # off the planner period, regenerate at the engage tick so
                 # the executed path starts exactly at the current state
-                cycle = plan_cycle(_ego_state(plant), preds, cfg,
-                                   cfg.cap_scenario, cfg.sides, families)
+                cycle = plan_cycle(ego, preds, cfg, cfg.cap_scenario,
+                                   cfg.sides, families)
                 trace.log_cycle(t, "plan" if planner_tick else "engage_plan",
                                 cycle)
                 tte = (None if cycle.best is None

@@ -102,10 +102,11 @@ class TraceLog:
         Y = cycle.Y
         for r in cycle.ranked:
             p = r.path
+            y = p.y.item   # Python floats: no numpy-scalar arithmetic
             self.path_events.append([t, kind, p.side, p.index, p.path_id,
                                      r.rejected or "survivor", r.severity,
                                      r.proximity, r.total,
-                                     float((Y + p.y[-1]) - (Y + p.y[0]))])
+                                     (Y + y(-1)) - (Y + y(0))])
 
     def snapshot_candidates(self, cycle) -> None:
         """Keep decimated polylines of the planner cycle active at

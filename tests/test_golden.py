@@ -68,10 +68,19 @@ must serve ranked candidates' checks from the memo. `TRAFFIC_RUN` is the
 only run with more than one target; its digests were recorded before the
 shared prediction.
 
+`MIXED_TRAFFIC` is a second monitoring-only scene with three targets,
+written out in full: its targets' headings are off the road's axis and
+their footprint centres off their reference points, so the loop's per-run
+target constants (each centre's offset, from the heading's cos and sin, and
+each contact radius) and the shared prediction work on values that are not
+0. Its digests
+were recorded before the loop formed those constants once per run.
+
 A planner cycle ranks the union of its sides in one call. Every cycle of
 the shipped and replanning runs, and of the first seed-1 `traffic` case of
 the benchmark, must rank as its sides ranked one at a time do.
 """
+import copy
 import hashlib
 
 import pytest
@@ -166,6 +175,57 @@ TRAFFIC_RUN = {
         "paths": "068e18c514b2f221407d1dfa6c2714c6fa7b89a86f4f48b4fc6ea57cc0c87488",
         "summary": "4e9ee229b05cd9fd8c8c6ced7af61479658b193f8ff259e8d9a8d7cba4d8f662",
         "exact": "1c49a99fc9bf5a4953b82c87e24d0657b2d35dcb4cffa43ce310869ec0b4d9b9",
+    },
+}
+
+# Cars in both adjacent lanes and a walker on the right sidewalk, none on
+# the ego's path, with headings off the road's axis and footprint centres
+# off their reference points. The run stays in monitoring and plans both
+# sides every planner period.
+MIXED_TRAFFIC = {
+    "schema_version": 1,
+    "name": "mixed_traffic",
+    "vehicle": {
+        "m": 2000.0, "a": 1.4, "b": 1.6, "w": 1.6, "C_f": 1.0e5,
+        "C_r": 1.0e5, "I_zz": 3500.0, "mu_f": 1.0, "mu_r": 1.0, "S_f": 1.0,
+        "S_r": 1.0, "delta_max": 0.15,
+        "footprint": {"length": 4.5, "width": 1.8, "ref_offset": 1.35},
+    },
+    "capability": {"scenario_id": 6, "t_pb": 0.0, "a_y_threshold": 9.6,
+                   "rho_dot_max": 0.25},
+    "planner": {"psi_max": 0.25, "i_sb": 0.8, "t_stabilize": 0.5,
+                "n_paths": 6, "dt_presample": 0.0025,
+                "min_lateral_clearance": 1.0, "sides": ["left", "right"]},
+    "costs": {"K_ay": 0.05, "K_ax": 0.05, "K_prox": -1.0},
+    "trigger": {"t_margin": 0.15, "t_warning": 0.4, "tte_reduction": 0.85,
+                "ttc_horizon": 5.0},
+    "road": {"x_start": -10.0, "x_end": 400.0, "y_left": 4.875,
+             "y_right": -4.875},
+    "ego": {"X": 0.0, "Y": 0.0, "psi": 0.0, "v_x": 22.0},
+    "targets": [
+        {"id": "left_car",
+         "footprint": {"length": 4.6, "width": 1.9, "ref_offset": 1.3},
+         "X": 18.0, "Y": 3.35, "psi": 0.01, "speed": 15.2},
+        {"id": "right_car",
+         "footprint": {"length": 4.4, "width": 1.8, "ref_offset": 1.2},
+         "X": 28.0, "Y": -3.4, "psi": -0.008, "speed": 14.4,
+         "maneuver": {"time": 1.5, "speed": 13.0}},
+        {"id": "walker",
+         "footprint": {"length": 0.5, "width": 0.5, "ref_offset": 0.1},
+         "X": 55.0, "Y": -6.4, "psi": 3.1, "speed": 1.3,
+         "appear_time": 0.5},
+    ],
+    "sim": {"duration": 3.0, "dt_plant": 0.001, "dt_control": 0.01,
+            "planner_period": 0.1, "dt_check": 0.1},
+}
+
+MIXED_TRAFFIC_RUN = {
+    "outcome": ("no-trigger", "duration reached", None, None),
+    "digests": {
+        "trace": "664377b8fee12ac8c4249f548bd7bd0cae784337545f2d6ecf52825cc4c9eadb",
+        "paths": "0d4df9567678c81a9db5b66718f2d63f5548be3c4bd10a417e9404d8f9640a06",
+        "summary": "92ce4207dd40ce19f6ddbda2fabb3388e4c24174ab2369a29324652ef5503164",
+        "exact": "d2fba7eade2fe9c8495400eeaaba081b25369188ba0d758945a86e484e37b621",
     },
 }
 
@@ -281,6 +341,19 @@ def test_traffic_matches_golden_digests(scenario_dir, tmp_path):
     _check_traffic(scenario_dir, tmp_path)
 
 
+def test_mixed_traffic_matches_golden_digests(tmp_path):
+    result = run_scenario(parse_scenario(copy.deepcopy(MIXED_TRAFFIC)))
+    assert (result.outcome, result.reason,
+            result.summary.get("engage_time"),
+            result.summary.get("engage_path_id")) == MIXED_TRAFFIC_RUN["outcome"]
+    # every tick monitors and every status occurs
+    assert {row[1] for row in result.trace.rows} == {"monitoring"}
+    assert {event[5] for event in result.trace.path_events} == {
+        "survivor", "collision", "not_driveable"}
+    want = MIXED_TRAFFIC_RUN["digests"]
+    assert _digests(result, tmp_path, want) == want
+
+
 def _check_long(scenario_dir, out_dir, run):
     raw = yaml.safe_load((scenario_dir / "empty_road.yaml").read_text())
     for section, values in run["overrides"].items():
@@ -335,6 +408,30 @@ def test_one_plant_call_per_advanced_tick(scenario_dir, monkeypatch, name):
     assert result.outcome in ("avoided", "no-trigger")
     assert len(calls) == len(result.trace.rows) - 1
     assert set(calls) == {10}  # dt_control / dt_plant substeps each
+
+
+def test_target_free_run_builds_no_events_per_tick(scenario_dir,
+                                                   monkeypatch):
+    """A tick with no target present passes the run's one idle
+    SupervisorEvents to the state machine, which still steps every
+    tick."""
+    built, steps = [], []
+    events, step = simloop.SupervisorEvents, simloop.step_state_machine
+
+    def counted_events(*args, **kwargs):
+        built.append(events(*args, **kwargs))
+        return built[-1]
+
+    def counted_step(s, ev):
+        steps.append(ev)
+        return step(s, ev)
+
+    monkeypatch.setattr(simloop, "SupervisorEvents", counted_events)
+    monkeypatch.setattr(simloop, "step_state_machine", counted_step)
+    result = run_scenario(load_scenario(scenario_dir / "empty_road.yaml"))
+    assert len(steps) == len(result.trace.rows) == 301
+    assert len(built) == 1 and all(ev is built[0] for ev in steps)
+    assert built[0] == events()
 
 
 def test_rk4_stages_run_on_the_first_tick_only(scenario_dir, plant_cos):

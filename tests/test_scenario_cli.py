@@ -239,6 +239,13 @@ REJECTED_AT_LOAD = {
     # the planner reads psi against the road: 2*pi, the pose of psi 0,
     # never engaged and collided, where 0 avoids to the right at 3.24 s
     "ego_psi_two_pi": {"ego": {"psi": 2 * math.pi}, "sim": {"duration": 20.0}},
+    # a scene beyond MAX_SCENE: the target's predicted pose overflowed, and
+    # inf reached dist_vru, X_vru and Y_vru in trace.csv, or the proximity
+    # mean and total in paths.csv (a list updates the targets in order)
+    "target_speed_huge": {"targets": [{"speed": 1e308}]},
+    "target_maneuver_speed_huge":
+        {"targets": [{"maneuver": {"time": 1.0, "speed": 1e308}}]},
+    "target_X_huge": {"targets": [{"X": 1.7e308}]},
 }
 
 
@@ -263,7 +270,11 @@ class TestRejectedAtLoad:
     def _raw(scenario_dir, case):
         raw = yaml.safe_load((scenario_dir / "crossing_vru.yaml").read_text())
         for section, values in REJECTED_AT_LOAD[case].items():
-            raw[section].update(values)
+            if isinstance(values, list):
+                for entry, entry_values in zip(raw[section], values):
+                    entry.update(entry_values)
+            else:
+                raw[section].update(values)
         return raw
 
     @pytest.mark.parametrize("case", sorted(REJECTED_AT_LOAD))
