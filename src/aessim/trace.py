@@ -3,10 +3,24 @@ run summary and plot-data emission. All files are plain delimited text or
 JSON and byte-deterministic for identical runs.
 
 The CSV writer transposes a block of rows and formats each column at once,
-with the bytes of `_fmt` cell by cell: floats of one bit pattern print once
-and repeat, as equal bits print alike (`==` is not enough: 0.0 == -0.0
-prints 0 and -0); other floats map `_fmt`'s format; only-str, only-None and
-only-bool columns print as `_fmt` would; mixed ones fall back to `_fmt`.
+with the bytes of `_fmt` cell by cell. It takes cells of type None, bool,
+int, float and str, and numpy scalars of these. A column whose cells all
+equal its first (one `tuple.count`, a C loop, skipped when the last cell
+differs) prints that one cell when equal cells print alike, and each run of
+adjacent such columns is joined once per block:
+- None equals only None, and prints "".
+- A str equals only a str (`numpy.str_` is one) of its characters.
+- A nonzero number below 1e10 in magnitude: equal floats share one bit
+  pattern, and `.10g` prints an integral float below 1e10 with the digits
+  `str` gives the equal int or bool. `sum` from -0.0 stays a Python float
+  only when every cell is a Python float, int or bool; a numpy bool or
+  float32 may equal such a number and print otherwise, so the column goes
+  on to the type scan.
+- Zero, under the same `sum` test: 0.0 == -0.0 but they print 0 and -0,
+  so the cells print alike only when their packed bits agree.
+Any other column is decided by a type scan: only-float, only-str and
+only-bool columns print as `_fmt` would, without its type tests; mixed ones
+fall back to `_fmt`.
 
 Every artefact is created as a new file, never truncated in place: on ext4,
 truncating a file that holds data waits tens of ms for its writeback. So a
@@ -17,7 +31,7 @@ artefact needs the right to unlink it.
 from __future__ import annotations
 
 import json
-from array import array
+import struct
 from itertools import repeat
 from pathlib import Path
 
@@ -36,18 +50,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _prints_alike(c0, col: tuple) -> bool:
+    """Whether the cells of col, which all equal c0, print as c0 does (the
+    module docstring gives the cases)."""
+    if c0 is None or isinstance(c0, str):
+        return True
+    if (not isinstance(c0, (int, float)) or not abs(c0) < 1e10
+            or type(sum(col, -0.0)) is not float):
+        return False
+    if c0:
+        return True
+    bits = struct.pack(f"{len(col)}d", *col)
+    return bits == bits[:8] * len(col)
+
+
 def _format_column(col: tuple):
-    """The cells of one column as `_fmt` prints them."""
+    """The one cell every entry of the column prints, as a str, or else
+    the cells as `_fmt` prints them."""
+    c0 = col[0]
+    if col[-1] == c0 and col.count(c0) == len(col) \
+            and _prints_alike(c0, col):
+        return _fmt(c0)
     kinds = set(map(type, col))
     if kinds == {float}:
-        bits = array("d", col).tobytes()
-        if bits == bits[:8] * len(col):
-            return repeat(format(col[0], ".10g"), len(col))
-        return map("{:.10g}".format, col)
+        return map(format, col, repeat(".10g", len(col)))
     if kinds == {str}:
         return col
-    if kinds == {type(None)}:
-        return repeat("", len(col))
     if kinds == {bool}:
         return map(("0", "1").__getitem__, col)
     return map(_fmt, col)
@@ -60,15 +88,25 @@ def _create(path: Path):
 
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    """The header and a line per row; every row has a cell per column."""
+    """The header and a line per row; every row has a cell per column.
+    Each run of adjacent one-cell columns is joined once per block."""
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(rows), BLOCK_ROWS):
-            cols = list(zip(*rows[i:i + BLOCK_ROWS], strict=True))
+            block = rows[i:i + BLOCK_ROWS]
+            cols = list(zip(*block, strict=True))
             if len(cols) != len(header):
                 raise ValueError(f"{len(cols)} cells, not {len(header)}")
-            fh.writelines(",".join(cells) + "\n"
-                          for cells in zip(*map(_format_column, cols)))
+            parts = []  # a str per run of one-cell columns, else the cells
+            for cells in map(_format_column, cols):
+                if isinstance(cells, str) and parts \
+                        and isinstance(parts[-1], str):
+                    parts[-1] += "," + cells
+                else:
+                    parts.append(cells)
+            lines = zip(*(repeat(p, len(block)) if isinstance(p, str) else p
+                          for p in parts))
+            fh.write("\n".join(map(",".join, lines)) + "\n")
 
 
 class TraceLog:

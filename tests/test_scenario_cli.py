@@ -3,6 +3,8 @@ import importlib
 import json
 import math
 import os
+import random
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -715,6 +717,22 @@ COLUMN_CASES = [
     lambda n: [k for k in range(n)],
     lambda n: [10**12] * n,
     lambda n: [1.0 if k % 2 else 1 for k in range(n)],
+    # equal cells of several types: the count passes, so each column tests
+    # whether they print alike
+    lambda n: [(0.0, 0, False)[k % 3] for k in range(n)],
+    lambda n: [-0.0 if k == n - 1 else 0.0 for k in range(n)],
+    lambda n: [(1.0, 1, True, np.float64(1.0))[k % 4] for k in range(n)],
+    lambda n: [1e10 if k % 2 else 10**10 for k in range(n)],
+    lambda n: [9999999999.0 if k % 2 else 9999999999 for k in range(n)],
+    lambda n: ["a" if k % 2 else np.str_("a") for k in range(n)],
+    lambda n: [np.int64(10**12)] * n,
+    lambda n: [np.True_ if k == n - 1 else 1.0 for k in range(n)],
+    lambda n: [np.False_ if k % 2 else 0.0 for k in range(n)],
+    lambda n: [np.float32(2.0) if k == n - 1 else 2.0 for k in range(n)],
+    lambda n: [np.float32(0.5) if k % 2 else 0.5 for k in range(n)],
+    lambda n: [True] * n,
+    lambda n: [0] * n,
+    lambda n: [10**400] * n,
 ]
 
 
@@ -748,6 +766,64 @@ class TestColumnFormatter:
                                                            trace.rows)
         assert files["paths"].read_bytes() == _rowwise_csv(
             TraceLog.PATH_COLUMNS, trace.path_events)
+
+    def test_one_value_block_writes_one_line(self, tmp_path):
+        trace = TraceLog(["a"])
+        row = [COLUMN_CASES[j % len(COLUMN_CASES)](1)[0]
+               for j in range(len(trace.columns))]
+        trace.rows = [list(row) for _ in range(BLOCK_ROWS)]
+        text = trace.write(tmp_path)["trace"].read_bytes()
+        assert text == _rowwise_csv(trace.columns, trace.rows)
+        lines = text.splitlines()
+        assert len(lines) == 1 + BLOCK_ROWS
+        assert set(lines[1:]) == {lines[1]}
+
+    def test_one_value_runs_change_at_block_boundaries(self, tmp_path):
+        """Columns that hold one value within each block, a new one in the
+        next, between varying columns and as the run that ends the row."""
+        per_block = [("standby", 0.0, None, 1.5, 7),
+                     ("warning", -0.0, None, 2.5, 7.0),
+                     ("standby", 0.0, "x", 1.5, True)]
+        trace = TraceLog(["a"])
+        for k in range(2 * BLOCK_ROWS + 3):
+            s, z, none, f, one = per_block[k // BLOCK_ROWS]
+            varying = [0.01 * k, k % 3 == 0, k]
+            row = [varying[0], s, varying[1], z, none] + varying \
+                + [f, one, z, s, none]
+            trace.rows.append(row + [f] * (len(trace.columns) - len(row)))
+        text = trace.write(tmp_path)["trace"].read_bytes()
+        assert text == _rowwise_csv(trace.columns, trace.rows)
+
+    def test_random_blocks_match_rowwise_fmt(self, tmp_path):
+        """Blocks of the path columns, each column one value, one value but
+        for a cell, or random, drawn from cells that equal each other
+        across types."""
+        rng = random.Random(20261020)
+        pool = [None, True, False, np.True_, np.False_, 0, 1, -3, 10**10,
+                10**12, 9999999999, np.int64(0), np.int64(1),
+                np.int64(10**12), np.float64(0.0), np.float64(1.0),
+                np.float32(1.0), np.str_("a"), 0.0, -0.0, 1.0, 0.5,
+                9999999999.0, 1e10, INF, -INF, NAN, "a", "b", ""]
+        n_cols = len(TraceLog.PATH_COLUMNS)
+        started = time.perf_counter()
+        for _ in range(2000):
+            n = rng.choice([1, 2, 3, 5, 8])
+            cols = []
+            for _ in range(n_cols):
+                kind = rng.randrange(3)
+                if kind == 2:
+                    cols.append([rng.choice(pool) for _ in range(n)])
+                    continue
+                col = [rng.choice(pool)] * n
+                if kind == 1:
+                    col[rng.randrange(n)] = rng.choice(pool)
+                cols.append(col)
+            trace = TraceLog([])
+            trace.path_events = [list(row) for row in zip(*cols)]
+            text = trace.write(tmp_path)["paths"].read_bytes()
+            assert text == _rowwise_csv(TraceLog.PATH_COLUMNS,
+                                        trace.path_events)
+        assert time.perf_counter() - started < 2.0
 
     def test_paths_index_column(self, tmp_path):
         trace = TraceLog([])
