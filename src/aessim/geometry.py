@@ -331,21 +331,17 @@ def _near_pairs(idx: np.ndarray, samples: np.ndarray, fp: Footprint,
     return rows, ks, inscribed, inscribed | _sat_overlap(box)
 
 
-def check_paths(paths, targets, fp: Footprint, dt_check: float = 0.1,
-                X: float = 0.0, Y: float = 0.0,
-                pred: Prediction | None = None) -> list[bool]:
+def check_paths(paths, targets, fp: Footprint, dt_check: float, X: float,
+                Y: float, pred: Prediction) -> list[bool]:
     """Whether each sampled path, translated by (X, Y), collides with the
     predicted targets, decided in one broad and one narrow phase over all
     paths (module docstring).
 
     pred is the targets' prediction on a grid of which every path.t is a
-    prefix (one per planner cycle); left out, the targets are predicted on
-    the longest path's grid. Each verdict is collision_check's.
+    prefix (one per planner cycle). Each verdict is collision_check's.
     """
     if not paths or not targets:
         return [False] * len(paths)
-    if pred is None:
-        pred = predict(targets, max((p.t for p in paths), key=len))
     parts = [p.cached(("check", fp, dt_check), _check_geometry, fp, dt_check)
              for p in paths]
     idx, samples = (np.concatenate(a, axis=-1) for a in zip(*parts))

@@ -28,7 +28,7 @@ from .decision import (AesState, SupervisorEvents, SupervisorState, Trigger,
                        step_state_machine)
 from .errors import (DegenerateSpeed, NoFeasiblePath, NumericalDivergence,
                      PathExhausted)
-from .geometry import Pose, TargetTrack, sat_check
+from .geometry import TargetTrack, sat_check
 from .pathgen import SampledPath, generate_path_set
 from .plant import (PlantState, _lateral_coeffs, assert_stable_vehicle,
                     lateral_acceleration, plant_step)
@@ -164,8 +164,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             preds.append(track)
             dists[td.track_id] = d
             min_dist[td.track_id] = min(min_dist[td.track_id], d)
-            if d <= reach and sat_check(Pose(plant.X, plant.Y, plant.psi),
-                                        fp, tp, td.footprint):
+            if d <= reach and sat_check(plant, fp, tp, td.footprint):
                 collided_with = td.track_id
         planner_tick = (k % planner_every == 0)
         events = SupervisorEvents(targets_present=True) if preds else quiet
@@ -246,8 +245,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if regulating:
             if t < brake_until:
                 a_x_cmd = a_x_min
-            local = path_to_vehicle_frame(
-                sup.selected_path, Pose(plant.X, plant.Y, plant.psi))
+            local = path_to_vehicle_frame(sup.selected_path, plant)
             try:
                 err = tracking_errors(local, plant)
                 cmd = control_step(err, plant, params, cfg.controller)

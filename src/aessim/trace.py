@@ -2,25 +2,13 @@
 run summary and plot-data emission. All files are plain delimited text or
 JSON and byte-deterministic for identical runs.
 
-The CSV writer transposes a block of rows and formats each column at once,
-with the bytes of `_fmt` cell by cell. It takes cells of type None, bool,
-int, float and str, and numpy scalars of these. A column whose cells all
-equal its first (one `tuple.count`, a C loop, skipped when the last cell
-differs) prints that one cell when equal cells print alike, and each run of
-adjacent such columns is joined once per block:
-- None equals only None, and prints "".
-- A str equals only a str (`numpy.str_` is one) of its characters.
-- A nonzero number below 1e10 in magnitude: equal floats share one bit
-  pattern, and `.10g` prints an integral float below 1e10 with the digits
-  `str` gives the equal int or bool. `sum` from -0.0 stays a Python float
-  only when every cell is a Python float, int or bool; a numpy bool or
-  float32 may equal such a number and print otherwise, so the column goes
-  on to the type scan.
-- Zero, under the same `sum` test: 0.0 == -0.0 but they print 0 and -0,
-  so the cells print alike only when their packed bits agree.
-Any other column is decided by a type scan: only-float, only-str and
-only-bool columns print as `_fmt` would, without its type tests; mixed ones
-fall back to `_fmt`.
+The CSV writer prints a cell by its value: None as "", a str as itself,
+and any other cell, a number, as `format(v, ".10g")`, so equal cells print
+alike but 0.0 and -0.0, which print 0 and -0. It transposes a block of
+rows and formats each column at once: a column whose cells all equal its
+first (one `tuple.count`, a C loop, skipped when the last cell differs) and
+print alike prints that one cell, and each run of adjacent such columns is
+joined once per block.
 
 Every artefact is created as a new file, never truncated in place: on ext4,
 truncating a file that holds data waits tens of ms for its writeback. So a
@@ -43,22 +31,15 @@ BLOCK_ROWS = 512  # rows transposed at once; bounds the columns' memory
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+    if isinstance(value, str):
+        return value
+    return format(value, ".10g")
 
 
 def _prints_alike(c0, col: tuple) -> bool:
-    """Whether the cells of col, which all equal c0, print as c0 does (the
-    module docstring gives the cases)."""
-    if c0 is None or isinstance(c0, str):
-        return True
-    if (not isinstance(c0, (int, float)) or not abs(c0) < 1e10
-            or type(sum(col, -0.0)) is not float):
-        return False
-    if c0:
+    """Whether the cells of col, which all equal c0, print as c0 does:
+    equal zeros do when their packed bits agree (module docstring)."""
+    if c0 is None or isinstance(c0, str) or c0:
         return True
     bits = struct.pack(f"{len(col)}d", *col)
     return bits == bits[:8] * len(col)
@@ -76,8 +57,6 @@ def _format_column(col: tuple):
         return map(format, col, repeat(".10g", len(col)))
     if kinds == {str}:
         return col
-    if kinds == {bool}:
-        return map(("0", "1").__getitem__, col)
     return map(_fmt, col)
 
 

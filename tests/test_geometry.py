@@ -440,8 +440,9 @@ class TestBatchedSat:
         fp = Footprint(4.5, 1.8, ref_offset=1.35)
         far = TargetTrack("far", Footprint(0.5, 0.5), Pose(40.0, 9.0, 0.0))
         paths = [straight_path(), straight_path(n=31, y=2.0)]
-        assert check_paths(paths, [far], fp, 0.1, math.nan, 0.0) == [True,
-                                                                     True]
+        pred = predict([far], paths[0].t)  # the longer path's grid
+        assert check_paths(paths, [far], fp, 0.1, math.nan, 0.0,
+                           pred) == [True, True]
         assert all(reference_collision_check(p, [far], fp, 0.1, math.nan,
                                              0.0).collides for p in paths)
 
@@ -617,7 +618,8 @@ class TestCollisionCheck:
                                      speed)
                 want = reference_collision_check(path, [target], fp, 0.01,
                                                  X, Y)
-                for pred in (None, predict([target], longest)):
+                for pred in (predict([target], path.t),
+                             predict([target], longest)):
                     assert check_paths([path], [target], fp, 0.01, X, Y,
                                        pred) == [want.collides]
                 # the placed path carries X + x and Y + y, the bits the
@@ -686,7 +688,8 @@ class TestBatchAgreesWithSingleCheck:
     @given(checked_sets())
     def test_verdicts_and_reports_match_the_reference(self, case):
         paths, targets, fp, dt_check, X, Y = case
-        collides = check_paths(paths, targets, fp, dt_check, X, Y)
+        pred = predict(targets, max((p.t for p in paths), key=len))
+        collides = check_paths(paths, targets, fp, dt_check, X, Y, pred)
         assert collides == [reference_collision_check(
             p, targets, fp, dt_check, X, Y).collides for p in paths]
         if X == Y == 0.0:

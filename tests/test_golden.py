@@ -354,6 +354,24 @@ def test_mixed_traffic_matches_golden_digests(tmp_path):
     assert _digests(result, tmp_path, want) == want
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["mixed_traffic"])
+def test_runs_write_cells_that_print_as_before(scenario_dir, name):
+    """The CSV writer prints every number by `.10g`. A run writes only
+    None, str, bool, float and ints below 1e10, which `.10g` prints with
+    the digits `str` gives them, so the artefacts keep their bytes."""
+    if name == "mixed_traffic":
+        cfg = parse_scenario(copy.deepcopy(MIXED_TRAFFIC))
+    else:
+        cfg = load_scenario(scenario_dir / f"{name}.yaml")
+    trace = run_scenario(cfg).trace
+    odd = {(type(cell).__name__, repr(cell))
+           for rows in (trace.rows, trace.path_events) for row in rows
+           for cell in row
+           if not (cell is None or type(cell) in (str, bool, float)
+                   or type(cell) is int and abs(cell) < 10**10)}
+    assert odd == set()
+
+
 def _check_long(scenario_dir, out_dir, run):
     raw = yaml.safe_load((scenario_dir / "empty_road.yaml").read_text())
     for section, values in run["overrides"].items():

@@ -732,7 +732,6 @@ COLUMN_CASES = [
     lambda n: [np.float32(0.5) if k % 2 else 0.5 for k in range(n)],
     lambda n: [True] * n,
     lambda n: [0] * n,
-    lambda n: [10**400] * n,
 ]
 
 
@@ -824,6 +823,36 @@ class TestColumnFormatter:
             assert text == _rowwise_csv(TraceLog.PATH_COLUMNS,
                                         trace.path_events)
         assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("one_value", [True, False])
+    def test_numbers_print_by_value(self, tmp_path, one_value):
+        """A number prints as `.10g` prints its value, whatever its type:
+        a numpy scalar as the equal Python number, an int through the
+        double, in a column of one value and in a varying one."""
+        cells = [(np.True_, b"1"), (np.float32(2.0), b"2"),
+                 (np.int64(7), b"7"), (np.str_("a"), b"a"),
+                 (10**10, b"1e+10")]
+        values = [v for v, _ in cells]
+        equal = [True, 2.0, 7, "a", 1e10]
+        trace = TraceLog([])
+        trace.path_events = [values + equal, equal + values]
+        if not one_value:
+            trace.path_events.append([False, 0.5, -3, "b", 10**12] * 2)
+        lines = trace.write(tmp_path)["paths"].read_bytes().splitlines()
+        want = b",".join([b for _, b in cells] * 2)
+        assert lines[1:3] == [want, want]
+        if not one_value:
+            assert lines[3] == b"0,0.5,-3,b,1e+12,0,0.5,-3,b,1e+12"
+
+    @pytest.mark.parametrize("other", [10**400, 1],
+                             ids=["one_value", "varying"])
+    def test_int_beyond_the_double_range_raises(self, tmp_path, other):
+        """Every number prints through a double, so an int beyond its
+        range has no cell: the write raises OverflowError."""
+        trace = TraceLog([])
+        trace.path_events = [[10**400] + [0.0] * 9, [other] + [0.0] * 9]
+        with pytest.raises(OverflowError):
+            trace.write(tmp_path)
 
     def test_paths_index_column(self, tmp_path):
         trace = TraceLog([])
