@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .capability import EgoState
 from .geometry import Footprint, earliest_contact_time
 from .pathgen import CurvatureProfile, SampledPath
 
@@ -68,26 +67,23 @@ def compute_tte(profile: CurvatureProfile, cfg: TriggerConfig) -> float:
     return max(0.0, (profile.t8 - float(profile.times[0])) - cfg.tte_reduction)
 
 
-def compute_ttc(ego: EgoState, targets, fp: Footprint,
-                horizon: float = 5.0) -> float:
+def compute_ttc(ego, v_x: float, targets, fp: Footprint,
+                horizon: float) -> float:
     """Earliest predicted contact time of the no-action path within the
     horizon, inf if clear.
 
-    The no-action path holds the current speed and heading; the targets move
-    at their predicted constant velocity. It is the least per-target
-    geometry.first_contact_time, by geometry.earliest_contact_time: each
-    heading's cos/sin is formed once, for the velocity and the rectangle
-    alike, and a car in the next lane is cleared before its corners are.
+    The no-action path holds the ego's speed v_x and heading; ego needs only
+    X, Y and psi. The targets move at their predicted constant velocity,
+    each given as the kernel row (X, Y, footprint, cos, sin, vx, vy) of
+    geometry.earliest_contact_time, which the loop forms from constants of
+    the run. It is the least per-target geometry.first_contact_time: the
+    ego heading's cos/sin is formed once, for the velocity and the
+    rectangle alike, and a car in the next lane is cleared before its
+    corners are.
     """
     c, s = math.cos(ego.psi), math.sin(ego.psi)
-    others = []
-    for tr in targets:
-        pose = tr.pose
-        c_b, s_b = math.cos(pose.psi), math.sin(pose.psi)
-        others.append((pose, tr.footprint, c_b, s_b, tr.speed * c_b,
-                       tr.speed * s_b))
-    return earliest_contact_time(ego, fp, c, s, (ego.v_x * c, ego.v_x * s),
-                                 others, horizon)
+    return earliest_contact_time(ego, fp, c, s, (v_x * c, v_x * s), targets,
+                                 horizon)
 
 
 def evaluate_triggers(ttc: float, tte: float, cfg: TriggerConfig) -> Trigger:

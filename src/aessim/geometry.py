@@ -397,17 +397,18 @@ def first_contact_time(pose_a: Pose, fp_a: Footprint,
     """
     return earliest_contact_time(
         pose_a, fp_a, math.cos(pose_a.psi), math.sin(pose_a.psi), vel_a,
-        ((pose_b, fp_b, math.cos(pose_b.psi), math.sin(pose_b.psi), *vel_b),),
-        horizon)
+        ((pose_b.X, pose_b.Y, fp_b, math.cos(pose_b.psi),
+          math.sin(pose_b.psi), *vel_b),), horizon)
 
 
 def earliest_contact_time(pose_a, fp_a: Footprint, c_a: float, s_a: float,
                           vel_a: tuple[float, float], others,
                           horizon: float) -> float:
     """The least first_contact_time of rectangle a and each rectangle b of
-    others, given as (pose, footprint, cos, sin, vx, vy); a's pose needs
-    only .X and .Y, and c_a, s_a are its heading's cos/sin. inf when none
-    touches a within the horizon.
+    others, given as (X, Y, footprint, cos, sin, vx, vy) of its reference
+    point, heading and velocity; a's pose needs only .X and .Y, and c_a,
+    s_a are its heading's cos/sin. inf when none touches a within the
+    horizon.
 
     a's corners and its own-axis intervals are formed once. Broad phase:
     on a's axis (ax, ay), b spans mid +- hl*|c_b*ax + s_b*ay| +
@@ -435,10 +436,9 @@ def earliest_contact_time(pose_a, fp_a: Footprint, c_a: float, s_a: float,
     scale_a = 2.0 * (abs(pose_a.X) + abs(pose_a.Y) + abs(fp_a.ref_offset)
                      + 0.5 * fp_a.length + 0.5 * fp_a.width)
     best = math.inf
-    for pose_b, fp_b, c_b, s_b, vx_b, vy_b in others:
+    for X, Y, fp_b, c_b, s_b, vx_b, vy_b in others:
         rvx, rvy = vx_b - vx_a, vy_b - vy_a
         off, hl, hw = fp_b.ref_offset, 0.5 * fp_b.length, 0.5 * fp_b.width
-        X, Y = pose_b.X, pose_b.Y
         margin = CONTACT_SLACK + BROAD_MARGIN_REL * (
             scale_a + 4.0 * (abs(X) + abs(Y) + abs(off) + hl + hw)
             + 2.0 * (abs(rvx) + abs(rvy)) * horizon
@@ -464,7 +464,7 @@ def earliest_contact_time(pose_a, fp_a: Footprint, c_a: float, s_a: float,
             continue
         # the exact test on a's axes, then on b's
         (u0, w0), (u1, w1), (u2, w2), (u3, w3) = _corners(
-            pose_b, fp_b, c_b, s_b)
+            Pose(X, Y), fp_b, c_b, s_b)
         t_first, t_last = 0.0, horizon
         for ax, ay, rate, a_lo, a_hi in (
                 (c_a, s_a, rate_x, lon_lo, lon_hi),

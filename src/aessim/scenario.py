@@ -25,7 +25,7 @@ from .capability import (CapabilityScenario, CapabilityTuning, EgoState,
 from .control import ControllerConfig
 from .decision import TriggerConfig
 from .errors import ConfigError, DegenerateSpeed, InfeasibleProfile
-from .geometry import DriveableSpace, Footprint, Pose, TargetTrack
+from .geometry import DriveableSpace, Footprint, Pose
 from .pathgen import PathTuning, build_max_severity_profile
 from .plant import DT_MAX, U_FLOOR, assert_stable_vehicle
 from .ranking import CostWeights
@@ -60,9 +60,9 @@ class TargetDef:
     maneuver_time: float | None = None   # optional speed change instant [s]
     maneuver_speed: float | None = None  # speed after the change [m/s]
 
-    def track_at(self, t: float) -> TargetTrack:
-        """True pose and speed at simulation time t (piecewise constant
-        velocity)."""
+    def track_at(self, t: float) -> tuple[float, float, float]:
+        """True reference point (X, Y) and speed at simulation time t
+        (piecewise constant velocity); the heading is pose.psi throughout."""
         c, s = math.cos(self.pose.psi), math.sin(self.pose.psi)
         if self.maneuver_time is None or t <= self.maneuver_time:
             speed, d = self.speed, self.speed * t
@@ -70,9 +70,7 @@ class TargetDef:
             speed = self.maneuver_speed
             d = (self.speed * self.maneuver_time
                  + self.maneuver_speed * (t - self.maneuver_time))
-        return TargetTrack(self.track_id, self.footprint,
-                           Pose(self.pose.X + d * c, self.pose.Y + d * s,
-                                self.pose.psi), speed)
+        return self.pose.X + d * c, self.pose.Y + d * s, speed
 
 
 @dataclass

@@ -8,9 +8,11 @@ planner cycle replans; once in regulation, track the supervisor's selected
 path, re-check its remainder each planner cycle, and replan from the
 current state on its side when the check rejects it. The supervisor state is
 the only record of the manoeuvre; a new selected path re-anchors tracking.
-Each tick opens with one pass over the targets: a target's true track at
-the tick gives its trace cells and, once it has appeared, its prediction,
-its distance and the ground-truth contact that ends a run as collided.
+Each tick opens with one pass over the targets: a target's true position
+and speed at the tick, as floats, give its trace cells and, once it has
+appeared, its kernel row for the TTC, its distance and the ground-truth
+contact that ends a run as collided. Only a tick that plans or monitors the
+selected path builds the targets' TargetTrack records, from those floats.
 plan_cycle is the planning entry point; it writes no trace, and the loop
 logs the PlanCycle it returns with TraceLog.log_cycle and derives the TTE
 from it.
@@ -28,7 +30,7 @@ from .decision import (AesState, SupervisorEvents, SupervisorState, Trigger,
                        step_state_machine)
 from .errors import (DegenerateSpeed, NoFeasiblePath, NumericalDivergence,
                      PathExhausted)
-from .geometry import TargetTrack, sat_check
+from .geometry import Pose, TargetTrack, sat_check
 from .pathgen import SampledPath, generate_path_set
 from .plant import (PlantState, _lateral_coeffs, assert_stable_vehicle,
                     lateral_acceleration, plant_step)
@@ -80,6 +82,13 @@ _NO_TRIGGER = Trigger.NONE.value
 def _ego_state(plant: PlantState) -> EgoState:
     return EgoState(X=plant.X, Y=plant.Y, psi=plant.psi, v_x=plant.u_v,
                     yaw_rate=plant.r)
+
+
+def _tracks(seen) -> list[TargetTrack]:
+    """The TargetTrack of each appeared target, given as (TargetDef, X, Y,
+    speed) at the tick."""
+    return [TargetTrack(td.track_id, td.footprint, Pose(X, Y, td.pose.psi), v)
+            for td, X, Y, v in seen]
 
 
 def plan_cycle(ego: EgoState, preds: list[TargetTrack], cfg: ScenarioConfig,
@@ -137,45 +146,49 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     # the events of a tick with no target present: the supervisor is in
     # standby (a target never disappears), where no branch writes them
     quiet = SupervisorEvents()
-    # what the run holds constant per target: its footprint centre's offset
-    # from its reference point (its heading never turns) and its contact
-    # radius with the ego
-    targets = [(td, td.footprint.ref_offset * math.cos(td.pose.psi),
-                td.footprint.ref_offset * math.sin(td.pose.psi),
-                fp.circumscribed_radius + td.footprint.circumscribed_radius)
-               for td in cfg.targets]
+    # what the run holds constant per target: its heading's cos and sin (a
+    # target's heading never turns), its footprint centre's offset from its
+    # reference point and its contact radius with the ego
+    targets = []
+    for td in cfg.targets:
+        c, s = math.cos(td.pose.psi), math.sin(td.pose.psi)
+        off = td.footprint.ref_offset
+        targets.append((td, c, s, off * c, off * s, fp.circumscribed_radius
+                        + td.footprint.circumscribed_radius))
 
     state_value = sup.state.value
     for k in range(n_ticks + 1):
         t = k * dt_ctrl
         # one pass over the targets: each one's true track and trace cells,
-        # and for one that has appeared its prediction, distance and contact
-        cells, preds, dists = [], [], {}
+        # and for one that has appeared its kernel row, distance and contact
+        cells, rows, seen, dists = [], [], [], {}
         collided_with = None
         if targets:
             ecx, ecy = fp.center(plant)  # reads only X, Y and psi
-        for td, ox, oy, reach in targets:
-            track = td.track_at(t)
-            tp = track.pose
-            d = math.hypot((tp.X + ox) - ecx, (tp.Y + oy) - ecy)
-            cells += (d, tp.X, tp.Y)
+        for td, c, s, ox, oy, reach in targets:
+            X, Y, speed = td.track_at(t)
+            d = math.hypot((X + ox) - ecx, (Y + oy) - ecy)
+            cells += (d, X, Y)
             if t < td.appear_time:   # not there yet: nothing but the cells
                 continue
-            preds.append(track)
+            # speed * c and * s are the bits of TargetTrack.velocity
+            rows.append((X, Y, td.footprint, c, s, speed * c, speed * s))
+            seen.append((td, X, Y, speed))
             dists[td.track_id] = d
             min_dist[td.track_id] = min(min_dist[td.track_id], d)
-            if d <= reach and sat_check(plant, fp, tp, td.footprint):
+            if d <= reach and sat_check(plant, fp, Pose(X, Y, td.pose.psi),
+                                        td.footprint):
                 collided_with = td.track_id
         planner_tick = (k % planner_every == 0)
-        events = SupervisorEvents(targets_present=True) if preds else quiet
+        events = SupervisorEvents(targets_present=True) if rows else quiet
         ttc = None
         triggering = sup.state in (AesState.MONITORING, AesState.WARNING)
 
         # trigger: TTC of the no-action path against the candidate's TTE;
         # a run monitors only with targets present, and none disappears
         if triggering:
-            ego = _ego_state(plant)
-            ttc = compute_ttc(ego, preds, fp, cfg.trigger.ttc_horizon)
+            ttc = compute_ttc(plant, plant.u_v, rows, fp,
+                              cfg.trigger.ttc_horizon)
             if not planner_tick:
                 events.trigger = (Trigger.NONE if tte is None else
                                   evaluate_triggers(ttc, tte, cfg.trigger))
@@ -183,8 +196,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                                 and sup.state is AesState.WARNING):
                 # off the planner period, regenerate at the engage tick so
                 # the executed path starts exactly at the current state
-                cycle = plan_cycle(ego, preds, cfg, cfg.cap_scenario,
-                                   cfg.sides, families)
+                cycle = plan_cycle(_ego_state(plant), _tracks(seen), cfg,
+                                   cfg.cap_scenario, cfg.sides, families)
                 trace.log_cycle(t, "plan" if planner_tick else "engage_plan",
                                 cycle)
                 tte = (None if cycle.best is None
@@ -200,6 +213,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             complete = force_complete or tau >= path.profile.duration - 1e-9
             events.manoeuvre_complete = complete
             if not complete and planner_tick:
+                preds = _tracks(seen)
                 rejected = monitor_selected(path.suffix_from(tau), preds,
                                             space, fp, cfg.sim.dt_check)
                 if rejected is not None:

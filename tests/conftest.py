@@ -202,6 +202,13 @@ def reference_contact_time(pose_a, fp_a, pose_b, fp_b, rvx, rvy,
     return t_first
 
 
+def kernel_rows(tracks) -> list[tuple]:
+    """Each TargetTrack as the kernel row compute_ttc reads: (X, Y,
+    footprint, cos, sin, vx, vy), with TargetTrack.velocity's bits."""
+    return [(tr.pose.X, tr.pose.Y, tr.footprint, math.cos(tr.pose.psi),
+             math.sin(tr.pose.psi), *tr.velocity) for tr in tracks]
+
+
 def reference_ttc(ego, targets, fp, horizon) -> float:
     """compute_ttc by reference_contact_time (reference)."""
     pose = Pose(ego.X, ego.Y, ego.psi)

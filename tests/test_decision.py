@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import kernel_rows
 
 from aessim.capability import EgoState
 from aessim.decision import (AesState, SupervisorEvents, SupervisorState,
@@ -12,6 +13,7 @@ from aessim.decision import (AesState, SupervisorEvents, SupervisorState,
 from aessim.geometry import (Footprint, Pose, TargetTrack,
                              first_contact_time, sat_check)
 from aessim.pathgen import CurvatureProfile, SampledPath
+from aessim.scenario import TargetDef
 
 FP = Footprint(4.5, 1.8, ref_offset=1.35)
 
@@ -48,16 +50,18 @@ class TestTtc:
     def test_point_target_head_on(self):
         ego = EgoState(v_x=20.0)
         target = TargetTrack("pt", Footprint(0.0, 0.0), Pose(20.0, 0.0, 0.0))
-        got = compute_ttc(ego, [target], Footprint(0.0, 0.0), horizon=5.0)
+        got = compute_ttc(ego, ego.v_x, kernel_rows([target]),
+                          Footprint(0.0, 0.0), 5.0)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_laterally_clear(self):
         ego = EgoState(v_x=20.0)
         target = TargetTrack("side", Footprint(0.5, 0.5), Pose(40.0, 6.0, 0.0))
-        assert compute_ttc(ego, [target], FP) == math.inf
+        assert compute_ttc(ego, ego.v_x, kernel_rows([target]), FP,
+                           5.0) == math.inf
 
     def test_no_targets(self):
-        assert compute_ttc(EgoState(v_x=20.0), [], FP) == math.inf
+        assert compute_ttc(EgoState(v_x=20.0), 20.0, [], FP, 5.0) == math.inf
 
     def test_decreasing_while_closing(self):
         # receding start time against a static obstacle: TTC falls 1:1
@@ -65,7 +69,8 @@ class TestTtc:
         prev = math.inf
         for x_ego in np.arange(0.0, 60.0, 5.0):
             target = TargetTrack("blk", Footprint(0.5, 0.5), target_pose)
-            ttc = compute_ttc(EgoState(X=float(x_ego), v_x=20.0), [target], FP)
+            ego = EgoState(X=float(x_ego), v_x=20.0)
+            ttc = compute_ttc(ego, ego.v_x, kernel_rows([target]), FP, 5.0)
             assert ttc < prev
             prev = ttc
 
@@ -83,7 +88,7 @@ class TestTtc:
         for off in [round(0.1 * k, 1) for k in range(-120, 121)]:
             car = TargetTrack("car", car_fp,
                               Pose(40.0 + off, -30.0, math.pi / 2), 15.0)
-            ttc = compute_ttc(ego, [car], FP)
+            ttc = compute_ttc(ego, ego.v_x, kernel_rows([car]), FP, 5.0)
             # the oracle runs SAT only where the bounding circles meet
             vx, vy = car.velocity
             near = np.hypot(car.pose.X + vx * t - (20.0 * t + FP.ref_offset),
@@ -125,10 +130,31 @@ class TestTtc:
             want = min(first_contact_time(Pose(ego.X, ego.Y, psi), fp, vel,
                                           tr.pose, tr.footprint, tr.velocity,
                                           4.0) for tr in targets)
-            got = compute_ttc(ego, targets, fp, 4.0)
+            got = compute_ttc(ego, ego.v_x, kernel_rows(targets), fp, 4.0)
             assert got.hex() == want.hex()
             finite += math.isfinite(got)
         assert 300 < finite < 2700   # both verdicts well exercised
+        # rows as the loop forms them: track_at's floats and the run's
+        # cos/sin of a heading, before, at and after a speed change
+        tds = [TargetDef("m", Footprint(4.6, 1.9, 1.3), Pose(30.0, 0.4, 0.02),
+                         10.0, maneuver_time=1.5, maneuver_speed=2.0),
+               TargetDef("c", Footprint(4.4, 1.8, 1.2),
+                         Pose(20.0, -3.3, -0.008), 14.4)]
+        ego = EgoState(X=1.0, Y=0.1, psi=0.01, v_x=20.0)
+        vel = (ego.v_x * math.cos(ego.psi), ego.v_x * math.sin(ego.psi))
+        for t in (1.0, tds[0].maneuver_time, 2.0):
+            rows, tracks = [], []
+            for td in tds:
+                c, s = math.cos(td.pose.psi), math.sin(td.pose.psi)
+                X, Y, speed = td.track_at(t)
+                rows.append((X, Y, td.footprint, c, s, speed * c, speed * s))
+                tracks.append(TargetTrack(td.track_id, td.footprint,
+                                          Pose(X, Y, td.pose.psi), speed))
+            want = min(first_contact_time(Pose(ego.X, ego.Y, ego.psi), FP,
+                                          vel, tr.pose, tr.footprint,
+                                          tr.velocity, 4.0) for tr in tracks)
+            got = compute_ttc(ego, ego.v_x, rows, FP, 4.0)
+            assert math.isfinite(got) and got.hex() == want.hex()
 
     def test_traffic_scene_forms_only_the_ego_corners(self, formed_corners):
         """With cars 3.25 m to each side and a walker on the sidewalk, all
@@ -141,7 +167,8 @@ class TestTtc:
             TargetTrack("walker", Footprint(0.5, 0.5),
                         Pose(60.0, -6.375, 0.0), 1.2)]
         ego = EgoState(X=0.0, Y=0.0, psi=0.0, v_x=22.0)
-        assert compute_ttc(ego, targets, FP, 5.0) == math.inf
+        assert compute_ttc(ego, ego.v_x, kernel_rows(targets), FP,
+                           5.0) == math.inf
         assert formed_corners == [FP]
 
 

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import (reference_collision_check, reference_contact_time,
-                      reference_corners, reference_driveable, reference_ttc)
+from conftest import (kernel_rows, reference_collision_check,
+                      reference_contact_time, reference_corners,
+                      reference_driveable, reference_ttc)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -857,7 +858,8 @@ class TestBroadPhase:
                          "finite" if math.isfinite(got) else "exact"] += 1
                     seen["nan"] += math.isnan(got + ego.X + tr.pose.X
                                               + tr.pose.psi + tr.speed)
-                got = compute_ttc(ego, targets, fp, self.HORIZON)
+                got = compute_ttc(ego, ego.v_x, kernel_rows(targets), fp,
+                                  self.HORIZON)
                 assert got.hex() == reference_ttc(ego, targets, fp,
                                                   self.HORIZON).hex()
         for shift in self.SHIFTS:

@@ -90,6 +90,7 @@ from conftest import (perfbench_module, reference_collision_check,
                       reference_proximity_cost)
 
 from aessim import ranking, simloop
+from aessim.geometry import TargetTrack
 from aessim.pathgen import generate_path_set
 from aessim.scenario import load_scenario, parse_scenario
 from aessim.ranking import rank_paths
@@ -450,6 +451,27 @@ def test_target_free_run_builds_no_events_per_tick(scenario_dir,
     assert len(steps) == len(result.trace.rows) == 301
     assert len(built) == 1 and all(ev is built[0] for ev in steps)
     assert built[0] == events()
+
+
+def test_monitoring_ticks_build_no_target_tracks(monkeypatch):
+    """The target pass and the TTC work on floats: only a tick that plans
+    or monitors the selected path builds TargetTrack records, so
+    MIXED_TRAFFIC, which never engages, builds at most one per target per
+    planner tick."""
+    built = []
+    init = TargetTrack.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TargetTrack, "__init__", counted)
+    result = run_scenario(parse_scenario(copy.deepcopy(MIXED_TRAFFIC)))
+    assert not result.summary["engaged"]
+    ticks = len(result.trace.rows)
+    planner_ticks = len(range(0, ticks, 10))   # planner_period / dt_control
+    n_targets = len(MIXED_TRAFFIC["targets"])
+    assert 0 < len(built) <= planner_ticks * n_targets < ticks * n_targets
 
 
 def test_rk4_stages_run_on_the_first_tick_only(scenario_dir, plant_cos):

@@ -138,11 +138,11 @@ class TestConfig:
         cfg = load_scenario(scenario_dir / "replanning.yaml")
         td = cfg.targets[0]
         assert td.maneuver_time == pytest.approx(3.74)
-        assert td.track_at(0.0).speed == 1.0
-        assert td.track_at(4.0).speed == pytest.approx(0.1)
-        p_before = td.track_at(td.maneuver_time).pose
-        p_after = td.track_at(td.maneuver_time + 1.0).pose
-        assert p_after.Y - p_before.Y == pytest.approx(0.1, abs=1e-12)
+        assert td.track_at(0.0)[2] == 1.0
+        assert td.track_at(4.0)[2] == pytest.approx(0.1)
+        _, y_before, _ = td.track_at(td.maneuver_time)
+        _, y_after, _ = td.track_at(td.maneuver_time + 1.0)
+        assert y_after - y_before == pytest.approx(0.1, abs=1e-12)
 
 
 # Settings that used to pass parse_scenario and then fail mid-run or run to a
