@@ -11,7 +11,7 @@ take the signed values as given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -165,28 +165,38 @@ def feedback_gains(params: VehicleParams, u_v: float,
     return k
 
 
-def path_to_vehicle_frame(path: SampledPath, ego: Pose) -> SampledPath:
-    """Express a path in the vehicle frame given the ego pose in the path frame."""
+def path_to_vehicle_frame(path: SampledPath, ego: Pose) -> np.ndarray:
+    """The vehicle-frame longitudinal coordinate dx*c + dy*s of each path
+    sample, given the ego pose in the path frame (anything with X, Y and
+    psi): (dx, dy) is the sample's offset from the ego and c, s the cos/sin
+    of its heading. The match point reads only this coordinate, so no
+    vehicle-frame copy of the path is made; `tracking_errors` forms the
+    lateral coordinate and heading at the match index alone."""
     c, s = math.cos(ego.psi), math.sin(ego.psi)
-    dx = path.x - ego.X
-    dy = path.y - ego.Y
-    return replace(path, x=dx * c + dy * s, y=-dx * s + dy * c,
-                   psi=path.psi - ego.psi)
+    return (path.x - ego.X) * c + (path.y - ego.Y) * s
 
 
-def tracking_errors(local_path: SampledPath, plant) -> TrackingErrors:
-    """Errors at the match point of a vehicle-frame path.
+def tracking_errors(path: SampledPath, x_v: np.ndarray,
+                    plant) -> TrackingErrors:
+    """Errors at the match point of a path, given x_v =
+    path_to_vehicle_frame(path, plant): the plant state is the ego pose.
 
     The match point is the sample nearest the vehicle origin along the
-    longitudinal axis. Error derivatives come from the kinematic relations
-    y_e_dot = u psi_e - v and psi_e_dot = u kappa - r.
+    longitudinal axis. There y_e is the sample's vehicle-frame lateral
+    coordinate (-dx)*s + dy*c and psi_e its heading minus the ego's, wrapped
+    by math.remainder: the operations, in order, of a vehicle-frame copy of
+    the whole path, so the same bits. Error derivatives come from the
+    kinematic relations y_e_dot = u psi_e - v and psi_e_dot = u kappa - r.
     """
-    i = int(np.argmin(np.abs(local_path.x)))
-    if i >= len(local_path) - 1:
+    i = int(abs(x_v).argmin())
+    if i >= len(x_v) - 1:
         raise PathExhausted("match point reached the final sample")
-    y_e = float(local_path.y[i])
-    psi_e = math.remainder(float(local_path.psi[i]), 2.0 * math.pi)
-    kappa = float(local_path.rho[i])
+    c, s = math.cos(plant.psi), math.sin(plant.psi)
+    dx = path.x.item(i) - plant.X
+    dy = path.y.item(i) - plant.Y
+    y_e = -dx * s + dy * c
+    psi_e = math.remainder(path.psi.item(i) - plant.psi, 2.0 * math.pi)
+    kappa = path.rho.item(i)
     u = plant.u_v
     return TrackingErrors(y_e=y_e,
                           y_e_dot=u * psi_e - plant.v_v,
@@ -214,13 +224,14 @@ def allocate_brakes(m_z_ext: float, params: VehicleParams,
 
 
 def control_step(err: TrackingErrors, plant, params: VehicleParams,
-                 cfg: ControllerConfig) -> ControlCommand:
+                 cfg: ControllerConfig, k: np.ndarray) -> ControlCommand:
     """Feedback plus feedforward command, saturated and allocated.
 
-    In diff-brake-only mode the system does not steer and the steering
-    angle stays 0.
+    k is the gain matrix feedback_gains(params, plant.u_v, cfg); it depends
+    on the speed alone, so the loop forms it once per speed. In
+    diff-brake-only mode the system does not steer and the steering angle
+    stays 0.
     """
-    k = feedback_gains(params, plant.u_v, cfg)
     c_f, c_r = _signed_stiffness(params)
     d_ff = steering_feedforward_gain(err.kappa, plant.u_v, params.m,
                                      params.l, params.a, params.b, c_f, c_r)

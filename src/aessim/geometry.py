@@ -105,9 +105,15 @@ class Footprint:
 def _corners(pose: Pose, fp: Footprint, c: float,
              s: float) -> tuple[tuple[float, float], ...]:
     """Footprint corners counter-clockwise; c, s are cos/sin of the heading."""
-    cx = pose.X + fp.ref_offset * c
-    cy = pose.Y + fp.ref_offset * s
-    hl, hw = 0.5 * fp.length, 0.5 * fp.width
+    return _box_corners(pose.X + fp.ref_offset * c, pose.Y + fp.ref_offset * s,
+                        0.5 * fp.length, 0.5 * fp.width, c, s)
+
+
+def _box_corners(cx: float, cy: float, hl: float, hw: float, c: float,
+                 s: float) -> tuple[tuple[float, float], ...]:
+    """The one corner formula: the corners, counter-clockwise, of a
+    rectangle with centre (cx, cy), half length hl and half width hw, whose
+    heading has cos/sin c, s."""
     nl, nw = -hl, -hw
     return (((cx + hl * c) - hw * s, (cy + hl * s) + hw * c),
             ((cx + nl * c) - hw * s, (cy + nl * s) + hw * c),
@@ -281,7 +287,7 @@ def _check_geometry(path, fp: Footprint, dt_check: float) -> tuple:
                           [math.sin(a) for a in headings]])
 
 
-# The signs of the corners' half length and half width, in _corners' order;
+# The signs of the corners' half length and half width, in _box_corners' order;
 # multiplying by +-1.0 is exact, so the corners are sat_check's
 _ALONG = np.array([1.0, -1.0, -1.0, 1.0])[:, None, None]
 _ACROSS = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
@@ -421,8 +427,9 @@ def earliest_contact_time(pose_a, fp_a: Footprint, c_a: float, s_a: float,
     slack, and keeps its quotient gap/rate off [0, horizon] by about
     2**-39 * horizon. It is inf for an infinite S or a horizon below
     2**-1000 s (the quotient could underflow), and a NaN fails every
-    comparison. Else the exact test decides, reusing b's cos/sin and the
-    rates: the same bits.
+    comparison. Else the exact test decides, reusing b's cos/sin, the rates
+    and the centre (bx, by) and half sizes the broad phase formed: b's
+    corners come from `_box_corners`, with no Pose, and keep their bits.
     """
     vx_a, vy_a = vel_a
     ns_a = -s_a
@@ -463,8 +470,8 @@ def earliest_contact_time(pose_a, fp_a: Footprint, c_a: float, s_a: float,
                 < lon_lo - margin):
             continue
         # the exact test on a's axes, then on b's
-        (u0, w0), (u1, w1), (u2, w2), (u3, w3) = _corners(
-            Pose(X, Y), fp_b, c_b, s_b)
+        (u0, w0), (u1, w1), (u2, w2), (u3, w3) = _box_corners(
+            bx, by, hl, hw, c_b, s_b)
         t_first, t_last = 0.0, horizon
         for ax, ay, rate, a_lo, a_hi in (
                 (c_a, s_a, rate_x, lon_lo, lon_hi),

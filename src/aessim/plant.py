@@ -139,7 +139,9 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
     substep's state that stayed in bounds (s itself if the first diverged).
     A call that ends at a fixed point records it on the returned state, and
     a call from that state under the same inputs repeats it without RK4
-    stages.
+    stages. The input matrix does not depend on the speed, so the input
+    terms b11*delta_g, b21*delta_g and b22*M_z_ext are formed once per call,
+    and each stage adds the same products it would form itself.
     """
     if not (0.0 < dt <= DT_MAX):
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
@@ -169,6 +171,10 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
             if u_v != u:
                 u = u_v
                 a11, a12, a21, a22, b11, b21, b22 = _lateral_coeffs(params, u)
+                if k == 0:
+                    # the input terms: b11, b21 and b22 do not depend on
+                    # the speed, so they hold for the whole call
+                    in_v, in_r, in_m = b11 * delta, b21 * delta, b22 * m_ext
             t_next = t + dt
             saturated = False
             # RK4 stages at their inputs (sv, sr, sp): v_dot and r_dot, with
@@ -181,15 +187,15 @@ def plant_step(s: PlantState, cmd: ControlCommand, params: VehicleParams,
             v_sum = r_sum = x_sum = y_sum = psi_sum = -0.0
             try:
                 for weight, step in stages:
-                    kv = a11 * sv + a12 * sr + b11 * delta
-                    kr = a21 * sv + a22 * sr + b21 * delta
+                    kv = a11 * sv + a12 * sr + in_v
+                    kr = a21 * sv + a22 * sr + in_r
                     a_y = kv + u * sr
                     if abs(a_y) > ay_max:
                         saturated = True
                         scale = ay_max / abs(a_y)
                         kv = scale * a_y - u * sr
                         kr *= scale
-                    kr = kr + b22 * m_ext
+                    kr = kr + in_m
                     c, sn = math.cos(sp), math.sin(sp)
                     v_sum = v_sum + weight * kv
                     r_sum = r_sum + weight * kr

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .capability import CapabilityScenario, EgoState, lateral_capability
-from .control import (ControlCommand, control_step, path_to_vehicle_frame,
-                      tracking_errors)
+from .control import (ControlCommand, control_step, feedback_gains,
+                      path_to_vehicle_frame, tracking_errors)
 from .decision import (AesState, SupervisorEvents, SupervisorState, Trigger,
                        compute_ttc, compute_tte, evaluate_triggers,
                        step_state_machine)
@@ -142,6 +142,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     max_abs_ye = 0.0
     min_dist = {td.track_id: math.inf for td in cfg.targets}
     coeffs_speed = None   # the speed the lateral coefficients belong to
+    gains = None   # the feedback gains at coeffs_speed, once a tick regulates
     idle = ControlCommand()  # the command of a tick out of regulation
     # the events of a tick with no target present: the supervisor is in
     # standby (a target never disappears), where no branch writes them
@@ -252,6 +253,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if sup is not prev:
             state_value = sup.state.value
 
+        # what depends on the speed alone; only pre-braking moves it
+        if plant.u_v != coeffs_speed:
+            coeffs_speed = plant.u_v
+            coeffs = _lateral_coeffs(params, coeffs_speed)
+            gains = None
+
         # control and actuation for this tick
         cmd = idle
         a_x_cmd = 0.0
@@ -259,18 +266,19 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if regulating:
             if t < brake_until:
                 a_x_cmd = a_x_min
-            local = path_to_vehicle_frame(sup.selected_path, plant)
+            path = sup.selected_path
+            x_v = path_to_vehicle_frame(path, plant)
             try:
-                err = tracking_errors(local, plant)
-                cmd = control_step(err, plant, params, cfg.controller)
+                err = tracking_errors(path, x_v, plant)
+                if gains is None:
+                    gains = feedback_gains(params, plant.u_v,
+                                           cfg.controller)
+                cmd = control_step(err, plant, params, cfg.controller, gains)
                 y_e, psi_e = err.y_e, err.psi_e
                 max_abs_ye = max(max_abs_ye, abs(err.y_e))
             except PathExhausted:
                 force_complete = True
 
-        if plant.u_v != coeffs_speed:   # only pre-braking moves it
-            coeffs_speed = plant.u_v
-            coeffs = _lateral_coeffs(params, coeffs_speed)
         a_y = lateral_acceleration(plant, cmd, coeffs)
         max_abs_ay = max(max_abs_ay, abs(a_y))
 

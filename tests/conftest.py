@@ -44,15 +44,17 @@ def perfbench_module(scenario_dir, name):
 
 @pytest.fixture
 def formed_corners(monkeypatch) -> list:
-    """The footprints whose corners aessim.geometry forms, in call order."""
+    """The half sizes (hl, hw) of each rectangle whose corners
+    aessim.geometry forms, in call order: `_box_corners` is the one corner
+    formula, which `_corners` and the contact time's exact test call."""
     formed = []
-    corners = geometry._corners
+    corners = geometry._box_corners
 
-    def counted(pose, fp, c, s):
-        formed.append(fp)
-        return corners(pose, fp, c, s)
+    def counted(cx, cy, hl, hw, c, s):
+        formed.append((hl, hw))
+        return corners(cx, cy, hl, hw, c, s)
 
-    monkeypatch.setattr(geometry, "_corners", counted)
+    monkeypatch.setattr(geometry, "_box_corners", counted)
     return formed
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from aessim.control import (ControllerConfig, ControlMode, TrackingErrors,
                             steering_feedforward_gain, steering_gains,
                             tracking_errors, understeer_gradient)
 from aessim.errors import PathExhausted
-from aessim.geometry import Pose
 from aessim.pathgen import SampledPath
 from aessim.plant import PlantState
 
@@ -47,26 +47,80 @@ def error_model(params, u):
     return A, bd, bm, av
 
 
+def command(err, plant, p, cfg):
+    """control_step with the gains at the plant's speed."""
+    return control_step(err, plant, p, cfg,
+                        feedback_gains(p, plant.u_v, cfg))
+
+
+def errors_at(path, plant):
+    """tracking_errors of path with the plant state as the ego pose."""
+    return tracking_errors(path, path_to_vehicle_frame(path, plant), plant)
+
+
+def lateral_at(path, j, plant):
+    """The vehicle-frame lateral coordinate and heading of sample j:
+    tracking_errors at a longitudinal coordinate whose only zero is j."""
+    probe = np.ones(len(path))
+    probe[j] = 0.0
+    err = tracking_errors(path, probe, plant)
+    return err.y_e, err.psi_e
+
+
+def reference_errors(path, plant):
+    """tracking_errors through a vehicle-frame copy of the whole path
+    (reference)."""
+    c, s = math.cos(plant.psi), math.sin(plant.psi)
+    dx = path.x - plant.X
+    dy = path.y - plant.Y
+    local = replace(path, x=dx * c + dy * s, y=-dx * s + dy * c,
+                    psi=path.psi - plant.psi)
+    i = int(np.argmin(np.abs(local.x)))
+    if i >= len(local) - 1:
+        raise PathExhausted("match point reached the final sample")
+    y_e = float(local.y[i])
+    psi_e = math.remainder(float(local.psi[i]), 2.0 * math.pi)
+    kappa = float(local.rho[i])
+    u = plant.u_v
+    return TrackingErrors(y_e=y_e, y_e_dot=u * psi_e - plant.v_v,
+                          psi_e=psi_e, psi_e_dot=u * kappa - plant.r,
+                          kappa=kappa)
+
+
 class TestFrameTransform:
+    """path_to_vehicle_frame forms each sample's vehicle-frame longitudinal
+    coordinate; tracking_errors forms the lateral coordinate and heading
+    at the match point."""
+
     def test_identity(self):
-        path = straight_local_path()
-        out = path_to_vehicle_frame(path, Pose(0, 0, 0))
-        assert np.array_equal(out.x, path.x)
-        assert np.array_equal(out.y, path.y)
+        path = straight_local_path(y=0.7)
+        plant = PlantState(u_v=20.0)
+        x_v = path_to_vehicle_frame(path, plant)
+        assert np.array_equal(x_v, path.x)
+        i = int(np.argmin(np.abs(path.x)))
+        assert lateral_at(path, i, plant) == (path.y[i], path.psi[i])
 
     def test_translation(self):
         path = straight_local_path()
-        out = path_to_vehicle_frame(path, Pose(1.0, 2.0, 0.0))
-        assert np.allclose(out.x, path.x - 1.0)
-        assert np.allclose(out.y, path.y - 2.0)
+        plant = PlantState(u_v=20.0, X=1.0, Y=2.0)
+        x_v = path_to_vehicle_frame(path, plant)
+        assert np.allclose(x_v, path.x - 1.0)
+        for j in range(len(path) - 1):
+            assert lateral_at(path, j, plant)[0] == pytest.approx(
+                path.y[j] - 2.0)
 
     def test_quarter_turn(self):
-        path = SampledPath(t=np.array([0.0]), x=np.array([1.0]),
-                           y=np.array([0.0]), psi=np.array([0.0]),
-                           rho=np.array([0.0]), v=np.array([20.0]))
-        out = path_to_vehicle_frame(path, Pose(0.0, 0.0, math.pi / 2))
-        assert out.x[0] == pytest.approx(0.0, abs=1e-15)
-        assert out.y[0] == pytest.approx(-1.0)
+        # the sample (1, 0) lies on the right of an ego at the origin facing
+        # +y, level with it
+        path = SampledPath(t=0.01 * np.arange(3), x=np.ones(3),
+                           y=np.array([-1.0, 0.0, 1.0]), psi=np.zeros(3),
+                           rho=np.zeros(3), v=np.full(3, 20.0))
+        plant = PlantState(u_v=20.0, psi=math.pi / 2)
+        x_v = path_to_vehicle_frame(path, plant)
+        assert x_v[1] == pytest.approx(0.0, abs=1e-15)
+        err = tracking_errors(path, x_v, plant)
+        assert err.y_e == pytest.approx(-1.0)
+        assert err.psi_e == pytest.approx(-math.pi / 2)
 
     def test_isometry(self):
         rng = np.random.default_rng(5)
@@ -75,16 +129,19 @@ class TestFrameTransform:
                            x=rng.normal(size=n), y=rng.normal(size=n),
                            psi=rng.normal(size=n), rho=np.zeros(n),
                            v=np.full(n, 20.0))
-        out = path_to_vehicle_frame(path, Pose(3.0, -2.0, 0.8))
-        d_in = np.hypot(np.diff(path.x), np.diff(path.y))
-        d_out = np.hypot(np.diff(out.x), np.diff(out.y))
+        plant = PlantState(u_v=20.0, X=3.0, Y=-2.0, psi=0.8)
+        x_v = path_to_vehicle_frame(path, plant)
+        y_v = np.array([lateral_at(path, j, plant)[0]
+                        for j in range(n - 1)])
+        d_in = np.hypot(np.diff(path.x[:-1]), np.diff(path.y[:-1]))
+        d_out = np.hypot(np.diff(x_v[:-1]), np.diff(y_v))
         assert np.max(np.abs(d_in - d_out)) < 1e-12
 
 
 class TestTrackingErrors:
     def test_on_path_zero_errors(self):
         plant = PlantState(u_v=20.0)
-        err = tracking_errors(straight_local_path(), plant)
+        err = errors_at(straight_local_path(), plant)
         assert err.y_e == 0.0
         assert err.y_e_dot == 0.0
         assert err.psi_e == 0.0
@@ -92,7 +149,7 @@ class TestTrackingErrors:
 
     def test_pure_lateral_offset(self):
         plant = PlantState(u_v=20.0)
-        err = tracking_errors(straight_local_path(y=1.0), plant)
+        err = errors_at(straight_local_path(y=1.0), plant)
         assert err.y_e == 1.0
         assert err.y_e_dot == 0.0
         assert err.psi_e == 0.0
@@ -102,7 +159,7 @@ class TestTrackingErrors:
         plant = PlantState(u_v=20.0, v_v=0.5, r=0.1)
         path = straight_local_path()
         path.rho[:] = 0.02
-        err = tracking_errors(path, plant)
+        err = errors_at(path, plant)
         assert err.y_e_dot == pytest.approx(20.0 * err.psi_e - 0.5)
         assert err.psi_e_dot == pytest.approx(20.0 * 0.02 - 0.1)
 
@@ -110,7 +167,51 @@ class TestTrackingErrors:
         path = straight_local_path()
         path.x = path.x - 50.0  # path entirely behind the vehicle
         with pytest.raises(PathExhausted):
-            tracking_errors(path, PlantState(u_v=20.0))
+            errors_at(path, PlantState(u_v=20.0))
+
+    def test_equals_a_vehicle_frame_copy_bit_for_bit(self):
+        """Placed paths and ego poses, headings near +-pi included: every
+        error has the bits of the errors read off a vehicle-frame copy of
+        the whole path, and the path is exhausted in the same cases."""
+        rng = np.random.default_rng(35)
+        u = rng.uniform
+        exhausted = near_pi = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 200))
+            dt = 0.01
+            h0 = float(rng.choice([u(-math.pi, math.pi),
+                                   math.pi - u(0.0, 1e-3),
+                                   -math.pi + u(0.0, 1e-3)]))
+            psi = h0 + np.cumsum(np.full(n, u(-0.02, 0.02)))
+            speed = u(1.0, 30.0)
+            x = float(u(-1e3, 1e3)) + np.cumsum(speed * dt * np.cos(psi))
+            y = float(u(-50.0, 50.0)) + np.cumsum(speed * dt * np.sin(psi))
+            path = SampledPath(t=dt * np.arange(n), x=x, y=y, psi=psi,
+                               rho=rng.normal(0.0, 0.01, size=n),
+                               v=np.full(n, speed))
+            j = int(rng.integers(n + n // 4))   # now and then past the end
+            k = min(j, n - 1)
+            ego_psi = math.remainder(float(psi[k]) + u(-0.1, 0.1),
+                                     2.0 * math.pi)
+            near_pi += abs(ego_psi) > math.pi - 0.2
+            along = speed * dt * (j - k) + u(-0.3, 0.3)
+            plant = PlantState(
+                u_v=speed, v_v=u(-0.5, 0.5), r=u(-0.3, 0.3),
+                X=float(x[k]) + along * math.cos(psi[k]) + u(-1.0, 1.0),
+                Y=float(y[k]) + along * math.sin(psi[k]) + u(-1.0, 1.0),
+                psi=ego_psi)
+            try:
+                want = reference_errors(path, plant)
+            except PathExhausted:
+                exhausted += 1
+                with pytest.raises(PathExhausted):
+                    errors_at(path, plant)
+                continue
+            got = errors_at(path, plant)
+            for name in ("y_e", "y_e_dot", "psi_e", "psi_e_dot", "kappa"):
+                assert getattr(got, name).hex() == getattr(want,
+                                                           name).hex()
+        assert 0 < exhausted < 250 and near_pi > 50
 
 
 class TestFeedforward:
@@ -144,10 +245,10 @@ class TestFeedforward:
         # with zero errors on a curve the command is the feedforward alone
         p = make_params()
         err = TrackingErrors(0, 0, 0, 0, kappa=0.01)
-        cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig(
+        cmd = command(err, PlantState(u_v=20.0), p, ControllerConfig(
             mode=ControlMode.STEERING_ONLY))
         assert cmd.M_z_ext == 0.0 and cmd.delta_g != 0.0
-        cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig(
+        cmd = command(err, PlantState(u_v=20.0), p, ControllerConfig(
             mode=ControlMode.DIFF_BRAKE_ONLY))
         assert cmd.delta_g == 0.0 and cmd.M_z_ext != 0.0
 
@@ -191,7 +292,7 @@ class TestControlStep:
     def test_zero_errors_straight_path(self):
         p = make_params()
         err = TrackingErrors(0, 0, 0, 0, kappa=0.0)
-        cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig())
+        cmd = command(err, PlantState(u_v=20.0), p, ControllerConfig())
         assert cmd.delta_g == 0.0
         assert cmd.M_z_ext == 0.0
         assert cmd.brakes.fl == cmd.brakes.fr == 0.0
@@ -208,20 +309,20 @@ class TestControlStep:
         err = TrackingErrors(y_e=0.0, y_e_dot=u * (v_ss / u) - v_ss,
                              psi_e=v_ss / u, psi_e_dot=0.0, kappa=kappa)
         plant = PlantState(u_v=u, v_v=v_ss, r=u * kappa)
-        cmd = control_step(err, plant, p,
+        cmd = command(err, plant, p,
                            ControllerConfig(mode=ControlMode.STEERING_ONLY))
         assert cmd.delta_g == pytest.approx(d_ff, abs=1e-12)
 
     def test_saturation(self):
         p = make_params(delta_max=0.05)
         err = TrackingErrors(5.0, 0, 0, 0, kappa=0.0)
-        cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig())
+        cmd = command(err, PlantState(u_v=20.0), p, ControllerConfig())
         assert abs(cmd.delta_g) == 0.05
 
     def test_diff_brake_only_does_not_steer(self):
         p = make_params()
         err = TrackingErrors(1.0, 0, 0, 0, kappa=0.0)
-        cmd = control_step(err, PlantState(u_v=20.0), p, ControllerConfig(
+        cmd = command(err, PlantState(u_v=20.0), p, ControllerConfig(
             mode=ControlMode.DIFF_BRAKE_ONLY))
         assert cmd.delta_g == 0.0
         assert cmd.M_z_ext != 0.0
@@ -249,12 +350,10 @@ class TestErrorDerivativeOracle:
         plant = PlantState(u_v=20.0)
         log = []
         for _ in range(int(prof.duration / 0.01) - 5):
-            local = path_to_vehicle_frame(path,
-                                          Pose(plant.X, plant.Y, plant.psi))
-            err = tracking_errors(local, plant)
+            err = errors_at(path, plant)
             log.append((plant.X, plant.Y, plant.psi, err.y_e_dot,
                         err.psi_e_dot, err.psi_e, err.kappa))
-            cmd = control_step(err, plant, p, cfg)
+            cmd = command(err, plant, p, cfg)
             plant = plant_step(plant, cmd, p, 0.0, 0.001, 10)
         X, Y, psi, yds, psids, psis, kappas = map(np.array, zip(*log))
         dt = 0.01
@@ -319,6 +418,6 @@ class TestAllocation:
         p = make_params()
         cfg = ControllerConfig(brake_force_max=500.0)
         err = TrackingErrors(3.0, 0, 0, 0, kappa=0.0)
-        cmd = control_step(err, PlantState(u_v=20.0), p, cfg)
+        cmd = command(err, PlantState(u_v=20.0), p, cfg)
         assert cmd.M_z_ext == pytest.approx(
             cmd.brakes.induced_moment(p.w), abs=1e-9)

@@ -169,7 +169,7 @@ class TestTtc:
         ego = EgoState(X=0.0, Y=0.0, psi=0.0, v_x=22.0)
         assert compute_ttc(ego, ego.v_x, kernel_rows(targets), FP,
                            5.0) == math.inf
-        assert formed_corners == [FP]
+        assert formed_corners == [(0.5 * FP.length, 0.5 * FP.width)]
 
 
 class TestTriggers:

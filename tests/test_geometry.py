@@ -907,9 +907,10 @@ class TestBroadPhase:
                 pb, rv = placed(sign * reach)
                 formed_corners.clear()
                 got = first_contact_time(pa, fa, (0.0, 0.0), pb, fb, rv, h)
+                broad = len(formed_corners) == 1
                 assert got.hex() == reference_contact_time(
                     pa, fa, pb, fb, *rv, h).hex()
-                assert (len(formed_corners) == 1) is (k > 1.0)
+                assert broad is (k > 1.0)
                 if k < 0.0:
                     assert got <= h
                     finite += 1

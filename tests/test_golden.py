@@ -68,6 +68,14 @@ must serve ranked candidates' checks from the memo. `TRAFFIC_RUN` is the
 only run with more than one target; its digests were recorded before the
 shared prediction.
 
+`CONTROL_MODE_RUNS` run two shipped scenarios under a controller mode that
+none of them runs: `stalled_car` with the combined controller, which
+pre-brakes while it tracks, so the speed and with it the feedback gains
+change during regulation, and `crossing_vru` with differential braking
+alone. Their digests were recorded before the loop kept the gains per
+speed and before the match point stopped copying the path into the
+vehicle frame.
+
 `MIXED_TRAFFIC` is a second monitoring-only scene with three targets,
 written out in full: its targets' headings are off the road's axis and
 their footprint centres off their reference points, so the loop's per-run
@@ -265,6 +273,31 @@ DIVERGENCE_RUN = {
     },
 }
 
+# Shipped scenarios under a controller mode that none of them runs, each
+# pinned as (outcome, reason, engage_time, engage_path_id, max |y_e|).
+CONTROL_MODE_RUNS = {
+    ("stalled_car", "combined"): {
+        "outcome": ("avoided", "manoeuvre completed", 2.71, "L5",
+                    0.005702741496416964),
+        "digests": {
+            "trace": "0362cdb7ba54ed6c7fe0508b261035e3ab8f4b30ddabff36c150813ac31420c0",
+            "paths": "58ec316a4a82a8482d24d900826c5201c2997fc0dfc51d1388a8bfef85344d86",
+            "summary": "4b1963fedbfead4fd21cbc9d9aafca74eaecfc7ed9afd5108059a27c354d61de",
+            "exact": "0d2622a36b785fa9bdd726e8379d111066df4949d4054eae551fd4f9aa8045aa",
+        },
+    },
+    ("crossing_vru", "diff_brake"): {
+        "outcome": ("avoided", "manoeuvre completed", 3.24, "R2",
+                    0.43370118278697267),
+        "digests": {
+            "trace": "1ab8b5b41a77da1e9b96d05868144e3528e66d10d855293f4adabf7d02ba4d59",
+            "paths": "064687295ac429b3c9f3358c782b70b69ddc1a1a3e8a456c726be1746dc11e85",
+            "summary": "2ff17a3657c13171c70a5c94885a7ed7bbd0c46882ca5f7c3511707cb407be31",
+            "exact": "4975d21d5b62e6543334763fa010895e133320573dbb65c97f8d657e8fa803b1",
+        },
+    },
+}
+
 
 def _exact_digest(trace):
     """sha256 of the trace rows and path events at full precision: every
@@ -408,6 +441,44 @@ def test_mid_tick_divergence_matches_golden_digests(scenario_dir, tmp_path):
     assert result.summary["t_end"] == DIVERGENCE_RUN["t_end"]
     want = DIVERGENCE_RUN["digests"]
     assert _digests(result, tmp_path, want) == want
+
+
+def _control_mode_run(scenario_dir, name, mode):
+    raw = yaml.safe_load((scenario_dir / f"{name}.yaml").read_text())
+    raw["control"]["mode"] = mode
+    return run_scenario(parse_scenario(raw))
+
+
+@pytest.mark.parametrize("name, mode", sorted(CONTROL_MODE_RUNS))
+def test_control_modes_match_golden_digests(scenario_dir, tmp_path, name,
+                                            mode):
+    result = _control_mode_run(scenario_dir, name, mode)
+    want = CONTROL_MODE_RUNS[name, mode]
+    assert (result.outcome, result.reason,
+            result.summary.get("engage_time"),
+            result.summary.get("engage_path_id"),
+            result.summary["max_abs_ye"]) == want["outcome"]
+    assert _digests(result, tmp_path, want["digests"]) == want["digests"]
+
+
+def test_gains_are_formed_once_per_speed(scenario_dir, monkeypatch):
+    """stalled_car under the combined controller pre-brakes while it
+    regulates: the loop forms the feedback gains once for each speed a
+    tracking tick sees, so anew on each braking tick and not again once the
+    speed holds."""
+    speeds = []
+    gains = simloop.feedback_gains
+
+    def counted(params, u_v, cfg):
+        speeds.append(u_v)
+        return gains(params, u_v, cfg)
+
+    monkeypatch.setattr(simloop, "feedback_gains", counted)
+    result = _control_mode_run(scenario_dir, "stalled_car", "combined")
+    tracked = [row[5] for row in result.trace.rows if row[14] is not None]
+    assert len(speeds) == len(set(tracked)) > 10
+    assert speeds == sorted(set(tracked), reverse=True)
+    assert len(tracked) > 2 * len(speeds)
 
 
 # one run that ends avoided and one that runs to its duration
